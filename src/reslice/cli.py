@@ -102,9 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         plans = load_plans(f"{args.out_prefix}.plan.json")
         exported = load_model(f"{args.out_prefix}.model.json", f"{args.out_prefix}.weights.json")
-        replayed_graph, replayed_weights = graph, weights.copy()
-        for plan in plans:
-            replayed_graph, replayed_weights = apply_plan(plan, replayed_graph, replayed_weights)
+        replayed_graph, replayed_weights = apply_plan(plans, graph, weights)
         if (graph_to_dict(replayed_graph) != graph_to_dict(exported[0])
                 or not _same_weights(replayed_weights, exported[1])):
             print("verification failed: exported artifacts do not match the plan",

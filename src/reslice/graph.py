@@ -10,6 +10,7 @@ All container types are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,13 +83,19 @@ class Layer:
 @dataclass(frozen=True)
 class ModelGraph:
     """A validated DAG of layers. ``edges`` are (src, dst) pairs; the order
-    of a node's incoming edges is meaningful (concat order, add operands)."""
+    of a node's incoming edges is meaningful (concat order, add operands).
+
+    The topological order is computed on first use and cached, not built in
+    the constructor, so a cyclic graph still constructs and ``validate`` can
+    report the cycle."""
 
     layers: tuple[Layer, ...]
     edges: tuple[tuple[str, str], ...]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
     _preds: dict = field(init=False, repr=False, compare=False, hash=False)
     _succs: dict = field(init=False, repr=False, compare=False, hash=False)
+    _order: tuple | None = field(init=False, repr=False, compare=False, hash=False)
+    _rank: dict | None = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, layers: Iterable[Layer], edges: Iterable[tuple[str, str]]):
         object.__setattr__(self, "layers", tuple(layers))
@@ -108,6 +115,8 @@ class ModelGraph:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_succs", succs)
+        object.__setattr__(self, "_order", None)
+        object.__setattr__(self, "_rank", None)
 
     def layer(self, layer_id: str) -> Layer:
         try:
@@ -126,25 +135,38 @@ class ModelGraph:
         return tuple(self._succs[layer_id])
 
     def topological_order(self) -> tuple[str, ...]:
-        """Kahn's algorithm; ties broken by layer file order (deterministic)."""
+        """Kahn's algorithm; ties broken by layer file order (deterministic).
+
+        Computed once per graph; later calls return the same tuple."""
+        if self._order is None:
+            self._sort()
+        return self._order
+
+    def topological_rank(self, layer_id: str) -> int:
+        """Position of ``layer_id`` in :meth:`topological_order`."""
+        if self._rank is None:
+            self._sort()
+        return self._rank[layer_id]
+
+    def _sort(self) -> None:
+        indeg = [len(self._preds[l.id]) for l in self.layers]
         position = {l.id: i for i, l in enumerate(self.layers)}
-        indeg = {l.id: len(self._preds[l.id]) for l in self.layers}
-        ready = sorted((lid for lid, d in indeg.items() if d == 0), key=position.get)
+        # a heap keyed by file position pops the same layer as a ready list
+        # kept sorted by file position
+        ready = [i for i, d in enumerate(indeg) if d == 0]
         out: list[str] = []
         while ready:
-            lid = ready.pop(0)
+            lid = self.layers[heapq.heappop(ready)].id
             out.append(lid)
-            inserted = False
             for nxt in self._succs[lid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-                    inserted = True
-            if inserted:
-                ready.sort(key=position.get)
+                i = position[nxt]
+                indeg[i] -= 1
+                if indeg[i] == 0:
+                    heapq.heappush(ready, i)
         if len(out) != len(self.layers):
             raise ValidationError(["graph contains a cycle"])
-        return tuple(out)
+        object.__setattr__(self, "_order", tuple(out))
+        object.__setattr__(self, "_rank", {lid: i for i, lid in enumerate(out)})
 
 
 @dataclass

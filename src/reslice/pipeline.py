@@ -137,9 +137,7 @@ def export_model(graph: ModelGraph, weights: WeightStore, masks: ChannelMask,
                  on_unsupported: str = ON_UNSUPPORTED_ERROR) -> ExportResult:
     """Plan and apply the full export; pure (inputs untouched)."""
     plans, fallbacks = plan_model(graph, masks, mode, strategy, on_unsupported)
-    out_graph, out_weights = graph, weights.copy()
-    for plan in plans:
-        out_graph, out_weights = apply_plan(plan, out_graph, out_weights)
+    out_graph, out_weights = apply_plan(plans, graph, weights)
     return ExportResult(
         graph=out_graph, weights=out_weights, plans=tuple(plans),
         totals=copy_report(plans), fallbacks=tuple(fallbacks),

@@ -4,7 +4,7 @@ A SegmentPlan is a pure value describing, per segment: how each producer's
 filters are reordered and which are dropped, how each consumer reads the
 rewritten tensor (contiguous slice + column permutation, or an explicit
 gather), how interior per-channel vectors are permuted, and the exact copy
-cost. ``apply_plan`` executes a plan mechanically; it never re-derives
+cost. ``apply_plan`` executes plans mechanically; it never re-derives
 anything, so a serialized plan is a complete record of the transformation.
 
 Input mode prunes consumer input channels (the default). Output mode prunes
@@ -17,6 +17,7 @@ copy-free.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -586,10 +587,10 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
                             for r in runs))
         join_rewrite = JoinRewrite(join, kind, keep, operands, tuple(runs))
 
-    # consumers read everything that survived; always a full slice
-    vectors = _output_realized_vectors(graph, segment, layouts,
-                                       join_rewrite.join if join_rewrite else None,
-                                       order.order)
+    # consumers read everything that survived; always a full slice. The
+    # rewritten join emits the combined order; pass-throughs forward it.
+    overrides = {join_rewrite.join: order.order} if join_rewrite else None
+    vectors = propagate_vectors(graph, segment.interior, layouts, overrides=overrides)
     accesses = []
     for c in segment.consumers:
         realized = vectors[graph.predecessors(c)[0]]
@@ -607,29 +608,6 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
     )
 
 
-def _output_realized_vectors(graph: ModelGraph, segment: Segment,
-                             layouts: Mapping[str, tuple[int, ...]],
-                             join: str | None,
-                             joined: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-    """Slot vectors after the join rewrite: the join emits the combined
-    order; pass-throughs forward their input."""
-    vectors: dict[str, tuple[int, ...]] = {p: tuple(v) for p, v in layouts.items()}
-    interior = set(segment.interior)
-    for u in graph.topological_order():
-        if u not in interior:
-            continue
-        if u == join:
-            vectors[u] = tuple(joined)
-            continue
-        layer = graph.layer(u)
-        ins = [vectors[q] for q in graph.predecessors(u)]
-        if layer.kind is LayerKind.PASS_THROUGH:
-            vectors[u] = ins[0]
-        else:  # pragma: no cover - topology checks exclude other kinds
-            raise AssertionError(f"unexpected interior kind {layer.kind} in output mode")
-    return vectors
-
-
 # --------------------------------------------------------------------------
 # plan application
 # --------------------------------------------------------------------------
@@ -645,18 +623,69 @@ def _fresh_id(taken: set[str], base: str) -> str:
     return f"{base}_{k}"
 
 
-def apply_plan(plan: SegmentPlan, graph: ModelGraph, weights: WeightStore) -> tuple[ModelGraph, WeightStore]:
-    """Execute a plan. Pure: the input graph and weights are untouched.
+class _Rewrite:
+    """A mutable copy of ``source`` under rewrite.
 
-    Inconsistencies between plan and graph raise ValidationError carrying
-    the interior diagnostics; that always indicates a planner bug, not bad
-    user input.
+    Layers and edges sit in lists in file order; a removed entry becomes
+    None, so every other entry keeps its position and the model comes out
+    in the order a rebuild after each plan would give. ``out_edges`` and
+    ``in_edges`` index edge positions by source and by destination
+    (``in_edges`` ascending, so predecessors keep their file order).
     """
-    new_weights = weights.copy()
-    layers: dict[str, Layer] = {l.id: l for l in graph.layers}
-    layer_order: list[str] = [l.id for l in graph.layers]
-    edges: list[tuple[str, str]] = list(graph.edges)
-    taken = set(layer_order)
+
+    def __init__(self, graph: ModelGraph, weights: WeightStore):
+        self.source = graph
+        self.layers: dict[str, Layer] = {l.id: l for l in graph.layers}
+        self.order: list[str | None] = [l.id for l in graph.layers]
+        self.slot = {lid: i for i, lid in enumerate(self.order)}
+        self.edges: list[tuple[str, str] | None] = list(graph.edges)
+        self.out_edges: dict[str, list[int]] = defaultdict(list)
+        self.in_edges: dict[str, list[int]] = defaultdict(list)
+        for i, (src, dst) in enumerate(self.edges):
+            self.out_edges[src].append(i)
+            self.in_edges[dst].append(i)
+        self.taken = set(self.layers)
+        self.weights = weights.copy()
+
+    def predecessors(self, layer_id: str) -> list[str]:
+        return [self.edges[i][0] for i in self.in_edges[layer_id]]
+
+    def add_layer(self, layer: Layer) -> None:
+        self.layers[layer.id] = layer
+        self.slot[layer.id] = len(self.order)
+        self.order.append(layer.id)
+
+    def remove_layer(self, layer_id: str) -> None:
+        """Drop a layer and the edges into it; move its out-edges first."""
+        for i in self.in_edges.pop(layer_id, []):
+            self.out_edges[self.edges[i][0]].remove(i)
+            self.edges[i] = None
+        del self.layers[layer_id]
+        self.order[self.slot.pop(layer_id)] = None
+
+    def add_edge(self, src: str, dst: str) -> None:
+        self.out_edges[src].append(len(self.edges))
+        self.in_edges[dst].append(len(self.edges))
+        self.edges.append((src, dst))
+
+    def move_sources(self, positions: Iterable[int], new: str) -> None:
+        """Make ``new`` the source of the edges at ``positions``."""
+        for i in list(positions):
+            src, dst = self.edges[i]
+            self.out_edges[src].remove(i)
+            self.out_edges[new].append(i)
+            self.edges[i] = (new, dst)
+
+    def graph(self) -> ModelGraph:
+        return ModelGraph([self.layers[i] for i in self.order if i is not None],
+                          [e for e in self.edges if e is not None])
+
+
+def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
+    """Apply one plan to the model under rewrite."""
+    layers, weights, taken = rw.layers, rw.weights, rw.taken
+    # consumers look up their source before this plan rewires anything
+    sources = {a.consumer: rw.predecessors(a.consumer)[0] for a in plan.consumers}
 
     # 1. producers: reorder/drop filter rows
     for p in plan.producers:
@@ -667,20 +696,19 @@ def apply_plan(plan: SegmentPlan, graph: ModelGraph, weights: WeightStore) -> tu
                 raise ValidationError([f"{p}: cannot permute a model input"])
             continue
         if rows != tuple(range(lay.out_channels)):
-            new_weights[p] = new_weights[p][list(rows), :]
+            weights[p] = weights[p][list(rows), :]
             layers[p] = replace(lay, out_channels=len(rows))
         for local in plan.zero_rows.get(p, ()):
-            new_weights[p][rows.index(local), :] = 0.0
+            weights[p][rows.index(local), :] = 0.0
 
     # 2. output-mode infill: restore original widths with zero-fill gathers
     for p in sorted(plan.infill):
         params = plan.infill[p]
         nid = _fresh_id(taken, f"{p}.restore")
-        layers[nid] = Layer(nid, LayerKind.GATHER, in_channels=layers[p].out_channels,
-                            out_channels=len(params), params=tuple(params))
-        layer_order.append(nid)
-        edges = [(nid, d) if s == p else (s, d) for (s, d) in edges]
-        edges.append((p, nid))
+        rw.add_layer(Layer(nid, LayerKind.GATHER, in_channels=layers[p].out_channels,
+                           out_channels=len(params), params=tuple(params)))
+        rw.move_sources(rw.out_edges[p], nid)
+        rw.add_edge(p, nid)
 
     # 3. output-mode join rewrite
     redirect: dict[str, str] = {}
@@ -699,16 +727,15 @@ def apply_plan(plan: SegmentPlan, graph: ModelGraph, weights: WeightStore) -> tu
                     parts.append(source)
                     continue
                 sid = _fresh_id(taken, f"{jr.join}.run{i}.{p}")
-                layers[sid] = Layer(sid, LayerKind.SLICE, in_channels=layers[p].out_channels,
-                                    out_channels=length, params=(start, length))
-                layer_order.append(sid)
-                edges.append((source, sid))
+                rw.add_layer(Layer(sid, LayerKind.SLICE, in_channels=layers[p].out_channels,
+                                   out_channels=length, params=(start, length)))
+                rw.add_edge(source, sid)
                 parts.append(sid)
             if len(parts) > 1:
                 aid = _fresh_id(taken, f"{jr.join}.run{i}")
-                layers[aid] = Layer(aid, LayerKind.ADD, in_channels=width, out_channels=width)
-                layer_order.append(aid)
-                edges.extend((part, aid) for part in parts)
+                rw.add_layer(Layer(aid, LayerKind.ADD, in_channels=width, out_channels=width))
+                for part in parts:
+                    rw.add_edge(part, aid)
                 run_outputs.append(aid)
             else:
                 run_outputs.append(parts[0])
@@ -716,29 +743,28 @@ def apply_plan(plan: SegmentPlan, graph: ModelGraph, weights: WeightStore) -> tu
         if len(run_outputs) > 1:
             cid = _fresh_id(taken, f"{jr.join}.joined")
             total = sum(run_width)
-            layers[cid] = Layer(cid, LayerKind.CONCAT, in_channels=total, out_channels=total)
-            layer_order.append(cid)
-            edges.extend((r, cid) for r in run_outputs)
+            rw.add_layer(Layer(cid, LayerKind.CONCAT, in_channels=total, out_channels=total))
+            for r in run_outputs:
+                rw.add_edge(r, cid)
             final = cid
         else:
             final = run_outputs[0]
         redirect[jr.join] = final
-        edges = [e for e in edges if e[1] != jr.join]
-        edges = [(final, d) if s == jr.join else (s, d) for (s, d) in edges]
-        del layers[jr.join]
-        layer_order.remove(jr.join)
+        rw.move_sources(rw.out_edges[jr.join], final)
+        rw.remove_layer(jr.join)
 
-    # 4. interior: recompute widths, permute per-channel vectors
+    # 4. interior: recompute widths, permute per-channel vectors. Interior
+    # ids name layers of the input graph, and plans add no edge between two
+    # interior nodes, so the input graph's order holds.
     for u, perm in sorted(plan.per_channel.items()):
-        new_weights[u] = new_weights[u][list(perm)]
-    provisional = ModelGraph([layers[i] for i in layer_order], edges)
-    surviving_interior = [u for u in plan.interior if u in layers]
-    recompute = set(surviving_interior)
-    for u in provisional.topological_order():
-        if u not in recompute:
-            continue
+        weights[u] = weights[u][list(perm)]
+    surviving = [u for u in plan.interior if u in layers and u in rw.source]
+    for u in sorted(surviving, key=rw.source.topological_rank):
         lay = layers[u]
-        preds = provisional.predecessors(u)
+        preds = rw.predecessors(u)
+        unknown = [q for q in preds if q not in layers]
+        if unknown:
+            raise ValidationError([f"edge ({unknown[0]!r}, {u!r}) references unknown layer"])
         pred_widths = [layers[q].out_channels for q in preds]
         if lay.kind is LayerKind.CONCAT:
             w = sum(pred_widths)
@@ -756,15 +782,14 @@ def apply_plan(plan: SegmentPlan, graph: ModelGraph, weights: WeightStore) -> tu
     for access in plan.consumers:
         c = access.consumer
         lay = layers[c]
-        pred = graph.predecessors(c)[0]
-        pred = redirect.get(pred, pred)
+        pred = redirect.get(sources[c], sources[c])
         perm = tuple(access.perm)
         if perm != tuple(range(lay.in_channels)):
-            new_weights[c] = new_weights[c][:, list(perm)]
+            weights[c] = weights[c][:, list(perm)]
             layers[c] = replace(lay, in_channels=len(perm))
         zeroed = plan.zero_columns.get(c, ())
         for local in zeroed:
-            new_weights[c][:, perm.index(local)] = 0.0
+            weights[c][:, perm.index(local)] = 0.0
         source_width = layers[pred].out_channels
         if access.mode == "slice":
             if access.length != len(perm):
@@ -772,28 +797,46 @@ def apply_plan(plan: SegmentPlan, graph: ModelGraph, weights: WeightStore) -> tu
             if (access.start, access.length) == (0, source_width):
                 continue  # reads the whole tensor: no node needed
             nid = _fresh_id(taken, f"{c}.read")
-            layers[nid] = Layer(nid, LayerKind.SLICE, in_channels=source_width,
-                                out_channels=access.length,
-                                params=(access.start, access.length))
+            read = Layer(nid, LayerKind.SLICE, in_channels=source_width,
+                         out_channels=access.length, params=(access.start, access.length))
         else:
             if len(access.indices) != len(perm):
                 raise ValidationError([f"{c}: gather width disagrees with its permutation"])
             nid = _fresh_id(taken, f"{c}.read")
-            layers[nid] = Layer(nid, LayerKind.GATHER, in_channels=source_width,
-                                out_channels=len(access.indices), params=tuple(access.indices))
-        layer_order.append(nid)
-        try:
-            idx = edges.index((pred, c))
-        except ValueError:
-            raise ValidationError([f"{c}: expected edge from {pred} is missing"]) from None
-        edges[idx] = (nid, c)
-        edges.append((pred, nid))
+            read = Layer(nid, LayerKind.GATHER, in_channels=source_width,
+                         out_channels=len(access.indices), params=tuple(access.indices))
+        rw.add_layer(read)
+        idx = next((i for i in rw.in_edges[c] if rw.edges[i][0] == pred), None)
+        if idx is None:
+            raise ValidationError([f"{c}: expected edge from {pred} is missing"])
+        rw.move_sources([idx], nid)
+        rw.add_edge(pred, nid)
 
-    result = ModelGraph([layers[i] for i in layer_order], edges)
-    diags = validate(result, new_weights)
+    # the removed join's id is free again for the next plan's new nodes
+    taken.difference_update(redirect)
+
+
+def apply_plan(plans: Sequence[SegmentPlan], graph: ModelGraph,
+               weights: WeightStore) -> tuple[ModelGraph, WeightStore]:
+    """Execute plans in order. Pure: the input graph and weights are untouched.
+
+    All plans rewrite one mutable copy of the model, which is built into a
+    graph and validated once at the end; the result equals applying the
+    plans one at a time. Inconsistencies between a plan and the graph raise
+    ValidationError carrying the diagnostics; that always indicates a
+    planner bug, not bad user input.
+    """
+    if not plans:
+        return graph, weights.copy()
+    rw = _Rewrite(graph, weights)
+    for plan in plans:
+        _apply_one(plan, rw)
+    result = rw.graph()
+    diags = validate(result, rw.weights)
     if diags:
-        raise ValidationError([f"plan {plan.segment} produced an inconsistent model"] + diags)
-    return result, new_weights
+        raise ValidationError([f"applying {len(plans)} plan(s) produced an inconsistent model"]
+                              + diags)
+    return result, rw.weights
 
 
 def copy_report(plans: Iterable[SegmentPlan]) -> CopyStats:

@@ -2,7 +2,8 @@
 
 The oracles deliberately re-derive results through different algorithms
 than the library (plain reachability + union-find for segments, raw
-permutation enumeration for zero-copy orders) so agreement means something.
+permutation enumeration for zero-copy orders, a re-sorted ready list for
+topological order) so agreement means something.
 """
 
 from __future__ import annotations
@@ -182,6 +183,28 @@ def random_dag(seed, bias_free=False):
 # --------------------------------------------------------------------------
 # independent oracles
 # --------------------------------------------------------------------------
+
+def oracle_topological_order(graph: ModelGraph) -> tuple[str, ...]:
+    """Kahn's algorithm over a ready list re-sorted by layer file order
+    after every insertion, popping from the front."""
+    position = {l.id: i for i, l in enumerate(graph.layers)}
+    indeg = {l.id: len(graph.predecessors(l.id)) for l in graph.layers}
+    ready = sorted((lid for lid, d in indeg.items() if d == 0), key=position.get)
+    out: list[str] = []
+    while ready:
+        lid = ready.pop(0)
+        out.append(lid)
+        inserted = False
+        for nxt in graph.successors(lid):
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+                inserted = True
+        if inserted:
+            ready.sort(key=position.get)
+    assert len(out) == len(graph.layers), "graph contains a cycle"
+    return tuple(out)
+
 
 def oracle_segments(graph: ModelGraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Segments via plain reachability + union-find over role tokens.

@@ -23,7 +23,7 @@ from reslice.graph import (
     validate_masks,
 )
 
-from helpers import MIX, build_model, fan_fixture
+from helpers import MIX, build_model, fan_fixture, oracle_topological_order, random_dag
 
 
 def test_duplicate_layer_ids_rejected():
@@ -55,6 +55,21 @@ def test_topological_order_is_deterministic_and_valid():
     for src, dst in g.edges:
         assert pos[src] < pos[dst]
     assert order == g.topological_order()
+
+
+def test_topological_order_matches_list_kahn_oracle():
+    # file order shuffled, so ties between ready layers actually occur and
+    # the heap must pick the same one as the re-sorted ready list
+    for seed in range(40):
+        g, _ = random_dag(seed)
+        rng = np.random.default_rng(seed)
+        layers = [g.layers[i] for i in rng.permutation(len(g.layers))]
+        shuffled = ModelGraph(layers, g.edges)
+        for graph in (g, shuffled):
+            order = graph.topological_order()
+            assert order == oracle_topological_order(graph)
+            assert graph.topological_order() is order
+            assert [graph.topological_rank(lid) for lid in order] == list(range(len(order)))
 
 
 def test_cycle_detected():

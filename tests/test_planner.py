@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PER, build_model,
-                     fan_fixture, residual_block_fixture, single_branch_fixture)
-from reslice.graph import LayerKind, ModelFormatError, ValidationError
+import reslice.planner
+from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PASS, PER, build_model,
+                     fan_fixture, random_dag, residual_block_fixture,
+                     single_branch_fixture)
+from reslice.graph import LayerKind, ModelFormatError, ModelGraph, ValidationError, graph_to_dict
 from reslice.interp import check_equivalence
+from reslice.masks import make_masks, score_channels
+from reslice.pipeline import export_model, plan_model
 from reslice.ordering import ChannelOrder, order_channels
 from reslice.path_search import decompose_paths
 from reslice.planner import (CopyStats, UnsupportedTopologyError, apply_plan,
@@ -81,7 +85,7 @@ def test_identity_plan_when_nothing_pruned():
         assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 4, (0, 1, 2, 3))
     assert plan.stats == CopyStats(8, 0)
 
-    new_graph, new_weights = apply_plan(plan, graph, weights)
+    new_graph, new_weights = apply_plan([plan], graph, weights)
     # whole-tensor slices are elided: the model comes back unchanged
     assert [l.id for l in new_graph.layers] == [l.id for l in graph.layers]
     assert sorted(new_graph.edges) == sorted(graph.edges)
@@ -208,7 +212,7 @@ def test_constrained_zeroes_columns():
         assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 3, (0, 1, 2))
     assert plan.stats == CopyStats(4, 0)
 
-    new_graph, new_weights = apply_plan(plan, graph, weights)
+    new_graph, new_weights = apply_plan([plan], graph, weights)
     report = check_equivalence(graph, weights, masks, new_graph, new_weights, seed=3)
     assert report.passed
 
@@ -222,7 +226,7 @@ def test_apply_reorders_weights_and_inserts_reads():
     s = seg(graph, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
     plan = plan_export(graph, s, ChannelOrder((0, 2, 3, 1), ()), (), masks)
-    new_graph, new_weights = apply_plan(plan, graph, weights)
+    new_graph, new_weights = apply_plan([plan], graph, weights)
 
     assert np.array_equal(new_weights["A"], weights["A"][[0, 2, 3, 1], :])
     assert np.array_equal(new_weights["B"], weights["B"][:, [0, 2, 3]])
@@ -235,6 +239,14 @@ def test_apply_reorders_weights_and_inserts_reads():
     assert reads["C.read"].params == (1, 3)
     assert reads["D.read"].kind is LayerKind.GATHER
     assert reads["D.read"].params == (0, 2)
+    # each read node takes its consumer's edge in place; its own input edge
+    # and the node itself go at the end, in consumer order
+    assert [l.id for l in new_graph.layers] == [
+        "in", "A", "r", "B", "C", "D", "j", "out", "B.read", "C.read", "D.read"]
+    assert new_graph.edges == (
+        ("in", "A"), ("A", "r"), ("B.read", "B"), ("C.read", "C"), ("D.read", "D"),
+        ("B", "j"), ("C", "j"), ("D", "j"), ("j", "out"),
+        ("r", "B.read"), ("r", "C.read"), ("r", "D.read"))
 
     report = check_equivalence(graph, weights, masks, new_graph, new_weights, seed=7)
     assert report.passed
@@ -248,11 +260,97 @@ def test_apply_is_pure():
     s = seg(graph, {"A"})
     plan = plan_export(graph, s, ChannelOrder((2, 0, 3, 1), ()), (),
                        {"B": (0, 2), "D": (1, 3)})
-    apply_plan(plan, graph, weights)
+    apply_plan([plan], graph, weights)
     assert list(graph.layers) == layers_before
     assert list(graph.edges) == edges_before
     for lid, arr in before.items():
         assert np.array_equal(weights[lid], arr)
+
+
+def apply_one_at_a_time(plans, graph, weights):
+    for plan in plans:
+        graph, weights = apply_plan([plan], graph, weights)
+    return graph, weights
+
+
+@pytest.mark.parametrize("mode,strategy", [
+    ("input", "reorder"), ("input", "baseline"), ("input", "constrained"),
+    ("output", "reorder"), ("output", "baseline")])
+def test_one_pass_apply_matches_plan_by_plan(mode, strategy):
+    multi = 0
+    for seed in range(40):
+        graph, weights = random_dag(seed, bias_free=mode == "output")
+        scores = score_channels(graph, weights.tensors, "l2", side=mode)
+        masks = make_masks(graph, scores, 0.4, "unconstrained", find_segments(graph), side=mode)
+        plans, _ = plan_model(graph, masks, mode, strategy, on_unsupported="baseline")
+        multi += len(plans) > 1
+        one_graph, one_weights = apply_plan(plans, graph, weights)
+        ref_graph, ref_weights = apply_one_at_a_time(plans, graph, weights)
+        assert graph_to_dict(one_graph) == graph_to_dict(ref_graph), seed
+        assert list(one_weights.tensors) == list(ref_weights.tensors), seed
+        for lid, arr in ref_weights.tensors.items():
+            assert np.array_equal(one_weights[lid], arr), (seed, lid)
+    assert multi >= 10
+
+
+def test_one_pass_apply_frees_removed_join_ids():
+    # the first segment's join is named like the shared-run add the second
+    # segment's rewrite creates; once removed, its id is free again
+    graph, weights = build_model(
+        [("in", INPUT, 4, 4), ("A", MIX, 4, 4), ("C", MIX, 4, 4),
+         ("j.run1", ADD, 4, 4), ("r1", PASS, 4, 4), ("B", MIX, 4, 4),
+         ("D", MIX, 4, 4), ("j", ADD, 4, 4), ("r2", PASS, 4, 4),
+         ("E", MIX, 4, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "A"), ("in", "C"), ("A", "j.run1"), ("C", "j.run1"),
+         ("j.run1", "r1"), ("r1", "B"), ("r1", "D"), ("B", "j"), ("D", "j"),
+         ("j", "r2"), ("r2", "E"), ("E", "out")])
+    masks = {"A": (0, 2, 3), "C": (0, 1, 3), "B": (0, 2, 3), "D": (0, 1, 3)}
+    plans, _ = plan_model(graph, masks, "output")
+    assert [p.segment for p in plans] == ["A", "B"]
+    one_graph, _ = apply_plan(plans, graph, weights)
+    ref_graph, _ = apply_one_at_a_time(plans, graph, weights)
+    assert graph_to_dict(one_graph) == graph_to_dict(ref_graph)
+    assert one_graph.predecessors("j.run1") == ("j.run1.B", "j.run1.D")
+
+
+def chain_model(blocks, width=8):
+    rows = [("in", INPUT, width, width)]
+    edges = []
+    cur = "in"
+    for i in range(blocks):
+        rows += [(f"m{i}", MIX, width, width), (f"r{i}", PASS, width, width)]
+        edges += [(cur, f"m{i}"), (f"m{i}", f"r{i}")]
+        cur = f"r{i}"
+    rows.append(("out", OUTPUT, width, width))
+    edges.append((cur, "out"))
+    return build_model(rows, edges)
+
+
+def test_export_validates_once_whatever_the_depth(monkeypatch):
+    calls = {"validate": 0, "graphs": 0}
+    real_validate, real_init = reslice.planner.validate, ModelGraph.__init__
+
+    def counting_validate(*args, **kwargs):
+        calls["validate"] += 1
+        return real_validate(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["graphs"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(reslice.planner, "validate", counting_validate)
+    monkeypatch.setattr(ModelGraph, "__init__", counting_init)
+    graphs_built = []
+    for blocks in (50, 100):
+        graph, weights = chain_model(blocks)
+        # every mix but the first (it reads the model input) keeps 5 of 8
+        masks = {f"m{i}": (0, 2, 3, 5, 7) for i in range(1, blocks)}
+        calls.update(validate=0, graphs=0)
+        result = export_model(graph, weights, masks)
+        assert len(result.plans) == blocks - 1
+        assert calls["validate"] == 1
+        graphs_built.append(calls["graphs"])
+    assert graphs_built[0] == graphs_built[1]
 
 
 # --------------------------------------------------------------------------
@@ -283,9 +381,16 @@ def test_output_reorder_rewrites_residual_join():
         a = access(plan, c)
         assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 4, (2, 0, 3, 1))
 
-    new_graph, new_weights = apply_plan(plan, graph, weights)
-    ids = {l.id for l in new_graph.layers}
-    assert "j" not in ids and "j.joined" in ids
+    new_graph, new_weights = apply_plan([plan], graph, weights)
+    assert [l.id for l in new_graph.layers] == [
+        "in", "A", "C", "r", "B", "D", "j2", "out",
+        "j.run0.A", "j.run1.A", "j.run1.C", "j.run1", "j.run2.C", "j.joined"]
+    assert new_graph.edges == (
+        ("in", "A"), ("in", "C"), ("j.joined", "r"), ("r", "B"), ("r", "D"),
+        ("B", "j2"), ("D", "j2"), ("j2", "out"),
+        ("A", "j.run0.A"), ("A", "j.run1.A"), ("C", "j.run1.C"),
+        ("j.run1.A", "j.run1"), ("j.run1.C", "j.run1"), ("C", "j.run2.C"),
+        ("j.run0.A", "j.joined"), ("j.run1", "j.joined"), ("j.run2.C", "j.joined"))
     report = check_equivalence(graph, weights, masks, new_graph, new_weights,
                                seed=11, mask_side="output")
     assert report.passed
@@ -300,7 +405,7 @@ def test_output_identity_masks_keep_join():
     assert plan.join.keep_original
     assert plan.stats.copied == 0
 
-    new_graph, new_weights = apply_plan(plan, graph, weights)
+    new_graph, new_weights = apply_plan([plan], graph, weights)
     assert new_graph.layer("j").out_channels == 3
     report = check_equivalence(graph, weights, masks, new_graph, new_weights,
                                seed=13, mask_side="output")
@@ -318,7 +423,7 @@ def test_output_baseline_infill():
     assert plan.consumers == ()
     assert plan.stats == CopyStats(3, 3)
 
-    new_graph, new_weights = apply_plan(plan, graph, weights)
+    new_graph, new_weights = apply_plan([plan], graph, weights)
     restore = new_graph.layer("A.restore")
     assert restore.kind is LayerKind.GATHER
     assert restore.params == (0, -1, 1, 2)

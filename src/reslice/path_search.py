@@ -8,7 +8,11 @@ parent node absent from the path whose channels are fully covered by its
 children on the path contributes its node reward for free.
 
 ``solve_mrap`` finds the maximum-reward valid path with deterministic
-tie-breaking (lexicographically smallest node-id sequence).
+tie-breaking (lexicographically smallest node-id sequence). Which nodes may
+still be appended to a path, and what appending them earns, depend only on
+the set of nodes on the path and its last node, so the search expands each
+such state at most once per improvement of the reward that reached it: a
+state reached again with no greater reward is dominated and skipped.
 ``brute_force_mrap`` is the independent oracle: it enumerates every ordered
 subset outright. ``decompose_paths`` peels optimal paths off the graph
 until every node is placed (or absorbed as a fully covered parent).
@@ -37,20 +41,6 @@ class Path:
     covered_parents: tuple[str, ...] = ()
 
 
-def _covered_parent_bonus(graph: ReorderGraph, on_path: set[str]) -> int:
-    bonus = 0
-    for parent, children in graph.parents.items():
-        if parent in on_path:
-            continue
-        covered: set[int] = set()
-        for child in children:
-            if child in on_path:
-                covered |= graph.nodes[child].retained
-        if covered >= graph.nodes[parent].retained:
-            bonus += graph.nodes[parent].reward
-    return bonus
-
-
 def covered_parents(graph: ReorderGraph, nodes: tuple[str, ...]) -> tuple[str, ...]:
     """Parents not on the path whose channels its child nodes fully cover."""
     on_path = set(nodes)
@@ -77,7 +67,7 @@ def path_reward(graph: ReorderGraph, nodes: tuple[str, ...] | list[str]) -> int:
     total = sum(graph.nodes[n].reward for n in nodes)
     for a, b in zip(nodes, nodes[1:]):
         total += graph.edge_reward(a, b)
-    return total + _covered_parent_bonus(graph, set(nodes))
+    return total + sum(graph.nodes[p].reward for p in covered_parents(graph, nodes))
 
 
 def is_valid_path(graph: ReorderGraph, nodes: tuple[str, ...] | list[str]) -> bool:
@@ -154,7 +144,8 @@ def _greedy_mrap(graph: ReorderGraph) -> Path:
 
 
 def solve_mrap(graph: ReorderGraph) -> Path:
-    """Exact maximum-reward valid path by branch-and-bound DFS.
+    """Exact maximum-reward valid path by branch-and-bound DFS over
+    dominance-pruned states.
 
     The DFS visits candidate sequences in lexicographic order and keeps the
     first sequence achieving the running maximum, which realizes the
@@ -162,6 +153,16 @@ def solve_mrap(graph: ReorderGraph) -> Path:
     extend to any node outside its invalid set: path members plus the
     non-exempt neighbors of every member except the last (neighbors of the
     last are reachable as its immediate successor).
+
+    The invalid set and the covered-parent bonus are functions of the state
+    (path set, last node), so every extension open to a sequence is open,
+    with the same gain, to any other sequence of that state. The search
+    records the best base reward (nodes plus edges) seen per state and skips
+    a state reached again with a base no greater, as in Held and Karp's
+    subset DP. That keeps the tie-break: the earlier visit came first in
+    lexicographic order, so each completion of it is lexicographically
+    smaller than the same completion of the skipped sequence and scores at
+    least as much, and only a strictly greater reward replaces the best.
     """
     ids = sorted(graph.nodes)
     if not ids:
@@ -197,7 +198,6 @@ def solve_mrap(graph: ReorderGraph) -> Path:
     covered_total = dict.fromkeys(parent_children, 0)
     need = {ip: len(retained[ip]) for ip in parent_children}
 
-    total_reward = sum(rewards)
     best_reward = None
     best_nodes: tuple[str, ...] = ()
     seq: list[int] = []
@@ -246,9 +246,17 @@ def solve_mrap(graph: ReorderGraph) -> Path:
                 bonus_active[action[1]] = True
                 bonus_sum += rewards[action[1]]
 
+    # (on_path, last) -> best base reward seen there, keyed on_path * n + last
+    seen: dict[int, int] = {}
+
     def dfs(base: int, forbidden: int) -> None:
         nonlocal best_reward, best_nodes, on_path
         last = seq[-1]
+        key = on_path * n + last
+        prior = seen.get(key)
+        if prior is not None and prior >= base:
+            return  # dominated: an earlier sequence reached this state with no less
+        seen[key] = base
         current = base + bonus_sum
         if best_reward is None or current > best_reward:
             best_reward = current

@@ -681,8 +681,41 @@ class _Rewrite:
                           [e for e in self.edges if e is not None])
 
 
+def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
+    """Raise ValidationError unless every layer the plan names exists in the
+    model under rewrite, in the role the plan gives it."""
+    layers = rw.layers
+    named = {*plan.producers, *plan.interior, *plan.producer_orders, *plan.dropped,
+             *plan.zero_rows, *(a.consumer for a in plan.consumers), *plan.per_channel,
+             *plan.zero_columns, *plan.infill}
+    if plan.join is not None:
+        jr = plan.join
+        named.add(jr.join)
+        named.update(jr.operands, jr.operands.values(), *(run.producers for run in jr.runs))
+    unknown = sorted(named - layers.keys())
+    if unknown:
+        raise ValidationError([f"plan {plan.segment}: names unknown layer {lid!r}"
+                               for lid in unknown])
+    for role, ids in (("producer", plan.producers),
+                      ("consumer", [a.consumer for a in plan.consumers])):
+        if len(set(ids)) != len(ids):
+            raise ValidationError([f"plan {plan.segment}: a {role} is named twice"])
+    for p in plan.producers:
+        if layers[p].kind not in (LayerKind.CHANNEL_MIX, LayerKind.INPUT):
+            raise ValidationError([f"plan {plan.segment}: producer {p!r} is a "
+                                   f"{layers[p].kind.value} layer"])
+    members = {*plan.producers, *plan.interior}
+    for a in plan.consumers:
+        preds = rw.predecessors(a.consumer)
+        if (layers[a.consumer].kind is not LayerKind.CHANNEL_MIX or len(preds) != 1
+                or preds[0] not in members):
+            raise ValidationError([f"plan {plan.segment}: {a.consumer!r} does not read "
+                                   "this segment"])
+
+
 def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
     """Apply one plan to the model under rewrite."""
+    _check_names(plan, rw)
     layers, weights, taken = rw.layers, rw.weights, rw.taken
     # consumers look up their source before this plan rewires anything
     sources = {a.consumer: rw.predecessors(a.consumer)[0] for a in plan.consumers}
@@ -823,8 +856,9 @@ def apply_plan(plans: Sequence[SegmentPlan], graph: ModelGraph,
     All plans rewrite one mutable copy of the model, which is built into a
     graph and validated once at the end; the result equals applying the
     plans one at a time. Inconsistencies between a plan and the graph raise
-    ValidationError carrying the diagnostics; that always indicates a
-    planner bug, not bad user input.
+    ValidationError carrying the diagnostics: during an export that
+    indicates a planner bug, when replaying a plan file a file that does not
+    belong to the model.
     """
     if not plans:
         return graph, weights.copy()

@@ -3,7 +3,8 @@
 The oracles deliberately re-derive results through different algorithms
 than the library (plain reachability + union-find for segments, raw
 permutation enumeration for zero-copy orders, a re-sorted ready list for
-topological order) so agreement means something.
+topological order, a branch-and-bound DFS that expands every state for
+maximum-reward paths) so agreement means something.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 
 from reslice import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.graph import INTERIOR_KINDS
+from reslice.path_search import Path
+from reslice.reorder_graph import ReorderGraph
 from reslice.segments import Segment, propagate_vectors
 
 MIX = LayerKind.CHANNEL_MIX
@@ -289,3 +292,128 @@ def zero_copy_exists(graph: ModelGraph, segment: Segment,
         if ok:
             return True
     return False
+
+
+def oracle_dfs_mrap(graph: ReorderGraph) -> Path:
+    """Maximum-reward valid path by branch-and-bound DFS with no memo and no
+    node cap: every (path set, last node) state is expanded each time a
+    sequence reaches it. Same lexicographic tie-break as ``solve_mrap``:
+    sequences are visited in lexicographic order and only a strictly greater
+    reward replaces the best."""
+    ids = sorted(graph.nodes)
+    if not ids:
+        raise ValueError("empty reorder graph")
+
+    index = {n: i for i, n in enumerate(ids)}
+    n = len(ids)
+    rewards = [graph.nodes[i].reward for i in ids]
+    retained = [graph.nodes[i].retained for i in ids]
+    edge = [[0] * n for _ in range(n)]
+    nonexempt_nbrs = [0] * n  # bitmask
+    for (u, v), shared in graph.edges.items():
+        iu, iv = index[u], index[v]
+        edge[iu][iv] = edge[iv][iu] = -len(shared)
+        if not graph.is_exempt(u, v):
+            nonexempt_nbrs[iu] |= 1 << iv
+            nonexempt_nbrs[iv] |= 1 << iu
+
+    # parent bookkeeping: parent index -> child indices, and per-channel
+    # coverage counters maintained incrementally during the DFS
+    parent_children: dict[int, list[int]] = {}
+    child_parents: dict[int, list[int]] = {}
+    for p, cs in graph.parents.items():
+        ip = index[p]
+        parent_children[ip] = [index[c] for c in cs]
+        for c in cs:
+            child_parents.setdefault(index[c], []).append(ip)
+    cover_count = {ip: dict.fromkeys(retained[ip], 0) for ip in parent_children}
+    covered_total = dict.fromkeys(parent_children, 0)
+    need = {ip: len(retained[ip]) for ip in parent_children}
+
+    best_reward = None
+    best_nodes: tuple[str, ...] = ()
+    seq: list[int] = []
+    on_path = 0  # bitmask
+    bonus_active = dict.fromkeys(parent_children, False)
+    bonus_sum = 0
+
+    def push(v: int) -> list:
+        """Update coverage/bonus state for appending v; return undo log."""
+        nonlocal bonus_sum
+        undo = []
+        for ip in child_parents.get(v, ()):
+            cc = cover_count[ip]
+            for ch in retained[v]:
+                if cc[ch] == 0:
+                    covered_total[ip] += 1
+                cc[ch] += 1
+            undo.append(("cover", ip, v))
+            if (not bonus_active[ip] and covered_total[ip] == need[ip]
+                    and not (on_path >> ip) & 1):
+                bonus_active[ip] = True
+                bonus_sum += rewards[ip]
+                undo.append(("bonus_on", ip))
+        if v in parent_children and bonus_active[v]:
+            # the parent itself joins the path: its reward now counts as a
+            # node, not as a bonus
+            bonus_active[v] = False
+            bonus_sum -= rewards[v]
+            undo.append(("bonus_off", v))
+        return undo
+
+    def pop(undo: list) -> None:
+        nonlocal bonus_sum
+        for action in reversed(undo):
+            if action[0] == "cover":
+                _, ip, v = action
+                cc = cover_count[ip]
+                for ch in retained[v]:
+                    cc[ch] -= 1
+                    if cc[ch] == 0:
+                        covered_total[ip] -= 1
+            elif action[0] == "bonus_on":
+                bonus_active[action[1]] = False
+                bonus_sum -= rewards[action[1]]
+            else:  # bonus_off
+                bonus_active[action[1]] = True
+                bonus_sum += rewards[action[1]]
+
+    def dfs(base: int, forbidden: int) -> None:
+        nonlocal best_reward, best_nodes, on_path
+        last = seq[-1]
+        current = base + bonus_sum
+        if best_reward is None or current > best_reward:
+            best_reward = current
+            best_nodes = tuple(ids[i] for i in seq)
+        # upper bound: every remaining node's reward plus every not-yet
+        # granted parent bonus (edges only subtract)
+        remaining = 0
+        for v in range(n):
+            if not (forbidden >> v) & 1:
+                remaining += rewards[v]
+        potential = sum(rewards[ip] for ip in parent_children
+                        if not bonus_active[ip] and not (on_path >> ip) & 1)
+        if best_reward is not None and current + remaining + potential <= best_reward:
+            return
+        for v in range(n):
+            if (forbidden >> v) & 1:
+                continue
+            undo = push(v)
+            seq.append(v)
+            on_path |= 1 << v
+            dfs(base + rewards[v] + edge[last][v],
+                forbidden | (1 << v) | nonexempt_nbrs[last])
+            on_path &= ~(1 << v)
+            seq.pop()
+            pop(undo)
+
+    for s in range(n):
+        undo = push(s)
+        seq.append(s)
+        on_path |= 1 << s
+        dfs(rewards[s], 1 << s)
+        on_path &= ~(1 << s)
+        seq.pop()
+        pop(undo)
+
+    return Path(best_nodes, best_reward)

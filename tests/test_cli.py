@@ -126,6 +126,30 @@ def test_verify_mismatch_is_exit_4(model_files, capsys):
                    "--masks", masks, "--out-prefix", prefix) == 4
 
 
+@pytest.mark.parametrize("name, message", [
+    ("ghost", "names unknown layer 'ghost'"),
+    ("out", "'out' does not read this segment"),  # an output layer
+    ("A", "'A' does not read this segment"),  # a channel mix of another segment
+    ("D", "a consumer is named twice"),  # the segment's other consumer
+])
+def test_verify_plan_naming_a_wrong_layer_is_exit_4(model_files, capsys, name, message):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    ppath = tmp / "exported.plan.json"
+    plan = json.loads(ppath.read_text())
+    plan["segments"][0]["consumers"][0]["consumer"] = name
+    ppath.write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and message in err
+
+
 def test_export_reruns_are_byte_identical(model_files):
     tmp, model, weights = model_files
     masks = tmp / "masks.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reslice import path_search
 from reslice.path_search import (
     EXACT_NODE_CAP,
     brute_force_mrap,
@@ -17,7 +18,7 @@ from reslice.path_search import (
 )
 from reslice.reorder_graph import reorder_graph_from_sets
 
-from helpers import random_retained_sets
+from helpers import oracle_dfs_mrap, random_retained_sets
 
 
 def triangle():
@@ -141,6 +142,51 @@ def test_solver_matches_brute_force(seed):
     assert exact.nodes == oracle.nodes  # same tie-break
     assert is_valid_path(rg, exact.nodes)
     assert path_reward(rg, exact.nodes) == exact.reward
+
+
+def _named(sets):
+    return {f"c{i:02d}": s for i, s in enumerate(sets)}, 64
+
+
+# interval masks: each consumer keeps a window of 8-24 of 64 channels
+_INTERVAL = st.lists(st.integers(8, 24).flatmap(
+    lambda length: st.integers(0, 64 - length).map(
+        lambda start: frozenset(range(start, start + length)))),
+    min_size=2, max_size=12)
+# sparse masks: each consumer keeps 3 scattered channels of 64. Capped at 10
+# consumers because the oracle spends seconds on some 12-consumer draws; the
+# fixed 12-consumer case is test_sparse_twelve_consumer_decomposition_matches_oracle
+_SPARSE = st.lists(st.frozensets(st.integers(0, 63), min_size=3, max_size=3),
+                   min_size=2, max_size=10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(_SPARSE.map(_named), _INTERVAL.map(_named),
+                 st.integers(0, 100_000).map(
+                     lambda seed: random_retained_sets(seed, max_nodes=12))))
+def test_memoized_solver_matches_unmemoized_dfs(case):
+    retained, channels = case
+    rg = reorder_graph_from_sets(retained, channels)
+    assert solve_mrap(rg) == oracle_dfs_mrap(rg)
+
+
+# 12 consumers keeping 3 scattered channels of 64 each: the shape on which
+# the search without dominance pruning blows up (about 0.5 s to decompose
+# this draw, up to 5 s for others)
+SPARSE_TWELVE = {
+    "c00": {45, 56, 59}, "c01": {5, 60, 61}, "c02": {17, 23, 40},
+    "c03": {10, 42, 55}, "c04": {3, 20, 56}, "c05": {8, 26, 50},
+    "c06": {23, 46, 57}, "c07": {11, 37, 57}, "c08": {18, 26, 44},
+    "c09": {5, 8, 41}, "c10": {30, 31, 54}, "c11": {22, 55, 59},
+}
+
+
+def test_sparse_twelve_consumer_decomposition_matches_oracle(monkeypatch):
+    rg = reorder_graph_from_sets(SPARSE_TWELVE, 64)
+    assert len(rg.nodes) == 12
+    paths = decompose_paths(rg)
+    monkeypatch.setattr(path_search, "solve_mrap", oracle_dfs_mrap)
+    assert paths == decompose_paths(rg)
 
 
 @settings(deadline=None, max_examples=40)

@@ -11,7 +11,7 @@ Pipeline stages (one module each):
 - :mod:`reslice.graph`         graph IR, weights, masks, file formats
 - :mod:`reslice.segments`      producer/consumer segment extraction
 - :mod:`reslice.reorder_graph` per-segment reorder graph construction
-- :mod:`reslice.path_search`   maximum-reward acyclic path solver + oracle
+- :mod:`reslice.path_search`   maximum-reward acyclic path solver
 - :mod:`reslice.ordering`      path decomposition -> channel ordering
 - :mod:`reslice.planner`       orderings -> slices/gathers/weight rewrites
 - :mod:`reslice.interp`        reference interpreter + equivalence checks
@@ -38,16 +38,13 @@ from reslice.reorder_graph import (
     ProducerEquivalence,
     ReorderGraph,
     RGNode,
-    SubsetRelation,
     UnsupportedTopologyError,
     build_reorder_graph,
-    detect_subsets,
     reduce_producers,
     reorder_graph_from_sets,
 )
 from reslice.path_search import (
     Path,
-    brute_force_mrap,
     decompose_paths,
     is_valid_path,
     path_reward,
@@ -90,18 +87,15 @@ __all__ = [
     "RGNode",
     "Segment",
     "SegmentPlan",
-    "SubsetRelation",
     "UnsupportedTopologyError",
     "ValidationError",
     "WeightStore",
     "apply_plan",
-    "brute_force_mrap",
     "build_reorder_graph",
     "check_equivalence",
     "consumers_of",
     "copy_report",
     "decompose_paths",
-    "detect_subsets",
     "export_model",
     "find_segments",
     "find_zero_copy_order",

@@ -13,9 +13,8 @@ still be appended to a path, and what appending them earns, depend only on
 the set of nodes on the path and its last node, so the search expands each
 such state at most once per improvement of the reward that reached it: a
 state reached again with no greater reward is dominated and skipped.
-``brute_force_mrap`` is the independent oracle: it enumerates every ordered
-subset outright. ``decompose_paths`` peels optimal paths off the graph
-until every node is placed (or absorbed as a fully covered parent).
+``decompose_paths`` peels optimal paths off the graph until every node is
+placed (or absorbed as a fully covered parent).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ logger = logging.getLogger(__name__)
 
 # above this node count the exact search falls back to a greedy heuristic
 EXACT_NODE_CAP = 20
-BRUTE_FORCE_NODE_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -80,45 +78,6 @@ def is_valid_path(graph: ReorderGraph, nodes: tuple[str, ...] | list[str]) -> bo
             if graph.has_edge(u, v) and not graph.is_exempt(u, v):
                 return False
     return True
-
-
-def brute_force_mrap(graph: ReorderGraph) -> Path:
-    """Oracle: try every valid ordered subset of nodes.
-
-    Exhaustive DFS; a sequence is only extended while valid (an invalid
-    non-adjacent pair never becomes valid again, so this skips nothing).
-    Ties broken by lexicographically smallest node-id sequence. Limited to
-    small graphs.
-    """
-    ids = sorted(graph.nodes)
-    if not ids:
-        raise ValueError("empty reorder graph")
-    if len(ids) > BRUTE_FORCE_NODE_CAP:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_NODE_CAP} nodes, got {len(ids)}")
-    best_nodes: tuple[str, ...] = ()
-    best_reward: int | None = None
-
-    def extend(seq: list[str], used: set[str]) -> None:
-        nonlocal best_nodes, best_reward
-        reward = path_reward(graph, seq)
-        if (best_reward is None or reward > best_reward
-                or (reward == best_reward and tuple(seq) < best_nodes)):
-            best_reward, best_nodes = reward, tuple(seq)
-        for n in ids:
-            # pairs inside seq are valid by induction; appending n only adds
-            # non-adjacent pairs (seq[i], n) for all but the current last
-            if n in used or any(graph.has_edge(u, n) and not graph.is_exempt(u, n)
-                                for u in seq[:-1]):
-                continue
-            used.add(n)
-            seq.append(n)
-            extend(seq, used)
-            seq.pop()
-            used.remove(n)
-
-    for start in ids:
-        extend([start], {start})
-    return Path(best_nodes, best_reward)
 
 
 def _greedy_mrap(graph: ReorderGraph) -> Path:

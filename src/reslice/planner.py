@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from reslice.graph import (
     ChannelMask,
@@ -34,12 +34,12 @@ from reslice.graph import (
     _load_json,
     validate,
 )
-from reslice.ordering import ChannelOrder, band_layouts
+from reslice.ordering import ChannelOrder, band_layouts, order_channels
 from reslice.path_search import decompose_paths
-from reslice.ordering import order_channels
 from reslice.reorder_graph import (
     ProducerEquivalence,
     UnsupportedTopologyError,
+    _retained_indices,
     reorder_graph_from_sets,
     retained_slots,
 )
@@ -61,7 +61,6 @@ class CopyStats:
 
     total_reads: int
     copied: int
-    zero_copy_optimal: int = 0
 
     def __post_init__(self):
         if not (0 <= self.copied <= max(self.total_reads, 0)):
@@ -128,24 +127,8 @@ class SegmentPlan:
 
 
 # --------------------------------------------------------------------------
-# shared helpers
+# input-mode planners
 # --------------------------------------------------------------------------
-
-def _retained_locals(segment: Segment, masks: ChannelMask) -> dict[str, tuple[int, ...]]:
-    """Per-consumer retained input columns (mask, or everything)."""
-    out = {}
-    for c in segment.consumers:
-        width = len(segment.consumer_slots[c])
-        if c in masks:
-            local = tuple(sorted(set(masks[c])))
-            bad = [i for i in local if not (0 <= i < width)]
-            if bad:
-                raise ValidationError([f"{c}: mask index {bad[0]} out of [0, {width})"])
-            out[c] = local
-        else:
-            out[c] = tuple(range(width))
-    return out
-
 
 def _access_from_pairs(consumer: str, pairs: list[tuple[int, int]],
                        force_gather: bool = False) -> ConsumerAccess:
@@ -170,21 +153,6 @@ def _identity_orders(graph: ModelGraph, segment: Segment) -> dict[str, tuple[int
     return {p: tuple(range(graph.layer(p).out_channels)) for p in segment.producers}
 
 
-def _consumer_pairs(segment: Segment, consumer: str, locals_kept: Sequence[int],
-                    realized: Sequence[int]) -> list[tuple[int, int]]:
-    """(position in realized vector, original column) for retained columns."""
-    position = {slot: i for i, slot in enumerate(realized)}
-    vec = segment.consumer_slots[consumer]
-    pairs = []
-    for local in locals_kept:
-        slot = vec[local]
-        if slot not in position:
-            raise ValidationError(
-                [f"{consumer}: retained channel {local} maps to dropped slot {slot}"])
-        pairs.append((position[slot], local))
-    return pairs
-
-
 def _structure_from_layouts(
     graph: ModelGraph, segment: Segment,
     layouts: Mapping[str, tuple[int, ...]], vectors: Mapping[str, tuple[int, ...]],
@@ -206,51 +174,86 @@ def _structure_from_layouts(
     return producer_orders, dropped, per_channel
 
 
-def _locked_input_plan(graph: ModelGraph, segment: Segment, masks: ChannelMask,
-                       strategy: str) -> SegmentPlan:
-    """Identity layout; partially-pruned consumers gather, others pass.
+def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strategy: str,
+                order: ChannelOrder | None) -> SegmentPlan:
+    """The input-mode plan in which the producers adopt ``order``.
 
-    Used whenever the producers cannot be permuted (model input, zero-filled
-    channels, partially overlapping bands, positional interior nodes) and by
-    the baseline planner when filters cannot be dropped.
+    With no order the layout stays fixed: no filter moves or is dropped, a
+    consumer reading all of its columns takes the whole tensor and any
+    other gathers. Under an order each producer takes its band's layout
+    (``band_layouts``) and a consumer slices where its retained columns
+    land contiguously, else gathers. Constrained consumers read every
+    column that survives and zero the pruned ones, so they always slice.
     """
-    locals_kept = _retained_locals(segment, masks)
+    kept = _retained_indices(segment.consumer_slots, masks)
+    if order is None:
+        producer_orders = _identity_orders(graph, segment)
+        dropped: dict[str, tuple[int, ...]] = {}
+        per_channel: dict[str, tuple[int, ...]] = {}
+    else:
+        layouts = band_layouts(segment, order)
+        vectors = propagate_vectors(graph, segment.interior, layouts)
+        producer_orders, dropped, per_channel = _structure_from_layouts(
+            graph, segment, layouts, vectors)
+
     accesses = []
+    zero_columns = {}
     for c in segment.consumers:
-        width = len(segment.consumer_slots[c])
-        kept = locals_kept[c]
-        if len(kept) == width:
-            accesses.append(ConsumerAccess(c, "slice", start=0, length=width,
-                                           perm=tuple(range(width))))
+        vec = segment.consumer_slots[c]
+        if order is None:
+            position: list[int | None] = list(range(len(vec)))
         else:
-            accesses.append(_access_from_pairs(c, [(l, l) for l in kept], force_gather=True))
-    total = sum(len(locals_kept[c]) for c in segment.consumers)
-    copied = sum(_access_cost(a) for a in accesses)
+            where = {slot: i for i, slot in enumerate(vectors[graph.predecessors(c)[0]])}
+            position = [where.get(slot) for slot in vec]
+        columns = kept[c]
+        if strategy == STRATEGY_CONSTRAINED:
+            columns = tuple(l for l, pos in enumerate(position) if pos is not None)
+            zeroed = sorted(set(columns) - set(kept[c]))
+            if zeroed:
+                zero_columns[c] = tuple(zeroed)
+        pairs = []
+        for local in columns:
+            if position[local] is None:
+                raise ValidationError(
+                    [f"{c}: retained channel {local} maps to dropped slot {vec[local]}"])
+            pairs.append((position[local], local))
+        accesses.append(_access_from_pairs(
+            c, pairs, force_gather=order is None and len(columns) < len(vec)))
+
     return SegmentPlan(
         segment=segment.id, mode=MODE_INPUT, strategy=strategy,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=_identity_orders(graph, segment),
-        dropped={}, zero_rows={}, consumers=tuple(accesses),
-        per_channel={}, zero_columns={}, infill={}, join=None,
-        stats=CopyStats(total, copied),
+        producer_orders=producer_orders, dropped=dropped, zero_rows={},
+        consumers=tuple(accesses), per_channel=per_channel,
+        zero_columns=zero_columns, infill={}, join=None,
+        stats=CopyStats(sum(len(k) for k in kept.values()),
+                        sum(_access_cost(a) for a in accesses)),
     )
 
 
-# --------------------------------------------------------------------------
-# input-mode planners
-# --------------------------------------------------------------------------
+def _in_place_order(segment: Segment, slots: Mapping[str, frozenset[int]]) -> ChannelOrder:
+    """The identity order minus the channels read by consumers but retained
+    by none of them."""
+    read = {s for c in segment.consumers for s in segment.consumer_slots[c]}
+    gone = read.difference(*slots.values())
+    return ChannelOrder(tuple(s for s in range(segment.channel_space) if s not in gone),
+                        tuple(sorted(gone)))
+
 
 def plan_export(graph: ModelGraph, segment: Segment, order: ChannelOrder,
                 equivalences: Iterable[ProducerEquivalence], masks: ChannelMask) -> SegmentPlan:
     """Reordered export: producers adopt the order, consumers contiguous in
-    their rewritten read vector get slices, the rest get gathers."""
+    their rewritten read vector get slices, the rest get gathers. A segment
+    whose producers cannot be permuted (model input, zero-filled channels,
+    partially overlapping bands, positional interior nodes) keeps its
+    layout instead."""
     if segment.unsupported is not None:
         raise UnsupportedTopologyError(segment.id, segment.unsupported)
     eq_map = {e.producer: tuple(e.slots) for e in equivalences}
     if eq_map and eq_map != {p: segment.producer_slots[p] for p in eq_map}:
         raise ValidationError([f"{segment.id}: producer equivalences disagree with segment"])
     if segment.reorder_locked:
-        return _locked_input_plan(graph, segment, masks, STRATEGY_REORDER)
+        return _plan_input(graph, segment, masks, STRATEGY_REORDER, None)
 
     slots = retained_slots(segment, masks)
     needed = set().union(*slots.values()) if slots else set()
@@ -258,58 +261,7 @@ def plan_export(graph: ModelGraph, segment: Segment, order: ChannelOrder,
         raise ValidationError([f"{segment.id}: order does not cover all retained channels"])
     if set(order.order) & set(order.dropped):
         raise ValidationError([f"{segment.id}: order and dropped overlap"])
-
-    layouts = band_layouts(segment, order)
-    vectors = propagate_vectors(graph, segment.interior, layouts)
-    locals_kept = _retained_locals(segment, masks)
-
-    accesses = []
-    for c in segment.consumers:
-        realized = vectors[graph.predecessors(c)[0]]
-        accesses.append(_access_from_pairs(c, _consumer_pairs(segment, c, locals_kept[c], realized)))
-
-    producer_orders, dropped, per_channel = _structure_from_layouts(graph, segment, layouts, vectors)
-    total = sum(len(locals_kept[c]) for c in segment.consumers)
-    copied = sum(_access_cost(a) for a in accesses)
-    return SegmentPlan(
-        segment=segment.id, mode=MODE_INPUT, strategy=STRATEGY_REORDER,
-        producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, dropped=dropped, zero_rows={},
-        consumers=tuple(accesses), per_channel=per_channel,
-        zero_columns={}, infill={}, join=None,
-        stats=CopyStats(total, copied),
-    )
-
-
-def _slot_agreement(segment: Segment, slots: Mapping[str, frozenset[int]]) -> tuple[bool, set[int]]:
-    """Whether every slot is retained by all of its readers or pruned by all
-    of them; also returns the all-pruned (droppable) slots."""
-    readers: dict[int, list[str]] = {}
-    for c in segment.consumers:
-        for s in segment.consumer_slots[c]:
-            readers.setdefault(s, []).append(c)
-    droppable: set[int] = set()
-    agree = True
-    for s, cs in readers.items():
-        keeping = sum(1 for c in cs if s in slots[c])
-        if keeping == 0:
-            droppable.add(s)
-        elif keeping != len(cs):
-            agree = False
-    return agree, droppable
-
-
-def _ascending_layouts(segment: Segment, dropped_slots: set[int]) -> dict[str, tuple[int, ...]]:
-    """Kept slots per producer in original order; fully-dropped bands keep
-    their lowest slot so no layer ends up with zero channels."""
-    layouts = {}
-    for band in segment.bands:
-        kept = [s for s in band.slots if s not in dropped_slots]
-        if not kept:
-            kept = [min(band.slots)]
-        for p in band.producers:
-            layouts[p] = tuple(kept)
-    return layouts
+    return _plan_input(graph, segment, masks, STRATEGY_REORDER, order)
 
 
 def plan_baseline(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
@@ -317,31 +269,14 @@ def plan_baseline(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> Se
     gather. When every slot's readers agree (all keep or all prune) and the
     layout is free to change, the agreed-pruned filters are dropped instead
     and everyone slices."""
-    locals_kept = _retained_locals(segment, masks)
+    order = None
     if segment.unsupported is None and not segment.reorder_locked:
         slots = retained_slots(segment, masks)
-        agree, droppable = _slot_agreement(segment, slots)
-        if agree:
-            layouts = _ascending_layouts(segment, droppable)
-            vectors = propagate_vectors(graph, segment.interior, layouts)
-            accesses = []
-            for c in segment.consumers:
-                realized = vectors[graph.predecessors(c)[0]]
-                pairs = _consumer_pairs(segment, c, locals_kept[c], realized)
-                accesses.append(_access_from_pairs(c, pairs))
-            producer_orders, dropped, per_channel = _structure_from_layouts(
-                graph, segment, layouts, vectors)
-            total = sum(len(locals_kept[c]) for c in segment.consumers)
-            copied = sum(_access_cost(a) for a in accesses)
-            return SegmentPlan(
-                segment=segment.id, mode=MODE_INPUT, strategy=STRATEGY_BASELINE,
-                producers=segment.producers, interior=segment.interior,
-                producer_orders=producer_orders, dropped=dropped, zero_rows={},
-                consumers=tuple(accesses), per_channel=per_channel,
-                zero_columns={}, infill={}, join=None,
-                stats=CopyStats(total, copied),
-            )
-    return _locked_input_plan(graph, segment, masks, STRATEGY_BASELINE)
+        in_place = _in_place_order(segment, slots)
+        gone = set(in_place.dropped)
+        if all(slots[c] == set(segment.consumer_slots[c]) - gone for c in segment.consumers):
+            order = in_place
+    return _plan_input(graph, segment, masks, STRATEGY_BASELINE, order)
 
 
 def plan_constrained(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
@@ -351,86 +286,30 @@ def plan_constrained(graph: ModelGraph, segment: Segment, masks: ChannelMask) ->
     everything else stays in place, so every consumer takes a full slice and
     nothing is ever copied.
     """
-    locals_kept = _retained_locals(segment, masks)
-    free = segment.unsupported is None and not segment.reorder_locked
-    if free:
-        slots = retained_slots(segment, masks)
-        _, droppable = _slot_agreement(segment, slots)
-        layouts = _ascending_layouts(segment, droppable)
-        vectors = propagate_vectors(graph, segment.interior, layouts)
-        producer_orders, dropped, per_channel = _structure_from_layouts(
-            graph, segment, layouts, vectors)
-    else:
-        producer_orders = _identity_orders(graph, segment)
-        dropped = {}
-        per_channel = {}
-
-    accesses = []
-    zero_columns = {}
-    for c in segment.consumers:
-        vec = segment.consumer_slots[c]
-        realized = vectors[graph.predecessors(c)[0]] if free else vec
-        local_of = {slot: i for i, slot in enumerate(vec)}
-        perm = tuple(local_of[s] for s in realized)
-        accesses.append(ConsumerAccess(c, "slice", start=0, length=len(realized), perm=perm))
-        retained = set(locals_kept[c])
-        zeroed = tuple(l for l in perm if l not in retained)
-        if zeroed:
-            zero_columns[c] = tuple(sorted(zeroed))
-    total = sum(len(locals_kept[c]) for c in segment.consumers)
-    return SegmentPlan(
-        segment=segment.id, mode=MODE_INPUT, strategy=STRATEGY_CONSTRAINED,
-        producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, dropped=dropped, zero_rows={},
-        consumers=tuple(accesses), per_channel=per_channel,
-        zero_columns=zero_columns, infill={}, join=None,
-        stats=CopyStats(total, 0),
-    )
+    order = None
+    if segment.unsupported is None and not segment.reorder_locked:
+        order = _in_place_order(segment, retained_slots(segment, masks))
+    return _plan_input(graph, segment, masks, STRATEGY_CONSTRAINED, order)
 
 
 # --------------------------------------------------------------------------
 # output-mode planners
 # --------------------------------------------------------------------------
 
-def _producer_retained_slots(segment: Segment, output_masks: ChannelMask) -> tuple[
-        dict[str, frozenset[int]], dict[str, tuple[int, ...]]]:
-    """Retained output slots per producer; empty masks keep a zeroed sentinel
-    channel so the layer stays non-empty."""
-    retained: dict[str, frozenset[int]] = {}
-    zero_rows: dict[str, tuple[int, ...]] = {}
-    for p in segment.producers:
-        vec = segment.producer_slots[p]
-        if p in output_masks:
-            local = sorted(set(output_masks[p]))
-            bad = [i for i in local if not (0 <= i < len(vec))]
-            if bad:
-                raise ValidationError([f"{p}: output mask index {bad[0]} out of [0, {len(vec)})"])
-            if not local:
-                local = [0]
-                zero_rows[p] = (0,)
-            retained[p] = frozenset(vec[i] for i in local)
-        else:
-            retained[p] = frozenset(vec)
-    return retained, zero_rows
-
-
 def _output_baseline(graph: ModelGraph, segment: Segment, output_masks: ChannelMask) -> SegmentPlan:
     """Drop pruned filters and restore each producer's original width with a
     zero-filling gather right after it. Downstream stays untouched, so this
     is equivalent for any topology, bias layers included."""
+    kept_filters = _retained_indices(segment.producer_slots, output_masks, "output mask")
     producer_orders = {}
     dropped = {}
-    zero_rows: dict[str, tuple[int, ...]] = {}
     infill = {}
     total = 0
     copied = 0
     for p in segment.producers:
         width = graph.layer(p).out_channels
-        if p in output_masks and len(set(output_masks[p])) < width:
-            kept = sorted(set(output_masks[p]))
-            bad = [i for i in kept if not (0 <= i < width)]
-            if bad:
-                raise ValidationError([f"{p}: output mask index {bad[0]} out of [0, {width})"])
+        kept = kept_filters[p]
+        if len(kept) < width:
             if not kept:
                 # nothing survives; keep one dangling filter so the layer
                 # stays legal and fill the whole tensor with zeros
@@ -451,7 +330,7 @@ def _output_baseline(graph: ModelGraph, segment: Segment, output_masks: ChannelM
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_BASELINE,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, dropped=dropped, zero_rows=zero_rows,
+        producer_orders=producer_orders, dropped=dropped, zero_rows={},
         consumers=(), per_channel={}, zero_columns={}, infill=infill, join=None,
         stats=CopyStats(total, copied),
     )
@@ -523,29 +402,25 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
     if len(joins) > 1:
         raise UnsupportedTopologyError(segment.id, "more than one join between producers")
 
-    retained, zero_rows = _producer_retained_slots(segment, output_masks)
+    # a producer whose mask is empty keeps filter 0, zeroed, so it stays non-empty
+    kept = _retained_indices(segment.producer_slots, output_masks, "output mask")
+    zero_rows = {p: (0,) for p in segment.producers if not kept[p]}
+    retained = {p: frozenset(segment.producer_slots[p][i] for i in kept[p] or (0,))
+                for p in segment.producers}
     rg = reorder_graph_from_sets(retained, segment.channel_space)
     paths = decompose_paths(rg)
     order = order_channels(rg, paths)
 
-    producer_orders = {}
-    dropped = {}
-    total = 0
-    copied = 0
+    # no per-channel layer lies inside, so the layouts need no vectors
     position = {slot: i for i, slot in enumerate(order.order)}
-    layouts = {}
-    for p in segment.producers:
-        vec = segment.producer_slots[p]
-        local_of = {slot: i for i, slot in enumerate(vec)}
-        kept_slots = sorted(retained[p], key=position.__getitem__)
-        layouts[p] = tuple(kept_slots)
-        rows = tuple(local_of[s] for s in kept_slots)
-        producer_orders[p] = rows
-        dropped[p] = tuple(sorted(set(local_of.values()) - set(rows)))
-        total += len(rows)
-        spots = sorted(position[s] for s in retained[p])
-        if spots[-1] - spots[0] + 1 != len(spots):
-            copied += len(rows)
+    layouts = {p: tuple(sorted(retained[p], key=position.__getitem__))
+               for p in segment.producers}
+    producer_orders, dropped, _ = _structure_from_layouts(graph, segment, layouts, {})
+    total = sum(len(rows) for rows in producer_orders.values())
+    copied = 0
+    for layout in layouts.values():
+        if position[layout[-1]] - position[layout[0]] + 1 != len(layout):
+            copied += len(layout)
 
     join_rewrite = None
     if joins:
@@ -711,6 +586,18 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
                 or preds[0] not in members):
             raise ValidationError([f"plan {plan.segment}: {a.consumer!r} does not read "
                                    "this segment"])
+    for u in plan.per_channel:
+        if u not in plan.interior or layers[u].kind is not LayerKind.PER_CHANNEL:
+            raise ValidationError([f"plan {plan.segment}: {u!r} is not a per-channel "
+                                   "layer of this segment"])
+
+
+def _check_indices(plan: SegmentPlan, what: str, entries: Sequence[int],
+                   allowed: Collection[int]) -> None:
+    """Raise ValidationError unless ``entries`` are distinct members of ``allowed``."""
+    if len(set(entries)) != len(entries) or not all(i in allowed for i in entries):
+        raise ValidationError([f"plan {plan.segment}: {what} repeats an index or names one "
+                               "out of range"])
 
 
 def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
@@ -728,6 +615,8 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
             if rows != tuple(range(lay.out_channels)):
                 raise ValidationError([f"{p}: cannot permute a model input"])
             continue
+        _check_indices(plan, f"{p} filter order", rows, range(lay.out_channels))
+        _check_indices(plan, f"{p} zero rows", plan.zero_rows.get(p, ()), set(rows))
         if rows != tuple(range(lay.out_channels)):
             weights[p] = weights[p][list(rows), :]
             layers[p] = replace(lay, out_channels=len(rows))
@@ -790,6 +679,7 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
     # ids name layers of the input graph, and plans add no edge between two
     # interior nodes, so the input graph's order holds.
     for u, perm in sorted(plan.per_channel.items()):
+        _check_indices(plan, f"{u} channel order", perm, range(len(weights[u])))
         weights[u] = weights[u][list(perm)]
     surviving = [u for u in plan.interior if u in layers and u in rw.source]
     for u in sorted(surviving, key=rw.source.topological_rank):
@@ -817,10 +707,12 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
         lay = layers[c]
         pred = redirect.get(sources[c], sources[c])
         perm = tuple(access.perm)
+        zeroed = plan.zero_columns.get(c, ())
+        _check_indices(plan, f"{c} column order", perm, range(lay.in_channels))
+        _check_indices(plan, f"{c} zero columns", zeroed, set(perm))
         if perm != tuple(range(lay.in_channels)):
             weights[c] = weights[c][:, list(perm)]
             layers[c] = replace(lay, in_channels=len(perm))
-        zeroed = plan.zero_columns.get(c, ())
         for local in zeroed:
             weights[c][:, perm.index(local)] = 0.0
         source_width = layers[pred].out_channels
@@ -875,12 +767,11 @@ def apply_plan(plans: Sequence[SegmentPlan], graph: ModelGraph,
 
 def copy_report(plans: Iterable[SegmentPlan]) -> CopyStats:
     """Aggregate stats across segments."""
-    total = copied = optimal = 0
+    total = copied = 0
     for plan in plans:
         total += plan.stats.total_reads
         copied += plan.stats.copied
-        optimal += plan.stats.zero_copy_optimal
-    return CopyStats(total, copied, optimal)
+    return CopyStats(total, copied)
 
 
 # --------------------------------------------------------------------------
@@ -940,8 +831,7 @@ def plan_to_dict(plan: SegmentPlan) -> dict:
         "zero_columns": _int_map_to_dict(plan.zero_columns),
         "infill": _int_map_to_dict(plan.infill),
         "join": join,
-        "stats": {"total_reads": plan.stats.total_reads, "copied": plan.stats.copied,
-                  "zero_copy_optimal": plan.stats.zero_copy_optimal},
+        "stats": {"total_reads": plan.stats.total_reads, "copied": plan.stats.copied},
     }
 
 
@@ -974,8 +864,7 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             zero_columns=_int_map_from_dict(obj["zero_columns"]),
             infill=_int_map_from_dict(obj["infill"]),
             join=join,
-            stats=CopyStats(int(stats["total_reads"]), int(stats["copied"]),
-                            int(stats["zero_copy_optimal"])),
+            stats=CopyStats(int(stats["total_reads"]), int(stats["copied"])),
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ModelFormatError(f"{source}: bad plan record ({exc})") from exc
@@ -983,14 +872,11 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
 
 def save_plans(plans: Iterable[SegmentPlan], path: str | Path) -> None:
     plans = list(plans)
+    totals = copy_report(plans)
     obj = {
         "version": PLAN_FILE_VERSION,
         "segments": [plan_to_dict(p) for p in sorted(plans, key=lambda p: p.segment)],
-        "totals": {
-            "total_reads": copy_report(plans).total_reads,
-            "copied": copy_report(plans).copied,
-            "zero_copy_optimal": copy_report(plans).zero_copy_optimal,
-        },
+        "totals": {"total_reads": totals.total_reads, "copied": totals.copied},
     }
     _dump_json(obj, path)
 

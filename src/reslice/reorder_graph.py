@@ -10,7 +10,7 @@ parent-child edges are exempt from the acyclicity rule during path search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from reslice.graph import ChannelMask, ModelGraph, ValidationError
@@ -42,12 +42,6 @@ class RGNode:
     members: tuple[str, ...]
     retained: frozenset[int]
     reward: int
-
-
-@dataclass(frozen=True)
-class SubsetRelation:
-    parent: str
-    children: tuple[str, ...]
 
 
 @dataclass
@@ -128,33 +122,41 @@ def reorder_graph_from_sets(retained: Mapping[str, Iterable[int]],
     return _from_nodes(nodes, channel_space)
 
 
+def _retained_indices(vectors: Mapping[str, tuple[int, ...]], masks: ChannelMask,
+                      what: str = "mask") -> dict[str, tuple[int, ...]]:
+    """Per-layer retained local channel indices, ascending and distinct.
+
+    ``vectors`` maps each layer to its slot vector (a segment's
+    ``consumer_slots`` or ``producer_slots``); a layer without a mask entry
+    retains every index, and an index outside its vector raises
+    ValidationError.
+    """
+    out: dict[str, tuple[int, ...]] = {}
+    for lid, vec in vectors.items():
+        if lid not in masks:
+            out[lid] = tuple(range(len(vec)))
+            continue
+        local = tuple(sorted(set(masks[lid])))
+        bad = [i for i in local if not (0 <= i < len(vec))]
+        if bad:
+            raise ValidationError([f"{lid}: {what} index {bad[0]} out of [0, {len(vec)})"])
+        out[lid] = local
+    return out
+
+
 def retained_slots(segment: Segment, masks: ChannelMask) -> dict[str, frozenset[int]]:
     """Per-consumer retained channels in segment-slot space.
 
     Consumers without a mask entry retain everything they read. Mask
     indices are consumer-local input channel indices.
     """
-    out: dict[str, frozenset[int]] = {}
-    for c in segment.consumers:
-        vec = segment.consumer_slots[c]
-        if c in masks:
-            local = masks[c]
-            bad = [i for i in local if not (0 <= i < len(vec))]
-            if bad:
-                raise ValidationError([f"{c}: mask index {bad[0]} out of [0, {len(vec)})"])
-            out[c] = frozenset(vec[i] for i in local)
-        else:
-            out[c] = frozenset(vec)
-    return out
+    return {c: frozenset(segment.consumer_slots[c][i] for i in columns)
+            for c, columns in _retained_indices(segment.consumer_slots, masks).items()}
 
 
 def build_reorder_graph(segment: Segment, masks: ChannelMask) -> ReorderGraph:
     slots = retained_slots(segment, masks)
     return reorder_graph_from_sets(slots, segment.channel_space)
-
-
-def detect_subsets(graph: ReorderGraph) -> list[SubsetRelation]:
-    return [SubsetRelation(p, graph.parents[p]) for p in sorted(graph.parents)]
 
 
 def reduce_producers(segment: Segment, graph: ModelGraph | None = None) -> list[ProducerEquivalence]:

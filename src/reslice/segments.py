@@ -67,14 +67,6 @@ class Segment:
     def id(self) -> str:
         return self.producers[0]
 
-    def read_slots(self) -> set[int]:
-        """Slots read by at least one consumer (convenience for planners)."""
-        read: set[int] = set()
-        for c in self.consumers:
-            read.update(self.consumer_slots[c])
-        read.discard(ZERO)
-        return read
-
 
 def _is_producer_kind(kind: LayerKind) -> bool:
     return kind in (LayerKind.CHANNEL_MIX, LayerKind.INPUT)

@@ -3,8 +3,9 @@
 The oracles deliberately re-derive results through different algorithms
 than the library (plain reachability + union-find for segments, raw
 permutation enumeration for zero-copy orders, a re-sorted ready list for
-topological order, a branch-and-bound DFS that expands every state for
-maximum-reward paths) so agreement means something.
+topological order, a branch-and-bound DFS that expands every state and an
+enumeration of every ordered node subset for maximum-reward paths) so
+agreement means something.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from reslice import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.graph import INTERIOR_KINDS
-from reslice.path_search import Path
+from reslice.path_search import Path, path_reward
 from reslice.reorder_graph import ReorderGraph
 from reslice.segments import Segment, propagate_vectors
 
@@ -26,6 +27,8 @@ CONCAT = LayerKind.CONCAT
 PER = LayerKind.PER_CHANNEL
 INPUT = LayerKind.INPUT
 OUTPUT = LayerKind.OUTPUT
+
+BRUTE_FORCE_NODE_CAP = 10
 
 
 def build_model(rows, edges, seed=0):
@@ -416,4 +419,43 @@ def oracle_dfs_mrap(graph: ReorderGraph) -> Path:
         seq.pop()
         pop(undo)
 
+    return Path(best_nodes, best_reward)
+
+
+def brute_force_mrap(graph: ReorderGraph) -> Path:
+    """Oracle: try every valid ordered subset of nodes.
+
+    Exhaustive DFS; a sequence is only extended while valid (an invalid
+    non-adjacent pair never becomes valid again, so this skips nothing).
+    Ties broken by lexicographically smallest node-id sequence. Limited to
+    small graphs.
+    """
+    ids = sorted(graph.nodes)
+    if not ids:
+        raise ValueError("empty reorder graph")
+    if len(ids) > BRUTE_FORCE_NODE_CAP:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_NODE_CAP} nodes, got {len(ids)}")
+    best_nodes: tuple[str, ...] = ()
+    best_reward: int | None = None
+
+    def extend(seq: list[str], used: set[str]) -> None:
+        nonlocal best_nodes, best_reward
+        reward = path_reward(graph, seq)
+        if (best_reward is None or reward > best_reward
+                or (reward == best_reward and tuple(seq) < best_nodes)):
+            best_reward, best_nodes = reward, tuple(seq)
+        for n in ids:
+            # pairs inside seq are valid by induction; appending n only adds
+            # non-adjacent pairs (seq[i], n) for all but the current last
+            if n in used or any(graph.has_edge(u, n) and not graph.is_exempt(u, n)
+                                for u in seq[:-1]):
+                continue
+            used.add(n)
+            seq.append(n)
+            extend(seq, used)
+            seq.pop()
+            used.remove(n)
+
+    for start in ids:
+        extend([start], {start})
     return Path(best_nodes, best_reward)

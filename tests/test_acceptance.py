@@ -6,14 +6,14 @@ figures; code stays zero-based throughout.
 
 import time
 
-from helpers import (build_model, fan_fixture, random_dag,
+from helpers import (brute_force_mrap, build_model, fan_fixture, random_dag,
                      random_retained_sets, residual_block_fixture,
                      single_branch_fixture, zero_copy_exists)
 from reslice.graph import save_model
 from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
 from reslice.ordering import ChannelOrder, order_channels
-from reslice.path_search import Path, brute_force_mrap, decompose_paths, solve_mrap
+from reslice.path_search import Path, decompose_paths, solve_mrap
 from reslice.pipeline import export_model, plan_model
 from reslice.planner import copy_report, plan_export
 from reslice.reorder_graph import (build_reorder_graph, reorder_graph_from_sets,

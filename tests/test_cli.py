@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, build_model,
+from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, build_model, fan_fixture,
                      residual_block_fixture)
 from reslice.cli import main
 from reslice.graph import load_masks, load_model, save_masks, save_model
+from reslice.planner import load_plans
 
 
 @pytest.fixture()
@@ -148,6 +149,77 @@ def test_verify_plan_naming_a_wrong_layer_is_exit_4(model_files, capsys, name, m
                    "--masks", masks, "--out-prefix", prefix) == 4
     err = capsys.readouterr().err
     assert "verification failed" in err and message in err
+
+
+@pytest.mark.parametrize("fixture", [residual_block_fixture, fan_fixture])
+@pytest.mark.parametrize("entry", ["producer_orders", "perm", "zero_columns", "zero_rows",
+                                   "repeated perm"])
+def test_verify_plan_index_out_of_range_is_exit_4(tmp_path, capsys, fixture, entry):
+    graph, weights = fixture()
+    model, wfile, masks = (tmp_path / n for n in ("m.model.json", "m.weights.json", "masks.json"))
+    save_model(graph, weights, model, wfile)
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    prefix = tmp_path / "exported"
+    assert run_cli("export", "--model", model, "--weights", wfile,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    ppath = tmp_path / "exported.plan.json"
+    plan = json.loads(ppath.read_text())
+    segment = plan["segments"][0]
+    first = segment["consumers"][0]
+    if entry == "producer_orders":
+        segment["producer_orders"]["A"][0] = 99
+    elif entry == "perm":
+        first["perm"][0] = 99
+    elif entry == "zero_columns":
+        segment["zero_columns"] = {first["consumer"]: [99]}
+    elif entry == "zero_rows":
+        segment["zero_rows"] = {"A": [99]}
+    else:
+        first["perm"][1] = first["perm"][0]
+    ppath.write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", wfile,
+                   "--masks", masks, "--out-prefix", prefix) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "repeats an index or names one out of range" in err
+
+
+def test_verify_plan_permuting_a_layer_without_channel_vector_is_exit_4(model_files, capsys):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    ppath = tmp / "exported.plan.json"
+    plan = json.loads(ppath.read_text())
+    plan["segments"][0]["per_channel"] = {"r": [0, 1]}  # a pass-through layer
+    ppath.write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 4
+    assert "'r' is not a per-channel layer of this segment" in capsys.readouterr().err
+
+
+def test_verify_accepts_a_plan_file_with_the_old_zero_copy_optimal_field(model_files, capsys):
+    # earlier versions wrote stats.zero_copy_optimal (always 0) into every
+    # plan record and the totals; the reader ignores it
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    ppath = tmp / "exported.plan.json"
+    plans = load_plans(ppath)
+    old = json.loads(ppath.read_text())
+    for record in (*(s["stats"] for s in old["segments"]), old["totals"]):
+        record["zero_copy_optimal"] = 0
+    ppath.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    assert load_plans(ppath) == plans
+    assert run_cli("verify", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    assert "max deviation" in capsys.readouterr().out
 
 
 def test_export_reruns_are_byte_identical(model_files):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from reslice import path_search
 from reslice.path_search import (
     EXACT_NODE_CAP,
-    brute_force_mrap,
     covered_parents,
     decompose_paths,
     is_valid_path,
@@ -18,7 +17,7 @@ from reslice.path_search import (
 )
 from reslice.reorder_graph import reorder_graph_from_sets
 
-from helpers import oracle_dfs_mrap, random_retained_sets
+from helpers import brute_force_mrap, oracle_dfs_mrap, random_retained_sets
 
 
 def triangle():

@@ -13,7 +13,7 @@ from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
 from reslice.ordering import ChannelOrder, order_channels
 from reslice.path_search import decompose_paths
-from reslice.planner import (CopyStats, UnsupportedTopologyError, apply_plan,
+from reslice.planner import (ConsumerAccess, CopyStats, UnsupportedTopologyError, apply_plan,
                              copy_report, load_plans, plan_baseline,
                              plan_constrained, plan_export, plan_export_output,
                              plan_from_dict, plan_to_dict, save_plans)
@@ -215,6 +215,26 @@ def test_constrained_zeroes_columns():
     new_graph, new_weights = apply_plan([plan], graph, weights)
     report = check_equivalence(graph, weights, masks, new_graph, new_weights, seed=3)
     assert report.passed
+
+
+def test_constrained_keeps_a_channel_read_twice_in_place():
+    # B reads A's two channels twice through a concat, so the layout stays
+    # fixed: every column keeps its place and only the pruned one is zeroed
+    graph, weights = build_model(
+        [("in", INPUT, 2, 2), ("A", MIX, 2, 2), ("j", CONCAT, 4, 4),
+         ("B", MIX, 4, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "A"), ("A", "j"), ("A", "j"), ("j", "B"), ("B", "out")])
+    masks = {"B": (0, 1, 3)}
+    plan = plan_constrained(graph, seg(graph, {"A"}), masks)
+    assert plan.producer_orders == {"A": (0, 1)} and plan.dropped == {}
+    assert access(plan, "B") == ConsumerAccess("B", "slice", start=0, length=4,
+                                               perm=(0, 1, 2, 3))
+    assert plan.zero_columns == {"B": (2,)}
+    assert plan.stats == CopyStats(3, 0)
+
+    result = export_model(graph, weights, masks, strategy="constrained")
+    report = check_equivalence(graph, weights, masks, result.graph, result.weights, seed=3)
+    assert report.passed, report.max_deviation
 
 
 # --------------------------------------------------------------------------

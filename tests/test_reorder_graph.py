@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from reslice import ValidationError, find_segments
 from reslice.reorder_graph import (
     build_reorder_graph,
-    detect_subsets,
     reduce_producers,
     reorder_graph_from_sets,
     retained_slots,
@@ -49,10 +48,7 @@ def test_identical_sets_merge_into_one_node():
 def test_subset_relations_and_exemption():
     rg = reorder_graph_from_sets(
         {"P": {1, 2, 3}, "a": {1, 2}, "b": {2, 3}, "x": {3, 4}}, 5)
-    rels = detect_subsets(rg)
-    assert len(rels) == 1
-    assert rels[0].parent == "P"
-    assert rels[0].children == ("a", "b")
+    assert rg.parents == {"P": ("a", "b")}
     assert rg.is_exempt("a", "P") and rg.is_exempt("P", "b")
     assert not rg.is_exempt("a", "b")
     assert not rg.is_exempt("P", "x")
@@ -113,7 +109,6 @@ def test_graph_is_symmetric_and_rewards_match_cardinality(seed):
     for (u, v), shared in rg.edges.items():
         assert shared == rg.nodes[u].retained & rg.nodes[v].retained
         assert rg.edge_reward(u, v) == rg.edge_reward(v, u) == -len(shared)
-    for rel in detect_subsets(rg):
-        parent = rg.nodes[rel.parent].retained
-        for child in rel.children:
-            assert rg.nodes[child].retained < parent
+    for parent, children in rg.parents.items():
+        for child in children:
+            assert rg.nodes[child].retained < rg.nodes[parent].retained

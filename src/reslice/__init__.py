@@ -11,7 +11,8 @@ Pipeline stages (one module each):
 - :mod:`reslice.graph`         graph IR, weights, masks, file formats
 - :mod:`reslice.segments`      producer/consumer segment extraction
 - :mod:`reslice.reorder_graph` per-segment reorder graph construction
-- :mod:`reslice.path_search`   maximum-reward acyclic path solver
+- :mod:`reslice.path_search`   maximum-reward acyclic path solver (exact and
+                               greedy searches over one bitmask view)
 - :mod:`reslice.ordering`      path decomposition -> channel ordering
 - :mod:`reslice.planner`       orderings -> slices/gathers/weight rewrites
 - :mod:`reslice.interp`        reference interpreter + equivalence checks
@@ -43,13 +44,7 @@ from reslice.reorder_graph import (
     reduce_producers,
     reorder_graph_from_sets,
 )
-from reslice.path_search import (
-    Path,
-    decompose_paths,
-    is_valid_path,
-    path_reward,
-    solve_mrap,
-)
+from reslice.path_search import Path, decompose_paths, solve_mrap
 from reslice.ordering import ChannelOrder, find_zero_copy_order, order_channels
 from reslice.planner import (
     ConsumerAccess,
@@ -99,13 +94,11 @@ __all__ = [
     "export_model",
     "find_segments",
     "find_zero_copy_order",
-    "is_valid_path",
     "load_masks",
     "load_model",
     "load_plans",
     "make_masks",
     "order_channels",
-    "path_reward",
     "plan_baseline",
     "plan_constrained",
     "plan_export",

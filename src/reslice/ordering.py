@@ -108,17 +108,6 @@ def band_layouts(segment: Segment, order: ChannelOrder) -> dict[str, tuple[int, 
     return layouts
 
 
-def _realized_vectors(
-    graph: ModelGraph, segment: Segment, layouts: Mapping[str, tuple[int, ...]],
-) -> dict[str, tuple[int, ...]]:
-    """Each consumer's read vector after producers adopt ``layouts``."""
-    vectors = propagate_vectors(graph, segment.interior, layouts)
-    realized = {}
-    for c in segment.consumers:
-        realized[c] = vectors[graph.predecessors(c)[0]]
-    return realized
-
-
 def _contiguous(vector: tuple[int, ...], wanted: frozenset[int]) -> bool:
     positions = [i for i, s in enumerate(vector) if s in wanted]
     return not positions or positions[-1] - positions[0] + 1 == len(positions)
@@ -128,12 +117,13 @@ def find_zero_copy_order(
     graph: ModelGraph,
     segment: Segment,
     retained: Mapping[str, frozenset[int]],
-) -> dict[str, tuple[int, ...]] | None:
-    """Search for producer layouts making every consumer's block contiguous.
+) -> ChannelOrder | None:
+    """Search for a channel order making every consumer's block contiguous.
 
     Slots with identical consumer membership are grouped; each band tries
     every arrangement of its groups (ascending inside a group). Returns the
-    per-producer layouts of the first zero-copy assignment, or None when
+    first zero-copy arrangement as one order, the band layouts concatenated
+    (bands are disjoint, so ``band_layouts`` gives them back), or None when
     none exists or the search space exceeds the safety caps.
     """
     if segment.reorder_locked or segment.unsupported:
@@ -169,7 +159,10 @@ def find_zero_copy_order(
             flat = tuple(s for group in patterns for s in group)
             for p in band.producers:
                 layouts[p] = flat
-        realized = _realized_vectors(graph, segment, layouts)
-        if all(_contiguous(realized[c], wanted[c]) for c in segment.consumers):
-            return layouts
+        vectors = propagate_vectors(graph, segment.interior, layouts)
+        if all(_contiguous(vectors[graph.predecessors(c)[0]], wanted[c])
+               for c in segment.consumers):
+            order = tuple(s for band in segment.bands for s in layouts[band.producers[0]])
+            dropped = sorted(set(range(segment.channel_space)) - set(order))
+            return ChannelOrder(order, tuple(dropped))
     return None

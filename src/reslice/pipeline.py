@@ -55,16 +55,6 @@ def _is_pruned(segment: Segment, masks: ChannelMask, mode: str) -> bool:
                for c in segment.consumers)
 
 
-def _order_from_layouts(segment: Segment, layouts: dict[str, tuple[int, ...]]) -> ChannelOrder:
-    # Bands are disjoint, so concatenating per-band layouts is a valid
-    # segment-wide order; band_layouts recovers exactly these layouts.
-    seen: list[int] = []
-    for band in segment.bands:
-        seen.extend(layouts[band.producers[0]])
-    dropped = sorted(set(range(segment.channel_space)) - set(seen))
-    return ChannelOrder(order=tuple(seen), dropped=tuple(dropped))
-
-
 def _plan_reorder_input(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
     if segment.unsupported is not None:
         raise UnsupportedTopologyError(segment.id, segment.unsupported)
@@ -76,10 +66,9 @@ def _plan_reorder_input(graph: ModelGraph, segment: Segment, masks: ChannelMask)
     equivalences = reduce_producers(segment)
     plan = plan_export(graph, segment, order, equivalences, masks)
     if plan.stats.copied:
-        layouts = find_zero_copy_order(graph, segment, retained_slots(segment, masks))
-        if layouts is not None:
-            rescued = plan_export(graph, segment, _order_from_layouts(segment, layouts),
-                                  equivalences, masks)
+        zero_copy = find_zero_copy_order(graph, segment, retained_slots(segment, masks))
+        if zero_copy is not None:
+            rescued = plan_export(graph, segment, zero_copy, equivalences, masks)
             if rescued.stats.copied == 0:
                 return rescued
     return plan

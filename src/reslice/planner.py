@@ -186,6 +186,9 @@ def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strateg
     column that survives and zero the pruned ones, so they always slice.
     """
     kept = _retained_indices(segment.consumer_slots, masks)
+    empty = [c for c in segment.consumers if not kept[c]]
+    if empty:
+        raise ValidationError([f"{c}: mask keeps no channel" for c in empty])
     if order is None:
         producer_orders = _identity_orders(graph, segment)
         dropped: dict[str, tuple[int, ...]] = {}
@@ -567,6 +570,11 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
         jr = plan.join
         named.add(jr.join)
         named.update(jr.operands, jr.operands.values(), *(run.producers for run in jr.runs))
+        for run in jr.runs:
+            if (sorted(run.producers) != sorted(run.windows)
+                    or not run.windows.keys() <= jr.operands.keys()):
+                raise ValidationError([f"plan {plan.segment}: a run of join {jr.join!r} "
+                                       "names producers without windows or operands"])
     unknown = sorted(named - layers.keys())
     if unknown:
         raise ValidationError([f"plan {plan.segment}: names unknown layer {lid!r}"
@@ -575,6 +583,8 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
                       ("consumer", [a.consumer for a in plan.consumers])):
         if len(set(ids)) != len(ids):
             raise ValidationError([f"plan {plan.segment}: a {role} is named twice"])
+    if not plan.dropped.keys() <= set(plan.producers):
+        raise ValidationError([f"plan {plan.segment}: drops filters of a non-producer"])
     for p in plan.producers:
         if layers[p].kind not in (LayerKind.CHANNEL_MIX, LayerKind.INPUT):
             raise ValidationError([f"plan {plan.segment}: producer {p!r} is a "
@@ -611,11 +621,15 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
     for p in plan.producers:
         lay = layers[p]
         rows = tuple(plan.producer_orders.get(p, range(lay.out_channels)))
-        if lay.kind is LayerKind.INPUT:
-            if rows != tuple(range(lay.out_channels)):
-                raise ValidationError([f"{p}: cannot permute a model input"])
-            continue
+        if lay.kind is LayerKind.INPUT and rows != tuple(range(lay.out_channels)):
+            raise ValidationError([f"{p}: cannot permute a model input"])
         _check_indices(plan, f"{p} filter order", rows, range(lay.out_channels))
+        unused = sorted(set(range(lay.out_channels)).difference(rows))
+        if list(plan.dropped.get(p, ())) != unused:
+            raise ValidationError([f"plan {plan.segment}: {p} dropped filters are not the "
+                                   "complement of its filter order"])
+        if lay.kind is LayerKind.INPUT:
+            continue
         _check_indices(plan, f"{p} zero rows", plan.zero_rows.get(p, ()), set(rows))
         if rows != tuple(range(lay.out_channels)):
             weights[p] = weights[p][list(rows), :]

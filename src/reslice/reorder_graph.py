@@ -68,10 +68,6 @@ class ReorderGraph:
     def is_exempt(self, u: str, v: str) -> bool:
         return self._key(u, v) in self.exempt
 
-    def neighbors(self, u: str) -> tuple[str, ...]:
-        out = [b if a == u else a for (a, b) in self.edges if u in (a, b)]
-        return tuple(sorted(out))
-
     def subgraph(self, keep: Iterable[str]) -> "ReorderGraph":
         keep = set(keep)
         return _from_nodes([self.nodes[i] for i in sorted(keep)], self.channel_space)

@@ -4,8 +4,10 @@ The oracles deliberately re-derive results through different algorithms
 than the library (plain reachability + union-find for segments, raw
 permutation enumeration for zero-copy orders, a re-sorted ready list for
 topological order, a branch-and-bound DFS that expands every state and an
-enumeration of every ordered node subset for maximum-reward paths) so
-agreement means something.
+enumeration of every ordered node subset for maximum-reward paths, and a
+greedy search that scores whole sequences with ``path_reward`` and
+``is_valid_path`` where the library reads bitmasks) so agreement means
+something.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from reslice import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.graph import INTERIOR_KINDS
-from reslice.path_search import Path, path_reward
+from reslice.path_search import Path
 from reslice.reorder_graph import ReorderGraph
 from reslice.segments import Segment, propagate_vectors
 
@@ -297,6 +299,71 @@ def zero_copy_exists(graph: ModelGraph, segment: Segment,
     return False
 
 
+def covered_parents(graph: ReorderGraph, nodes: tuple[str, ...]) -> tuple[str, ...]:
+    """Parents not on the path whose channels its child nodes fully cover."""
+    on_path = set(nodes)
+    out = []
+    for parent, children in graph.parents.items():
+        if parent in on_path:
+            continue
+        covered: set[int] = set()
+        for child in children:
+            if child in on_path:
+                covered |= graph.nodes[child].retained
+        if covered >= graph.nodes[parent].retained:
+            out.append(parent)
+    return tuple(sorted(out))
+
+
+def path_reward(graph: ReorderGraph, nodes: tuple[str, ...] | list[str]) -> int:
+    """Reward of an ordered node list (consecutive pairs need not share
+    edges). Includes the covered-parent bonus."""
+    nodes = tuple(nodes)
+    for n in nodes:
+        if n not in graph.nodes:
+            raise KeyError(f"unknown reorder-graph node {n!r}")
+    total = sum(graph.nodes[n].reward for n in nodes)
+    for a, b in zip(nodes, nodes[1:]):
+        total += graph.edge_reward(a, b)
+    return total + sum(graph.nodes[p].reward for p in covered_parents(graph, nodes))
+
+
+def is_valid_path(graph: ReorderGraph, nodes: tuple[str, ...] | list[str]) -> bool:
+    """Distinct nodes; non-adjacent entries must not share a non-exempt edge."""
+    nodes = tuple(nodes)
+    if len(set(nodes)) != len(nodes):
+        return False
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 2:]:
+            if graph.has_edge(u, v) and not graph.is_exempt(u, v):
+                return False
+    return True
+
+
+def oracle_greedy_mrap(graph: ReorderGraph) -> Path:
+    """Greedy path search on whole sequences: from every start node, append
+    the valid extension of best path reward (smallest id on ties) while it
+    raises the reward; keep the first path of greatest reward. Same rule as
+    ``solve_mrap`` above its node cap, derived through ``is_valid_path`` and
+    ``path_reward`` instead of bitmasks."""
+    ids = sorted(graph.nodes)
+    best: tuple[int, tuple[str, ...]] | None = None
+    for start in ids:
+        seq = [start]
+        while True:
+            options = [n for n in ids if n not in seq and is_valid_path(graph, seq + [n])]
+            if not options:
+                break
+            nxt = min(options, key=lambda n: (-path_reward(graph, seq + [n]), n))
+            if path_reward(graph, seq + [nxt]) <= path_reward(graph, seq):
+                break
+            seq.append(nxt)
+        reward = path_reward(graph, seq)
+        if best is None or reward > best[0]:
+            best = (reward, tuple(seq))
+    return Path(best[1], best[0], covered_parents(graph, best[1]))
+
+
 def oracle_dfs_mrap(graph: ReorderGraph) -> Path:
     """Maximum-reward valid path by branch-and-bound DFS with no memo and no
     node cap: every (path set, last node) state is expanded each time a
@@ -419,7 +486,7 @@ def oracle_dfs_mrap(graph: ReorderGraph) -> Path:
         seq.pop()
         pop(undo)
 
-    return Path(best_nodes, best_reward)
+    return Path(best_nodes, best_reward, covered_parents(graph, best_nodes))
 
 
 def brute_force_mrap(graph: ReorderGraph) -> Path:
@@ -458,4 +525,4 @@ def brute_force_mrap(graph: ReorderGraph) -> Path:
 
     for start in ids:
         extend([start], {start})
-    return Path(best_nodes, best_reward)
+    return Path(best_nodes, best_reward, covered_parents(graph, best_nodes))

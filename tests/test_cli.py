@@ -201,6 +201,48 @@ def test_verify_plan_permuting_a_layer_without_channel_vector_is_exit_4(model_fi
     assert "'r' is not a per-channel layer of this segment" in capsys.readouterr().err
 
 
+def _tamper_output_plan(tmp, model, weights, capsys, tamper):
+    """Export the residual block in output mode, edit its plan file with
+    ``tamper`` and return the exit code of verify."""
+    masks = tmp / "masks.json"
+    save_masks({"A": (0, 2, 3), "C": (0, 1, 3)}, masks)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights, "--mode", "output",
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    ppath = tmp / "exported.plan.json"
+    plan = json.loads(ppath.read_text())
+    tamper(plan["segments"][0])
+    ppath.write_text(json.dumps(plan))
+    capsys.readouterr()
+    return run_cli("verify", "--model", model, "--weights", weights, "--mode", "output",
+                   "--masks", masks, "--out-prefix", prefix)
+
+
+@pytest.mark.parametrize("producers", [["A", "C", "B"], ["C"], ["A", "A"]])
+def test_verify_join_run_naming_producers_without_windows_is_exit_4(
+        model_files, capsys, producers):
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        segment["join"]["runs"][0]["producers"] = producers
+    assert _tamper_output_plan(tmp, model, weights, capsys, tamper) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "names producers without windows" in err
+
+
+@pytest.mark.parametrize("dropped", [{"A": [99]}, {"A": []}, {"B": []}])
+def test_verify_dropped_filters_must_match_the_filter_order(model_files, capsys, dropped):
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        assert segment["dropped"] == {"A": [1], "C": [2]}
+        segment["dropped"] = {**segment["dropped"], **dropped}
+    assert _tamper_output_plan(tmp, model, weights, capsys, tamper) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err
+    assert "complement of its filter order" in err or "drops filters of a non-producer" in err
+
+
 def test_verify_accepts_a_plan_file_with_the_old_zero_copy_optimal_field(model_files, capsys):
     # earlier versions wrote stats.zero_copy_optimal (always 0) into every
     # plan record and the totals; the reader ignores it

@@ -96,11 +96,10 @@ def test_zero_copy_search_finds_layout_solver_missed():
         "B": (0, 1, 2), "C": (1, 2, 3, 4), "D": (3, 4, 5),
         "E": (2, 3, 4), "F": (1, 2, 4),
     })
-    layouts = find_zero_copy_order(g, seg, retained)
-    assert layouts is not None
-    assert layouts["A"] == (0, 1, 2, 4, 3, 5)
+    found = find_zero_copy_order(g, seg, retained)
+    assert found == ChannelOrder(order=(0, 1, 2, 4, 3, 5), dropped=())
     for want in retained.values():
-        assert contiguous(layouts["A"], want)
+        assert contiguous(found.order, want)
 
 
 def test_zero_copy_search_exhausts_impossible_case():

@@ -1,23 +1,18 @@
-"""MRAP solver: rewards, validity, exact search vs brute force."""
+"""MRAP solver: rewards, validity, exact search vs brute force, greedy vs its oracle."""
 
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslice import path_search
-from reslice.path_search import (
-    EXACT_NODE_CAP,
-    covered_parents,
-    decompose_paths,
-    is_valid_path,
-    path_reward,
-    solve_mrap,
-)
+from reslice.path_search import EXACT_NODE_CAP, decompose_paths, solve_mrap
 from reslice.reorder_graph import reorder_graph_from_sets
 
-from helpers import brute_force_mrap, oracle_dfs_mrap, random_retained_sets
+from helpers import (brute_force_mrap, covered_parents, is_valid_path, oracle_dfs_mrap,
+                     oracle_greedy_mrap, path_reward, random_retained_sets)
 
 
 def triangle():
@@ -240,3 +235,34 @@ def test_adding_a_private_channel_never_lowers_optimal_reward(seed, data):
     grown[target] = retained[target] | {channels}  # index past everyone else
     after = reorder_graph_from_sets(grown, channels + 1)
     assert solve_mrap(after).reward >= solve_mrap(rg).reward
+
+
+def _sets_above_cap(seed):
+    """21-28 distinct retained sets (so as many nodes, all above the cap):
+    3 of 64 channels, windows of 8-24 of 64, or 1-8 of 16 channels, which
+    gives many parents and some fully covered ones."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(EXACT_NODE_CAP + 1, 29))
+    kind = seed % 3
+    sets: set[frozenset[int]] = set()
+    while len(sets) < count:
+        if kind == 0:
+            chans = rng.choice(64, 3, replace=False)
+        elif kind == 1:
+            length = int(rng.integers(8, 25))
+            start = int(rng.integers(0, 64 - length + 1))
+            chans = range(start, start + length)
+        else:
+            chans = rng.choice(16, int(rng.integers(1, 9)), replace=False)
+        sets.add(frozenset(int(c) for c in chans))
+    ordered = sorted(sets, key=sorted)
+    return {f"c{i:02d}": s for i, s in enumerate(ordered)}, 16 if kind == 2 else 64
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_greedy_search_matches_sequence_level_oracle(seed):
+    retained, channels = _sets_above_cap(seed)
+    rg = reorder_graph_from_sets(retained, channels)
+    assert len(rg.nodes) > EXACT_NODE_CAP
+    assert solve_mrap(rg) == oracle_greedy_mrap(rg)

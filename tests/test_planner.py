@@ -241,6 +241,15 @@ def test_constrained_keeps_a_channel_read_twice_in_place():
 # applying plans
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("planner", [
+    lambda g, s, m: plan_export(g, s, ChannelOrder((0, 1, 2, 3), ()), (), m),
+    plan_baseline, plan_constrained])
+def test_input_planners_reject_an_empty_consumer_mask(planner):
+    graph, _ = fan_fixture(4, ("B", "D"))
+    with pytest.raises(ValidationError, match="B: mask keeps no channel"):
+        planner(graph, seg(graph, {"A"}), {"B": (), "D": (0, 1)})
+
+
 def test_apply_reorders_weights_and_inserts_reads():
     graph, weights = fan_fixture(4, ("B", "C", "D"))
     s = seg(graph, {"A"})

@@ -65,13 +65,13 @@ def main():
     for p in paths:
         print(f"   path {p.nodes} reward {p.reward}")
     order = order_channels(rg, paths)
-    print(f"   order {order.order}, dropped {order.dropped}")
+    print(f"   order {order} (slots no consumer retains are dropped)")
 
     print("\n4. export")
     result = export_model(graph, weights, masks)
     plan = next(p for p in result.plans if p.segment == block.id)
     for prod, rows in sorted(plan.producer_orders.items()):
-        print(f"   {prod}: keeps filters {rows} (drops {plan.dropped.get(prod, ())})")
+        print(f"   {prod}: keeps filters {rows} of {graph.layer(prod).out_channels}")
     for a in plan.consumers:
         if a.mode == "slice":
             print(f"   {a.consumer}: slice [{a.start}:{a.start + a.length}] "

@@ -9,11 +9,12 @@ scattered channels into a copy.
 Pipeline stages (one module each):
 
 - :mod:`reslice.graph`         graph IR, weights, masks, file formats
-- :mod:`reslice.segments`      producer/consumer segment extraction
+- :mod:`reslice.segments`      segment extraction, one walk per segment
 - :mod:`reslice.reorder_graph` per-segment reorder graph construction
 - :mod:`reslice.path_search`   maximum-reward acyclic path solver (exact and
                                greedy searches over one bitmask view)
-- :mod:`reslice.ordering`      path decomposition -> channel ordering
+- :mod:`reslice.ordering`      path decomposition -> channel order (the
+                               kept slots, as a tuple in their new order)
 - :mod:`reslice.planner`       orderings -> slices/gathers/weight rewrites
 - :mod:`reslice.interp`        reference interpreter + equivalence checks
 - :mod:`reslice.masks`         magnitude-based mask generation
@@ -34,7 +35,7 @@ from reslice.graph import (
     save_masks,
     save_model,
 )
-from reslice.segments import Segment, consumers_of, find_segments, producers_of
+from reslice.segments import Segment, find_segments
 from reslice.reorder_graph import (
     ProducerEquivalence,
     ReorderGraph,
@@ -45,7 +46,7 @@ from reslice.reorder_graph import (
     reorder_graph_from_sets,
 )
 from reslice.path_search import Path, decompose_paths, solve_mrap
-from reslice.ordering import ChannelOrder, find_zero_copy_order, order_channels
+from reslice.ordering import find_zero_copy_order, order_channels
 from reslice.planner import (
     ConsumerAccess,
     CopyStats,
@@ -67,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelMask",
-    "ChannelOrder",
     "ConsumerAccess",
     "CopyStats",
     "EquivalenceReport",
@@ -88,7 +88,6 @@ __all__ = [
     "apply_plan",
     "build_reorder_graph",
     "check_equivalence",
-    "consumers_of",
     "copy_report",
     "decompose_paths",
     "export_model",
@@ -104,7 +103,6 @@ __all__ = [
     "plan_export",
     "plan_export_output",
     "plan_model",
-    "producers_of",
     "reduce_producers",
     "reorder_graph_from_sets",
     "run",

@@ -14,6 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from reslice.graph import ChannelMask, LayerKind, ModelGraph, ValidationError
+from reslice.planner import output_refusal
 from reslice.segments import Segment
 
 HEURISTICS = ("l1", "l2", "lamp", "random")
@@ -68,17 +69,9 @@ def score_channels(graph: ModelGraph, weights: Mapping[str, np.ndarray],
 
 
 def _skip_for_output(graph: ModelGraph, segments: list[Segment]) -> set[str]:
-    # Producers the output-side rewriter cannot prune: fixed layouts (locked
-    # or unsupported segments), joins that cannot be rebuilt as one run set,
-    # and per-channel offsets that would leak a dropped channel's bias.
-    skip: set[str] = set()
-    for seg in segments:
-        joins = [u for u in seg.interior
-                 if graph.layer(u).kind in (LayerKind.ADD, LayerKind.CONCAT)]
-        offsets = any(graph.layer(u).kind is LayerKind.PER_CHANNEL for u in seg.interior)
-        if seg.reorder_locked or seg.unsupported or len(joins) > 1 or offsets:
-            skip.update(seg.producers)
-    return skip
+    # Producers of the segments whose filters output mode cannot drop.
+    return {p for seg in segments if output_refusal(graph, seg) is not None
+            for p in seg.producers}
 
 
 def _targets(graph: ModelGraph, scores: ChannelScore, segments: list[Segment],
@@ -167,9 +160,10 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
                scope: str = SCOPE_GLOBAL) -> ChannelMask:
     """Retained-channel masks pruning roughly ``sparsity`` of scored pairs.
 
-    Output-side masks silently skip producers whose segment cannot be
-    rewritten (locked layouts, stacked joins, per-channel offsets), so the
-    result is always exportable.
+    Output-side masks silently skip the producers of every segment that
+    output mode refuses (``output_refusal``: locked layouts, stacked joins,
+    per-channel offsets, join operands it cannot trace), so the result is
+    always exportable.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError([f"sparsity must be in [0, 1), got {sparsity}"])

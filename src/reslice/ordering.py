@@ -14,7 +14,6 @@ every consumer's retained block contiguous, one exists in that family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 from typing import Mapping
@@ -28,16 +27,9 @@ MAX_PATTERNS_PER_BAND = 8
 MAX_ZERO_COPY_COMBINATIONS = 50_000
 
 
-@dataclass(frozen=True)
-class ChannelOrder:
-    """New memory layout for one segment's shared channel space."""
-
-    order: tuple[int, ...]    # kept slots, in their new order
-    dropped: tuple[int, ...]  # slots retained by no consumer, ascending
-
-
-def order_channels(graph: ReorderGraph, paths: list[Path]) -> ChannelOrder:
-    """Emit a channel order realizing the given path decomposition.
+def order_channels(graph: ReorderGraph, paths: list[Path]) -> tuple[int, ...]:
+    """Emit a channel order realizing the given path decomposition: the
+    retained slots in their new order (a slot no node retains is dropped).
 
     Paths are processed in order; each tracks its own nodes plus the
     parents it absorbed. Retained slots of nodes on no path are appended
@@ -84,23 +76,20 @@ def order_channels(graph: ReorderGraph, paths: list[Path]) -> ChannelOrder:
             emitted_set.add(channel)
 
     emitted.extend(sorted(all_retained - emitted_set))
-    dropped = sorted(set(range(graph.channel_space)) - all_retained)
-    return ChannelOrder(order=tuple(emitted), dropped=tuple(dropped))
+    return tuple(emitted)
 
 
-def band_layouts(segment: Segment, order: ChannelOrder) -> dict[str, tuple[int, ...]]:
+def band_layouts(segment: Segment, order: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
     """Per-producer slot layouts induced by a segment-wide channel order.
 
-    Each producer keeps its own band's surviving slots, arranged by their
-    position in ``order``. A band whose slots are all dropped keeps its
+    Each producer keeps its own band's slots that ``order`` keeps, arranged
+    by their position there. A band whose slots are all dropped keeps its
     lowest slot so no layer ends up with zero channels.
     """
-    position = {slot: i for i, slot in enumerate(order.order)}
-    dropped = set(order.dropped)
+    position = {slot: i for i, slot in enumerate(order)}
     layouts: dict[str, tuple[int, ...]] = {}
     for band in segment.bands:
-        kept = sorted((s for s in band.slots if s not in dropped),
-                      key=position.__getitem__)
+        kept = sorted((s for s in band.slots if s in position), key=position.__getitem__)
         if not kept:
             kept = [min(band.slots)]
         for p in band.producers:
@@ -117,7 +106,7 @@ def find_zero_copy_order(
     graph: ModelGraph,
     segment: Segment,
     retained: Mapping[str, frozenset[int]],
-) -> ChannelOrder | None:
+) -> tuple[int, ...] | None:
     """Search for a channel order making every consumer's block contiguous.
 
     Slots with identical consumer membership are grouped; each band tries
@@ -162,7 +151,5 @@ def find_zero_copy_order(
         vectors = propagate_vectors(graph, segment.interior, layouts)
         if all(_contiguous(vectors[graph.predecessors(c)[0]], wanted[c])
                for c in segment.consumers):
-            order = tuple(s for band in segment.bands for s in layouts[band.producers[0]])
-            dropped = sorted(set(range(segment.channel_space)) - set(order))
-            return ChannelOrder(order, tuple(dropped))
+            return tuple(s for band in segment.bands for s in layouts[band.producers[0]])
     return None

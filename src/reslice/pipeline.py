@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 
 from reslice.graph import ChannelMask, ModelGraph, ValidationError, WeightStore, validate_masks
-from reslice.ordering import ChannelOrder, find_zero_copy_order, order_channels
+from reslice.ordering import find_zero_copy_order, order_channels
 from reslice.path_search import decompose_paths
 from reslice.planner import (
     MODE_INPUT,
@@ -59,7 +59,7 @@ def _plan_reorder_input(graph: ModelGraph, segment: Segment, masks: ChannelMask)
     if segment.unsupported is not None:
         raise UnsupportedTopologyError(segment.id, segment.unsupported)
     if segment.reorder_locked:
-        return plan_export(graph, segment, ChannelOrder((), ()), (), masks)
+        return plan_export(graph, segment, (), (), masks)
     rg = build_reorder_graph(segment, masks)
     paths = decompose_paths(rg)
     order = order_channels(rg, paths)

@@ -1,11 +1,12 @@
 """Export planning: turn a channel order into a concrete graph rewrite.
 
-A SegmentPlan is a pure value describing, per segment: how each producer's
-filters are reordered and which are dropped, how each consumer reads the
-rewritten tensor (contiguous slice + column permutation, or an explicit
-gather), how interior per-channel vectors are permuted, and the exact copy
-cost. ``apply_plan`` executes plans mechanically; it never re-derives
-anything, so a serialized plan is a complete record of the transformation.
+A SegmentPlan is a pure value describing, per segment: which filters each
+producer keeps and in what order (the rest are dropped), how each consumer
+reads the rewritten tensor (contiguous slice + column permutation, or an
+explicit gather), how interior per-channel vectors are permuted, and the
+exact copy cost. ``apply_plan`` executes plans mechanically; it never
+re-derives anything, so a serialized plan is a complete record of the
+transformation.
 
 Input mode prunes consumer input channels (the default). Output mode prunes
 producer output channels and rewrites the join as runs of slices combined
@@ -34,7 +35,7 @@ from reslice.graph import (
     _load_json,
     validate,
 )
-from reslice.ordering import ChannelOrder, band_layouts, order_channels
+from reslice.ordering import band_layouts, order_channels
 from reslice.path_search import decompose_paths
 from reslice.reorder_graph import (
     ProducerEquivalence,
@@ -116,7 +117,6 @@ class SegmentPlan:
     producers: tuple[str, ...]
     interior: tuple[str, ...]
     producer_orders: dict[str, tuple[int, ...]]  # kept local filters, new order
-    dropped: dict[str, tuple[int, ...]]  # removed local filters, ascending
     zero_rows: dict[str, tuple[int, ...]]  # kept filters forced to zero (sentinels)
     consumers: tuple[ConsumerAccess, ...]
     per_channel: dict[str, tuple[int, ...]]  # interior vector id -> old positions, new order
@@ -156,26 +156,23 @@ def _identity_orders(graph: ModelGraph, segment: Segment) -> dict[str, tuple[int
 def _structure_from_layouts(
     graph: ModelGraph, segment: Segment,
     layouts: Mapping[str, tuple[int, ...]], vectors: Mapping[str, tuple[int, ...]],
-) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
-    """Producer row orders, dropped rows, and per-channel vector perms
-    induced by new per-producer slot layouts."""
+) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
+    """Producer row orders and per-channel vector perms induced by new
+    per-producer slot layouts."""
     producer_orders = {}
-    dropped = {}
     for p in segment.producers:
         local_of = {slot: i for i, slot in enumerate(segment.producer_slots[p])}
-        rows = tuple(local_of[s] for s in layouts[p])
-        producer_orders[p] = rows
-        dropped[p] = tuple(sorted(set(local_of.values()) - set(rows)))
+        producer_orders[p] = tuple(local_of[s] for s in layouts[p])
     per_channel = {}
     for u in segment.interior:
         if graph.layer(u).kind is LayerKind.PER_CHANNEL:
             old_pos = {slot: i for i, slot in enumerate(segment.node_slots[u])}
             per_channel[u] = tuple(old_pos[s] for s in vectors[u])
-    return producer_orders, dropped, per_channel
+    return producer_orders, per_channel
 
 
 def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strategy: str,
-                order: ChannelOrder | None) -> SegmentPlan:
+                order: tuple[int, ...] | None) -> SegmentPlan:
     """The input-mode plan in which the producers adopt ``order``.
 
     With no order the layout stays fixed: no filter moves or is dropped, a
@@ -191,12 +188,11 @@ def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strateg
         raise ValidationError([f"{c}: mask keeps no channel" for c in empty])
     if order is None:
         producer_orders = _identity_orders(graph, segment)
-        dropped: dict[str, tuple[int, ...]] = {}
         per_channel: dict[str, tuple[int, ...]] = {}
     else:
         layouts = band_layouts(segment, order)
         vectors = propagate_vectors(graph, segment.interior, layouts)
-        producer_orders, dropped, per_channel = _structure_from_layouts(
+        producer_orders, per_channel = _structure_from_layouts(
             graph, segment, layouts, vectors)
 
     accesses = []
@@ -226,7 +222,7 @@ def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strateg
     return SegmentPlan(
         segment=segment.id, mode=MODE_INPUT, strategy=strategy,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, dropped=dropped, zero_rows={},
+        producer_orders=producer_orders, zero_rows={},
         consumers=tuple(accesses), per_channel=per_channel,
         zero_columns=zero_columns, infill={}, join=None,
         stats=CopyStats(sum(len(k) for k in kept.values()),
@@ -234,16 +230,15 @@ def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strateg
     )
 
 
-def _in_place_order(segment: Segment, slots: Mapping[str, frozenset[int]]) -> ChannelOrder:
+def _in_place_order(segment: Segment, slots: Mapping[str, frozenset[int]]) -> tuple[int, ...]:
     """The identity order minus the channels read by consumers but retained
     by none of them."""
     read = {s for c in segment.consumers for s in segment.consumer_slots[c]}
     gone = read.difference(*slots.values())
-    return ChannelOrder(tuple(s for s in range(segment.channel_space) if s not in gone),
-                        tuple(sorted(gone)))
+    return tuple(s for s in range(segment.channel_space) if s not in gone)
 
 
-def plan_export(graph: ModelGraph, segment: Segment, order: ChannelOrder,
+def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...],
                 equivalences: Iterable[ProducerEquivalence], masks: ChannelMask) -> SegmentPlan:
     """Reordered export: producers adopt the order, consumers contiguous in
     their rewritten read vector get slices, the rest get gathers. A segment
@@ -260,10 +255,8 @@ def plan_export(graph: ModelGraph, segment: Segment, order: ChannelOrder,
 
     slots = retained_slots(segment, masks)
     needed = set().union(*slots.values()) if slots else set()
-    if not needed <= set(order.order):
+    if not needed <= set(order):
         raise ValidationError([f"{segment.id}: order does not cover all retained channels"])
-    if set(order.order) & set(order.dropped):
-        raise ValidationError([f"{segment.id}: order and dropped overlap"])
     return _plan_input(graph, segment, masks, STRATEGY_REORDER, order)
 
 
@@ -276,8 +269,8 @@ def plan_baseline(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> Se
     if segment.unsupported is None and not segment.reorder_locked:
         slots = retained_slots(segment, masks)
         in_place = _in_place_order(segment, slots)
-        gone = set(in_place.dropped)
-        if all(slots[c] == set(segment.consumer_slots[c]) - gone for c in segment.consumers):
+        if all(slots[c] == set(segment.consumer_slots[c]).intersection(in_place)
+               for c in segment.consumers):
             order = in_place
     return _plan_input(graph, segment, masks, STRATEGY_BASELINE, order)
 
@@ -305,7 +298,6 @@ def _output_baseline(graph: ModelGraph, segment: Segment, output_masks: ChannelM
     is equivalent for any topology, bias layers included."""
     kept_filters = _retained_indices(segment.producer_slots, output_masks, "output mask")
     producer_orders = {}
-    dropped = {}
     infill = {}
     total = 0
     copied = 0
@@ -317,23 +309,20 @@ def _output_baseline(graph: ModelGraph, segment: Segment, output_masks: ChannelM
                 # nothing survives; keep one dangling filter so the layer
                 # stays legal and fill the whole tensor with zeros
                 producer_orders[p] = (0,)
-                dropped[p] = tuple(range(1, width))
                 infill[p] = tuple([-1] * width)
                 continue
             new_index = {local: i for i, local in enumerate(kept)}
             producer_orders[p] = tuple(kept)
-            dropped[p] = tuple(sorted(set(range(width)) - set(kept)))
             infill[p] = tuple(new_index.get(i, -1) for i in range(width))
             total += len(kept)
             copied += len(kept)
         else:
             producer_orders[p] = tuple(range(width))
-            dropped[p] = ()
             total += width
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_BASELINE,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, dropped=dropped, zero_rows={},
+        producer_orders=producer_orders, zero_rows={},
         consumers=(), per_channel={}, zero_columns={}, infill=infill, join=None,
         stats=CopyStats(total, copied),
     )
@@ -359,6 +348,30 @@ def _trace_join_operands(graph: ModelGraph, segment: Segment, join: str) -> dict
     return operands
 
 
+def output_refusal(graph: ModelGraph, segment: Segment) -> str | None:
+    """Why output mode cannot drop filters of the segment's producers, or
+    None when it can."""
+    if segment.unsupported is not None:
+        return segment.unsupported
+    if segment.reorder_locked:
+        return ("producers cannot drop output channels here "
+                "(model boundary or fixed layout); use the baseline infill")
+    biased = [u for u in segment.interior if graph.layer(u).kind is LayerKind.PER_CHANNEL]
+    if biased:
+        return (f"per-channel layer {biased[0]} inside an output-pruned segment: "
+                "a dropped channel's contribution would not stay zero")
+    joins = [u for u in segment.interior
+             if graph.layer(u).kind in (LayerKind.ADD, LayerKind.CONCAT)]
+    if len(joins) > 1:
+        return "more than one join between producers"
+    try:
+        for join in joins:
+            _trace_join_operands(graph, segment, join)
+    except UnsupportedTopologyError as exc:
+        return exc.reason
+    return None
+
+
 def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: ChannelMask,
                        strategy: str = STRATEGY_REORDER) -> SegmentPlan:
     """Output-side pruning: producers drop their own pruned filters.
@@ -380,30 +393,19 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
     masked = [p for p in segment.producers
               if p in output_masks
               and set(output_masks[p]) != set(range(graph.layer(p).out_channels))]
-    if segment.reorder_locked:
-        if masked:
-            raise UnsupportedTopologyError(
-                segment.id, "producers cannot drop output channels here "
-                "(model boundary or fixed layout); use the baseline infill")
+    if segment.reorder_locked and not masked:
         return SegmentPlan(
             segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_REORDER,
             producers=segment.producers, interior=segment.interior,
             producer_orders=_identity_orders(graph, segment),
-            dropped={}, zero_rows={}, consumers=(), per_channel={},
+            zero_rows={}, consumers=(), per_channel={},
             zero_columns={}, infill={}, join=None,
             stats=CopyStats(sum(graph.layer(p).out_channels for p in segment.producers), 0),
         )
 
-    joins = [u for u in segment.interior
-             if graph.layer(u).kind in (LayerKind.ADD, LayerKind.CONCAT)]
-    biased = [u for u in segment.interior
-              if graph.layer(u).kind is LayerKind.PER_CHANNEL]
-    if biased:
-        raise UnsupportedTopologyError(
-            segment.id, f"per-channel layer {biased[0]} inside an output-pruned segment: "
-            "a dropped channel's contribution would not stay zero")
-    if len(joins) > 1:
-        raise UnsupportedTopologyError(segment.id, "more than one join between producers")
+    reason = output_refusal(graph, segment)
+    if reason is not None:
+        raise UnsupportedTopologyError(segment.id, reason)
 
     # a producer whose mask is empty keeps filter 0, zeroed, so it stays non-empty
     kept = _retained_indices(segment.producer_slots, output_masks, "output mask")
@@ -415,10 +417,10 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
     order = order_channels(rg, paths)
 
     # no per-channel layer lies inside, so the layouts need no vectors
-    position = {slot: i for i, slot in enumerate(order.order)}
+    position = {slot: i for i, slot in enumerate(order)}
     layouts = {p: tuple(sorted(retained[p], key=position.__getitem__))
                for p in segment.producers}
-    producer_orders, dropped, _ = _structure_from_layouts(graph, segment, layouts, {})
+    producer_orders, _ = _structure_from_layouts(graph, segment, layouts, {})
     total = sum(len(rows) for rows in producer_orders.values())
     copied = 0
     for layout in layouts.values():
@@ -426,6 +428,8 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
             copied += len(layout)
 
     join_rewrite = None
+    joins = [u for u in segment.interior
+             if graph.layer(u).kind in (LayerKind.ADD, LayerKind.CONCAT)]
     if joins:
         join = joins[0]
         kind = graph.layer(join).kind.value
@@ -443,7 +447,7 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
                                     {p: (run_start[p], run_len) for p in sorted(run_sig)}))
             run_len = 0
 
-        for slot in order.order:
+        for slot in order:
             sig = frozenset(p for p in segment.producers if slot in retained[p])
             if sig != run_sig:
                 close_run()
@@ -467,7 +471,7 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
 
     # consumers read everything that survived; always a full slice. The
     # rewritten join emits the combined order; pass-throughs forward it.
-    overrides = {join_rewrite.join: order.order} if join_rewrite else None
+    overrides = {join_rewrite.join: order} if join_rewrite else None
     vectors = propagate_vectors(graph, segment.interior, layouts, overrides=overrides)
     accesses = []
     for c in segment.consumers:
@@ -479,7 +483,7 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_REORDER,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, dropped=dropped, zero_rows=zero_rows,
+        producer_orders=producer_orders, zero_rows=zero_rows,
         consumers=tuple(accesses), per_channel={}, zero_columns={},
         infill={}, join=join_rewrite,
         stats=CopyStats(total, copied),
@@ -563,8 +567,8 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
     """Raise ValidationError unless every layer the plan names exists in the
     model under rewrite, in the role the plan gives it."""
     layers = rw.layers
-    named = {*plan.producers, *plan.interior, *plan.producer_orders, *plan.dropped,
-             *plan.zero_rows, *(a.consumer for a in plan.consumers), *plan.per_channel,
+    named = {*plan.producers, *plan.interior, *plan.producer_orders, *plan.zero_rows,
+             *(a.consumer for a in plan.consumers), *plan.per_channel,
              *plan.zero_columns, *plan.infill}
     if plan.join is not None:
         jr = plan.join
@@ -583,8 +587,6 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
                       ("consumer", [a.consumer for a in plan.consumers])):
         if len(set(ids)) != len(ids):
             raise ValidationError([f"plan {plan.segment}: a {role} is named twice"])
-    if not plan.dropped.keys() <= set(plan.producers):
-        raise ValidationError([f"plan {plan.segment}: drops filters of a non-producer"])
     for p in plan.producers:
         if layers[p].kind not in (LayerKind.CHANNEL_MIX, LayerKind.INPUT):
             raise ValidationError([f"plan {plan.segment}: producer {p!r} is a "
@@ -624,10 +626,6 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
         if lay.kind is LayerKind.INPUT and rows != tuple(range(lay.out_channels)):
             raise ValidationError([f"{p}: cannot permute a model input"])
         _check_indices(plan, f"{p} filter order", rows, range(lay.out_channels))
-        unused = sorted(set(range(lay.out_channels)).difference(rows))
-        if list(plan.dropped.get(p, ())) != unused:
-            raise ValidationError([f"plan {plan.segment}: {p} dropped filters are not the "
-                                   "complement of its filter order"])
         if lay.kind is LayerKind.INPUT:
             continue
         _check_indices(plan, f"{p} zero rows", plan.zero_rows.get(p, ()), set(rows))
@@ -711,6 +709,8 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
             w = pred_widths[0]
         elif lay.kind in (LayerKind.PASS_THROUGH, LayerKind.PER_CHANNEL):
             w = pred_widths[0]
+        elif lay.kind in (LayerKind.SLICE, LayerKind.GATHER):
+            continue  # only locked segments hold these, and their inputs keep their width
         else:
             raise ValidationError([f"{u}: unexpected {lay.kind.value} interior layer"])
         layers[u] = replace(lay, in_channels=w, out_channels=w)
@@ -838,7 +838,6 @@ def plan_to_dict(plan: SegmentPlan) -> dict:
         "producers": list(plan.producers),
         "interior": list(plan.interior),
         "producer_orders": _int_map_to_dict(plan.producer_orders),
-        "dropped": _int_map_to_dict(plan.dropped),
         "zero_rows": _int_map_to_dict(plan.zero_rows),
         "consumers": [_access_to_dict(a) for a in plan.consumers],
         "per_channel": _int_map_to_dict(plan.per_channel),
@@ -871,7 +870,6 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             producers=tuple(str(p) for p in obj["producers"]),
             interior=tuple(str(u) for u in obj["interior"]),
             producer_orders=_int_map_from_dict(obj["producer_orders"]),
-            dropped=_int_map_from_dict(obj["dropped"]),
             zero_rows=_int_map_from_dict(obj["zero_rows"]),
             consumers=tuple(_access_from_dict(rec) for rec in obj["consumers"]),
             per_channel=_int_map_from_dict(obj["per_channel"]),

@@ -49,7 +49,6 @@ class ReorderGraph:
     nodes: dict[str, RGNode]
     edges: dict[tuple[str, str], frozenset[int]]  # key: sorted id pair -> shared
     parents: dict[str, tuple[str, ...]]  # parent node -> children (strict subsets)
-    exempt: frozenset[tuple[str, str]]  # parent-child pairs, sorted
     channel_space: int
 
     @staticmethod
@@ -66,7 +65,7 @@ class ReorderGraph:
         return self._key(u, v) in self.edges
 
     def is_exempt(self, u: str, v: str) -> bool:
-        return self._key(u, v) in self.exempt
+        return v in self.parents.get(u, ()) or u in self.parents.get(v, ())
 
     def subgraph(self, keep: Iterable[str]) -> "ReorderGraph":
         keep = set(keep)
@@ -77,7 +76,6 @@ def _from_nodes(nodes: Iterable[RGNode], channel_space: int) -> ReorderGraph:
     node_map = {n.id: n for n in nodes}
     ids = sorted(node_map)
     edges: dict[tuple[str, str], frozenset[int]] = {}
-    exempt: set[tuple[str, str]] = set()
     children: dict[str, list[str]] = {i: [] for i in ids}
     for i, u in enumerate(ids):
         ru = node_map[u].retained
@@ -88,12 +86,10 @@ def _from_nodes(nodes: Iterable[RGNode], channel_space: int) -> ReorderGraph:
                 edges[(u, v)] = frozenset(shared)
             if ru < rv:
                 children[v].append(u)
-                exempt.add((u, v))
             elif rv < ru:
                 children[u].append(v)
-                exempt.add((u, v))
     parents = {p: tuple(sorted(cs)) for p, cs in children.items() if cs}
-    return ReorderGraph(node_map, edges, parents, frozenset(exempt), channel_space)
+    return ReorderGraph(node_map, edges, parents, channel_space)
 
 
 def reorder_graph_from_sets(retained: Mapping[str, Iterable[int]],

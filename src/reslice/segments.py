@@ -1,12 +1,13 @@
-"""Segment extraction: fixed-point closure of producers and consumers.
+"""Segment extraction: one walk finds each producer/consumer segment.
 
 A segment is the unit that can be pruned independently: the set of layers
 producing into one shared tensor space, the channel-mixing layers reading
-from it, and the add/concat/pass-through plumbing in between. Closure:
-starting from any producer, alternate consumers-of / producers-of until
-both sets stop growing.
+from it, and the add/concat/pass-through plumbing in between. One worklist
+walk from a seed producer finds all of it: producers expand forward,
+interior nodes expand both ways, a channel mix reached forward is a
+consumer and one reached backward is another producer.
 
-Alongside the closure this module computes the segment's *slot space*: a
+Alongside the walk this module computes the segment's *slot space*: a
 canonical index set for the shared tensor's channels. Add joins identify
 producer channels positionally (channel i of each summed input is the same
 slot); concat gives each input its own block of slots. The per-producer
@@ -70,51 +71,6 @@ class Segment:
 
 def _is_producer_kind(kind: LayerKind) -> bool:
     return kind in (LayerKind.CHANNEL_MIX, LayerKind.INPUT)
-
-
-def _forward(graph: ModelGraph, producers: Iterable[str]) -> tuple[set[str], set[str]]:
-    """(consumers, interior nodes) reachable forward from the producers."""
-    consumers: set[str] = set()
-    interior: set[str] = set()
-    stack: list[str] = []
-    for p in producers:
-        graph.layer(p)  # raises KeyError for unknown ids
-        stack.extend(graph.successors(p))
-    while stack:
-        u = stack.pop()
-        kind = graph.layer(u).kind
-        if kind is LayerKind.CHANNEL_MIX:
-            consumers.add(u)
-        elif kind in INTERIOR_KINDS and u not in interior:
-            interior.add(u)
-            stack.extend(graph.successors(u))
-    return consumers, interior
-
-
-def consumers_of(graph: ModelGraph, producers: Iterable[str]) -> set[str]:
-    """All channel-mixing layers reachable from any producer's output
-    through interior-kind layers only."""
-    return _forward(graph, producers)[0]
-
-
-def producers_of(graph: ModelGraph, nodes: Iterable[str]) -> set[str]:
-    """All producing layers (channel-mixing or model inputs) feeding any
-    given node's input through interior-kind layers only."""
-    producers: set[str] = set()
-    seen: set[str] = set()
-    stack: list[str] = []
-    for c in nodes:
-        graph.layer(c)
-        stack.extend(graph.predecessors(c))
-    while stack:
-        u = stack.pop()
-        kind = graph.layer(u).kind
-        if _is_producer_kind(kind):
-            producers.add(u)
-        elif kind in INTERIOR_KINDS and u not in seen:
-            seen.add(u)
-            stack.extend(graph.predecessors(u))
-    return producers
 
 
 def propagate_vectors(
@@ -184,26 +140,45 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _build_segment(graph: ModelGraph, producers: set[str], consumers: set[str]) -> Segment:
-    producer_ids = tuple(sorted(producers))
-    consumer_ids = tuple(sorted(consumers))
+def _walk(graph: ModelGraph, seed: str) -> tuple[set[str], set[str], set[str], bool]:
+    """(producers, interior, consumers, reads model output) of the segment
+    holding producer ``seed``.
 
-    # collect interior nodes and output-boundary flag by a forward walk
-    interior: set[str] = set()
+    Producers expand forward and interior nodes both ways, so joins pull in
+    every operand's producer even when nothing consumes the join (a
+    residual add feeding the model output, say).
+    """
+    producers, interior, consumers = {seed}, set(), set()
     reads_output = False
-    stack = [s for p in producer_ids for s in graph.successors(p)]
+    stack = [seed]
     while stack:
         u = stack.pop()
-        kind = graph.layer(u).kind
-        if kind is LayerKind.CHANNEL_MIX:
-            continue
-        if kind is LayerKind.OUTPUT:
-            reads_output = True
-            continue
+        steps = [(v, True) for v in graph.successors(u)]
         if u in interior:
-            continue
-        interior.add(u)
-        stack.extend(graph.successors(u))
+            steps += [(v, False) for v in graph.predecessors(u)]
+        for v, forward in steps:
+            kind = graph.layer(v).kind
+            if kind in INTERIOR_KINDS:
+                found = interior
+            elif kind is LayerKind.OUTPUT:
+                reads_output |= forward
+                continue
+            elif forward:  # a channel mix reading the segment
+                consumers.add(v)
+                continue
+            else:  # a channel mix or model input writing into it
+                found = producers
+            if v not in found:
+                found.add(v)
+                stack.append(v)
+    return producers, interior, consumers, reads_output
+
+
+def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
+                   consumers: set[str], reads_output: bool) -> Segment:
+    producer_ids = tuple(sorted(producers))
+    consumer_ids = tuple(sorted(consumers))
+    interior_ids = tuple(sorted(interior))
 
     # raw slot ids: one per producer output channel, in sorted-producer order
     raw_of: dict[str, range] = {}
@@ -240,7 +215,7 @@ def _build_segment(graph: ModelGraph, producers: set[str], consumers: set[str]) 
         return tuple(canon[uf.find(x)] for x in vec)
 
     producer_slots = {p: canon_vec(producer_vectors[p]) for p in producer_ids}
-    node_slots = {u: canon_vec(vectors[u]) for u in interior}
+    node_slots = {u: canon_vec(vectors[u]) for u in interior_ids}
     consumer_slots = {}
     for c in consumer_ids:
         pred = graph.predecessors(c)[0]
@@ -284,7 +259,7 @@ def _build_segment(graph: ModelGraph, producers: set[str], consumers: set[str]) 
     return Segment(
         producers=producer_ids,
         consumers=consumer_ids,
-        interior=tuple(sorted(interior)),
+        interior=interior_ids,
         channel_space=len(canon),
         producer_slots=producer_slots,
         consumer_slots=consumer_slots,
@@ -298,7 +273,7 @@ def _build_segment(graph: ModelGraph, producers: set[str], consumers: set[str]) 
 
 
 def find_segments(graph: ModelGraph) -> list[Segment]:
-    """Partition the graph into closed producer/consumer segments.
+    """Partition the graph into producer/consumer segments.
 
     Deterministic: seeds are visited in topological order and the result is
     sorted by each segment's smallest producer id. Producers whose output
@@ -307,21 +282,10 @@ def find_segments(graph: ModelGraph) -> list[Segment]:
     assigned: set[str] = set()
     segments: list[Segment] = []
     for seed in graph.topological_order():
-        layer = graph.layer(seed)
-        if not _is_producer_kind(layer.kind) or seed in assigned:
+        if (seed in assigned or not graph.successors(seed)
+                or not _is_producer_kind(graph.layer(seed).kind)):
             continue
-        if not graph.successors(seed):
-            continue
-        prods = {seed}
-        while True:
-            # joins must pull in every operand's producer even when nothing
-            # consumes them (e.g. a residual add feeding the model output),
-            # so the backward walk is seeded from interior nodes as well
-            cons, interior = _forward(graph, prods)
-            grown = producers_of(graph, cons | interior) | prods
-            if grown == prods:
-                break
-            prods = grown
-        segments.append(_build_segment(graph, prods, cons))
-        assigned |= prods
+        segment = _build_segment(graph, *_walk(graph, seed))
+        segments.append(segment)
+        assigned.update(segment.producers)
     return sorted(segments, key=lambda s: s.producers[0])

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, files written, output shape."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,17 +232,63 @@ def test_verify_join_run_naming_producers_without_windows_is_exit_4(
     assert "verification failed" in err and "names producers without windows" in err
 
 
-@pytest.mark.parametrize("dropped", [{"A": [99]}, {"A": []}, {"B": []}])
-def test_verify_dropped_filters_must_match_the_filter_order(model_files, capsys, dropped):
+@pytest.mark.parametrize("mode,masks", [
+    ("input", {"B": (0, 2), "D": (1, 2)}),
+    ("output", {"A": (0, 2, 3), "C": (0, 1, 3)})])
+def test_verify_accepts_a_plan_file_with_the_old_dropped_field(model_files, capsys, mode, masks):
+    # earlier versions also wrote each producer's dropped filters, the
+    # complement of its filter order; the reader ignores them
     tmp, model, weights = model_files
+    mfile = tmp / "masks.json"
+    save_masks(masks, mfile)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights, "--mode", mode,
+                   "--masks", mfile, "--out-prefix", prefix) == 0
+    ppath = tmp / "exported.plan.json"
+    plans = load_plans(ppath)
+    old = json.loads(ppath.read_text())
+    for segment in old["segments"]:  # both producers, A and C, are 4 wide
+        assert "dropped" not in segment
+        segment["dropped"] = {p: sorted(set(range(4)) - set(rows))
+                              for p, rows in segment["producer_orders"].items()}
+    if mode == "output":
+        assert old["segments"][0]["dropped"] == {"A": [1], "C": [2]}
+    ppath.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    assert load_plans(ppath) == plans
+    assert run_cli("verify", "--model", model, "--weights", weights, "--mode", mode,
+                   "--masks", mfile, "--out-prefix", prefix) == 0
+    assert "max deviation" in capsys.readouterr().out
 
-    def tamper(segment):
-        assert segment["dropped"] == {"A": [1], "C": [2]}
-        segment["dropped"] = {**segment["dropped"], **dropped}
-    assert _tamper_output_plan(tmp, model, weights, capsys, tamper) == 4
+
+def test_verify_with_other_masks_than_the_export_is_exit_4(model_files, capsys):
+    tmp, model, weights = model_files
+    masks, other = tmp / "masks.json", tmp / "other.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    save_masks({"B": (0, 1), "D": (1, 2)}, other)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights,
+                   "--masks", other, "--out-prefix", prefix) == 4
+    captured = capsys.readouterr()
+    assert "max deviation" in captured.out
+    assert "verification failed: deviation exceeds tolerance" in captured.err
+
+
+@pytest.mark.parametrize("command", ["export", "verify", "stats"])
+@pytest.mark.parametrize("content", [None, "not json", "[]"])
+def test_missing_or_malformed_model_file_is_exit_1(model_files, capsys, command, content):
+    tmp, _model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2)}, masks)
+    model = tmp / "broken.model.json"
+    if content is not None:
+        model.write_text(content)
+    assert run_cli(command, "--model", model, "--weights", weights, "--masks", masks,
+                   *(("--out-prefix", tmp / "x") if command != "stats" else ())) == 1
     err = capsys.readouterr().err
-    assert "verification failed" in err
-    assert "complement of its filter order" in err or "drops filters of a non-producer" in err
+    assert err.startswith("error: ") and "broken.model.json" in err
 
 
 def test_verify_accepts_a_plan_file_with_the_old_zero_copy_optimal_field(model_files, capsys):
@@ -295,9 +343,13 @@ def test_console_script_smoke(model_files):
     tmp, model, weights = model_files
     masks = tmp / "masks.json"
     save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "reslice.cli", "stats", "--model", model,
          "--weights", weights, "--masks", str(masks)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "reorder" in proc.stdout

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import (INPUT, MIX, OUTPUT, PER, build_model, concat_fixture,
+from helpers import (ADD, INPUT, MIX, OUTPUT, PASS, PER, build_model, concat_fixture,
                      residual_block_fixture, single_branch_fixture)
 from reslice.graph import ValidationError, validate_masks
+from reslice.interp import check_equivalence
 from reslice.masks import achieved_sparsity, make_masks, score_channels
+from reslice.pipeline import export_model
+from reslice.planner import output_refusal
 from reslice.segments import find_segments
 
 
@@ -192,6 +195,24 @@ def test_output_masks_skip_fragile_producers():
     masks = make_masks(with_bias, scores, 0.4, "unconstrained",
                        find_segments(with_bias), side="output")
     assert masks == {}
+
+
+def test_output_masks_skip_a_producer_feeding_the_join_twice():
+    # A reaches the join directly and through r; output mode cannot rebuild
+    # such a join, so the masks leave A whole and the export succeeds
+    graph, weights = build_model(
+        [("in", INPUT, 4, 4), ("A", MIX, 4, 6), ("r", PASS, 6, 6), ("j", ADD, 6, 6),
+         ("B", MIX, 6, 3), ("out", OUTPUT, 3, 3)],
+        [("in", "A"), ("A", "r"), ("A", "j"), ("r", "j"), ("j", "B"), ("B", "out")])
+    segment = next(s for s in find_segments(graph) if s.producers == ("A",))
+    assert output_refusal(graph, segment) == "producer A feeds the join twice"
+    scores = score_channels(graph, weights.tensors, "l2", side="output")
+    masks = make_masks(graph, scores, 0.4, "unconstrained", find_segments(graph),
+                       side="output")
+    assert "A" not in masks
+    result = export_model(graph, weights, masks, mode="output")
+    assert check_equivalence(graph, weights, masks, result.graph, result.weights,
+                             mask_side="output").passed
 
 
 def test_make_masks_validates_arguments():

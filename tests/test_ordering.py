@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from reslice import find_segments
 from reslice.ordering import (
     MAX_PATTERNS_PER_BAND,
-    ChannelOrder,
     band_layouts,
     find_zero_copy_order,
     order_channels,
@@ -31,16 +30,14 @@ def contiguous(order, wanted):
 def test_disjoint_sets_emit_block_by_block():
     rg = reorder_graph_from_sets({"B": {0, 2}, "D": {1, 3}}, 4)
     order = order_channels(rg, decompose_paths(rg))
-    assert order.order == (0, 2, 1, 3)
-    assert order.dropped == ()
+    assert order == (0, 2, 1, 3)
 
 
 def test_shared_channel_sits_between_unique_blocks():
     # unique-to-B, shared, unique-to-D; the unretained channel is dropped
     rg = reorder_graph_from_sets({"B": {0, 2}, "D": {1, 2}}, 4)
     order = order_channels(rg, decompose_paths(rg))
-    assert order.order == (0, 2, 1)
-    assert order.dropped == (3,)
+    assert order == (0, 2, 1)
 
 
 def test_emission_follows_given_subset_path():
@@ -50,19 +47,19 @@ def test_emission_follows_given_subset_path():
         {"A": {0, 1, 2}, "B": {1, 2, 3, 4}, "C": {3, 4, 5},
          "D": {2, 3, 4}, "E": {1, 2, 4}}, 6)
     order = order_channels(rg, [Path(("A", "D", "E", "C"), 0, ("B",))])
-    assert order.order == (0, 1, 2, 4, 3, 5)
+    assert order == (0, 1, 2, 4, 3, 5)
     for node in rg.nodes.values():
-        assert contiguous(order.order, node.retained)
+        assert contiguous(order, node.retained)
 
 
 def test_off_path_channels_appended_ascending():
     rg = reorder_graph_from_sets({"B": {0, 2, 3}, "C": {1, 2, 3}, "D": {0, 3}}, 4)
     order = order_channels(rg, [Path(("B", "C"), 4), Path(("D",), 2)])
-    assert order.order == (0, 2, 3, 1)
-    assert contiguous(order.order, rg.nodes["B"].retained)
-    assert contiguous(order.order, rg.nodes["C"].retained)
+    assert order == (0, 2, 3, 1)
+    assert contiguous(order, rg.nodes["B"].retained)
+    assert contiguous(order, rg.nodes["C"].retained)
     # D's channels were all emitted already; it lands non-contiguous
-    assert not contiguous(order.order, rg.nodes["D"].retained)
+    assert not contiguous(order, rg.nodes["D"].retained)
 
 
 def test_unknown_path_node_rejected():
@@ -74,7 +71,7 @@ def test_unknown_path_node_rejected():
 def test_band_layouts_orders_each_band_independently():
     g, _ = concat_fixture(wa=3, wc=2)  # A owns slots 0-2, C owns 3-4
     seg = next(s for s in find_segments(g) if set(s.producers) == {"A", "C"})
-    order = ChannelOrder(order=(4, 1, 0, 3), dropped=(2,))
+    order = (4, 1, 0, 3)
     layouts = band_layouts(seg, order)
     assert layouts["A"] == (1, 0)  # slot 2 dropped, rest by order position
     assert layouts["C"] == (4, 3)
@@ -83,7 +80,7 @@ def test_band_layouts_orders_each_band_independently():
 def test_band_layouts_keeps_sentinel_for_dead_band():
     g, _ = concat_fixture(wa=3, wc=2)
     seg = next(s for s in find_segments(g) if set(s.producers) == {"A", "C"})
-    order = ChannelOrder(order=(1, 0, 2), dropped=(3, 4))
+    order = (1, 0, 2)
     layouts = band_layouts(seg, order)
     assert layouts["A"] == (1, 0, 2)
     assert layouts["C"] == (3,)  # lowest slot survives as a placeholder
@@ -97,9 +94,9 @@ def test_zero_copy_search_finds_layout_solver_missed():
         "E": (2, 3, 4), "F": (1, 2, 4),
     })
     found = find_zero_copy_order(g, seg, retained)
-    assert found == ChannelOrder(order=(0, 1, 2, 4, 3, 5), dropped=())
+    assert found == (0, 1, 2, 4, 3, 5)
     for want in retained.values():
-        assert contiguous(found.order, want)
+        assert contiguous(found, want)
 
 
 def test_zero_copy_search_exhausts_impossible_case():
@@ -141,8 +138,7 @@ def test_order_is_a_permutation_of_retained_channels(seed):
     rg = reorder_graph_from_sets(retained, channels)
     order = order_channels(rg, decompose_paths(rg))
     union = set().union(*(rg.nodes[n].retained for n in rg.nodes))
-    assert sorted(order.order) == sorted(union)
-    assert sorted(order.order + order.dropped) == list(range(channels))
+    assert sorted(order) == sorted(union)
 
 
 @settings(deadline=None, max_examples=60)
@@ -160,7 +156,7 @@ def test_chain_paths_emit_contiguous_blocks(seed):
         fresh = not any(rg.nodes[n].retained & emitted for n in tracked)
         if fresh and only_adjacent_overlaps(rg, tracked):
             for node in tracked:
-                assert contiguous(order.order, rg.nodes[node].retained)
+                assert contiguous(order, rg.nodes[node].retained)
         for node in tracked:
             emitted |= rg.nodes[node].retained
 

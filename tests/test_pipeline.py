@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PASS, build_model,
-                     fan_fixture, residual_block_fixture)
-from reslice.graph import ValidationError
+                     fan_fixture, random_dag, residual_block_fixture)
+from reslice.graph import LayerKind, ValidationError
 from reslice.interp import check_equivalence
+from reslice.masks import make_masks, score_channels
 from reslice.ordering import order_channels
 from reslice.path_search import decompose_paths
 from reslice.pipeline import export_model, plan_model
@@ -147,3 +148,37 @@ def test_output_mode_pipeline():
     report = check_equivalence(graph, weights, masks, base.graph,
                                base.weights, mask_side="output")
     assert report.passed
+
+
+EXPORTS = [("input", "reorder"), ("input", "baseline"), ("input", "constrained"),
+           ("output", "reorder"), ("output", "baseline")]
+
+
+def test_exported_models_export_again():
+    # an export holds slice and gather reads (and zero-filling gathers in
+    # output baseline); they lock their segments, and a second export under
+    # every mode and strategy must still apply and stay equivalent
+    repacked = zero_filled = renamed = 0
+    for seed in range(25):
+        for mode, strategy in EXPORTS:
+            graph, weights = random_dag(seed, bias_free=mode == "output")
+            scores = score_channels(graph, weights.tensors, "l2", side=mode)
+            masks = make_masks(graph, scores, 0.4, "unconstrained", find_segments(graph),
+                               side=mode)
+            first = export_model(graph, weights, masks, mode, strategy, "baseline")
+            segments = find_segments(first.graph)
+            repacked += any(first.graph.layer(u).kind in (LayerKind.SLICE, LayerKind.GATHER)
+                            for s in segments for u in s.interior)
+            zero_filled += any(-1 in l.params for l in first.graph.layers
+                               if l.kind is LayerKind.GATHER)
+            for mode2, strategy2 in EXPORTS:
+                scores = score_channels(first.graph, first.weights.tensors, "l2", side=mode2)
+                masks = make_masks(first.graph, scores, 0.3, "unconstrained", segments,
+                                   side=mode2)
+                second = export_model(first.graph, first.weights, masks, mode2, strategy2,
+                                      "baseline")
+                renamed += any(l.id.endswith("_2") for l in second.graph.layers)
+                report = check_equivalence(first.graph, first.weights, masks, second.graph,
+                                           second.weights, mask_side=mode2)
+                assert report.passed, (seed, mode, strategy, mode2, strategy2)
+    assert repacked > 25 and zero_filled > 10 and renamed > 10

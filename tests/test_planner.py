@@ -11,7 +11,7 @@ from reslice.graph import LayerKind, ModelFormatError, ModelGraph, ValidationErr
 from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
-from reslice.ordering import ChannelOrder, order_channels
+from reslice.ordering import order_channels
 from reslice.path_search import decompose_paths
 from reslice.planner import (ConsumerAccess, CopyStats, UnsupportedTopologyError, apply_plan,
                              copy_report, load_plans, plan_baseline,
@@ -42,12 +42,11 @@ def test_reordered_fan_accesses():
     graph, _ = fan_fixture(4, ("B", "C", "D"))
     s = seg(graph, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
-    plan = plan_export(graph, s, ChannelOrder((0, 2, 3, 1), ()), (), masks)
+    plan = plan_export(graph, s, (0, 2, 3, 1), (), masks)
 
     assert plan.mode == "input"
     assert plan.strategy == "reorder"
     assert plan.producer_orders["A"] == (0, 2, 3, 1)
-    assert plan.dropped.get("A", ()) == ()
 
     b = access(plan, "B")
     assert (b.mode, b.start, b.length, b.perm) == ("slice", 0, 3, (0, 2, 3))
@@ -66,7 +65,7 @@ def test_reversed_slice_window():
     masks = {"B": (0, 2), "D": (1, 2)}
     rg = build_reorder_graph(s, masks)
     order = order_channels(rg, decompose_paths(rg))
-    assert order == ChannelOrder((0, 2, 1), ())
+    assert order == (0, 2, 1)
 
     plan = plan_export(graph, s, order, (), masks)
     b = access(plan, "B")
@@ -79,7 +78,7 @@ def test_reversed_slice_window():
 def test_identity_plan_when_nothing_pruned():
     graph, weights = fan_fixture(4, ("B", "D"))
     s = seg(graph, {"A"})
-    plan = plan_export(graph, s, ChannelOrder((0, 1, 2, 3), ()), (), {})
+    plan = plan_export(graph, s, (0, 1, 2, 3), (), {})
     assert plan.producer_orders["A"] == (0, 1, 2, 3)
     for a in plan.consumers:
         assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 4, (0, 1, 2, 3))
@@ -98,9 +97,7 @@ def test_order_must_cover_retained():
     s = seg(graph, {"A"})
     masks = {"B": (0, 1), "D": (2, 3)}
     with pytest.raises(ValidationError):
-        plan_export(graph, s, ChannelOrder((0, 1, 2), (3,)), (), masks)
-    with pytest.raises(ValidationError):
-        plan_export(graph, s, ChannelOrder((0, 1, 2, 3), (3,)), (), masks)
+        plan_export(graph, s, (0, 1, 2), (), masks)
 
 
 def test_equivalences_must_match_segment():
@@ -108,9 +105,9 @@ def test_equivalences_must_match_segment():
     s = seg(graph, {"A"})
     bad = [ProducerEquivalence("A", (4, 5, 6, 7))]
     with pytest.raises(ValidationError):
-        plan_export(graph, s, ChannelOrder((0, 1, 2, 3), ()), bad, {})
+        plan_export(graph, s, (0, 1, 2, 3), bad, {})
     good = [ProducerEquivalence("A", s.producer_slots["A"])]
-    plan = plan_export(graph, s, ChannelOrder((0, 1, 2, 3), ()), good, {})
+    plan = plan_export(graph, s, (0, 1, 2, 3), good, {})
     assert plan.stats.copied == 0
 
 
@@ -119,7 +116,7 @@ def test_locked_segment_forces_gathers():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"in"})
     assert s.reorder_locked
-    plan = plan_export(graph, s, ChannelOrder((0, 1, 2, 3), ()), (), {"A": (0, 2)})
+    plan = plan_export(graph, s, (0, 1, 2, 3), (), {"A": (0, 2)})
     assert plan.producer_orders["in"] == (0, 1, 2, 3)
     a = access(plan, "A")
     assert (a.mode, a.perm, a.indices) == ("gather", (0, 2), (0, 2))
@@ -139,7 +136,7 @@ def test_unsupported_segment_refused():
          ("X", "j"), ("Y", "j"), ("j", "out")])
     bad = next(s for s in find_segments(graph) if s.unsupported is not None)
     with pytest.raises(UnsupportedTopologyError):
-        plan_export(graph, bad, ChannelOrder((0, 1), ()), (), {})
+        plan_export(graph, bad, (0, 1), (), {})
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +161,6 @@ def test_baseline_agreeing_masks_drop():
     s = seg(graph, {"A"})
     plan = plan_baseline(graph, s, {"B": (0, 1), "D": (0, 1)})
     assert plan.producer_orders["A"] == (0, 1)
-    assert plan.dropped["A"] == (2, 3)
     for a in plan.consumers:
         assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 2, (0, 1))
     assert plan.stats == CopyStats(4, 0)
@@ -175,7 +171,6 @@ def test_baseline_single_consumer_drops():
     s = seg(graph, {"A"})
     plan = plan_baseline(graph, s, {"B": (1, 3)})
     assert plan.producer_orders["A"] == (1, 3)
-    assert plan.dropped["A"] == (0, 2)
     b = access(plan, "B")
     assert (b.mode, b.start, b.length, b.perm) == ("slice", 0, 2, (1, 3))
     assert plan.stats.copied == 0
@@ -206,7 +201,6 @@ def test_constrained_zeroes_columns():
     assert plan.strategy == "constrained"
     # slot 3 is pruned by everyone and drops; the rest keep their places
     assert plan.producer_orders["A"] == (0, 1, 2)
-    assert plan.dropped["A"] == (3,)
     assert plan.zero_columns == {"B": (2,), "D": (0,)}
     for a in plan.consumers:
         assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 3, (0, 1, 2))
@@ -226,7 +220,7 @@ def test_constrained_keeps_a_channel_read_twice_in_place():
         [("in", "A"), ("A", "j"), ("A", "j"), ("j", "B"), ("B", "out")])
     masks = {"B": (0, 1, 3)}
     plan = plan_constrained(graph, seg(graph, {"A"}), masks)
-    assert plan.producer_orders == {"A": (0, 1)} and plan.dropped == {}
+    assert plan.producer_orders == {"A": (0, 1)}
     assert access(plan, "B") == ConsumerAccess("B", "slice", start=0, length=4,
                                                perm=(0, 1, 2, 3))
     assert plan.zero_columns == {"B": (2,)}
@@ -242,7 +236,7 @@ def test_constrained_keeps_a_channel_read_twice_in_place():
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("planner", [
-    lambda g, s, m: plan_export(g, s, ChannelOrder((0, 1, 2, 3), ()), (), m),
+    lambda g, s, m: plan_export(g, s, (0, 1, 2, 3), (), m),
     plan_baseline, plan_constrained])
 def test_input_planners_reject_an_empty_consumer_mask(planner):
     graph, _ = fan_fixture(4, ("B", "D"))
@@ -254,7 +248,7 @@ def test_apply_reorders_weights_and_inserts_reads():
     graph, weights = fan_fixture(4, ("B", "C", "D"))
     s = seg(graph, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
-    plan = plan_export(graph, s, ChannelOrder((0, 2, 3, 1), ()), (), masks)
+    plan = plan_export(graph, s, (0, 2, 3, 1), (), masks)
     new_graph, new_weights = apply_plan([plan], graph, weights)
 
     assert np.array_equal(new_weights["A"], weights["A"][[0, 2, 3, 1], :])
@@ -287,7 +281,7 @@ def test_apply_is_pure():
     layers_before = list(graph.layers)
     edges_before = list(graph.edges)
     s = seg(graph, {"A"})
-    plan = plan_export(graph, s, ChannelOrder((2, 0, 3, 1), ()), (),
+    plan = plan_export(graph, s, (2, 0, 3, 1), (),
                        {"B": (0, 2), "D": (1, 3)})
     apply_plan([plan], graph, weights)
     assert list(graph.layers) == layers_before
@@ -396,7 +390,6 @@ def test_output_reorder_rewrites_residual_join():
 
     assert plan.mode == "output"
     assert plan.producer_orders == {"A": (2, 0, 3), "C": (0, 3, 1)}
-    assert plan.dropped == {"A": (1,), "C": (2,)}
     assert plan.stats == CopyStats(6, 0)
 
     jr = plan.join
@@ -447,7 +440,6 @@ def test_output_baseline_infill():
     plan = plan_export_output(graph, s, {"A": (0, 2, 3)}, strategy="baseline")
     assert plan.strategy == "baseline"
     assert plan.producer_orders["A"] == (0, 2, 3)
-    assert plan.dropped["A"] == (1,)
     assert plan.infill["A"] == (0, -1, 1, 2)
     assert plan.consumers == ()
     assert plan.stats == CopyStats(3, 3)
@@ -466,7 +458,6 @@ def test_output_baseline_empty_mask_keeps_one_row():
     s = seg(graph, {"A"})
     plan = plan_export_output(graph, s, {"A": ()}, strategy="baseline")
     assert plan.producer_orders["A"] == (0,)
-    assert plan.dropped["A"] == (1, 2, 3)
     assert plan.infill["A"] == (-1, -1, -1, -1)
 
 
@@ -519,7 +510,7 @@ def test_copy_report_sums():
     graph, _ = fan_fixture(4, ("B", "C", "D"))
     s = seg(graph, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
-    a = plan_export(graph, s, ChannelOrder((0, 2, 3, 1), ()), (), masks)
+    a = plan_export(graph, s, (0, 2, 3, 1), (), masks)
     b = plan_baseline(graph, s, masks)
     totals = copy_report([a, b])
     assert totals.total_reads == a.stats.total_reads + b.stats.total_reads
@@ -533,7 +524,7 @@ def sample_plans():
     fan, _ = fan_fixture(4, ("B", "C", "D"))
     s = seg(fan, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
-    out.append(plan_export(fan, s, ChannelOrder((0, 2, 3, 1), ()), (), masks))
+    out.append(plan_export(fan, s, (0, 2, 3, 1), (), masks))
     out.append(plan_constrained(fan, s, masks))
     return out
 

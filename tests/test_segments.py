@@ -1,11 +1,11 @@
-"""Segment discovery: closure, slot spaces, bands, locks."""
+"""Segment discovery: the walk, slot spaces, bands, locks."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslice import LayerKind, find_segments
-from reslice.segments import consumers_of, producers_of, propagate_vectors
+from reslice.segments import propagate_vectors
 
 from helpers import (
     ADD,
@@ -177,9 +177,25 @@ def test_every_producer_belongs_to_exactly_one_segment():
 
 def test_consumers_and_producers_walks():
     g, _ = residual_block_fixture()
-    assert consumers_of(g, {"A"}) == {"B", "D"}
-    assert producers_of(g, {"B"}) == {"A", "C"}
-    assert producers_of(g, {"j2"}) == {"B", "D"}
+    by_producers = {s.producers: s for s in find_segments(g)}
+    first, second = by_producers[("A", "C")], by_producers[("B", "D")]
+    # from A the walk reaches j, then C backward and B, D forward through r
+    assert first.consumers == ("B", "D") and first.interior == ("j", "r")
+    # the join feeding the model output pulls in both of its producers
+    assert second.consumers == () and second.interior == ("j2",)
+    assert second.reads_output and not first.reads_output
+
+
+def test_a_layer_can_consume_and_produce_in_one_segment():
+    # B reads A through r and feeds the join with A, so the backward step
+    # from j makes it a producer of the segment it consumes
+    g, _ = build_model(
+        [("in", INPUT, 4, 4), ("A", MIX, 4, 4), ("r", PASS, 4, 4), ("B", MIX, 4, 4),
+         ("j", ADD, 4, 4), ("out", OUTPUT, 4, 4)],
+        [("in", "A"), ("A", "r"), ("r", "B"), ("A", "j"), ("B", "j"), ("j", "out")])
+    seg = segment_by_producers(find_segments(g), {"A", "B"})
+    assert (seg.producers, seg.consumers, seg.interior) == (("A", "B"), ("B",), ("j", "r"))
+    assert seg.reads_output and seg.reorder_locked
 
 
 def test_propagate_vectors_concat_and_add():

@@ -350,6 +350,14 @@ def _load_json(path: str | Path) -> dict:
     return obj
 
 
+def read_int(value) -> int:
+    """``value`` as an int. A float, bool, string or null where a file must
+    hold an integer raises ModelFormatError instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelFormatError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _expect_version(obj: dict, path, want: int) -> None:
     if obj.get("version") != want:
         raise ModelFormatError(f"{path}: unsupported version {obj.get('version')!r} (want {want})")
@@ -382,9 +390,9 @@ def graph_from_dict(obj: dict, source: str = "<memory>") -> ModelGraph:
     for rec in obj["layers"]:
         try:
             kind = LayerKind(rec["kind"])
-            params = tuple(int(p) for p in rec["params"]) if "params" in rec else None
-            layers.append(Layer(str(rec["id"]), kind, int(rec["in_channels"]),
-                                int(rec["out_channels"]), params))
+            params = tuple(read_int(p) for p in rec["params"]) if "params" in rec else None
+            layers.append(Layer(str(rec["id"]), kind, read_int(rec["in_channels"]),
+                                read_int(rec["out_channels"]), params))
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"{source}: bad layer record {rec!r} ({exc})") from exc
     edges = []
@@ -416,7 +424,7 @@ def weights_from_dict(obj: dict, source: str = "<memory>") -> WeightStore:
     store = WeightStore()
     for layer_id, rec in tensors_obj.items():
         try:
-            shape = tuple(int(s) for s in rec["shape"])
+            shape = tuple(read_int(s) for s in rec["shape"])
             data = np.asarray(rec["data"], dtype=np.float64).reshape(shape)
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"{source}: bad tensor for {layer_id!r} ({exc})") from exc
@@ -457,7 +465,10 @@ def load_masks(path: str | Path) -> ChannelMask:
         raise ModelFormatError(f"{path}: need a 'retained' object")
     masks: ChannelMask = {}
     for layer_id, idx in retained_obj.items():
-        if not isinstance(idx, list):
-            raise ModelFormatError(f"{path}: retained[{layer_id!r}] must be a list")
-        masks[str(layer_id)] = normalize_mask(idx)
+        try:
+            if not isinstance(idx, list):
+                raise ModelFormatError("must be a list")
+            masks[str(layer_id)] = normalize_mask(read_int(i) for i in idx)
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: retained[{layer_id!r}] {exc}") from None
     return masks

@@ -115,7 +115,7 @@ def find_zero_copy_order(
     (bands are disjoint, so ``band_layouts`` gives them back), or None when
     none exists or the search space exceeds the safety caps.
     """
-    if segment.reorder_locked or segment.unsupported:
+    if segment.lock_reason:
         return None
     all_retained: set[int] = set()
     for slots in retained.values():

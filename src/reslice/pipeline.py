@@ -56,9 +56,7 @@ def _is_pruned(segment: Segment, masks: ChannelMask, mode: str) -> bool:
 
 
 def _plan_reorder_input(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
-    if segment.unsupported is not None:
-        raise UnsupportedTopologyError(segment.id, segment.unsupported)
-    if segment.reorder_locked:
+    if segment.lock_reason:  # plan_export refuses an unsupported segment
         return plan_export(graph, segment, (), (), masks)
     rg = build_reorder_graph(segment, masks)
     paths = decompose_paths(rg)

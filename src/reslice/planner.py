@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -33,6 +34,7 @@ from reslice.graph import (
     WeightStore,
     _dump_json,
     _load_json,
+    read_int,
     validate,
 )
 from reslice.ordering import band_layouts, order_channels
@@ -96,14 +98,16 @@ class ConsumerAccess:
 class JoinRun:
     """One maximal run of output channels with a constant producer set."""
 
-    producers: tuple[str, ...]  # sorted
     windows: dict[str, tuple[int, int]]  # producer -> (start, length) in its new output
+
+    @property
+    def producers(self) -> tuple[str, ...]:
+        return tuple(sorted(self.windows))
 
 
 @dataclass(frozen=True)
 class JoinRewrite:
     join: str
-    kind: str  # "add" | "concat"
     keep_original: bool
     operands: dict[str, str]  # producer -> the join operand on its branch
     runs: tuple[JoinRun, ...]
@@ -149,10 +153,6 @@ def _access_cost(access: ConsumerAccess) -> int:
     return len(access.perm) if access.mode == "gather" else 0
 
 
-def _identity_orders(graph: ModelGraph, segment: Segment) -> dict[str, tuple[int, ...]]:
-    return {p: tuple(range(graph.layer(p).out_channels)) for p in segment.producers}
-
-
 def _structure_from_layouts(
     graph: ModelGraph, segment: Segment,
     layouts: Mapping[str, tuple[int, ...]], vectors: Mapping[str, tuple[int, ...]],
@@ -187,7 +187,8 @@ def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strateg
     if empty:
         raise ValidationError([f"{c}: mask keeps no channel" for c in empty])
     if order is None:
-        producer_orders = _identity_orders(graph, segment)
+        producer_orders = {p: tuple(range(graph.layer(p).out_channels))
+                           for p in segment.producers}
         per_channel: dict[str, tuple[int, ...]] = {}
     else:
         layouts = band_layouts(segment, order)
@@ -242,15 +243,14 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...],
                 equivalences: Iterable[ProducerEquivalence], masks: ChannelMask) -> SegmentPlan:
     """Reordered export: producers adopt the order, consumers contiguous in
     their rewritten read vector get slices, the rest get gathers. A segment
-    whose producers cannot be permuted (model input, zero-filled channels,
-    partially overlapping bands, positional interior nodes) keeps its
-    layout instead."""
+    with a ``lock_reason`` keeps its layout instead; an unsupported one is
+    refused."""
     if segment.unsupported is not None:
         raise UnsupportedTopologyError(segment.id, segment.unsupported)
     eq_map = {e.producer: tuple(e.slots) for e in equivalences}
     if eq_map and eq_map != {p: segment.producer_slots[p] for p in eq_map}:
         raise ValidationError([f"{segment.id}: producer equivalences disagree with segment"])
-    if segment.reorder_locked:
+    if segment.lock_reason:
         return _plan_input(graph, segment, masks, STRATEGY_REORDER, None)
 
     slots = retained_slots(segment, masks)
@@ -266,7 +266,7 @@ def plan_baseline(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> Se
     layout is free to change, the agreed-pruned filters are dropped instead
     and everyone slices."""
     order = None
-    if segment.unsupported is None and not segment.reorder_locked:
+    if segment.lock_reason is None:
         slots = retained_slots(segment, masks)
         in_place = _in_place_order(segment, slots)
         if all(slots[c] == set(segment.consumer_slots[c]).intersection(in_place)
@@ -283,7 +283,7 @@ def plan_constrained(graph: ModelGraph, segment: Segment, masks: ChannelMask) ->
     nothing is ever copied.
     """
     order = None
-    if segment.unsupported is None and not segment.reorder_locked:
+    if segment.lock_reason is None:
         order = _in_place_order(segment, retained_slots(segment, masks))
     return _plan_input(graph, segment, masks, STRATEGY_CONSTRAINED, order)
 
@@ -351,11 +351,9 @@ def _trace_join_operands(graph: ModelGraph, segment: Segment, join: str) -> dict
 def output_refusal(graph: ModelGraph, segment: Segment) -> str | None:
     """Why output mode cannot drop filters of the segment's producers, or
     None when it can."""
-    if segment.unsupported is not None:
-        return segment.unsupported
-    if segment.reorder_locked:
-        return ("producers cannot drop output channels here "
-                "(model boundary or fixed layout); use the baseline infill")
+    if segment.lock_reason:
+        return (f"producers cannot drop output channels: {segment.lock_reason}; "
+                "use the baseline infill")
     biased = [u for u in segment.interior if graph.layer(u).kind is LayerKind.PER_CHANNEL]
     if biased:
         return (f"per-channel layer {biased[0]} inside an output-pruned segment: "
@@ -393,15 +391,8 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
     masked = [p for p in segment.producers
               if p in output_masks
               and set(output_masks[p]) != set(range(graph.layer(p).out_channels))]
-    if segment.reorder_locked and not masked:
-        return SegmentPlan(
-            segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_REORDER,
-            producers=segment.producers, interior=segment.interior,
-            producer_orders=_identity_orders(graph, segment),
-            zero_rows={}, consumers=(), per_channel={},
-            zero_columns={}, infill={}, join=None,
-            stats=CopyStats(sum(graph.layer(p).out_channels for p in segment.producers), 0),
-        )
+    if segment.lock_reason and not masked:
+        return replace(_output_baseline(graph, segment, {}), strategy=STRATEGY_REORDER)
 
     reason = output_refusal(graph, segment)
     if reason is not None:
@@ -432,42 +423,26 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
              if graph.layer(u).kind in (LayerKind.ADD, LayerKind.CONCAT)]
     if joins:
         join = joins[0]
-        kind = graph.layer(join).kind.value
         operands = _trace_join_operands(graph, segment, join)
+        # one run per stretch of ``order`` whose slots the same producers keep
         runs: list[JoinRun] = []
-        cursor = {p: 0 for p in segment.producers}
-        run_sig: frozenset[str] | None = None
-        run_len = 0
-        run_start: dict[str, int] = {}
-
-        def close_run():
-            nonlocal run_len
-            if run_sig is not None:
-                runs.append(JoinRun(tuple(sorted(run_sig)),
-                                    {p: (run_start[p], run_len) for p in sorted(run_sig)}))
-            run_len = 0
-
-        for slot in order:
-            sig = frozenset(p for p in segment.producers if slot in retained[p])
-            if sig != run_sig:
-                close_run()
-                run_sig = sig
-                run_start = {p: cursor[p] for p in sig}
-            run_len += 1
+        cursor = dict.fromkeys(segment.producers, 0)
+        owners = (tuple(p for p in segment.producers if slot in retained[p]) for slot in order)
+        for sig, stretch in groupby(owners):
+            length = len(list(stretch))
+            runs.append(JoinRun({p: (cursor[p], length) for p in sig}))
             for p in sig:
-                cursor[p] += 1
-        close_run()
+                cursor[p] += length
 
-        if kind == "add":
-            keep = (len(runs) == 1 and set(runs[0].producers) == set(segment.producers))
+        if graph.layer(join).kind is LayerKind.ADD:
+            keep = len(runs) == 1 and runs[0].producers == segment.producers
         else:
-            operand_order = []
-            for op in graph.predecessors(join):
-                operand_order.append(next(p for p, o in operands.items() if o == op))
-            keep = ([list(r.producers) for r in runs] == [[p] for p in operand_order]
-                    and all(r.windows[r.producers[0]] == (0, len(producer_orders[r.producers[0]]))
-                            for r in runs))
-        join_rewrite = JoinRewrite(join, kind, keep, operands, tuple(runs))
+            producer_of = {op: p for p, op in operands.items()}
+            keep = ([r.producers for r in runs]
+                    == [(producer_of[op],) for op in graph.predecessors(join)]
+                    and all(r.windows[p] == (0, len(producer_orders[p]))
+                            for r in runs for p in r.windows))
+        join_rewrite = JoinRewrite(join, keep, operands, tuple(runs))
 
     # consumers read everything that survived; always a full slice. The
     # rewritten join emits the combined order; pass-throughs forward it.
@@ -567,26 +542,28 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
     """Raise ValidationError unless every layer the plan names exists in the
     model under rewrite, in the role the plan gives it."""
     layers = rw.layers
-    named = {*plan.producers, *plan.interior, *plan.producer_orders, *plan.zero_rows,
-             *(a.consumer for a in plan.consumers), *plan.per_channel,
-             *plan.zero_columns, *plan.infill}
+    # entry keys must name producers, consumers or interior layers, checked below
+    named = {*plan.producers, *plan.interior, *(a.consumer for a in plan.consumers)}
     if plan.join is not None:
         jr = plan.join
-        named.add(jr.join)
-        named.update(jr.operands, jr.operands.values(), *(run.producers for run in jr.runs))
-        for run in jr.runs:
-            if (sorted(run.producers) != sorted(run.windows)
-                    or not run.windows.keys() <= jr.operands.keys()):
-                raise ValidationError([f"plan {plan.segment}: a run of join {jr.join!r} "
-                                       "names producers without windows or operands"])
+        named.update((jr.join, *jr.operands, *jr.operands.values()))
+        if not jr.runs or not all(run.windows and run.windows.keys() <= jr.operands.keys()
+                                  for run in jr.runs):
+            raise ValidationError([f"plan {plan.segment}: a run of join {jr.join!r} "
+                                   "names no producer or one that is not an operand"])
     unknown = sorted(named - layers.keys())
     if unknown:
         raise ValidationError([f"plan {plan.segment}: names unknown layer {lid!r}"
                                for lid in unknown])
-    for role, ids in (("producer", plan.producers),
-                      ("consumer", [a.consumer for a in plan.consumers])):
+    for role, ids, keys in (
+            ("producer", plan.producers, {*plan.producer_orders, *plan.zero_rows, *plan.infill}),
+            ("consumer", [a.consumer for a in plan.consumers], plan.zero_columns)):
         if len(set(ids)) != len(ids):
             raise ValidationError([f"plan {plan.segment}: a {role} is named twice"])
+        stray = sorted(set(keys) - set(ids))
+        if stray:
+            raise ValidationError([f"plan {plan.segment}: an entry is keyed by {stray[0]!r}, "
+                                   f"which is not a {role} of the plan"])
     for p in plan.producers:
         if layers[p].kind not in (LayerKind.CHANNEL_MIX, LayerKind.INPUT):
             raise ValidationError([f"plan {plan.segment}: producer {p!r} is a "
@@ -801,14 +778,20 @@ def _access_to_dict(a: ConsumerAccess) -> dict:
     return rec
 
 
+def _int_pair(values) -> tuple[int, int]:
+    """A slice or join window, ``[start, length]``; another length raises ValueError."""
+    start, length = (read_int(x) for x in values)
+    return start, length
+
+
 def _access_from_dict(rec: dict) -> ConsumerAccess:
     consumer = str(rec["consumer"])
-    perm = tuple(int(i) for i in rec["perm"])
+    perm = tuple(read_int(i) for i in rec["perm"])
     if "slice" in rec:
-        start, length = (int(x) for x in rec["slice"])
+        start, length = _int_pair(rec["slice"])
         return ConsumerAccess(consumer, "slice", start=start, length=length, perm=perm)
     return ConsumerAccess(consumer, "gather", perm=perm,
-                          indices=tuple(int(i) for i in rec["gather"]))
+                          indices=tuple(read_int(i) for i in rec["gather"]))
 
 
 def _int_map_to_dict(m: Mapping[str, tuple[int, ...]]) -> dict:
@@ -816,7 +799,7 @@ def _int_map_to_dict(m: Mapping[str, tuple[int, ...]]) -> dict:
 
 
 def _int_map_from_dict(obj: Mapping) -> dict[str, tuple[int, ...]]:
-    return {str(k): tuple(int(i) for i in v) for k, v in obj.items()}
+    return {str(k): tuple(read_int(i) for i in v) for k, v in obj.items()}
 
 
 def plan_to_dict(plan: SegmentPlan) -> dict:
@@ -824,11 +807,9 @@ def plan_to_dict(plan: SegmentPlan) -> dict:
     if plan.join is not None:
         join = {
             "join": plan.join.join,
-            "kind": plan.join.kind,
             "keep_original": plan.join.keep_original,
             "operands": dict(sorted(plan.join.operands.items())),
-            "runs": [{"producers": list(r.producers),
-                      "windows": {p: list(w) for p, w in sorted(r.windows.items())}}
+            "runs": [{"windows": {p: list(w) for p, w in sorted(r.windows.items())}}
                      for r in plan.join.runs],
         }
     return {
@@ -854,12 +835,9 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
         if obj.get("join") is not None:
             j = obj["join"]
             join = JoinRewrite(
-                join=str(j["join"]), kind=str(j["kind"]),
-                keep_original=bool(j["keep_original"]),
+                join=str(j["join"]), keep_original=bool(j["keep_original"]),
                 operands={str(k): str(v) for k, v in j["operands"].items()},
-                runs=tuple(JoinRun(tuple(str(p) for p in r["producers"]),
-                                   {str(p): (int(w[0]), int(w[1]))
-                                    for p, w in r["windows"].items()})
+                runs=tuple(JoinRun({str(p): _int_pair(w) for p, w in r["windows"].items()})
                            for r in j["runs"]),
             )
         stats = obj["stats"]
@@ -876,7 +854,7 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             zero_columns=_int_map_from_dict(obj["zero_columns"]),
             infill=_int_map_from_dict(obj["infill"]),
             join=join,
-            stats=CopyStats(int(stats["total_reads"]), int(stats["copied"])),
+            stats=CopyStats(read_int(stats["total_reads"]), read_int(stats["copied"])),
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ModelFormatError(f"{source}: bad plan record ({exc})") from exc

@@ -12,7 +12,8 @@ canonical index set for the shared tensor's channels. Add joins identify
 producer channels positionally (channel i of each summed input is the same
 slot); concat gives each input its own block of slots. The per-producer
 and per-consumer slot vectors computed here drive everything downstream
-(reorder graph, planning, weight rewrites).
+(reorder graph, planning, weight rewrites), and one lock reason records
+why a segment must keep its layout.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class Segment:
     consumer ``c``'s local input channel ``j`` (its full read vector, in
     tensor order). ``node_slots`` carries the output slot vector of every
     interior node, used to permute per-channel vectors at export time.
+
+    ``lock_reason`` says why the layout must stay fixed (None: producers may
+    reorder and drop channels). ``unsupported`` is the lock reason too when
+    the slot space is ill-formed; the reorder strategy refuses those.
     """
 
     producers: tuple[str, ...]
@@ -59,9 +64,7 @@ class Segment:
     consumer_slots: dict[str, tuple[int, ...]] = field(default_factory=dict)
     node_slots: dict[str, tuple[int, ...]] = field(default_factory=dict)
     bands: tuple[Band, ...] = ()
-    has_input_producer: bool = False
-    reads_output: bool = False
-    reorder_locked: bool = False
+    lock_reason: str | None = None
     unsupported: str | None = None
 
     @property
@@ -181,11 +184,11 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
     interior_ids = tuple(sorted(interior))
 
     # raw slot ids: one per producer output channel, in sorted-producer order
-    raw_of: dict[str, range] = {}
+    producer_vectors: dict[str, tuple[int, ...]] = {}
     counter = 0
     for p in producer_ids:
         width = graph.layer(p).out_channels
-        raw_of[p] = range(counter, counter + width)
+        producer_vectors[p] = tuple(range(counter, counter + width))
         counter += width
     uf = _UnionFind(counter)
     zero_seen = False
@@ -197,7 +200,6 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
         counter += 1
         return counter - 1
 
-    producer_vectors = {p: tuple(raw_of[p]) for p in producer_ids}
     vectors = propagate_vectors(
         graph, interior, producer_vectors,
         merge=lambda a, b: [uf.union(x, y) for x, y in zip(a, b)],
@@ -221,40 +223,37 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
         pred = graph.predecessors(c)[0]
         consumer_slots[c] = canon_vec(vectors[pred])
 
-    unsupported = None
-    for p in producer_ids:
-        if len(set(producer_slots[p])) != len(producer_slots[p]):
-            unsupported = (f"channels of producer {p} are identified with each "
-                           f"other by the join structure")
-            break
-    if unsupported is None:
-        for c in consumer_ids:
-            if len(set(consumer_slots[c])) != len(consumer_slots[c]):
-                unsupported = f"consumer {c} reads the same channel more than once"
-                break
+    # a slot space is ill-formed where one vector holds a slot twice
+    ill_formed = [f"channels of producer {p} are identified with each other by the join structure"
+                  for p in producer_ids if len(set(producer_slots[p])) != len(producer_slots[p])]
+    ill_formed += [f"consumer {c} reads the same channel more than once"
+                   for c in consumer_ids if len(set(consumer_slots[c])) != len(consumer_slots[c])]
+    unsupported = ill_formed[0] if ill_formed else None
 
     # band structure: identical slot vectors reorder together, disjoint slot
-    # sets reorder independently; anything in between cannot be reordered.
-    # Interior slice/gather nodes select positions, which do not survive an
-    # upstream reorder, so those segments are pinned to identity as well.
-    has_input = any(graph.layer(p).kind is LayerKind.INPUT for p in producer_ids)
-    has_repack = any(graph.layer(u).kind in (LayerKind.SLICE, LayerKind.GATHER)
-                     for u in interior)
-    locked = has_input or reads_output or zero_seen or has_repack
+    # sets reorder independently. Producers are sorted, so each band lists
+    # its producers sorted and bands come in order of their first producer.
     bands: list[Band] = []
     if unsupported is None:
         by_vector: dict[tuple[int, ...], list[str]] = {}
         for p in producer_ids:
             by_vector.setdefault(producer_slots[p], []).append(p)
-        groups = sorted(by_vector.items(), key=lambda kv: kv[1][0])
-        for i, (vec_i, prods_i) in enumerate(groups):
-            bands.append(Band(tuple(sorted(prods_i)), vec_i))
-            set_i = set(vec_i)
-            for vec_j, _ in groups[i + 1:]:
-                if set_i & set(vec_j):
-                    locked = True  # overlapping but not identical
-    else:
-        locked = True
+        bands = [Band(tuple(prods), vec) for vec, prods in by_vector.items()]
+    # the first reason that holds fixes the layout. Interior slice/gather
+    # nodes select positions, which do not survive an upstream reorder. A
+    # band's own slots are distinct, so a slot listed twice lies in two bands.
+    in_bands = [s for band in bands for s in band.slots]
+    locks = (
+        (unsupported, unsupported),
+        (any(graph.layer(p).kind is LayerKind.INPUT for p in producer_ids),
+         "a producer is the model input"),
+        (reads_output, "the segment feeds the model output"),
+        (zero_seen, "the segment carries zero-filled channels"),
+        (any(graph.layer(u).kind in (LayerKind.SLICE, LayerKind.GATHER) for u in interior),
+         "an interior slice or gather selects channels by position"),
+        (len(set(in_bands)) < len(in_bands), "producer bands overlap without being identical"),
+    )
+    lock_reason = next((why for holds, why in locks if holds), None)
 
     return Segment(
         producers=producer_ids,
@@ -265,9 +264,7 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
         consumer_slots=consumer_slots,
         node_slots=node_slots,
         bands=tuple(bands),
-        has_input_producer=has_input,
-        reads_output=reads_output,
-        reorder_locked=locked,
+        lock_reason=lock_reason,
         unsupported=unsupported,
     )
 

@@ -168,8 +168,7 @@ def test_criterion_4_copy_dominance():
             for segment in segments:
                 plan = by_id.get(segment.id)
                 if (plan is None or plan.strategy != "reorder"
-                        or segment.unsupported is not None
-                        or segment.reorder_locked
+                        or segment.lock_reason
                         or len(segment.consumers) > 6
                         or segment.channel_space > 8):
                     continue

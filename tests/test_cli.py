@@ -203,33 +203,115 @@ def test_verify_plan_permuting_a_layer_without_channel_vector_is_exit_4(model_fi
     assert "'r' is not a per-channel layer of this segment" in capsys.readouterr().err
 
 
-def _tamper_output_plan(tmp, model, weights, capsys, tamper):
-    """Export the residual block in output mode, edit its plan file with
-    ``tamper`` and return the exit code of verify."""
+def _tamper_plan(tmp, model, weights, capsys, tamper, mode="output"):
+    """Export the residual block in ``mode``, edit the first segment of its
+    plan file with ``tamper`` and return the exit code of verify."""
     masks = tmp / "masks.json"
-    save_masks({"A": (0, 2, 3), "C": (0, 1, 3)}, masks)
+    save_masks({"A": (0, 2, 3), "C": (0, 1, 3)} if mode == "output"
+               else {"B": (0, 2), "D": (1, 2)}, masks)
     prefix = tmp / "exported"
-    assert run_cli("export", "--model", model, "--weights", weights, "--mode", "output",
+    assert run_cli("export", "--model", model, "--weights", weights, "--mode", mode,
                    "--masks", masks, "--out-prefix", prefix) == 0
     ppath = tmp / "exported.plan.json"
     plan = json.loads(ppath.read_text())
     tamper(plan["segments"][0])
     ppath.write_text(json.dumps(plan))
     capsys.readouterr()
-    return run_cli("verify", "--model", model, "--weights", weights, "--mode", "output",
+    return run_cli("verify", "--model", model, "--weights", weights, "--mode", mode,
                    "--masks", masks, "--out-prefix", prefix)
 
 
-@pytest.mark.parametrize("producers", [["A", "C", "B"], ["C"], ["A", "A"]])
-def test_verify_join_run_naming_producers_without_windows_is_exit_4(
-        model_files, capsys, producers):
+@pytest.mark.parametrize("windows", [{"A": [0, 1], "B": [0, 1]}, {"ghost": [0, 1]}, {}],
+                         ids=["consumer", "unknown", "empty"])
+def test_verify_join_run_naming_a_non_operand_is_exit_4(model_files, capsys, windows):
     tmp, model, weights = model_files
 
     def tamper(segment):
-        segment["join"]["runs"][0]["producers"] = producers
-    assert _tamper_output_plan(tmp, model, weights, capsys, tamper) == 4
+        segment["join"]["runs"][0]["windows"] = windows
+    assert _tamper_plan(tmp, model, weights, capsys, tamper) == 4
     err = capsys.readouterr().err
-    assert "verification failed" in err and "names producers without windows" in err
+    assert "verification failed" in err and "names no producer or one that is not an operand" in err
+
+
+@pytest.mark.parametrize("window", [[0], [0, 1, 2], 5])
+def test_verify_join_window_of_the_wrong_shape_is_exit_4(model_files, capsys, window):
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        segment["join"]["runs"][0]["windows"]["A"] = window
+    assert _tamper_plan(tmp, model, weights, capsys, tamper) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "bad plan record" in err
+
+
+def test_verify_accepts_an_output_plan_file_with_the_old_kind_and_run_producers(
+        model_files, capsys):
+    # earlier versions also wrote the join's kind and each run's producers,
+    # the sorted keys of its windows; the reader ignores both
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        segment["join"]["kind"] = "add"
+        for run in segment["join"]["runs"]:
+            assert "producers" not in run
+            run["producers"] = sorted(run["windows"])
+    assert _tamper_plan(tmp, model, weights, capsys, tamper) == 0
+    assert "max deviation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry, key, role", [
+    ("producer_orders", "B", "producer"), ("zero_rows", "B", "producer"),
+    ("infill", "B", "producer"), ("zero_columns", "A", "consumer")])
+def test_verify_plan_entry_keyed_by_a_layer_outside_its_role_is_exit_4(
+        model_files, capsys, entry, key, role):
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        segment[entry][key] = [1, 0]
+    assert _tamper_plan(tmp, model, weights, capsys, tamper, mode="input") == 4
+    err = capsys.readouterr().err
+    assert f"keyed by {key!r}, which is not a {role} of the plan" in err
+
+
+@pytest.mark.parametrize("entry", ["x", None, [0], 0.5, True])
+def test_export_with_a_non_integer_mask_entry_is_exit_1(model_files, capsys, entry):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    masks.write_text(json.dumps({"version": 1, "retained": {"B": [0, entry]}}))
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected an integer" in err
+    assert not (tmp / "x.plan.json").exists()
+
+
+@pytest.mark.parametrize("field", ["in_channels", "params"])
+def test_model_file_with_a_non_integer_count_is_exit_1(model_files, capsys, field):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    exported = json.loads((tmp / "exported.model.json").read_text())
+    read = next(rec for rec in exported["layers"] if rec["id"] == "B.read")
+    read[field] = read[field] + 0.5 if field == "in_channels" else [x + 0.5 for x in read[field]]
+    bad = tmp / "bad.model.json"
+    bad.write_text(json.dumps(exported))
+    assert run_cli("stats", "--model", bad, "--weights", tmp / "exported.weights.json",
+                   "--masks", masks) == 1
+    assert "expected an integer" in capsys.readouterr().err
+
+
+def test_verify_plan_with_non_integer_indices_is_exit_4(model_files, capsys):
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        for access in segment["consumers"]:
+            access["perm"] = [i + 0.5 for i in access["perm"]]
+    assert _tamper_plan(tmp, model, weights, capsys, tamper, mode="input") == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "expected an integer" in err
 
 
 @pytest.mark.parametrize("mode,masks", [

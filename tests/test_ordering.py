@@ -119,7 +119,7 @@ def test_zero_copy_search_gives_up_past_pattern_cap():
 def test_zero_copy_search_respects_locks():
     g, _ = fan_fixture()
     seg = next(s for s in find_segments(g) if s.producers == ("in",))
-    assert seg.reorder_locked
+    assert seg.lock_reason == "a producer is the model input"
     assert find_zero_copy_order(g, seg, {"A": frozenset({0, 1})}) is None
 
 

@@ -115,7 +115,7 @@ def test_locked_segment_forces_gathers():
     # the model input cannot be permuted: identity layout, pruned readers gather
     graph, _ = single_branch_fixture()
     s = seg(graph, {"in"})
-    assert s.reorder_locked
+    assert s.lock_reason == "a producer is the model input"
     plan = plan_export(graph, s, (0, 1, 2, 3), (), {"A": (0, 2)})
     assert plan.producer_orders["in"] == (0, 1, 2, 3)
     a = access(plan, "A")
@@ -393,7 +393,7 @@ def test_output_reorder_rewrites_residual_join():
     assert plan.stats == CopyStats(6, 0)
 
     jr = plan.join
-    assert jr is not None and jr.kind == "add" and not jr.keep_original
+    assert jr is not None and not jr.keep_original
     assert [r.producers for r in jr.runs] == [("A",), ("A", "C"), ("C",)]
     assert jr.runs[0].windows == {"A": (0, 1)}
     assert jr.runs[1].windows == {"A": (1, 2), "C": (0, 2)}
@@ -487,10 +487,15 @@ def test_output_locked_segment():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"in"})
     plan = plan_export_output(graph, s, {})
-    assert plan.producer_orders["in"] == (0, 1, 2, 3)
-    assert plan.stats.copied == 0
-    with pytest.raises(UnsupportedTopologyError):
+    assert (plan.mode, plan.strategy, plan.producer_orders) == (
+        "output", "reorder", {"in": (0, 1, 2, 3)})
+    assert (plan.zero_rows, plan.infill, plan.consumers, plan.join) == ({}, {}, (), None)
+    assert plan.stats == CopyStats(4, 0)
+    with pytest.raises(UnsupportedTopologyError) as exc:
         plan_export_output(graph, s, {"in": (0, 1)})
+    # the refusal names the segment's lock reason
+    assert exc.value.reason == ("producers cannot drop output channels: a producer is the "
+                                "model input; use the baseline infill")
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reslice import LayerKind, find_segments
+from reslice import LayerKind, export_model, find_segments
 from reslice.segments import propagate_vectors
 
 from helpers import (
@@ -22,6 +22,12 @@ from helpers import (
     residual_block_fixture,
     single_branch_fixture,
 )
+
+
+INPUT_PRODUCER = "a producer is the model input"
+FEEDS_OUTPUT = "the segment feeds the model output"
+ZERO_FILLED = "the segment carries zero-filled channels"
+REPACKED = "an interior slice or gather selects channels by position"
 
 
 def segment_by_producers(segments, producers):
@@ -43,7 +49,7 @@ def test_single_branch_segments():
     assert a.interior == ("r",)
     assert a.channel_space == 4
     assert a.consumer_slots["B"] == (0, 1, 2, 3)
-    assert not a.reorder_locked
+    assert a.lock_reason is None
 
 
 def test_residual_block_produces_multi_branch_segment():
@@ -59,7 +65,7 @@ def test_residual_block_produces_multi_branch_segment():
     assert seg.producer_slots["A"] == seg.producer_slots["C"]
     assert len(seg.bands) == 1
     assert set(seg.bands[0].producers) == {"A", "C"}
-    assert not seg.reorder_locked
+    assert seg.lock_reason is None
 
 
 def test_concat_keeps_producers_in_separate_bands():
@@ -71,7 +77,7 @@ def test_concat_keeps_producers_in_separate_bands():
     assert seg.producer_slots["C"] == (3, 4)
     assert seg.consumer_slots["B"] == (0, 1, 2, 3, 4)
     assert len(seg.bands) == 2
-    assert not seg.reorder_locked
+    assert seg.lock_reason is None
 
 
 def test_join_feeding_only_output_still_closes_segment():
@@ -81,15 +87,13 @@ def test_join_feeding_only_output_still_closes_segment():
     segs = find_segments(g)
     seg = segment_by_producers(segs, {"B", "D"})
     assert seg.consumers == ()
-    assert seg.reads_output
-    assert seg.reorder_locked
+    assert seg.lock_reason == FEEDS_OUTPUT
 
 
 def test_input_producer_locks_segment():
     g, _ = fan_fixture()
     seg = segment_by_producers(find_segments(g), {"in"})
-    assert seg.has_input_producer
-    assert seg.reorder_locked
+    assert seg.lock_reason == INPUT_PRODUCER
     assert set(seg.consumers) == {"A"}
 
 
@@ -100,8 +104,7 @@ def test_producer_also_feeding_output_is_locked():
         [("in", "A"), ("A", "B"), ("A", "out")],
     )
     seg = segment_by_producers(find_segments(g), {"A"})
-    assert seg.reads_output
-    assert seg.reorder_locked
+    assert seg.lock_reason == FEEDS_OUTPUT
 
 
 def test_interior_slice_locks_segment():
@@ -112,8 +115,41 @@ def test_interior_slice_locks_segment():
         [("in", "A"), ("A", "s"), ("s", "B"), ("B", "out")],
     )
     seg = segment_by_producers(find_segments(g), {"A"})
-    assert seg.reorder_locked
+    assert seg.lock_reason == REPACKED
     assert seg.consumer_slots["B"] == (1, 2)
+
+
+def test_input_producer_lock_takes_precedence_over_feeding_the_output():
+    g, _ = build_model([("in", INPUT, 3, 3), ("A", MIX, 3, 3), ("out", OUTPUT, 3, 3)],
+                       [("in", "A"), ("in", "out"), ("A", "out")])
+    assert segment_by_producers(find_segments(g), {"in"}).lock_reason == INPUT_PRODUCER
+    assert segment_by_producers(find_segments(g), {"A"}).lock_reason == FEEDS_OUTPUT
+
+
+def _reexported_segment(mode, strategy, masks):
+    """The exported residual block and its {A, C} segment."""
+    graph, weights = residual_block_fixture()
+    exported = export_model(graph, weights, masks, mode=mode, strategy=strategy).graph
+    return exported, segment_by_producers(find_segments(exported), {"A", "C"})
+
+
+def test_zero_filled_channels_lock_a_reexported_segment():
+    # the output baseline restores each producer's width with a gather that
+    # fills dropped filters with zeros; zero fill outranks the gather itself
+    g, seg = _reexported_segment("output", "baseline", {"A": (0, 2, 3), "C": (0, 1, 3)})
+    assert g.layer("A.restore").params == (0, -1, 1, 2)
+    assert {"A.restore", "C.restore"} <= set(seg.interior)
+    assert seg.lock_reason == ZERO_FILLED
+
+
+@pytest.mark.parametrize("strategy, kind", [("reorder", LayerKind.SLICE),
+                                            ("baseline", LayerKind.GATHER)])
+def test_interior_reads_lock_a_reexported_segment(strategy, kind):
+    # the first export gives B and D their own slice or gather of the join
+    g, seg = _reexported_segment("input", strategy, {"B": (0, 2), "D": (1, 2)})
+    assert {g.layer(r).kind for r in ("B.read", "D.read")} == {kind}
+    assert {"B.read", "D.read"} <= set(seg.interior)
+    assert seg.lock_reason == REPACKED
 
 
 def test_duplicate_read_is_unsupported():
@@ -131,7 +167,7 @@ def test_duplicate_read_is_unsupported():
     seg = segment_by_producers(find_segments(g), {"f", "g"})
     assert seg.unsupported is not None
     assert "more than once" in seg.unsupported
-    assert seg.reorder_locked
+    assert seg.lock_reason == seg.unsupported
 
 
 def test_intra_producer_merge_is_unsupported():
@@ -147,7 +183,7 @@ def test_intra_producer_merge_is_unsupported():
     )
     seg = segment_by_producers(find_segments(g), {"A", "X"})
     assert seg.unsupported is not None
-    assert seg.reorder_locked
+    assert seg.lock_reason == seg.unsupported
 
 
 def test_partial_band_overlap_locks():
@@ -165,7 +201,7 @@ def test_partial_band_overlap_locks():
     assert seg.producer_slots["A"] == (0, 1, 2)
     assert seg.producer_slots["B"] == (0, 1)
     assert seg.producer_slots["X"] == (2,)
-    assert seg.reorder_locked
+    assert seg.lock_reason == "producer bands overlap without being identical"
 
 
 def test_every_producer_belongs_to_exactly_one_segment():
@@ -183,7 +219,7 @@ def test_consumers_and_producers_walks():
     assert first.consumers == ("B", "D") and first.interior == ("j", "r")
     # the join feeding the model output pulls in both of its producers
     assert second.consumers == () and second.interior == ("j2",)
-    assert second.reads_output and not first.reads_output
+    assert second.lock_reason == FEEDS_OUTPUT and first.lock_reason is None
 
 
 def test_a_layer_can_consume_and_produce_in_one_segment():
@@ -195,7 +231,7 @@ def test_a_layer_can_consume_and_produce_in_one_segment():
         [("in", "A"), ("A", "r"), ("r", "B"), ("A", "j"), ("B", "j"), ("j", "out")])
     seg = segment_by_producers(find_segments(g), {"A", "B"})
     assert (seg.producers, seg.consumers, seg.interior) == (("A", "B"), ("B",), ("j", "r"))
-    assert seg.reads_output and seg.reorder_locked
+    assert seg.lock_reason == FEEDS_OUTPUT
 
 
 def test_propagate_vectors_concat_and_add():
@@ -223,7 +259,7 @@ def test_consumer_vectors_cover_band_slots(seed):
         if seg.unsupported:
             continue
         all_slots = {s for b in seg.bands for s in b.slots}
-        assert all_slots == set(range(seg.channel_space)) or seg.reorder_locked
+        assert all_slots == set(range(seg.channel_space)) or seg.lock_reason
         for c in seg.consumers:
             vec = seg.consumer_slots[c]
             assert len(vec) == g.layer(c).in_channels

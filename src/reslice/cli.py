@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``prune`` (score weights, write masks), ``export`` (rewrite the
-model per the masks, write plan + model), ``verify`` (replay the plan and
-check numerical equivalence), ``stats`` (compare strategies without
-exporting). Data goes to stdout and the target files; logs go to stderr.
+model per the masks, write the model, its weights and the plan), ``verify``
+(replay the plan and check numerical equivalence), ``stats`` (compare
+strategies without exporting). Data goes to stdout and the target files;
+logs go to stderr. Weights files of version 1 and 2 are read; ``export``
+writes version 2.
 
 Exit codes: 0 success, 1 I/O or file-format failure, 2 invalid usage or
 validation failure, 3 unsupported topology, 4 verification failure.
@@ -177,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--on-unsupported", default=ON_UNSUPPORTED_ERROR,
                    choices=(ON_UNSUPPORTED_ERROR, ON_UNSUPPORTED_BASELINE))
     p.add_argument("--out-prefix", required=True,
-                   help="writes PREFIX.model.json, PREFIX.weights.json, PREFIX.plan.json")
+                   help="writes PREFIX.model.json, PREFIX.weights.json (weights file "
+                        "version 2), PREFIX.plan.json")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify", help="replay a plan and check equivalence")

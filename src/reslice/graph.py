@@ -10,8 +10,10 @@ All container types are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import base64
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -20,7 +22,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 MODEL_FILE_VERSION = 1
-WEIGHTS_FILE_VERSION = 1
+# save_model writes version 2; version 1 ("data" lists of numbers) still loads
+WEIGHTS_FILE_VERSION = 2
 MASKS_FILE_VERSION = 1
 
 
@@ -358,9 +361,13 @@ def read_int(value) -> int:
     return int(value)
 
 
-def _expect_version(obj: dict, path, want: int) -> None:
-    if obj.get("version") != want:
-        raise ModelFormatError(f"{path}: unsupported version {obj.get('version')!r} (want {want})")
+def _expect_version(obj: dict, path, *want: int) -> int:
+    """The file's version, which must be one of ``want``."""
+    version = obj.get("version")
+    if version not in want:
+        wanted = " or ".join(str(w) for w in want)
+        raise ModelFormatError(f"{path}: unsupported version {version!r} (want {wanted})")
+    return version
 
 
 def graph_to_dict(graph: ModelGraph) -> dict:
@@ -407,27 +414,42 @@ def graph_from_dict(obj: dict, source: str = "<memory>") -> ModelGraph:
 
 
 def weights_to_dict(weights: WeightStore) -> dict:
+    """Version 2: each tensor's C-order little-endian float64 bytes, base64."""
     tensors = {}
     for layer_id, tensor in weights.tensors.items():
+        raw = np.asarray(tensor, dtype="<f8").tobytes(order="C")
         tensors[layer_id] = {
             "shape": list(tensor.shape),
-            "data": [float(x) for x in tensor.reshape(-1)],
+            "f64le": base64.b64encode(raw).decode("ascii"),
         }
     return {"version": WEIGHTS_FILE_VERSION, "tensors": tensors}
 
 
+def _decode_tensor(rec: dict, version: int) -> np.ndarray:
+    shape = tuple(read_int(s) for s in rec["shape"])
+    if version == 1:
+        return np.asarray(rec["data"], dtype=np.float64).reshape(shape)
+    raw = base64.b64decode(rec["f64le"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} payload bytes for shape {list(shape)}")
+    # frombuffer over bytes is read-only; the copy owns writable memory
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+
 def weights_from_dict(obj: dict, source: str = "<memory>") -> WeightStore:
-    _expect_version(obj, source, WEIGHTS_FILE_VERSION)
+    """Read weights file version 1 or 2. Non-finite values are rejected."""
+    version = _expect_version(obj, source, 1, 2)
     tensors_obj = obj.get("tensors")
     if not isinstance(tensors_obj, dict):
         raise ModelFormatError(f"{source}: need a 'tensors' object")
     store = WeightStore()
     for layer_id, rec in tensors_obj.items():
         try:
-            shape = tuple(read_int(s) for s in rec["shape"])
-            data = np.asarray(rec["data"], dtype=np.float64).reshape(shape)
+            data = _decode_tensor(rec, version)
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"{source}: bad tensor for {layer_id!r} ({exc})") from exc
+        if not np.isfinite(data).all():
+            raise ModelFormatError(f"{source}: tensor {layer_id!r} holds a non-finite value")
         store[str(layer_id)] = data
     return store
 

@@ -1,4 +1,5 @@
-"""Shared fixtures, random generators and independent oracles.
+"""Shared fixtures, random generators, independent oracles and a writer of
+version-1 weights files.
 
 The oracles deliberately re-derive results through different algorithms
 than the library (plain reachability + union-find for segments, raw
@@ -12,6 +13,8 @@ something.
 
 from __future__ import annotations
 
+import json
+import pathlib
 from itertools import permutations, product
 
 import numpy as np
@@ -45,6 +48,16 @@ def build_model(rows, edges, seed=0):
         elif layer.kind is PER:
             tensors[layer.id] = rng.standard_normal(layer.out_channels)
     return graph, WeightStore(tensors)
+
+
+def save_weights_v1(weights: WeightStore, path) -> None:
+    """Write ``weights`` as a version-1 weights file (a JSON list of numbers
+    per tensor), the format of the benchmark's inputs and of files written
+    before version 2. ``save_model`` writes only version 2."""
+    tensors = {lid: {"shape": list(t.shape), "data": t.reshape(-1).tolist()}
+               for lid, t in weights.tensors.items()}
+    pathlib.Path(path).write_text(
+        json.dumps({"version": 1, "tensors": tensors}, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------

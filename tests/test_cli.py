@@ -1,17 +1,20 @@
 """Command-line interface: exit codes, files written, output shape."""
 
+import base64
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, build_model, fan_fixture,
-                     residual_block_fixture)
+                     residual_block_fixture, save_weights_v1)
 from reslice.cli import main
-from reslice.graph import load_masks, load_model, save_masks, save_model
+from reslice.graph import (load_masks, load_model, save_masks, save_model, weights_from_dict,
+                           weights_to_dict)
 from reslice.planner import load_plans
 
 
@@ -108,10 +111,10 @@ def test_verify_mismatch_is_exit_4(model_files, capsys):
                    "--masks", masks, "--out-prefix", prefix) == 0
 
     wpath = tmp / "exported.weights.json"
-    tampered = json.loads(wpath.read_text())
-    lid = sorted(tampered["tensors"])[0]
-    tampered["tensors"][lid]["data"][0] += 1.0
-    wpath.write_text(json.dumps(tampered))
+    tampered = weights_from_dict(json.loads(wpath.read_text()))
+    lid = sorted(tampered.tensors)[0]
+    tampered[lid].reshape(-1)[0] += 1.0
+    wpath.write_text(json.dumps(weights_to_dict(tampered)))
     capsys.readouterr()
     assert run_cli("verify", "--model", model, "--weights", weights,
                    "--masks", masks, "--out-prefix", prefix) == 4
@@ -435,3 +438,90 @@ def test_console_script_smoke(model_files):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "reorder" in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["null", "1e999", "-1e999"])
+def test_export_of_non_finite_version_1_weights_is_exit_1(model_files, capsys, value):
+    tmp, model, weights = model_files
+    graph, store = residual_block_fixture()
+    save_weights_v1(store, weights)
+    obj = json.loads(Path(weights).read_text())
+    obj["tensors"]["A"]["data"][0] = "SENTINEL"
+    Path(weights).write_text(json.dumps(obj).replace('"SENTINEL"', value))
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tensor 'A' holds a non-finite value" in err
+    assert not list(tmp.glob("x.*"))
+
+
+def test_version_1_inputs_and_artifacts_still_verify(model_files, capsys):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "from_v2") == 0
+    v1_weights = tmp / "v1.weights.json"
+    save_weights_v1(load_model(model, weights)[1], v1_weights)
+    prefix = tmp / "from_v1"
+    assert run_cli("export", "--model", model, "--weights", v1_weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    # the input's version does not reach the artifacts, which are version 2
+    for suffix in (".model.json", ".weights.json", ".plan.json"):
+        assert (tmp / f"from_v1{suffix}").read_bytes() == (tmp / f"from_v2{suffix}").read_bytes()
+    assert json.loads((tmp / "from_v1.weights.json").read_text())["version"] == 2
+    assert run_cli("verify", "--model", model, "--weights", v1_weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    # artifacts whose weights file is version 1, as earlier exports wrote them
+    exported = tmp / "from_v1.weights.json"
+    save_weights_v1(load_model(tmp / "from_v1.model.json", exported)[1], exported)
+    assert json.loads(exported.read_text())["version"] == 1
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", v1_weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    assert "max deviation" in capsys.readouterr().out
+
+
+def _nan_payload(rec):
+    values = np.frombuffer(base64.b64decode(rec["f64le"]), "<f8").copy()
+    values[-1] = np.nan
+    rec["f64le"] = base64.b64encode(values.tobytes()).decode()
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda rec: rec.update(f64le="@" + rec["f64le"][1:]),
+    lambda rec: rec.update(f64le=rec["f64le"][:-12]),
+    lambda rec: rec.pop("f64le"),
+    _nan_payload,
+], ids=["bad_base64", "wrong_length", "no_payload", "nan"])
+def test_malformed_version_2_weights_fail_export_and_verify(model_files, capsys, tamper):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+
+    def write_tampered(src, dst, lid):
+        obj = json.loads(src.read_text())
+        assert obj["version"] == 2
+        tamper(obj["tensors"][lid])
+        dst.write_text(json.dumps(obj))
+
+    exported = tmp / "exported.weights.json"
+    write_tampered(exported, exported, "A")
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "exported.weights.json" in err
+
+    bad_input = tmp / "bad.weights.json"
+    write_tampered(Path(weights), bad_input, "A")
+    assert run_cli("export", "--model", model, "--weights", bad_input,
+                   "--masks", masks, "--out-prefix", tmp / "again") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.weights.json" in err
+    assert not list(tmp.glob("again.*"))

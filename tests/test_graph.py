@@ -1,5 +1,6 @@
 """IR construction, validation, and file round-trips."""
 
+import base64
 import json
 
 import numpy as np
@@ -21,9 +22,12 @@ from reslice.graph import (
     save_model,
     validate,
     validate_masks,
+    weights_from_dict,
+    weights_to_dict,
 )
 
-from helpers import MIX, build_model, fan_fixture, oracle_topological_order, random_dag
+from helpers import (MIX, build_model, fan_fixture, oracle_topological_order, random_dag,
+                     save_weights_v1)
 
 
 def test_duplicate_layer_ids_rejected():
@@ -214,8 +218,7 @@ def test_load_model_validates_invariants(tmp_path):
     m, wf = tmp_path / "m.json", tmp_path / "w.json"
     save_model(g, w, m, wf)
     obj = json.loads(wf.read_text())
-    obj["tensors"]["A"]["shape"] = [2, 2]
-    obj["tensors"]["A"]["data"] = [0.0] * 4
+    obj["tensors"]["A"] = weights_to_dict(WeightStore({"A": np.zeros((2, 2))}))["tensors"]["A"]
     wf.write_text(json.dumps(obj))
     with pytest.raises(ValidationError):
         load_model(m, wf)
@@ -234,3 +237,110 @@ def test_masks_round_trip_and_normalization(tmp_path):
     assert loaded == {"B": (0, 2), "D": (1,)}
     save_masks(loaded, tmp_path / "again.json")
     assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
+
+
+# --------------------------------------------------------------------------
+# weights files: version 2 written, versions 1 and 2 read
+# --------------------------------------------------------------------------
+
+def _edge_store():
+    """Values a decimal round trip could get wrong: signed zero, subnormals,
+    extremes and a non-square shape."""
+    tiny = np.nextafter(0.0, 1.0)
+    return WeightStore({
+        "m": np.array([[-0.0, 0.0, tiny], [-tiny, 2.2250738585072014e-308 / 3, 1e308],
+                       [-1e-300, 0.1, 1.0 / 3.0], [np.pi, -np.e, 123456789.0]]),
+        "v": np.array([-0.0, 5e-324, 1.5]),
+    })
+
+
+def _load_weights(path):
+    return weights_from_dict(json.loads(path.read_text()), str(path))
+
+
+def test_weights_file_is_version_2_with_base64_payloads(tmp_path):
+    g, w = fan_fixture()
+    m, wf = tmp_path / "m.json", tmp_path / "w.json"
+    save_model(g, w, m, wf)
+    obj = json.loads(wf.read_text())
+    assert obj["version"] == 2
+    for lid, rec in obj["tensors"].items():
+        assert sorted(rec) == ["f64le", "shape"]
+        assert rec["shape"] == list(w[lid].shape)
+        raw = base64.b64decode(rec["f64le"], validate=True)
+        assert raw == w[lid].astype("<f8").tobytes(order="C")
+
+
+def test_weights_save_is_deterministic_across_runs_and_insertion_order(tmp_path):
+    store = _edge_store()
+    g, _ = fan_fixture()
+    paths = [tmp_path / f"w{i}.json" for i in range(3)]
+    save_model(g, store, tmp_path / "m.json", paths[0])
+    save_model(g, store, tmp_path / "m.json", paths[1])
+    reversed_store = WeightStore(dict(reversed(list(store.tensors.items()))))
+    assert list(reversed_store.tensors) != list(store.tensors)
+    save_model(g, reversed_store, tmp_path / "m.json", paths[2])
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+def test_weights_versions_1_and_2_load_bit_identical_and_writable(tmp_path):
+    store = _edge_store()
+    g, _ = fan_fixture()
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    save_weights_v1(store, v1)
+    save_model(g, store, tmp_path / "m.json", v2)
+    assert json.loads(v1.read_text())["version"] == 1
+    a, b = _load_weights(v1), _load_weights(v2)
+    assert sorted(a.tensors) == sorted(b.tensors) == sorted(store.tensors)
+    for lid, want in store.tensors.items():
+        for got in (a[lid], b[lid]):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # -0.0 and subnormals survive
+            assert got.flags.writeable
+            got[(0,) * got.ndim] = 7.0  # and owned: no error, no shared buffer
+
+
+def _v2_record(tamper):
+    rec = weights_to_dict(WeightStore({"A": np.arange(4.0).reshape(2, 2)}))["tensors"]["A"]
+    tamper(rec)
+    return {"version": 2, "tensors": {"A": rec}}
+
+
+def _payload(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda r: r.update(f64le="not base64!"), "bad tensor"),
+    (lambda r: r.update(f64le=r["f64le"] + "\n"), "bad tensor"),
+    (lambda r: r.update(f64le=r["f64le"][:-1]), "bad tensor"),
+    (lambda r: r.update(f64le=_payload([1.0, 2.0, 3.0])), "24 payload bytes for shape [2, 2]"),
+    (lambda r: r.update(f64le=_payload(range(5))), "40 payload bytes"),
+    (lambda r: r.pop("f64le"), "'f64le'"),
+    (lambda r: r.pop("shape"), "'shape'"),
+    (lambda r: r.update(shape=[2, 2.0]), "expected an integer"),
+    (lambda r: r.update(data=[0.0] * 4) or r.pop("f64le"), "'f64le'"),
+    (lambda r: r.update(f64le=_payload([0.0, np.nan, 1.0, 2.0])), "non-finite"),
+    (lambda r: r.update(f64le=_payload([0.0, 1.0, np.inf, 2.0])), "non-finite"),
+    (lambda r: r.update(f64le=_payload([-np.inf, 0.0, 1.0, 2.0])), "non-finite"),
+], ids=["alphabet", "whitespace", "padding", "short", "long", "no_payload", "no_shape",
+        "float_shape", "version_1_record", "nan", "inf", "-inf"])
+def test_weights_version_2_malformed(tamper, message):
+    with pytest.raises(ModelFormatError) as exc:
+        weights_from_dict(_v2_record(tamper), "wfile")
+    assert "wfile" in str(exc.value) and message in str(exc.value)
+
+
+@pytest.mark.parametrize("data", [[None, 1.0], [1e999, 1.0], [-1e999, 1.0], ["x", 1.0],
+                                  [1.0]], ids=["null", "inf", "-inf", "string", "short"])
+def test_weights_version_1_malformed(data):
+    obj = {"version": 1, "tensors": {"A": {"shape": [2], "data": data}}}
+    with pytest.raises(ModelFormatError):
+        weights_from_dict(obj)
+
+
+@pytest.mark.parametrize("version", [0, 3, None, "2"])
+def test_weights_unknown_version(version):
+    with pytest.raises(ModelFormatError) as exc:
+        weights_from_dict({"version": version, "tensors": {}})
+    assert "want 1 or 2" in str(exc.value)

@@ -148,3 +148,52 @@ def test_equivalence_requires_matching_boundaries():
         check_equivalence(g1, w1, None, g2, w2)
     assert graph_width(g1, INPUT) == 3
     assert graph_width(g1, OUTPUT) == 2
+
+
+def test_batched_draws_equal_the_sequential_draws():
+    # check_equivalence draws all trials at once; row t must be the t-th of
+    # the per-trial draws it replaced
+    rng = np.random.default_rng(3)
+    sequential = np.stack([rng.standard_normal(5) for _ in range(8)])
+    assert np.array_equal(np.random.default_rng(3).standard_normal((8, 5)), sequential)
+
+
+def test_batched_equivalence_matches_the_per_trial_loop():
+    graph, weights = fan_fixture(4, ("B", "D"))
+    other = weights.copy()
+    other["D"] = other["D"] + 1e-6
+    masks = {"B": (0, 2), "D": (1, 2, 3)}
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(8):
+        x = rng.standard_normal(4)
+        a = run(graph, weights, x, masks)
+        b = run(graph, other, x)
+        worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(
+            np.abs(a), np.abs(b))))))
+    report = check_equivalence(graph, weights, masks, graph, other, trials=8, seed=5)
+    assert report.max_deviation == pytest.approx(worst, rel=1e-9)
+
+
+@pytest.mark.parametrize("model, masks, side", [
+    (chain(GATHER, 3, 4, params=(2, -1, 0, 2)), None, "input"),
+    (chain(PER, 3, 3), None, "input"),
+    (chain(SLICE, 4, 2, params=(1, 2)), None, "input"),
+    (chain(MIX, 4, 3), {"u": (0, 2)}, "input"),
+    (chain(MIX, 4, 3), {"u": (1,)}, "output"),
+    (fan_fixture(4, ("B", "D")), {"B": (0, 1), "D": (3,)}, "input"),
+], ids=["gather", "per_channel", "slice", "input_mask", "output_mask", "fan"])
+def test_a_batch_runs_as_columns(model, masks, side):
+    graph, weights = model
+    xs = np.random.default_rng(0).standard_normal((graph_width(graph, INPUT), 6))
+    batched = run(graph, weights, xs, masks, side)
+    columns = np.stack([run(graph, weights, x, masks, side) for x in xs.T], axis=1)
+    assert batched.shape == columns.shape
+    assert np.allclose(batched, columns, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 2, 2), ()])
+def test_batch_shape_checked(shape):
+    graph, weights = chain(MIX, 3, 2)
+    with pytest.raises(ValidationError):
+        run(graph, weights, np.zeros(shape))

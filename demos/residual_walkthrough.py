@@ -10,10 +10,10 @@ import numpy as np
 
 from reslice.graph import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.interp import check_equivalence
-from reslice.ordering import order_channels
+from reslice.ordering import find_zero_copy_order, order_channels
 from reslice.path_search import decompose_paths
 from reslice.pipeline import export_model
-from reslice.reorder_graph import build_reorder_graph
+from reslice.reorder_graph import build_reorder_graph, retained_slots
 from reslice.segments import find_segments
 
 K = LayerKind
@@ -52,7 +52,12 @@ def main():
               f"consumers={s.consumers}")
     block = next(s for s in segments if set(s.producers) == {"A", "C"})
 
-    print("\n2. reorder graph over the pruned consumers")
+    print("\n2. copy-free layout (consecutive-ones test per band)")
+    found = find_zero_copy_order(block, retained_slots(block, masks))
+    print(f"   order {found}" if found is not None else "   none: export takes the path order")
+
+    print("\n3. reorder graph over the pruned consumers (export builds it, and runs")
+    print("   the path search, only when step 2 finds no layout)")
     rg = build_reorder_graph(block, masks)
     for node in rg.nodes.values():
         print(f"   {node.id}: retains {sorted(node.retained)} (reward {node.reward})")
@@ -60,14 +65,14 @@ def main():
         print(f"   edge {a}-{b}: shares {sorted(rg.shared(a, b))} "
               f"(penalty {rg.edge_reward(a, b)})")
 
-    print("\n3. best paths and the channel order they emit")
+    print("\n4. best paths and the channel order they emit")
     paths = decompose_paths(rg)
     for p in paths:
         print(f"   path {p.nodes} reward {p.reward}")
     order = order_channels(rg, paths)
     print(f"   order {order} (slots no consumer retains are dropped)")
 
-    print("\n4. export")
+    print("\n5. export")
     result = export_model(graph, weights, masks)
     plan = next(p for p in result.plans if p.segment == block.id)
     for prod, rows in sorted(plan.producer_orders.items()):
@@ -80,7 +85,7 @@ def main():
             print(f"   {a.consumer}: gather {a.indices}")
     print(f"   copied channels: {result.totals.copied} of {result.totals.total_reads}")
 
-    print("\n5. numerical check against the masked original")
+    print("\n6. numerical check against the masked original")
     report = check_equivalence(graph, weights, masks, result.graph, result.weights)
     print(f"   max deviation {report.max_deviation:.3e} "
           f"(tolerance {report.tol:g}) -> {'OK' if report.passed else 'MISMATCH'}")

@@ -12,9 +12,12 @@ Pipeline stages (one module each):
 - :mod:`reslice.segments`      segment extraction, one walk per segment
 - :mod:`reslice.reorder_graph` per-segment reorder graph construction
 - :mod:`reslice.path_search`   maximum-reward acyclic path solver (exact and
-                               greedy searches over one bitmask view)
-- :mod:`reslice.ordering`      path decomposition -> channel order (the
-                               kept slots, as a tuple in their new order)
+                               greedy searches over one bitmask view), run
+                               only where no copy-free layout exists
+- :mod:`reslice.ordering`      channel order (the kept slots, as a tuple in
+                               their new order): an exact copy-free layout
+                               by consecutive ones, else the order of a path
+                               decomposition
 - :mod:`reslice.planner`       orderings -> slices/gathers/weight rewrites
 - :mod:`reslice.interp`        reference interpreter + equivalence checks
 - :mod:`reslice.masks`         magnitude-based mask generation

@@ -428,7 +428,12 @@ def weights_to_dict(weights: WeightStore) -> dict:
 def _decode_tensor(rec: dict, version: int) -> np.ndarray:
     shape = tuple(read_int(s) for s in rec["shape"])
     if version == 1:
-        return np.asarray(rec["data"], dtype=np.float64).reshape(shape)
+        data = rec["data"]
+        # numpy would read true as 1.0 and "1.5" as 1.5; null passes on to
+        # the finiteness check as NaN
+        if not isinstance(data, list) or not set(map(type, data)) <= {float, int, type(None)}:
+            raise ValueError("'data' must be a list of numbers")
+        return np.asarray(data, dtype=np.float64).reshape(shape)
     raw = base64.b64decode(rec["f64le"], validate=True)
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{len(raw)} payload bytes for shape {list(shape)}")

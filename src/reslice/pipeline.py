@@ -1,9 +1,10 @@
 """End-to-end export: masks in, physically pruned model out.
 
-Per segment: build the reorder graph over masked consumers, decompose it
-into paths, emit a channel order, and plan the rewrite. If the planned
-order still copies and the exhaustive pattern search finds a copy-free
-layout, that layout wins. Segments nobody prunes are left untouched.
+Per segment: look for a copy-free channel order first (an exact
+consecutive-ones test per band). Only when none exists, build the reorder
+graph over masked consumers, decompose it into paths and emit their
+channel order. Either order is planned once. Segments nobody prunes are
+left untouched.
 """
 
 from __future__ import annotations
@@ -58,18 +59,11 @@ def _is_pruned(segment: Segment, masks: ChannelMask, mode: str) -> bool:
 def _plan_reorder_input(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
     if segment.lock_reason:  # plan_export refuses an unsupported segment
         return plan_export(graph, segment, (), (), masks)
-    rg = build_reorder_graph(segment, masks)
-    paths = decompose_paths(rg)
-    order = order_channels(rg, paths)
-    equivalences = reduce_producers(segment)
-    plan = plan_export(graph, segment, order, equivalences, masks)
-    if plan.stats.copied:
-        zero_copy = find_zero_copy_order(graph, segment, retained_slots(segment, masks))
-        if zero_copy is not None:
-            rescued = plan_export(graph, segment, zero_copy, equivalences, masks)
-            if rescued.stats.copied == 0:
-                return rescued
-    return plan
+    order = find_zero_copy_order(segment, retained_slots(segment, masks))
+    if order is None:
+        rg = build_reorder_graph(segment, masks)
+        order = order_channels(rg, decompose_paths(rg))
+    return plan_export(graph, segment, order, reduce_producers(segment), masks)
 
 
 def _plan_segment(graph: ModelGraph, segment: Segment, masks: ChannelMask,

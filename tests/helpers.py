@@ -3,12 +3,12 @@ version-1 weights files.
 
 The oracles deliberately re-derive results through different algorithms
 than the library (plain reachability + union-find for segments, raw
-permutation enumeration for zero-copy orders, a re-sorted ready list for
-topological order, a branch-and-bound DFS that expands every state and an
-enumeration of every ordered node subset for maximum-reward paths, and a
-greedy search that scores whole sequences with ``path_reward`` and
-``is_valid_path`` where the library reads bitmasks) so agreement means
-something.
+permutation enumeration for zero-copy and consecutive-ones orders, a
+re-sorted ready list for topological order, a branch-and-bound DFS that
+expands every state and an enumeration of every ordered node subset for
+maximum-reward paths, and a greedy search that scores whole sequences with
+``path_reward`` and ``is_valid_path`` where the library reads bitmasks) so
+agreement means something.
 """
 
 from __future__ import annotations
@@ -310,6 +310,18 @@ def zero_copy_exists(graph: ModelGraph, segment: Segment,
         if ok:
             return True
     return False
+
+
+def oracle_c1p(sets, universe) -> tuple | None:
+    """Raw permutation oracle: the first arrangement of ``universe`` (in
+    ``itertools.permutations`` order) in which every set is contiguous, or
+    None when there is none."""
+    for order in permutations(sorted(universe)):
+        position = {x: i for i, x in enumerate(order)}
+        if all(max(position[x] for x in s) - min(position[x] for x in s) + 1 == len(s)
+               for s in sets if s):
+            return order
+    return None
 
 
 def covered_parents(graph: ReorderGraph, nodes: tuple[str, ...]) -> tuple[str, ...]:

@@ -440,14 +440,18 @@ def test_console_script_smoke(model_files):
     assert "reorder" in proc.stdout
 
 
+def _set_first_value(weights_file, layer, value):
+    obj = json.loads(Path(weights_file).read_text())
+    obj["tensors"][layer]["data"][0] = "SENTINEL"
+    Path(weights_file).write_text(json.dumps(obj).replace('"SENTINEL"', value))
+
+
 @pytest.mark.parametrize("value", ["null", "1e999", "-1e999"])
 def test_export_of_non_finite_version_1_weights_is_exit_1(model_files, capsys, value):
     tmp, model, weights = model_files
     graph, store = residual_block_fixture()
     save_weights_v1(store, weights)
-    obj = json.loads(Path(weights).read_text())
-    obj["tensors"]["A"]["data"][0] = "SENTINEL"
-    Path(weights).write_text(json.dumps(obj).replace('"SENTINEL"', value))
+    _set_first_value(weights, "A", value)
     masks = tmp / "masks.json"
     save_masks({"B": (0, 2), "D": (1, 2)}, masks)
     assert run_cli("export", "--model", model, "--weights", weights,
@@ -455,6 +459,30 @@ def test_export_of_non_finite_version_1_weights_is_exit_1(model_files, capsys, v
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "tensor 'A' holds a non-finite value" in err
     assert not list(tmp.glob("x.*"))
+
+
+@pytest.mark.parametrize("value", ["true", "false", '"1.5"'])
+def test_version_1_weights_holding_a_non_number_are_refused(model_files, capsys, value):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 0
+    exported = tmp / "x.weights.json"
+    save_weights_v1(load_model(tmp / "x.model.json", exported)[1], exported)
+    _set_first_value(exported, "A", value)
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 4
+    assert "bad tensor for 'A'" in capsys.readouterr().err
+
+    save_weights_v1(residual_block_fixture()[1], weights)
+    _set_first_value(weights, "A", value)
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "y") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad tensor for 'A'" in err
+    assert not list(tmp.glob("y.*"))
 
 
 def test_version_1_inputs_and_artifacts_still_verify(model_files, capsys):

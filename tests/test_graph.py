@@ -332,7 +332,10 @@ def test_weights_version_2_malformed(tamper, message):
 
 
 @pytest.mark.parametrize("data", [[None, 1.0], [1e999, 1.0], [-1e999, 1.0], ["x", 1.0],
-                                  [1.0]], ids=["null", "inf", "-inf", "string", "short"])
+                                  [1.0], [True, 1.0], [0.5, False], ["1.5", 1.0],
+                                  [[1.0], [2.0]], "12"],
+                         ids=["null", "inf", "-inf", "string", "short", "true", "false",
+                              "numeric_string", "nested", "not_a_list"])
 def test_weights_version_1_malformed(data):
     obj = {"version": 1, "tensors": {"A": {"shape": [2], "data": data}}}
     with pytest.raises(ModelFormatError):

@@ -10,14 +10,17 @@ Pipeline stages (one module each):
 
 - :mod:`reslice.graph`         graph IR, weights, masks, file formats
 - :mod:`reslice.segments`      segment extraction, one walk per segment
-- :mod:`reslice.reorder_graph` per-segment reorder graph construction
+- :mod:`reslice.reorder_graph` per-segment retained-slot sets, and the
+                               reorder graph of output mode
 - :mod:`reslice.path_search`   maximum-reward acyclic path solver (exact and
-                               greedy searches over one bitmask view), run
-                               only where no copy-free layout exists
+                               greedy searches over one bitmask view), which
+                               orders output-mode segments
 - :mod:`reslice.ordering`      channel order (the kept slots, as a tuple in
                                their new order): an exact copy-free layout
-                               by consecutive ones, else the order of a path
-                               decomposition
+                               by consecutive ones, else the layout of the
+                               largest subset of consumers that can all
+                               slice (input mode) or the order of a path
+                               decomposition (output mode)
 - :mod:`reslice.planner`       orderings -> slices/gathers/weight rewrites
 - :mod:`reslice.interp`        reference interpreter + equivalence checks
 - :mod:`reslice.masks`         magnitude-based mask generation
@@ -49,7 +52,7 @@ from reslice.reorder_graph import (
     reorder_graph_from_sets,
 )
 from reslice.path_search import Path, decompose_paths, solve_mrap
-from reslice.ordering import find_zero_copy_order, order_channels
+from reslice.ordering import find_zero_copy_order, largest_c1p_order, order_channels
 from reslice.planner import (
     ConsumerAccess,
     CopyStats,
@@ -96,6 +99,7 @@ __all__ = [
     "export_model",
     "find_segments",
     "find_zero_copy_order",
+    "largest_c1p_order",
     "load_masks",
     "load_model",
     "load_plans",

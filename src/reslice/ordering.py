@@ -6,10 +6,15 @@ the consumer x channel retained matrix: each consumer's retained slots must
 be contiguous. ``_c1p_order`` decides it by overlap components (Hsu, *J.
 Algorithms* 43(1), 2002) in O(m^2 n) for m consumers and n slots, with no
 cap. A consumer reading across concatenated bands becomes one end-anchored
-set per band it touches.
+set per band it touches. The kept slots to lay out can be given apart from
+the consumers, so a subset of them can be tested against the full layout.
 
-``order_channels`` emits the layout of a path decomposition, used when no
-copy-free layout exists. Channels are emitted one at a time. Consumers on
+``largest_c1p_order`` is the input-mode layout when no copy-free one
+exists: a large subset of consumers with a copy-free layout, chosen
+greedily by retained size and improved by single swaps; the rest gather.
+
+``order_channels`` emits the layout of a path decomposition, which output
+mode uses. Channels are emitted one at a time. Consumers on
 the current path that have started (some channel emitted) but not finished
 pin the choice to channels they all still need, which is what makes each
 consumer's block contiguous when the path structure allows it. Ties prefer
@@ -19,12 +24,14 @@ forced to start early.
 
 from __future__ import annotations
 
-from itertools import groupby
+import logging
 from typing import Iterable, Mapping
 
 from reslice.path_search import Path
 from reslice.reorder_graph import ReorderGraph
 from reslice.segments import Segment
+
+log = logging.getLogger(__name__)
 
 
 def order_channels(graph: ReorderGraph, paths: list[Path]) -> tuple[int, ...]:
@@ -191,10 +198,14 @@ def _c1p_order(sets: Iterable[frozenset[int]], universe: Iterable[int]) -> list[
     return emit(set(universe), children.get(None, []))
 
 
-def find_zero_copy_order(segment: Segment,
-                         retained: Mapping[str, frozenset[int]]) -> tuple[int, ...] | None:
-    """A channel order in which every consumer's retained slots are
-    contiguous, or None when no such order exists or the segment is locked.
+def find_zero_copy_order(segment: Segment, retained: Mapping[str, frozenset[int]],
+                         kept: frozenset[int] | None = None) -> tuple[int, ...] | None:
+    """An order of the ``kept`` slots (by default every slot ``retained``
+    names) in which the retained slots of every consumer in ``retained``
+    are contiguous, or None when no such order exists or the segment is
+    locked. A ``kept`` wider than ``retained`` tests a subset of the
+    consumers against the full layout; the slots only the others keep go
+    wherever they fit.
 
     Each band is solved on its own kept slots and the band layouts are
     concatenated in ``segment.bands`` order (``band_layouts`` splits them
@@ -205,16 +216,16 @@ def find_zero_copy_order(segment: Segment,
     """
     if segment.lock_reason:
         return None
-    kept = frozenset().union(*retained.values())
+    if kept is None:
+        kept = frozenset().union(*retained.values())
     # stand-ins for the two ends of a band's layout; every slot sorts
     # between them, so orientation puts ``left`` first
     left, right = -1, segment.channel_space
-    band_of = {s: i for i, band in enumerate(segment.bands) for s in band.slots}
     band_kept = [kept.intersection(band.slots) for band in segment.bands]
     families: list[list[frozenset[int]]] = [[] for _ in segment.bands]
     anchored: set[int] = set()
     for c, want in retained.items():
-        runs = [i for i, _ in groupby(band_of[s] for s in segment.consumer_slots[c])]
+        runs = segment.band_reads[c]
         if len(set(runs)) < len(runs):
             return None
         touched = [i for i in runs if not want.isdisjoint(band_kept[i])]
@@ -239,3 +250,67 @@ def find_zero_copy_order(segment: Segment,
             return None
         order += layout[1:-1] if i in anchored else layout
     return tuple(order)
+
+
+def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
+                      ) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """An order of every kept slot in which a large subset of the consumers
+    slice (their retained slots contiguous), and that subset by name; the
+    others gather unless the order happens to suit them too. The segment
+    must not be locked.
+
+    Consumers are taken by descending retained size, then name, and each
+    is kept while the chosen ones still have a copy-free layout of the
+    full kept universe (``find_zero_copy_order``). Then, until no swap
+    helps, one chosen consumer is swapped for one or two rejected ones
+    whenever that strictly raises the retained size of the chosen set, and
+    the rejected ones that fit after the swap join. A swap is tried only
+    with rejected consumers that fit on their own once the chosen one
+    leaves, and two of them only when their sets are disjoint or nested,
+    which bounds the search on wide overlapping fans.
+    """
+    if segment.lock_reason:
+        raise ValueError(f"segment {segment.id} keeps its layout: {segment.lock_reason}")
+    kept = frozenset().union(*retained.values())
+    size = {c: len(r) for c, r in retained.items()}
+    ranked = sorted(retained, key=lambda c: (-size[c], c))
+
+    def layout(group: list[str]) -> tuple[int, ...] | None:
+        return find_zero_copy_order(segment, {c: retained[c] for c in group}, kept)
+
+    def fill(chosen: list[str]) -> list[str]:
+        for c in ranked:
+            if c not in chosen and layout([*chosen, c]) is not None:
+                chosen.append(c)
+        return chosen
+
+    def nested_or_disjoint(a: str, b: str) -> bool:
+        ra, rb = retained[a], retained[b]
+        return ra.isdisjoint(rb) or ra <= rb or rb <= ra
+
+    def swap(chosen: list[str]) -> list[str] | None:
+        rejected = [c for c in ranked if c not in chosen]
+        for out in sorted(chosen, key=lambda c: (size[c], c)):
+            rest = [c for c in chosen if c != out]
+            moves = [(r,) for r in rejected if size[r] > size[out]]
+            moves += [(r, s) for i, r in enumerate(rejected) for s in rejected[i + 1:]
+                      if size[r] + size[s] > size[out] and nested_or_disjoint(r, s)]
+            fits: dict[str, bool] = {}  # rejected consumer -> fits beside ``rest``
+
+            def fits_alone(r: str) -> bool:
+                if r not in fits:
+                    fits[r] = layout([*rest, r]) is not None
+                return fits[r]
+
+            for move in moves:
+                if all(map(fits_alone, move)) and (
+                        len(move) == 1 or layout([*rest, *move]) is not None):
+                    return [*rest, *move]
+        return None
+
+    chosen = fill([])
+    while (better := swap(chosen)) is not None:
+        chosen = fill(better)
+    log.info("segment %s: rule c1p-subset, %d consumers chosen, %d rejected",
+             segment.id, len(chosen), len(retained) - len(chosen))
+    return layout(chosen), tuple(sorted(chosen))

@@ -1,10 +1,11 @@
 """End-to-end export: masks in, physically pruned model out.
 
-Per segment: look for a copy-free channel order first (an exact
-consecutive-ones test per band). Only when none exists, build the reorder
-graph over masked consumers, decompose it into paths and emit their
-channel order. Either order is planned once. Segments nobody prunes are
-left untouched.
+Per segment in input mode: look for a copy-free channel order first (an
+exact consecutive-ones test per band). Only when none exists, lay out the
+largest subset of consumers that can all slice and let the others gather.
+Either order is planned once. Output mode orders channels by the path
+search (``plan_export_output``). Segments nobody prunes are left
+untouched.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import logging
 from dataclasses import dataclass
 
 from reslice.graph import ChannelMask, ModelGraph, ValidationError, WeightStore, validate_masks
-from reslice.ordering import find_zero_copy_order, order_channels
-from reslice.path_search import decompose_paths
+from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.planner import (
     MODE_INPUT,
     MODE_OUTPUT,
@@ -30,8 +30,13 @@ from reslice.planner import (
     plan_export,
     plan_export_output,
 )
-from reslice.reorder_graph import UnsupportedTopologyError, build_reorder_graph, reduce_producers, retained_slots
+from reslice.reorder_graph import UnsupportedTopologyError, reduce_producers, retained_slots
 from reslice.segments import Segment, find_segments
+
+# unused here, but bench/tracing.py patches these names on this module
+from reslice.ordering import order_channels  # noqa: F401
+from reslice.path_search import decompose_paths  # noqa: F401
+from reslice.reorder_graph import build_reorder_graph  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -59,10 +64,10 @@ def _is_pruned(segment: Segment, masks: ChannelMask, mode: str) -> bool:
 def _plan_reorder_input(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
     if segment.lock_reason:  # plan_export refuses an unsupported segment
         return plan_export(graph, segment, (), (), masks)
-    order = find_zero_copy_order(segment, retained_slots(segment, masks))
+    retained = retained_slots(segment, masks)
+    order = find_zero_copy_order(segment, retained)
     if order is None:
-        rg = build_reorder_graph(segment, masks)
-        order = order_channels(rg, decompose_paths(rg))
+        order, _ = largest_c1p_order(segment, retained)
     return plan_export(graph, segment, order, reduce_producers(segment), masks)
 
 

@@ -19,6 +19,8 @@ why a segment must keep its layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 from typing import Callable, Iterable, Mapping, Sequence
 
 from reslice.graph import INTERIOR_KINDS, LayerKind, ModelGraph
@@ -70,6 +72,14 @@ class Segment:
     @property
     def id(self) -> str:
         return self.producers[0]
+
+    @cached_property
+    def band_reads(self) -> dict[str, tuple[int, ...]]:
+        """Per consumer, the indices into ``bands`` of the bands it reads,
+        one per run of its read vector, in read order."""
+        band_of = {s: i for i, band in enumerate(self.bands) for s in band.slots}
+        return {c: tuple(i for i, _ in groupby(band_of[s] for s in vec))
+                for c, vec in self.consumer_slots.items()}
 
 
 def _is_producer_kind(kind: LayerKind) -> bool:

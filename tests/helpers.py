@@ -3,7 +3,8 @@ version-1 weights files.
 
 The oracles deliberately re-derive results through different algorithms
 than the library (plain reachability + union-find for segments, raw
-permutation enumeration for zero-copy and consecutive-ones orders, a
+permutation enumeration for zero-copy and consecutive-ones orders, every
+consumer subset for the largest consecutive-ones subset, a
 re-sorted ready list for topological order, a branch-and-bound DFS that
 expands every state and an enumeration of every ordered node subset for
 maximum-reward paths, and a greedy search that scores whole sequences with
@@ -201,6 +202,62 @@ def random_dag(seed, bias_free=False):
     return build_model(rows, edges, seed=seed)
 
 
+def fan_masks(rng, n_consumers, kind, channels=64):
+    """Masks for consumers c00, c01, ... of one producer (``fan_fixture``).
+
+    ``"mixed"``: each keeps 2-39 channels, as a window or scattered;
+    ``"sparse"``: 3 scattered channels each; ``"l2"``: 38 scattered
+    channels each, the shape of magnitude-scored masks.
+    """
+    masks = {}
+    for i in range(n_consumers):
+        if kind == "sparse":
+            keep = rng.choice(channels, 3, replace=False)
+        elif kind == "l2":
+            keep = rng.choice(channels, 38, replace=False)
+        else:
+            width = int(rng.integers(2, 40))
+            if rng.random() < 0.5:
+                start = int(rng.integers(0, channels - width + 1))
+                keep = range(start, start + width)
+            else:
+                keep = rng.choice(channels, width, replace=False)
+        masks[f"c{i:02d}"] = tuple(sorted(int(x) for x in keep))
+    return masks
+
+
+def dense_block(layers, stem=256, growth=32, keep=0.6, seed=0):
+    """A DenseNet-BC-shaped block for planning only (no weights).
+
+    ``x0`` (``stem`` channels) feeds ``layers`` channel mixes; layer i
+    mixes the concat of x0 and every earlier layer's output down to
+    ``growth`` channels, and a transition mix reads the final concat. All
+    of them share one segment with one band per producer. Each reader keeps
+    a seeded random ``keep`` share of its input columns. Returns (graph,
+    masks).
+    """
+    rng = np.random.default_rng(seed)
+    layers_ = [Layer("in", INPUT, stem, stem), Layer("x0", MIX, stem, stem)]
+    edges = [("in", "x0")]
+    outs, width, masks = ["x0"], stem, {}
+    for i in range(1, layers + 2):
+        reader = f"y{i:02d}" if i <= layers else "t"
+        src = outs[0]
+        if len(outs) > 1:
+            src = f"k{i:02d}"
+            layers_.append(Layer(src, CONCAT, width, width))
+            edges += [(o, src) for o in outs]
+        layers_.append(Layer(reader, MIX, width, growth))
+        edges.append((src, reader))
+        masks[reader] = tuple(sorted(int(x) for x in rng.choice(width, int(keep * width),
+                                                                   replace=False)))
+        outs.append(reader)
+        width += growth
+    layers_.append(Layer("out", OUTPUT, growth, growth))
+    edges.append(("t", "out"))
+    return ModelGraph(layers_, edges), masks
+
+
 # --------------------------------------------------------------------------
 # independent oracles
 # --------------------------------------------------------------------------
@@ -322,6 +379,27 @@ def oracle_c1p(sets, universe) -> tuple | None:
                for s in sets if s):
             return order
     return None
+
+
+def oracle_max_c1p_subset(retained: dict[str, frozenset[int]]) -> int:
+    """Largest total retained size of a consumer subset whose sets have a
+    common layout with each of them contiguous: every subset, in order of
+    decreasing total, checked with ``oracle_c1p`` over its own union. For a
+    one-band segment, where the slots no chosen consumer keeps can go at
+    either end. At most ``BRUTE_FORCE_NODE_CAP`` consumers."""
+    names = sorted(retained)
+    if len(names) > BRUTE_FORCE_NODE_CAP:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_NODE_CAP} consumers")
+    subsets = [[retained[n] for i, n in enumerate(names) if mask >> i & 1]
+               for mask in range(1 << len(names))]
+    failed: set[frozenset[frozenset[int]]] = set()
+    for sets in sorted(subsets, key=lambda sets: -sum(map(len, sets))):
+        family = frozenset(sets)
+        if family not in failed:
+            if oracle_c1p(family, frozenset().union(*family)) is not None:
+                return sum(map(len, sets))
+            failed.add(family)
+    raise AssertionError("the empty subset always has a layout")
 
 
 def covered_parents(graph: ReorderGraph, nodes: tuple[str, ...]) -> tuple[str, ...]:

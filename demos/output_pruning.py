@@ -2,10 +2,11 @@
 """Output-side pruning: producers drop their own filters.
 
 When the branches of a residual add prune different filters, the add no
-longer lines up. The exporter rebuilds it from runs: channels unique to A,
-channels both keep (still summed), channels unique to C. The baseline
-alternative keeps the topology and re-inflates each producer with a
-zero-filling gather instead.
+longer lines up. The exporter orders the kept filters by the same
+consecutive-ones rule as input mode and rebuilds the add from runs:
+channels unique to one branch, channels both keep (still summed),
+channels unique to the other. The baseline alternative keeps the topology
+and re-inflates each producer with a zero-filling gather instead.
 """
 
 import numpy as np

@@ -14,8 +14,7 @@ from reslice.graph import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.interp import check_equivalence
 from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.pipeline import export_model
-from reslice.reorder_graph import retained_slots
-from reslice.segments import find_segments
+from reslice.segments import find_segments, retained_slots
 
 K = LayerKind
 
@@ -57,7 +56,7 @@ def main():
 
     print("\n2. copy-free layout (consecutive-ones test per band)")
     retained = retained_slots(block, masks)
-    found = find_zero_copy_order(block, retained)
+    found = find_zero_copy_order(block, retained, block.band_reads)
     print(f"   order {found}" if found is not None else
           "   none: no order makes every consumer's channels contiguous")
 
@@ -66,7 +65,7 @@ def main():
     ranked = sorted(retained, key=lambda c: (-len(retained[c]), c))
     print("   candidates by retained size, then name:",
           ", ".join(f"{c} {sorted(retained[c])}" for c in ranked))
-    order, chosen = largest_c1p_order(block, retained)
+    order, chosen = largest_c1p_order(block, retained, block.band_reads)
     print(f"   chosen {chosen}; the others gather")
     print(f"   order {order} (slots no consumer retains are dropped)")
 

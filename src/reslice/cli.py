@@ -53,8 +53,7 @@ from reslice.planner import (
     load_plans,
     save_plans,
 )
-from reslice.reorder_graph import UnsupportedTopologyError
-from reslice.segments import find_segments
+from reslice.segments import UnsupportedTopologyError, find_segments
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -99,6 +98,8 @@ def _same_weights(a: WeightStore, b: WeightStore) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:  # a usage error, not a failed verification
+        raise ValidationError([f"--trials must be at least 1, got {args.trials}"])
     graph, weights = load_model(args.model, args.weights)
     masks = load_masks(args.masks) if args.masks else {}
     try:

@@ -107,7 +107,9 @@ def check_equivalence(
     seed: int = 0, mask_side: str = "input",
 ) -> EquivalenceReport:
     """Max relative deviation between the mask-simulated original and the
-    exported model over random standard-normal inputs."""
+    exported model over ``trials`` (at least 1) random standard-normal inputs."""
+    if trials < 1:
+        raise ValidationError([f"trials must be at least 1, got {trials}"])
     in_a = graph_width(original_graph, LayerKind.INPUT)
     in_b = graph_width(exported_graph, LayerKind.INPUT)
     out_a = graph_width(original_graph, LayerKind.OUTPUT)
@@ -116,7 +118,7 @@ def check_equivalence(
         raise ValidationError(
             [f"model boundaries disagree: input {in_a} vs {in_b}, output {out_a} vs {out_b}"])
     # row t is the t-th of ``trials`` sequential ``standard_normal(in_a)`` draws
-    x = np.random.default_rng(seed).standard_normal((max(trials, 0), in_a)).T
+    x = np.random.default_rng(seed).standard_normal((trials, in_a)).T
     a = run(original_graph, original_weights, x, masks, mask_side)
     b = run(exported_graph, exported_weights, x)
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))

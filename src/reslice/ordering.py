@@ -1,25 +1,23 @@
 """Channel ordering: a concrete memory layout for a segment's kept slots.
 
-``find_zero_copy_order`` decides exactly whether a copy-free layout exists
-and builds one. Within one band that is the consecutive-ones property of
-the consumer x channel retained matrix: each consumer's retained slots must
-be contiguous. ``_c1p_order`` decides it by overlap components (Hsu, *J.
-Algorithms* 43(1), 2002) in O(m^2 n) for m consumers and n slots, with no
-cap. A consumer reading across concatenated bands becomes one end-anchored
-set per band it touches. The kept slots to lay out can be given apart from
-the consumers, so a subset of them can be tested against the full layout.
+The layout is decided over a family of retained-slot sets, one per layer,
+each with the bands it reads: consumers' retained input channels in input
+mode, read across their whole read vector; producers' kept filters in
+output mode, each inside its own band. A layer slices (or, as a producer,
+needs no split) when its set is contiguous in the layout.
 
-``largest_c1p_order`` is the input-mode layout when no copy-free one
-exists: a large subset of consumers with a copy-free layout, chosen
-greedily by retained size and improved by single swaps; the rest gather.
+``find_zero_copy_order`` decides exactly whether a layout exists in which
+every set is contiguous and builds one. Within one band that is the
+consecutive-ones property of the set x slot matrix. ``_c1p_order`` decides
+it by overlap components (Hsu, *J. Algorithms* 43(1), 2002) in O(m^2 n)
+for m sets and n slots, with no cap. A set reading across concatenated
+bands becomes one end-anchored set per band it touches. The kept slots to
+lay out can be given apart from the sets, so a subset of them can be
+tested against the full layout.
 
-``order_channels`` emits the layout of a path decomposition, which output
-mode uses. Channels are emitted one at a time. Consumers on
-the current path that have started (some channel emitted) but not finished
-pin the choice to channels they all still need, which is what makes each
-consumer's block contiguous when the path structure allows it. Ties prefer
-channels wanted by the fewest not-yet-started consumers, so no consumer is
-forced to start early.
+``largest_c1p_order`` is the layout when no copy-free one exists: a large
+subset of the sets with a copy-free layout, chosen greedily by size and
+improved by single swaps; the layers left out gather.
 """
 
 from __future__ import annotations
@@ -27,63 +25,9 @@ from __future__ import annotations
 import logging
 from typing import Iterable, Mapping
 
-from reslice.path_search import Path
-from reslice.reorder_graph import ReorderGraph
 from reslice.segments import Segment
 
 log = logging.getLogger(__name__)
-
-
-def order_channels(graph: ReorderGraph, paths: list[Path]) -> tuple[int, ...]:
-    """Emit a channel order realizing the given path decomposition: the
-    retained slots in their new order (a slot no node retains is dropped).
-
-    Paths are processed in order; each tracks its own nodes plus the
-    parents it absorbed. Retained slots of nodes on no path are appended
-    ascending at the end (they will be gathered, not sliced).
-    """
-    for path in paths:
-        for node in (*path.nodes, *path.covered_parents):
-            if node not in graph.nodes:
-                raise KeyError(f"unknown reorder-graph node {node!r}")
-
-    all_retained: set[int] = set()
-    for node in graph.nodes.values():
-        all_retained |= node.retained
-
-    emitted: list[int] = []
-    emitted_set: set[int] = set()
-    for path in paths:
-        tracked = [*path.nodes, *path.covered_parents]
-        retained = {t: set(graph.nodes[t].retained) for t in tracked}
-
-        def pending(t: str) -> set[int]:
-            return retained[t] - emitted_set
-
-        def started(t: str) -> bool:
-            return bool(retained[t] & emitted_set)
-
-        while any(pending(t) for t in tracked):
-            active = [t for t in tracked if started(t) and pending(t)]
-            if active:
-                # serve every active consumer if possible; otherwise shed
-                # the cheapest one (its block is already broken)
-                pool = list(active)
-                candidates = set.intersection(*(pending(t) for t in pool))
-                while not candidates:
-                    pool.remove(min(pool, key=lambda t: (len(retained[t]), t)))
-                    candidates = set.intersection(*(pending(t) for t in pool))
-            else:
-                first = next(t for t in tracked if pending(t))
-                candidates = pending(first)
-            channel = min(candidates, key=lambda ch: (
-                sum(1 for t in tracked if not started(t) and ch in retained[t]),
-                ch))
-            emitted.append(channel)
-            emitted_set.add(channel)
-
-    emitted.extend(sorted(all_retained - emitted_set))
-    return tuple(emitted)
 
 
 def band_layouts(segment: Segment, order: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
@@ -199,20 +143,23 @@ def _c1p_order(sets: Iterable[frozenset[int]], universe: Iterable[int]) -> list[
 
 
 def find_zero_copy_order(segment: Segment, retained: Mapping[str, frozenset[int]],
+                         reads: Mapping[str, tuple[int, ...]],
                          kept: frozenset[int] | None = None) -> tuple[int, ...] | None:
     """An order of the ``kept`` slots (by default every slot ``retained``
-    names) in which the retained slots of every consumer in ``retained``
-    are contiguous, or None when no such order exists or the segment is
-    locked. A ``kept`` wider than ``retained`` tests a subset of the
-    consumers against the full layout; the slots only the others keep go
-    wherever they fit.
+    names) in which every set in ``retained`` is contiguous, or None when
+    no such order exists or the segment is locked. ``reads[k]`` lists the
+    indices into ``segment.bands`` that set ``k`` reads, one per run of
+    its read vector, in read order (a consumer's ``band_reads``; a
+    producer's own band alone). A ``kept`` wider than ``retained`` tests a
+    subset of the sets against the full layout; the slots only the others
+    keep go wherever they fit.
 
     Each band is solved on its own kept slots and the band layouts are
     concatenated in ``segment.bands`` order (``band_layouts`` splits them
-    back). A consumer whose retained slots span bands F..G of its read
-    vector keeps a suffix of F and a prefix of G, against two sentinels
-    pinned to the ends of those bands, and must keep every slot of the
-    bands between, each of which must keep some slot.
+    back). A set whose slots span bands F..G of its read vector keeps a
+    suffix of F and a prefix of G, against two sentinels pinned to the
+    ends of those bands, and must keep every slot of the bands between,
+    each of which must keep some slot.
     """
     if segment.lock_reason:
         return None
@@ -225,7 +172,7 @@ def find_zero_copy_order(segment: Segment, retained: Mapping[str, frozenset[int]
     families: list[list[frozenset[int]]] = [[] for _ in segment.bands]
     anchored: set[int] = set()
     for c, want in retained.items():
-        runs = segment.band_reads[c]
+        runs = reads[c]
         if len(set(runs)) < len(runs):
             return None
         touched = [i for i in runs if not want.isdisjoint(band_kept[i])]
@@ -253,21 +200,22 @@ def find_zero_copy_order(segment: Segment, retained: Mapping[str, frozenset[int]
 
 
 def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
+                      reads: Mapping[str, tuple[int, ...]],
                       ) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """An order of every kept slot in which a large subset of the consumers
-    slice (their retained slots contiguous), and that subset by name; the
-    others gather unless the order happens to suit them too. The segment
-    must not be locked.
+    """An order of every kept slot in which a large subset of the sets in
+    ``retained`` are contiguous, and that subset by layer name; the other
+    layers gather unless the order happens to suit them too. ``reads`` is
+    as for ``find_zero_copy_order``. The segment must not be locked.
 
-    Consumers are taken by descending retained size, then name, and each
-    is kept while the chosen ones still have a copy-free layout of the
-    full kept universe (``find_zero_copy_order``). Then, until no swap
-    helps, one chosen consumer is swapped for one or two rejected ones
-    whenever that strictly raises the retained size of the chosen set, and
-    the rejected ones that fit after the swap join. A swap is tried only
-    with rejected consumers that fit on their own once the chosen one
-    leaves, and two of them only when their sets are disjoint or nested,
-    which bounds the search on wide overlapping fans.
+    Sets are taken by descending size, then name, and each is kept while
+    the chosen ones still have a copy-free layout of the full kept
+    universe (``find_zero_copy_order``). Then, until no swap helps, one
+    chosen set is swapped for one or two rejected ones whenever that
+    strictly raises the total size of the chosen sets, and the rejected
+    ones that fit after the swap join. A swap is tried only with rejected
+    sets that fit on their own once the chosen one leaves, and two of them
+    only when they are disjoint or nested, which bounds the search on wide
+    overlapping fans.
     """
     if segment.lock_reason:
         raise ValueError(f"segment {segment.id} keeps its layout: {segment.lock_reason}")
@@ -276,7 +224,7 @@ def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
     ranked = sorted(retained, key=lambda c: (-size[c], c))
 
     def layout(group: list[str]) -> tuple[int, ...] | None:
-        return find_zero_copy_order(segment, {c: retained[c] for c in group}, kept)
+        return find_zero_copy_order(segment, {c: retained[c] for c in group}, reads, kept)
 
     def fill(chosen: list[str]) -> list[str]:
         for c in ranked:
@@ -295,7 +243,7 @@ def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
             moves = [(r,) for r in rejected if size[r] > size[out]]
             moves += [(r, s) for i, r in enumerate(rejected) for s in rejected[i + 1:]
                       if size[r] + size[s] > size[out] and nested_or_disjoint(r, s)]
-            fits: dict[str, bool] = {}  # rejected consumer -> fits beside ``rest``
+            fits: dict[str, bool] = {}  # rejected layer -> fits beside ``rest``
 
             def fits_alone(r: str) -> bool:
                 if r not in fits:
@@ -311,6 +259,6 @@ def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
     chosen = fill([])
     while (better := swap(chosen)) is not None:
         chosen = fill(better)
-    log.info("segment %s: rule c1p-subset, %d consumers chosen, %d rejected",
+    log.info("segment %s: rule c1p-subset, %d layers chosen, %d rejected",
              segment.id, len(chosen), len(retained) - len(chosen))
     return layout(chosen), tuple(sorted(chosen))

@@ -1,31 +1,125 @@
-"""Maximum-reward acyclic paths over a reorder graph.
+"""The maximum-reward path search, which export no longer runs.
 
-A path is an ordered list of distinct nodes. It is valid when no two
-non-adjacent entries share an edge, except parent-child edges, which are
-exempt from that rejection. Its reward is the sum of node rewards plus the
-(negative) rewards of edges between consecutive entries, plus a bonus: any
-parent node absent from the path whose channels are fully covered by its
-children on the path contributes its node reward for free.
+Export orders channels by consecutive ones (``reslice.ordering``). The
+path search stays as the tests' comparison reference; within the package
+only ``reslice.pipeline`` imports it, for ``bench/tracing.py``.
+
+A reorder graph has one node per retained-slot set (layers with identical
+sets merge), rewarded with its size; nodes whose sets intersect share an
+edge rewarded with minus the shared count. A node whose set strictly
+contains another's is a *parent*. A path is an ordered list of distinct
+nodes, valid when no two non-adjacent entries share an edge other than a
+parent-child edge. Its reward is the sum of node rewards plus the rewards
+of edges between consecutive entries, plus the reward of every parent off
+the path whose channels its children on the path cover.
 
 ``solve_mrap`` finds the maximum-reward valid path with deterministic
 tie-breaking (lexicographically smallest node-id sequence), exactly up to
 ``EXACT_NODE_CAP`` nodes and greedily above. Both searches read one bitmask
 view of the graph, in which a search state is (path set, last node).
 ``decompose_paths`` peels optimal paths off the graph until every node is
-placed (or absorbed as a fully covered parent).
+placed (or absorbed as a fully covered parent), and ``order_channels``
+emits the channel order of such a decomposition.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
-from reslice.reorder_graph import ReorderGraph
+from reslice.graph import ChannelMask, ValidationError
+from reslice.segments import Segment, retained_slots
 
 logger = logging.getLogger(__name__)
 
 # above this node count the exact search falls back to a greedy heuristic
 EXACT_NODE_CAP = 20
+
+
+@dataclass(frozen=True)
+class RGNode:
+    """A layer (or merged group of layers with identical retained sets)."""
+
+    id: str  # == members[0]
+    members: tuple[str, ...]
+    retained: frozenset[int]
+    reward: int
+
+
+@dataclass
+class ReorderGraph:
+    nodes: dict[str, RGNode]
+    edges: dict[tuple[str, str], frozenset[int]]  # key: sorted id pair -> shared
+    parents: dict[str, tuple[str, ...]]  # parent node -> children (strict subsets)
+    channel_space: int
+
+    @staticmethod
+    def _key(u: str, v: str) -> tuple[str, str]:
+        return (u, v) if u <= v else (v, u)
+
+    def shared(self, u: str, v: str) -> frozenset[int]:
+        return self.edges.get(self._key(u, v), frozenset())
+
+    def edge_reward(self, u: str, v: str) -> int:
+        return -len(self.edges.get(self._key(u, v), ()))
+
+    def has_edge(self, u: str, v: str) -> bool:
+        return self._key(u, v) in self.edges
+
+    def is_exempt(self, u: str, v: str) -> bool:
+        return v in self.parents.get(u, ()) or u in self.parents.get(v, ())
+
+    def subgraph(self, keep: Iterable[str]) -> "ReorderGraph":
+        keep = set(keep)
+        return _from_nodes([self.nodes[i] for i in sorted(keep)], self.channel_space)
+
+
+def _from_nodes(nodes: Iterable[RGNode], channel_space: int) -> ReorderGraph:
+    node_map = {n.id: n for n in nodes}
+    ids = sorted(node_map)
+    edges: dict[tuple[str, str], frozenset[int]] = {}
+    children: dict[str, list[str]] = {i: [] for i in ids}
+    for i, u in enumerate(ids):
+        ru = node_map[u].retained
+        for v in ids[i + 1:]:
+            rv = node_map[v].retained
+            shared = ru & rv
+            if shared:
+                edges[(u, v)] = frozenset(shared)
+            if ru < rv:
+                children[v].append(u)
+            elif rv < ru:
+                children[u].append(v)
+    parents = {p: tuple(sorted(cs)) for p, cs in children.items() if cs}
+    return ReorderGraph(node_map, edges, parents, channel_space)
+
+
+def reorder_graph_from_sets(retained: Mapping[str, Iterable[int]],
+                            channel_space: int) -> ReorderGraph:
+    """Build a reorder graph from raw layer -> retained-channel sets.
+
+    Layers with identical sets merge into one node named after the
+    smallest member id.
+    """
+    by_set: dict[frozenset[int], list[str]] = {}
+    for cid in sorted(retained):
+        rset = frozenset(int(c) for c in retained[cid])
+        if not rset:
+            raise ValidationError([f"{cid}: retained set is empty"])
+        if any(not (0 <= c < channel_space) for c in rset):
+            raise ValidationError([f"{cid}: retained channel out of [0, {channel_space})"])
+        by_set.setdefault(rset, []).append(cid)
+    nodes = []
+    for rset, members in by_set.items():
+        members = tuple(sorted(members))
+        nodes.append(RGNode(members[0], members, rset, len(rset)))
+    return _from_nodes(nodes, channel_space)
+
+
+def build_reorder_graph(segment: Segment, masks: ChannelMask) -> ReorderGraph:
+    """The reorder graph of a segment's consumers (input masks)."""
+    return reorder_graph_from_sets(retained_slots(segment, masks), segment.channel_space)
 
 
 @dataclass(frozen=True)
@@ -203,3 +297,60 @@ def decompose_paths(graph: ReorderGraph) -> list[Path]:
         remaining -= set(found.nodes)
         remaining -= set(found.covered_parents)
     return paths
+
+
+def order_channels(graph: ReorderGraph, paths: list[Path]) -> tuple[int, ...]:
+    """Emit a channel order realizing the given path decomposition: the
+    retained slots in their new order (a slot no node retains is dropped).
+
+    Paths are processed in order; each tracks its own nodes plus the
+    parents it absorbed. Channels are emitted one at a time. Nodes on the
+    current path that have started (some channel emitted) but not finished
+    pin the choice to channels they all still need, which is what makes
+    each node's block contiguous when the path structure allows it. Ties
+    prefer channels wanted by the fewest not-yet-started nodes, so no node
+    is forced to start early. Retained slots of nodes on no path are
+    appended ascending at the end (they will be gathered, not sliced).
+    """
+    for path in paths:
+        for node in (*path.nodes, *path.covered_parents):
+            if node not in graph.nodes:
+                raise KeyError(f"unknown reorder-graph node {node!r}")
+
+    all_retained: set[int] = set()
+    for node in graph.nodes.values():
+        all_retained |= node.retained
+
+    emitted: list[int] = []
+    emitted_set: set[int] = set()
+    for path in paths:
+        tracked = [*path.nodes, *path.covered_parents]
+        retained = {t: set(graph.nodes[t].retained) for t in tracked}
+
+        def pending(t: str) -> set[int]:
+            return retained[t] - emitted_set
+
+        def started(t: str) -> bool:
+            return bool(retained[t] & emitted_set)
+
+        while any(pending(t) for t in tracked):
+            active = [t for t in tracked if started(t) and pending(t)]
+            if active:
+                # serve every active consumer if possible; otherwise shed
+                # the cheapest one (its block is already broken)
+                pool = list(active)
+                candidates = set.intersection(*(pending(t) for t in pool))
+                while not candidates:
+                    pool.remove(min(pool, key=lambda t: (len(retained[t]), t)))
+                    candidates = set.intersection(*(pending(t) for t in pool))
+            else:
+                first = next(t for t in tracked if pending(t))
+                candidates = pending(first)
+            channel = min(candidates, key=lambda ch: (
+                sum(1 for t in tracked if not started(t) and ch in retained[t]),
+                ch))
+            emitted.append(channel)
+            emitted_set.add(channel)
+
+    emitted.extend(sorted(all_retained - emitted_set))
+    return tuple(emitted)

@@ -1,17 +1,19 @@
 """End-to-end export: masks in, physically pruned model out.
 
-Per segment in input mode: look for a copy-free channel order first (an
-exact consecutive-ones test per band). Only when none exists, lay out the
-largest subset of consumers that can all slice and let the others gather.
-Either order is planned once. Output mode orders channels by the path
-search (``plan_export_output``). Segments nobody prunes are left
-untouched.
+Both modes order a segment by one rule (``_channel_order``): a copy-free
+order of the kept slots if one exists (an exact consecutive-ones test per
+band), else the layout of the largest subset of layers that can all slice,
+the others gathering. Input mode lays out the consumers' retained
+channels, read across their whole read vector; output mode the producers'
+kept filters, each inside its own band. The order is planned once.
+Segments nobody prunes are left untouched.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Mapping
 
 from reslice.graph import ChannelMask, ModelGraph, ValidationError, WeightStore, validate_masks
 from reslice.ordering import find_zero_copy_order, largest_c1p_order
@@ -25,18 +27,18 @@ from reslice.planner import (
     SegmentPlan,
     apply_plan,
     copy_report,
+    output_refusal,
     plan_baseline,
     plan_constrained,
     plan_export,
     plan_export_output,
+    reduce_producers,
 )
-from reslice.reorder_graph import UnsupportedTopologyError, reduce_producers, retained_slots
-from reslice.segments import Segment, find_segments
+from reslice.segments import (Segment, UnsupportedTopologyError, find_segments,
+                              producer_retained_slots, retained_slots)
 
 # unused here, but bench/tracing.py patches these names on this module
-from reslice.ordering import order_channels  # noqa: F401
-from reslice.path_search import decompose_paths  # noqa: F401
-from reslice.reorder_graph import build_reorder_graph  # noqa: F401
+from reslice.path_search import build_reorder_graph, decompose_paths, order_channels  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -54,32 +56,44 @@ class ExportResult:
 
 
 def _is_pruned(segment: Segment, masks: ChannelMask, mode: str) -> bool:
+    layers = segment.producer_slots if mode == MODE_OUTPUT else segment.consumer_slots
+    return any(lid in masks and len(set(masks[lid])) < len(vec) for lid, vec in layers.items())
+
+
+def _channel_order(segment: Segment, retained: Mapping[str, frozenset[int]],
+                   reads: Mapping[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """The ordering rule of both modes: a copy-free order of the kept slots,
+    else the layout of the largest subset of ``retained`` that can all be
+    contiguous (``ordering``)."""
+    order = find_zero_copy_order(segment, retained, reads)
+    if order is None:
+        order, _ = largest_c1p_order(segment, retained, reads)
+    return order
+
+
+def _plan_reorder(graph: ModelGraph, segment: Segment, masks: ChannelMask,
+                  mode: str) -> SegmentPlan:
     if mode == MODE_OUTPUT:
-        return any(p in masks and len(masks[p]) < len(segment.producer_slots[p])
-                   for p in segment.producers)
-    return any(c in masks and len(masks[c]) < len(segment.consumer_slots[c])
-               for c in segment.consumers)
-
-
-def _plan_reorder_input(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
+        if output_refusal(graph, segment):  # the planner refuses it or keeps its layout
+            return plan_export_output(graph, segment, (), masks)
+        own_band = {p: (i,) for i, band in enumerate(segment.bands) for p in band.producers}
+        order = _channel_order(segment, producer_retained_slots(segment, masks), own_band)
+        return plan_export_output(graph, segment, order, masks)
     if segment.lock_reason:  # plan_export refuses an unsupported segment
         return plan_export(graph, segment, (), (), masks)
-    retained = retained_slots(segment, masks)
-    order = find_zero_copy_order(segment, retained)
-    if order is None:
-        order, _ = largest_c1p_order(segment, retained)
+    order = _channel_order(segment, retained_slots(segment, masks), segment.band_reads)
     return plan_export(graph, segment, order, reduce_producers(segment), masks)
 
 
 def _plan_segment(graph: ModelGraph, segment: Segment, masks: ChannelMask,
                   mode: str, strategy: str) -> SegmentPlan:
+    if strategy == STRATEGY_REORDER:
+        return _plan_reorder(graph, segment, masks, mode)
     if mode == MODE_OUTPUT:
-        return plan_export_output(graph, segment, masks, strategy)
+        return plan_export_output(graph, segment, (), masks, STRATEGY_BASELINE)
     if strategy == STRATEGY_BASELINE:
         return plan_baseline(graph, segment, masks)
-    if strategy == STRATEGY_CONSTRAINED:
-        return plan_constrained(graph, segment, masks)
-    return _plan_reorder_input(graph, segment, masks)
+    return plan_constrained(graph, segment, masks)
 
 
 def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
@@ -110,10 +124,7 @@ def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
             if on_unsupported != ON_UNSUPPORTED_BASELINE:
                 raise
             log.warning("segment %s: %s; falling back to baseline", segment.id, exc.reason)
-            if mode == MODE_OUTPUT:
-                plans.append(plan_export_output(graph, segment, masks, STRATEGY_BASELINE))
-            else:
-                plans.append(plan_baseline(graph, segment, masks))
+            plans.append(_plan_segment(graph, segment, masks, mode, STRATEGY_BASELINE))
             fallbacks.append(segment.id)
     return plans, fallbacks
 

@@ -37,16 +37,9 @@ from reslice.graph import (
     read_int,
     validate,
 )
-from reslice.ordering import band_layouts, order_channels
-from reslice.path_search import decompose_paths
-from reslice.reorder_graph import (
-    ProducerEquivalence,
-    UnsupportedTopologyError,
-    _retained_indices,
-    reorder_graph_from_sets,
-    retained_slots,
-)
-from reslice.segments import Segment, propagate_vectors
+from reslice.ordering import band_layouts
+from reslice.segments import (Segment, UnsupportedTopologyError, _retained_indices,
+                              producer_retained_slots, propagate_vectors, retained_slots)
 
 PLAN_FILE_VERSION = 1
 
@@ -239,6 +232,22 @@ def _in_place_order(segment: Segment, slots: Mapping[str, frozenset[int]]) -> tu
     return tuple(s for s in range(segment.channel_space) if s not in gone)
 
 
+@dataclass(frozen=True)
+class ProducerEquivalence:
+    """Map from a producer's local output channels to shared-space slots."""
+
+    producer: str
+    slots: tuple[int, ...]
+
+
+def reduce_producers(segment: Segment, graph: ModelGraph | None = None) -> list[ProducerEquivalence]:
+    """Per-producer slot maps, or an error when the join structure breaks
+    the one-channel-to-one-slot assumptions."""
+    if segment.unsupported is not None:
+        raise UnsupportedTopologyError(segment.id, segment.unsupported)
+    return [ProducerEquivalence(p, segment.producer_slots[p]) for p in segment.producers]
+
+
 def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...],
                 equivalences: Iterable[ProducerEquivalence], masks: ChannelMask) -> SegmentPlan:
     """Reordered export: producers adopt the order, consumers contiguous in
@@ -370,17 +379,19 @@ def output_refusal(graph: ModelGraph, segment: Segment) -> str | None:
     return None
 
 
-def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: ChannelMask,
-                       strategy: str = STRATEGY_REORDER) -> SegmentPlan:
+def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ...],
+                       output_masks: ChannelMask, strategy: str = STRATEGY_REORDER) -> SegmentPlan:
     """Output-side pruning: producers drop their own pruned filters.
 
-    Reorder strategy: the reorder graph is built over producers; the join is
+    Reorder strategy: producers adopt ``order``, which lists each kept
+    filter's slot once (``producer_retained_slots``); the join is
     rewritten as maximal constant-producer-set runs (a slice per producer,
     an add per shared run, one concat). Producers whose kept filters end up
-    non-contiguous in the combined order are counted as copied.
+    non-contiguous in the order are counted as copied. A locked or refused
+    segment ignores the order.
 
     Baseline strategy: per-producer drop + zero-infill gather (see
-    ``_output_baseline``).
+    ``_output_baseline``); the order is unused.
     """
     if strategy == STRATEGY_BASELINE:
         return _output_baseline(graph, segment, output_masks)
@@ -398,14 +409,12 @@ def plan_export_output(graph: ModelGraph, segment: Segment, output_masks: Channe
     if reason is not None:
         raise UnsupportedTopologyError(segment.id, reason)
 
-    # a producer whose mask is empty keeps filter 0, zeroed, so it stays non-empty
-    kept = _retained_indices(segment.producer_slots, output_masks, "output mask")
-    zero_rows = {p: (0,) for p in segment.producers if not kept[p]}
-    retained = {p: frozenset(segment.producer_slots[p][i] for i in kept[p] or (0,))
-                for p in segment.producers}
-    rg = reorder_graph_from_sets(retained, segment.channel_space)
-    paths = decompose_paths(rg)
-    order = order_channels(rg, paths)
+    retained = producer_retained_slots(segment, output_masks)
+    # a producer whose mask is empty keeps filter 0, zeroed
+    zero_rows = {p: (0,) for p in segment.producers
+                 if p in output_masks and len(output_masks[p]) == 0}
+    if sorted(order) != sorted(set().union(*retained.values())):
+        raise ValidationError([f"{segment.id}: order does not list each kept channel once"])
 
     # no per-channel layer lies inside, so the layouts need no vectors
     position = {slot: i for i, slot in enumerate(order)}

@@ -12,8 +12,8 @@ canonical index set for the shared tensor's channels. Add joins identify
 producer channels positionally (channel i of each summed input is the same
 slot); concat gives each input its own block of slots. The per-producer
 and per-consumer slot vectors computed here drive everything downstream
-(reorder graph, planning, weight rewrites), and one lock reason records
-why a segment must keep its layout.
+(retained-slot sets, ordering, planning, weight rewrites), and one lock
+reason records why a segment must keep its layout.
 """
 
 from __future__ import annotations
@@ -23,11 +23,20 @@ from functools import cached_property
 from itertools import groupby
 from typing import Callable, Iterable, Mapping, Sequence
 
-from reslice.graph import INTERIOR_KINDS, LayerKind, ModelGraph
+from reslice.graph import INTERIOR_KINDS, ChannelMask, LayerKind, ModelGraph, ValidationError
 
 # token used in slot vectors for channels that are constant zero
 # (produced by gather layers with -1 source entries in re-imported exports)
 ZERO = -1
+
+
+class UnsupportedTopologyError(RuntimeError):
+    """The join structure violates a reduction assumption for the segment."""
+
+    def __init__(self, segment_id: str, reason: str):
+        super().__init__(f"segment {segment_id}: {reason}")
+        self.segment_id = segment_id
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -296,3 +305,47 @@ def find_segments(graph: ModelGraph) -> list[Segment]:
         segments.append(segment)
         assigned.update(segment.producers)
     return sorted(segments, key=lambda s: s.producers[0])
+
+
+def _retained_indices(vectors: Mapping[str, tuple[int, ...]], masks: ChannelMask,
+                      what: str = "mask") -> dict[str, tuple[int, ...]]:
+    """Per-layer retained local channel indices, ascending and distinct.
+
+    ``vectors`` maps each layer to its slot vector (a segment's
+    ``consumer_slots`` or ``producer_slots``); a layer without a mask entry
+    retains every index, and an index outside its vector raises
+    ValidationError.
+    """
+    out: dict[str, tuple[int, ...]] = {}
+    for lid, vec in vectors.items():
+        if lid not in masks:
+            out[lid] = tuple(range(len(vec)))
+            continue
+        local = tuple(sorted(set(masks[lid])))
+        bad = [i for i in local if not (0 <= i < len(vec))]
+        if bad:
+            raise ValidationError([f"{lid}: {what} index {bad[0]} out of [0, {len(vec)})"])
+        out[lid] = local
+    return out
+
+
+def retained_slots(segment: Segment, masks: ChannelMask) -> dict[str, frozenset[int]]:
+    """Per-consumer retained channels in segment-slot space.
+
+    Consumers without a mask entry retain everything they read. Mask
+    indices are consumer-local input channel indices.
+    """
+    return {c: frozenset(segment.consumer_slots[c][i] for i in columns)
+            for c, columns in _retained_indices(segment.consumer_slots, masks).items()}
+
+
+def producer_retained_slots(segment: Segment,
+                            output_masks: ChannelMask) -> dict[str, frozenset[int]]:
+    """Per-producer kept filters in segment-slot space (output masks).
+
+    A producer whose mask keeps nothing keeps its filter 0, which the
+    output planner zeroes, so no layer is left without channels.
+    """
+    kept = _retained_indices(segment.producer_slots, output_masks, "output mask")
+    return {p: frozenset(segment.producer_slots[p][i] for i in rows or (0,))
+            for p, rows in kept.items()}

@@ -22,8 +22,7 @@ import numpy as np
 
 from reslice import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.graph import INTERIOR_KINDS
-from reslice.path_search import Path
-from reslice.reorder_graph import ReorderGraph
+from reslice.path_search import Path, ReorderGraph
 from reslice.segments import Segment, propagate_vectors
 
 MIX = LayerKind.CHANNEL_MIX
@@ -78,6 +77,18 @@ def fan_fixture(n_channels=4, consumer_ids=("B", "D"), out_width=2, seed=0):
     edges.extend((c, "j") for c in consumer_ids)
     rows.append(("out", OUTPUT, out_width, out_width))
     edges.append(("j", "out"))
+    return build_model(rows, edges, seed=seed)
+
+
+def add_join_fixture(n_channels=4, producer_ids=("A", "C"), out_width=2, seed=0):
+    """Producers summed by one add and read by one consumer B: the
+    output-mode mirror of ``fan_fixture``."""
+    rows = [("in", INPUT, n_channels, n_channels)]
+    rows += [(p, MIX, n_channels, n_channels) for p in producer_ids]
+    rows += [("j", ADD, n_channels, n_channels), ("B", MIX, n_channels, out_width),
+             ("out", OUTPUT, out_width, out_width)]
+    edges = [("in", p) for p in producer_ids] + [(p, "j") for p in producer_ids]
+    edges += [("j", "B"), ("B", "out")]
     return build_model(rows, edges, seed=seed)
 
 

@@ -12,13 +12,11 @@ from helpers import (brute_force_mrap, build_model, fan_fixture, random_dag,
 from reslice.graph import save_model
 from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
-from reslice.ordering import order_channels
-from reslice.path_search import Path, decompose_paths, solve_mrap
+from reslice.path_search import (Path, build_reorder_graph, decompose_paths, order_channels,
+                                 reorder_graph_from_sets, solve_mrap)
 from reslice.pipeline import export_model, plan_model
 from reslice.planner import copy_report, plan_export
-from reslice.reorder_graph import (build_reorder_graph, reorder_graph_from_sets,
-                                   retained_slots)
-from reslice.segments import find_segments
+from reslice.segments import find_segments, retained_slots
 
 SPARSITIES = (0.1, 0.3, 0.5)
 N_RANDOM_MODELS = 100

@@ -361,6 +361,24 @@ def test_verify_with_other_masks_than_the_export_is_exit_4(model_files, capsys):
     assert "verification failed: deviation exceeds tolerance" in captured.err
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_with_no_trials_is_exit_2(model_files, capsys, trials):
+    # no trial would pass any export, even one made with other masks
+    tmp, model, weights = model_files
+    masks, other = tmp / "masks.json", tmp / "other.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    save_masks({"B": (0, 1), "D": (1, 2)}, other)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights, "--masks", other,
+                   "--out-prefix", prefix, "--trials", trials) == 2
+    captured = capsys.readouterr()
+    assert "max deviation" not in captured.out
+    assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 @pytest.mark.parametrize("command", ["export", "verify", "stats"])
 @pytest.mark.parametrize("content", [None, "not json", "[]"])
 def test_missing_or_malformed_model_file_is_exit_1(model_files, capsys, command, content):

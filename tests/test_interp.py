@@ -141,6 +141,16 @@ def test_equivalence_is_seeded():
     assert a.max_deviation == b.max_deviation
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_equivalence_needs_a_trial(trials):
+    # with no trial even a changed weight would pass
+    graph, weights = fan_fixture(4, ("B", "D"))
+    other = weights.copy()
+    other["B"] = other["B"] + 0.5
+    with pytest.raises(ValidationError, match="at least 1"):
+        check_equivalence(graph, weights, None, graph, other, trials=trials)
+
+
 def test_equivalence_requires_matching_boundaries():
     g1, w1 = chain(MIX, 3, 2)
     g2, w2 = chain(MIX, 4, 2)

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslice import find_segments
-from reslice.ordering import _c1p_order, band_layouts, find_zero_copy_order, order_channels
-from reslice.path_search import Path, decompose_paths
+from reslice.ordering import _c1p_order, band_layouts, find_zero_copy_order
+from reslice.path_search import Path, decompose_paths, order_channels, reorder_graph_from_sets
 from reslice.pipeline import export_model
 from reslice.planner import plan_export
-from reslice.reorder_graph import reorder_graph_from_sets, retained_slots
+from reslice.segments import retained_slots
 
 from helpers import (
     ADD,
@@ -102,7 +102,7 @@ def test_zero_copy_search_finds_layout_solver_missed():
         "B": (0, 1, 2), "C": (1, 2, 3, 4), "D": (3, 4, 5),
         "E": (2, 3, 4), "F": (1, 2, 4),
     })
-    found = find_zero_copy_order(seg, retained)
+    found = find_zero_copy_order(seg, retained, seg.band_reads)
     assert found == (0, 1, 2, 4, 3, 5)
     for want in retained.values():
         assert contiguous(found, want)
@@ -112,7 +112,7 @@ def test_zero_copy_search_exhausts_impossible_case():
     g, _ = fan_fixture(n_channels=4, consumer_ids=("B", "C", "D"))
     seg = next(s for s in find_segments(g) if s.producers == ("A",))
     retained = retained_slots(seg, {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 1)})
-    assert find_zero_copy_order(seg, retained) is None
+    assert find_zero_copy_order(seg, retained, seg.band_reads) is None
 
 
 def test_zero_copy_search_has_no_pattern_cap():
@@ -121,7 +121,7 @@ def test_zero_copy_search_has_no_pattern_cap():
     g, _ = fan_fixture(n_channels=9, consumer_ids=ids)
     seg = next(s for s in find_segments(g) if s.producers == ("A",))
     masks = {cid: (i,) for i, cid in enumerate(ids)}
-    found = find_zero_copy_order(seg, retained_slots(seg, masks))
+    found = find_zero_copy_order(seg, retained_slots(seg, masks), seg.band_reads)
     assert found == tuple(range(9))
     assert plan_export(g, seg, found, (), masks).stats.copied == 0
 
@@ -130,7 +130,7 @@ def test_zero_copy_search_respects_locks():
     g, _ = fan_fixture()
     seg = next(s for s in find_segments(g) if s.producers == ("in",))
     assert seg.lock_reason == "a producer is the model input"
-    assert find_zero_copy_order(seg, {"A": frozenset({0, 1})}) is None
+    assert find_zero_copy_order(seg, {"A": frozenset({0, 1})}, {"A": (0,)}) is None
 
 
 def only_adjacent_overlaps(rg, nodes):
@@ -182,7 +182,7 @@ def test_zero_copy_search_agrees_with_raw_permutation_oracle(seed):
     masks = {c: tuple(i for i in v if i < 6) or (0,) for c, v in masks.items()}
     seg = next(s for s in find_segments(g) if s.producers == ("A",))
     retained = retained_slots(seg, masks)
-    found = find_zero_copy_order(seg, retained)
+    found = find_zero_copy_order(seg, retained, seg.band_reads)
     exists = zero_copy_exists(g, seg, retained)
     assert (found is not None) == exists
 
@@ -274,7 +274,7 @@ def concat_reads_fixture(widths, reads, seed=0):
 
 def check_against_oracle(graph, seg, masks, outcomes):
     retained = retained_slots(seg, masks)
-    found = find_zero_copy_order(seg, retained)
+    found = find_zero_copy_order(seg, retained, seg.band_reads)
     assert (found is not None) == zero_copy_exists(graph, seg, retained), masks
     if found is not None:
         assert plan_export(graph, seg, found, (), masks).stats.copied == 0, masks

@@ -1,6 +1,11 @@
-"""The package's export list."""
+"""The package's export list and its import structure."""
+
+import ast
+from pathlib import Path
 
 import reslice
+
+PACKAGE = Path(reslice.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -12,3 +17,27 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from reslice import *", namespace)
     assert set(reslice.__all__) <= set(namespace)
+
+
+def imported_names(path):
+    """Dotted names a module imports: ``from a import b`` gives ``a.b``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
+def test_only_the_pipeline_imports_the_path_search():
+    # the path search is a comparison reference that export no longer
+    # runs; reslice.pipeline imports the names bench/tracing.py patches on
+    # it, and nothing else may come to depend on the module
+    importers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = {n for n in imported_names(path)
+                 if n == "reslice.path_search" or n.startswith("reslice.path_search.")}
+        if names:
+            importers[path.name] = names
+    assert importers == {"pipeline.py": {"reslice.path_search.build_reorder_graph",
+                                         "reslice.path_search.decompose_paths",
+                                         "reslice.path_search.order_channels"}}

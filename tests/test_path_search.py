@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslice import path_search
-from reslice.path_search import EXACT_NODE_CAP, decompose_paths, solve_mrap
-from reslice.reorder_graph import reorder_graph_from_sets
+from reslice.path_search import EXACT_NODE_CAP, decompose_paths, reorder_graph_from_sets, solve_mrap
 
 from helpers import (brute_force_mrap, covered_parents, is_valid_path, oracle_dfs_mrap,
                      oracle_greedy_mrap, path_reward, random_retained_sets)

@@ -8,11 +8,9 @@ from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PASS, build_model,
 from reslice.graph import LayerKind, ValidationError
 from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
-from reslice.ordering import order_channels
-from reslice.path_search import decompose_paths
+from reslice.path_search import build_reorder_graph, decompose_paths, order_channels
 from reslice.pipeline import export_model, plan_model
 from reslice.planner import UnsupportedTopologyError, copy_report, plan_export
-from reslice.reorder_graph import build_reorder_graph
 from reslice.segments import find_segments
 
 
@@ -51,6 +49,18 @@ def test_unpruned_segments_are_skipped():
     # a full-width mask prunes nothing
     plans, _ = plan_model(graph, {"B": (0, 1, 2, 3)})
     assert plans == []
+
+
+@pytest.mark.parametrize("mode, masks", [("input", {"B": (0, 1, 2, 2)}),
+                                         ("output", {"A": (0, 1, 2, 2)})])
+def test_a_repeated_mask_index_counts_once(mode, masks):
+    # three distinct channels of four: the segment is pruned and planned
+    graph, weights = residual_block_fixture()
+    result = export_model(graph, weights, masks, mode=mode)
+    assert [p.segment for p in result.plans] == ["A"]
+    report = check_equivalence(graph, weights, masks, result.graph, result.weights,
+                               mask_side=mode)
+    assert report.passed
 
 
 def test_residual_export_end_to_end():

@@ -11,13 +11,12 @@ from reslice.graph import LayerKind, ModelFormatError, ModelGraph, ValidationErr
 from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
-from reslice.ordering import order_channels
-from reslice.path_search import decompose_paths
-from reslice.planner import (ConsumerAccess, CopyStats, UnsupportedTopologyError, apply_plan,
+from reslice.path_search import build_reorder_graph, decompose_paths, order_channels
+from reslice.planner import (ConsumerAccess, CopyStats, ProducerEquivalence,
+                             UnsupportedTopologyError, apply_plan,
                              copy_report, load_plans, plan_baseline,
                              plan_constrained, plan_export, plan_export_output,
                              plan_from_dict, plan_to_dict, save_plans)
-from reslice.reorder_graph import ProducerEquivalence, build_reorder_graph
 from reslice.segments import find_segments
 
 
@@ -381,38 +380,39 @@ def test_export_validates_once_whatever_the_depth(monkeypatch):
 # --------------------------------------------------------------------------
 
 def test_output_reorder_rewrites_residual_join():
-    # A drops filter 1, C drops filter 2; unique-A channels come first, then
-    # the shared run, then unique-C, and the add is rebuilt run by run
+    # A drops filter 1, C drops filter 2. The consecutive-ones layout of
+    # {0, 2, 3} and {0, 1, 3} turned so its first part starts lowest:
+    # unique-C channel 1, the shared run 0, 3, then unique-A channel 2; the
+    # add is rebuilt run by run
     graph, weights = residual_block_fixture()
-    s = seg(graph, {"A", "C"})
     masks = {"A": (0, 2, 3), "C": (0, 1, 3)}
-    plan = plan_export_output(graph, s, masks)
+    [plan], _ = plan_model(graph, masks, mode="output")
 
     assert plan.mode == "output"
-    assert plan.producer_orders == {"A": (2, 0, 3), "C": (0, 3, 1)}
+    assert plan.producer_orders == {"A": (0, 3, 2), "C": (1, 0, 3)}
     assert plan.stats == CopyStats(6, 0)
 
     jr = plan.join
     assert jr is not None and not jr.keep_original
-    assert [r.producers for r in jr.runs] == [("A",), ("A", "C"), ("C",)]
-    assert jr.runs[0].windows == {"A": (0, 1)}
-    assert jr.runs[1].windows == {"A": (1, 2), "C": (0, 2)}
-    assert jr.runs[2].windows == {"C": (2, 1)}
+    assert [r.producers for r in jr.runs] == [("C",), ("A", "C"), ("A",)]
+    assert jr.runs[0].windows == {"C": (0, 1)}
+    assert jr.runs[1].windows == {"A": (0, 2), "C": (1, 2)}
+    assert jr.runs[2].windows == {"A": (2, 1)}
 
     for c in ("B", "D"):
         a = access(plan, c)
-        assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 4, (2, 0, 3, 1))
+        assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 4, (1, 0, 3, 2))
 
     new_graph, new_weights = apply_plan([plan], graph, weights)
     assert [l.id for l in new_graph.layers] == [
         "in", "A", "C", "r", "B", "D", "j2", "out",
-        "j.run0.A", "j.run1.A", "j.run1.C", "j.run1", "j.run2.C", "j.joined"]
+        "j.run0.C", "j.run1.A", "j.run1.C", "j.run1", "j.run2.A", "j.joined"]
     assert new_graph.edges == (
         ("in", "A"), ("in", "C"), ("j.joined", "r"), ("r", "B"), ("r", "D"),
         ("B", "j2"), ("D", "j2"), ("j2", "out"),
-        ("A", "j.run0.A"), ("A", "j.run1.A"), ("C", "j.run1.C"),
-        ("j.run1.A", "j.run1"), ("j.run1.C", "j.run1"), ("C", "j.run2.C"),
-        ("j.run0.A", "j.joined"), ("j.run1", "j.joined"), ("j.run2.C", "j.joined"))
+        ("C", "j.run0.C"), ("A", "j.run1.A"), ("C", "j.run1.C"),
+        ("j.run1.A", "j.run1"), ("j.run1.C", "j.run1"), ("A", "j.run2.A"),
+        ("j.run0.C", "j.joined"), ("j.run1", "j.joined"), ("j.run2.A", "j.joined"))
     report = check_equivalence(graph, weights, masks, new_graph, new_weights,
                                seed=11, mask_side="output")
     assert report.passed
@@ -422,7 +422,7 @@ def test_output_identity_masks_keep_join():
     graph, weights = residual_block_fixture()
     s = seg(graph, {"A", "C"})
     masks = {"A": (0, 2, 3), "C": (0, 2, 3)}
-    plan = plan_export_output(graph, s, masks)
+    plan = plan_export_output(graph, s, (0, 2, 3), masks)
     assert plan.producer_orders == {"A": (0, 2, 3), "C": (0, 2, 3)}
     assert plan.join.keep_original
     assert plan.stats.copied == 0
@@ -437,7 +437,7 @@ def test_output_identity_masks_keep_join():
 def test_output_baseline_infill():
     graph, weights = single_branch_fixture()
     s = seg(graph, {"A"})
-    plan = plan_export_output(graph, s, {"A": (0, 2, 3)}, strategy="baseline")
+    plan = plan_export_output(graph, s, (), {"A": (0, 2, 3)}, strategy="baseline")
     assert plan.strategy == "baseline"
     assert plan.producer_orders["A"] == (0, 2, 3)
     assert plan.infill["A"] == (0, -1, 1, 2)
@@ -456,7 +456,7 @@ def test_output_baseline_infill():
 def test_output_baseline_empty_mask_keeps_one_row():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"A"})
-    plan = plan_export_output(graph, s, {"A": ()}, strategy="baseline")
+    plan = plan_export_output(graph, s, (), {"A": ()}, strategy="baseline")
     assert plan.producer_orders["A"] == (0,)
     assert plan.infill["A"] == (-1, -1, -1, -1)
 
@@ -468,7 +468,7 @@ def test_output_refuses_per_channel_interior():
         [("in", "A"), ("A", "p"), ("p", "B"), ("B", "out")])
     s = seg(graph, {"A"})
     with pytest.raises(UnsupportedTopologyError):
-        plan_export_output(graph, s, {"A": (0, 1)})
+        plan_export_output(graph, s, (), {"A": (0, 1)})
 
 
 def test_output_refuses_stacked_joins():
@@ -480,19 +480,19 @@ def test_output_refuses_stacked_joins():
          ("j1", "j2"), ("C", "j2"), ("j2", "D"), ("D", "out")])
     s = seg(graph, {"A", "B", "C"})
     with pytest.raises(UnsupportedTopologyError):
-        plan_export_output(graph, s, {"A": (0, 1)})
+        plan_export_output(graph, s, (), {"A": (0, 1)})
 
 
 def test_output_locked_segment():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"in"})
-    plan = plan_export_output(graph, s, {})
+    plan = plan_export_output(graph, s, (), {})
     assert (plan.mode, plan.strategy, plan.producer_orders) == (
         "output", "reorder", {"in": (0, 1, 2, 3)})
     assert (plan.zero_rows, plan.infill, plan.consumers, plan.join) == ({}, {}, (), None)
     assert plan.stats == CopyStats(4, 0)
     with pytest.raises(UnsupportedTopologyError) as exc:
-        plan_export_output(graph, s, {"in": (0, 1)})
+        plan_export_output(graph, s, (), {"in": (0, 1)})
     # the refusal names the segment's lock reason
     assert exc.value.reason == ("producers cannot drop output channels: a producer is the "
                                 "model input; use the baseline infill")
@@ -524,7 +524,7 @@ def test_copy_report_sums():
 
 def sample_plans():
     graph, _ = residual_block_fixture()
-    out = [plan_export_output(graph, seg(graph, {"A", "C"}),
+    out = [plan_export_output(graph, seg(graph, {"A", "C"}), (1, 0, 3, 2),
                               {"A": (0, 2, 3), "C": (0, 1, 3)})]
     fan, _ = fan_fixture(4, ("B", "C", "D"))
     s = seg(fan, {"A"})

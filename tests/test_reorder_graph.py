@@ -5,12 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslice import ValidationError, find_segments
-from reslice.reorder_graph import (
-    build_reorder_graph,
-    reduce_producers,
-    reorder_graph_from_sets,
-    retained_slots,
-)
+from reslice.path_search import build_reorder_graph, reorder_graph_from_sets
+from reslice.planner import reduce_producers
+from reslice.segments import retained_slots
 
 from helpers import fan_fixture, random_retained_sets, residual_block_fixture
 

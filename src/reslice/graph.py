@@ -329,7 +329,10 @@ def validate_masks(graph: ModelGraph, masks: Mapping[str, Iterable[int]],
         retained = list(retained)
         if not retained:
             diags.append(f"{layer_id}: mask retains no channels")
-        if any(not (0 <= int(i) < space) for i in retained):
+        bad = [i for i in retained if not _is_int(i)]
+        if bad:
+            diags.append(f"{layer_id}: mask index {bad[0]!r} is not an integer")
+        elif any(not (0 <= i < space) for i in retained):
             diags.append(f"{layer_id}: mask index out of [0, {space})")
     return diags
 
@@ -338,8 +341,32 @@ def validate_masks(graph: ModelGraph, masks: Mapping[str, Iterable[int]],
 # file formats (deterministic structured text)
 # --------------------------------------------------------------------------
 
-def _dump_json(obj, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _write_json(f, value, depth: int) -> None:
+    """Write ``value`` as compact JSON, except that at depths 0 and 1 a
+    non-empty list or object puts each element on its own line."""
+    if depth == 2 or not isinstance(value, (dict, list)) or not value:
+        f.write(_ENCODER.encode(value))
+        return
+    is_dict = isinstance(value, dict)
+    f.write("{" if is_dict else "[")
+    for i, key in enumerate(sorted(value) if is_dict else range(len(value))):
+        f.write(",\n" if i else "\n")
+        if is_dict:
+            f.write(_ENCODER.encode(key) + ":")
+        _write_json(f, value[key], depth + 1)
+    f.write("\n}" if is_dict else "\n]")
+
+
+def _dump_json(obj: dict, path: str | Path) -> None:
+    """One line per top-level key and per element of a top-level list or
+    object. Unlike ``json.dumps(indent=...)`` this keeps CPython's C
+    encoder, and it writes piece by piece instead of building the text."""
+    with open(path, "w", encoding="ascii") as f:
+        _write_json(f, obj, 0)
+        f.write("\n")
 
 
 def _load_json(path: str | Path) -> dict:
@@ -353,12 +380,26 @@ def _load_json(path: str | Path) -> dict:
     return obj
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def read_int(value) -> int:
     """``value`` as an int. A float, bool, string or null where a file must
     hold an integer raises ModelFormatError instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ModelFormatError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def read_ints(values) -> tuple[int, ...]:
+    """A list of integers as a tuple; each element is checked as by
+    :func:`read_int`."""
+    if not isinstance(values, list):
+        raise ModelFormatError(f"expected a list of integers, got {values!r}")
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    return tuple(read_int(v) for v in values)
 
 
 def _expect_version(obj: dict, path, *want: int) -> int:
@@ -397,7 +438,7 @@ def graph_from_dict(obj: dict, source: str = "<memory>") -> ModelGraph:
     for rec in obj["layers"]:
         try:
             kind = LayerKind(rec["kind"])
-            params = tuple(read_int(p) for p in rec["params"]) if "params" in rec else None
+            params = read_ints(rec["params"]) if "params" in rec else None
             layers.append(Layer(str(rec["id"]), kind, read_int(rec["in_channels"]),
                                 read_int(rec["out_channels"]), params))
         except (KeyError, ValueError, TypeError) as exc:
@@ -426,7 +467,7 @@ def weights_to_dict(weights: WeightStore) -> dict:
 
 
 def _decode_tensor(rec: dict, version: int) -> np.ndarray:
-    shape = tuple(read_int(s) for s in rec["shape"])
+    shape = read_ints(rec["shape"])
     if version == 1:
         data = rec["data"]
         # numpy would read true as 1.0 and "1.5" as 1.5; null passes on to
@@ -480,7 +521,8 @@ def load_model(model_file: str | Path, weights_file: str | Path) -> tuple[ModelG
 
 
 def save_masks(masks: Mapping[str, Iterable[int]], path: str | Path) -> None:
-    retained = {layer_id: [int(i) for i in normalize_mask(idx)] for layer_id, idx in masks.items()}
+    retained = {str(layer_id): [int(i) for i in normalize_mask(idx)]
+                for layer_id, idx in masks.items()}
     _dump_json({"version": MASKS_FILE_VERSION, "retained": retained}, path)
 
 
@@ -493,9 +535,7 @@ def load_masks(path: str | Path) -> ChannelMask:
     masks: ChannelMask = {}
     for layer_id, idx in retained_obj.items():
         try:
-            if not isinstance(idx, list):
-                raise ModelFormatError("must be a list")
-            masks[str(layer_id)] = normalize_mask(read_int(i) for i in idx)
+            masks[str(layer_id)] = normalize_mask(read_ints(idx))
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: retained[{layer_id!r}] {exc}") from None
     return masks

@@ -35,6 +35,7 @@ from reslice.graph import (
     _dump_json,
     _load_json,
     read_int,
+    read_ints,
     validate,
 )
 from reslice.ordering import band_layouts
@@ -795,12 +796,12 @@ def _int_pair(values) -> tuple[int, int]:
 
 def _access_from_dict(rec: dict) -> ConsumerAccess:
     consumer = str(rec["consumer"])
-    perm = tuple(read_int(i) for i in rec["perm"])
+    perm = read_ints(rec["perm"])
     if "slice" in rec:
         start, length = _int_pair(rec["slice"])
         return ConsumerAccess(consumer, "slice", start=start, length=length, perm=perm)
     return ConsumerAccess(consumer, "gather", perm=perm,
-                          indices=tuple(read_int(i) for i in rec["gather"]))
+                          indices=read_ints(rec["gather"]))
 
 
 def _int_map_to_dict(m: Mapping[str, tuple[int, ...]]) -> dict:
@@ -808,7 +809,7 @@ def _int_map_to_dict(m: Mapping[str, tuple[int, ...]]) -> dict:
 
 
 def _int_map_from_dict(obj: Mapping) -> dict[str, tuple[int, ...]]:
-    return {str(k): tuple(read_int(i) for i in v) for k, v in obj.items()}
+    return {str(k): read_ints(v) for k, v in obj.items()}
 
 
 def plan_to_dict(plan: SegmentPlan) -> dict:
@@ -843,8 +844,11 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
         join = None
         if obj.get("join") is not None:
             j = obj["join"]
+            if not isinstance(j["keep_original"], bool):
+                raise ModelFormatError(f"keep_original must be true or false, "
+                                       f"got {j['keep_original']!r}")
             join = JoinRewrite(
-                join=str(j["join"]), keep_original=bool(j["keep_original"]),
+                join=str(j["join"]), keep_original=j["keep_original"],
                 operands={str(k): str(v) for k, v in j["operands"].items()},
                 runs=tuple(JoinRun({str(p): _int_pair(w) for p, w in r["windows"].items()})
                            for r in j["runs"]),

@@ -13,9 +13,10 @@ import pytest
 from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, build_model, fan_fixture,
                      residual_block_fixture, save_weights_v1)
 from reslice.cli import main
-from reslice.graph import (load_masks, load_model, save_masks, save_model, weights_from_dict,
-                           weights_to_dict)
-from reslice.planner import load_plans
+from reslice.graph import (graph_to_dict, load_masks, load_model, save_masks, save_model,
+                           weights_from_dict, weights_to_dict)
+from reslice.pipeline import export_model
+from reslice.planner import copy_report, load_plans, plan_to_dict, save_plans
 
 
 @pytest.fixture()
@@ -245,6 +246,19 @@ def test_verify_join_window_of_the_wrong_shape_is_exit_4(model_files, capsys, wi
     assert _tamper_plan(tmp, model, weights, capsys, tamper) == 4
     err = capsys.readouterr().err
     assert "verification failed" in err and "bad plan record" in err
+
+
+@pytest.mark.parametrize("value", [0, 1, [], None, "no"])
+def test_verify_join_keep_original_that_is_not_a_boolean_is_exit_4(model_files, capsys, value):
+    # bool() would read 0, [] and null as false, and "no" as true
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        assert segment["join"]["keep_original"] is False
+        segment["join"]["keep_original"] = value
+    assert _tamper_plan(tmp, model, weights, capsys, tamper) == 4
+    err = capsys.readouterr().err
+    assert "bad plan record" in err and "keep_original must be true or false" in err
 
 
 def test_verify_accepts_an_output_plan_file_with_the_old_kind_and_run_producers(
@@ -571,3 +585,66 @@ def test_malformed_version_2_weights_fail_export_and_verify(model_files, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.weights.json" in err
     assert not list(tmp.glob("again.*"))
+
+
+def _read_by_lines(text):
+    """Rebuild a file's object line by line, reading each line as one
+    top-level scalar, one list element or one object member."""
+    lines = text.split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    obj, container = {}, None
+    for line in lines[1:-2]:
+        line = line.removesuffix(",")
+        if container is None:
+            key, _, rest = line.partition(":")
+            if rest in ("[", "{"):
+                container = obj[json.loads(key)] = [] if rest == "[" else {}
+            else:
+                obj[json.loads(key)] = json.loads(rest)
+        elif line in ("]", "}"):
+            container = None
+        elif isinstance(container, list):
+            container.append(json.loads(line))
+        else:
+            member = json.loads("{" + line + "}")
+            assert len(member) == 1
+            container.update(member)
+    return obj
+
+
+def test_files_hold_one_element_per_line_and_the_old_layout_still_verifies(
+        model_files, capsys):
+    tmp, model, weights = model_files
+    graph, store = load_model(model, weights)
+    masks = {"A": (0, 2, 3), "C": (0, 1, 3)}
+    result = export_model(graph, store, masks, mode="output")
+    totals = copy_report(result.plans)
+    expected = {
+        "x.model.json": graph_to_dict(result.graph),
+        "x.weights.json": weights_to_dict(result.weights),
+        "x.plan.json": {"version": 1,
+                        "segments": [plan_to_dict(p) for p in result.plans],
+                        "totals": {"total_reads": totals.total_reads, "copied": totals.copied}},
+        "masks.json": {"version": 1, "retained": {k: list(v) for k, v in masks.items()}},
+    }
+    for again in (False, True):
+        save_model(result.graph, result.weights, tmp / "x.model.json", tmp / "x.weights.json")
+        save_plans(result.plans, tmp / "x.plan.json")
+        save_masks(masks, tmp / "masks.json")
+        files = {name: (tmp / name).read_bytes() for name in expected}
+        if again:
+            assert files == first
+        first = files
+    for name, want in expected.items():
+        text = files[name].decode("ascii")
+        assert _read_by_lines(text) == json.loads(text) == want, name
+
+    # files written with indent=2 before this layout load the same and verify
+    for name, want in expected.items():
+        (tmp / name).write_text(json.dumps(want, indent=2, sort_keys=True) + "\n")
+    assert load_masks(tmp / "masks.json") == masks
+    assert load_plans(tmp / "x.plan.json") == list(result.plans)
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights, "--mode", "output",
+                   "--masks", tmp / "masks.json", "--out-prefix", tmp / "x") == 0
+    assert "max deviation" in capsys.readouterr().out

@@ -18,6 +18,7 @@ from reslice.graph import (
     load_masks,
     load_model,
     normalize_mask,
+    read_ints,
     save_masks,
     save_model,
     validate,
@@ -182,6 +183,24 @@ def test_validate_masks_sides_and_bounds():
     assert any("out of" in d for d in validate_masks(g, {"B": (0, 3)}, side="output"))
 
 
+@pytest.mark.parametrize("values, message", [
+    ([1, 2.0], "expected an integer, got 2.0"), ([True, 1], "expected an integer, got True"),
+    ([1, "2"], "expected an integer, got '2'"), ([None], "expected an integer, got None"),
+    ((1, 2), "expected a list of integers"), ("12", "expected a list of integers"),
+    (3, "expected a list of integers")])
+def test_read_ints_rejects_what_read_int_rejects(values, message):
+    with pytest.raises(ModelFormatError) as exc:
+        read_ints(values)
+    assert message in str(exc.value)
+
+
+def test_read_ints_accepts_python_and_numpy_integers():
+    assert read_ints([]) == ()
+    assert read_ints([3, 1, 3]) == (3, 1, 3)
+    got = read_ints([1, np.int64(2)])
+    assert got == (1, 2) and set(map(type, got)) == {int}
+
+
 def test_model_round_trip_bit_exact(tmp_path):
     g, w = fan_fixture()
     m1, w1 = tmp_path / "m.json", tmp_path / "w.json"
@@ -237,6 +256,9 @@ def test_masks_round_trip_and_normalization(tmp_path):
     assert loaded == {"B": (0, 2), "D": (1,)}
     save_masks(loaded, tmp_path / "again.json")
     assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
+    # a key that is not a string is written as a string
+    save_masks({7: [1]}, path)
+    assert load_masks(path) == {"7": (1,)}
 
 
 # --------------------------------------------------------------------------

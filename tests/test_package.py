@@ -41,3 +41,28 @@ def test_only_the_pipeline_imports_the_path_search():
     assert importers == {"pipeline.py": {"reslice.path_search.build_reorder_graph",
                                          "reslice.path_search.decompose_paths",
                                          "reslice.path_search.order_channels"}}
+
+
+def json_dump_callers(path):
+    """``module.function`` for each call of ``json.dump`` or ``json.dumps``
+    in a module (``module.<module>`` outside any function)."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("dump", "dumps")
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"):
+                yield f"{path.stem}.{owner}"
+            yield from visit(child, owner)
+    return set(visit(ast.parse(path.read_text(), str(path)), "<module>"))
+
+
+def test_only_the_file_writer_and_stats_output_call_json_dump():
+    # every file goes through graph._dump_json so that all share one
+    # layout; `reslice stats --json` prints to stdout
+    callers = set().union(*(json_dump_callers(p) for p in PACKAGE.glob("*.py")))
+    assert callers <= {"graph._dump_json", "cli.cmd_stats"}
+    imported = {n for p in PACKAGE.glob("*.py") for n in imported_names(p)}
+    assert not imported & {"json.dump", "json.dumps"}

@@ -41,6 +41,23 @@ def test_plan_model_validates_arguments():
         plan_model(graph, {"nosuch": (0,)})
 
 
+@pytest.mark.parametrize("retained", [(0.5, 1), (1.0, 2.0), ("1", 2), (True, 2)],
+                         ids=["half", "whole_float", "string", "bool"])
+def test_a_non_integer_mask_index_is_a_validation_error(retained):
+    # none of these may be truncated, compared with ints or sorted as text
+    graph, weights = fan_fixture()
+    with pytest.raises(ValidationError) as exc:
+        export_model(graph, weights, {"B": retained})
+    assert exc.value.diagnostics == [f"B: mask index {retained[0]!r} is not an integer"]
+
+
+def test_numpy_integer_mask_indices_are_valid():
+    graph, weights = fan_fixture()
+    masks = {"B": (np.int64(0), np.int32(2))}
+    result = export_model(graph, weights, masks)
+    assert result.plans == export_model(graph, weights, {"B": (0, 2)}).plans
+
+
 def test_unpruned_segments_are_skipped():
     graph, _ = residual_block_fixture()
     plans, fallbacks = plan_model(graph, {"B": (0, 2)})

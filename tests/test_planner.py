@@ -1,5 +1,7 @@
 """Export planning: per-segment rewrite plans and their execution."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -556,8 +558,9 @@ def test_plan_file_rejects_bad_input(tmp_path):
     plans = sample_plans()
     path = tmp_path / "plans.json"
     save_plans(plans, path)
-    obj = path.read_text()
-    (tmp_path / "v9.json").write_text(obj.replace('"version": 1', '"version": 9'))
+    obj = json.loads(path.read_text())
+    obj["version"] = 9
+    (tmp_path / "v9.json").write_text(json.dumps(obj))
     with pytest.raises(ModelFormatError):
         load_plans(tmp_path / "v9.json")
     (tmp_path / "broken.json").write_text('{"version": 1, "segments": [{"mode": "x"}]}')

@@ -17,14 +17,15 @@ Pipeline stages (one module each):
                              copy-free layout by consecutive ones, else the
                              layout of the largest subset of layers that
                              can all slice
-- :mod:`reslice.planner`     orderings -> slices/gathers/weight rewrites
+- :mod:`reslice.planner`     an order -> slices/gathers/weight rewrites
 - :mod:`reslice.interp`      reference interpreter + equivalence checks
 - :mod:`reslice.masks`       magnitude-based mask generation
-- :mod:`reslice.pipeline`    whole-model export orchestration
+- :mod:`reslice.pipeline`    export orchestration; picks every strategy's order
 - :mod:`reslice.cli`         command line front end
 
-:mod:`reslice.path_search` keeps the maximum-reward path search that export
-no longer runs, as a comparison reference; it is not re-exported here.
+:mod:`reslice.path_search` keeps the maximum-reward path search and the
+producer reduction that export no longer runs, as a comparison reference;
+they are not re-exported here.
 """
 
 from reslice.graph import (
@@ -45,16 +46,13 @@ from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.planner import (
     ConsumerAccess,
     CopyStats,
-    ProducerEquivalence,
     SegmentPlan,
     apply_plan,
     copy_report,
     load_plans,
-    plan_baseline,
-    plan_constrained,
     plan_export,
     plan_export_output,
-    reduce_producers,
+    plan_output_baseline,
     save_plans,
 )
 from reslice.interp import EquivalenceReport, check_equivalence, run
@@ -73,7 +71,6 @@ __all__ = [
     "LayerKind",
     "ModelFormatError",
     "ModelGraph",
-    "ProducerEquivalence",
     "Segment",
     "SegmentPlan",
     "UnsupportedTopologyError",
@@ -90,12 +87,10 @@ __all__ = [
     "load_model",
     "load_plans",
     "make_masks",
-    "plan_baseline",
-    "plan_constrained",
     "plan_export",
     "plan_export_output",
     "plan_model",
-    "reduce_producers",
+    "plan_output_baseline",
     "run",
     "save_masks",
     "save_model",

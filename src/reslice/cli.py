@@ -98,8 +98,10 @@ def _same_weights(a: WeightStore, b: WeightStore) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:  # a usage error, not a failed verification
+    if args.trials < 1:  # usage errors, not failed verifications
         raise ValidationError([f"--trials must be at least 1, got {args.trials}"])
+    if not 0 <= args.tol < float("inf"):
+        raise ValidationError([f"--tol must be finite and non-negative, got {args.tol:g}"])
     graph, weights = load_model(args.model, args.weights)
     masks = load_masks(args.masks) if args.masks else {}
     try:

@@ -197,8 +197,13 @@ ChannelMask = dict[str, tuple[int, ...]]
 
 
 def normalize_mask(mask: Iterable[int]) -> tuple[int, ...]:
-    """Sorted, de-duplicated tuple of channel indices."""
-    return tuple(sorted(set(int(i) for i in mask)))
+    """Sorted, de-duplicated tuple of channel indices. An index that is not
+    an integer raises ValidationError instead of being truncated."""
+    mask = list(mask)
+    bad = [i for i in mask if not _is_int(i)]
+    if bad:
+        raise ValidationError([f"mask index {bad[0]!r} is not an integer"])
+    return tuple(sorted(set(map(int, mask))))
 
 
 # --------------------------------------------------------------------------
@@ -521,8 +526,7 @@ def load_model(model_file: str | Path, weights_file: str | Path) -> tuple[ModelG
 
 
 def save_masks(masks: Mapping[str, Iterable[int]], path: str | Path) -> None:
-    retained = {str(layer_id): [int(i) for i in normalize_mask(idx)]
-                for layer_id, idx in masks.items()}
+    retained = {str(layer_id): list(normalize_mask(idx)) for layer_id, idx in masks.items()}
     _dump_json({"version": MASKS_FILE_VERSION, "retained": retained}, path)
 
 

@@ -1,8 +1,10 @@
 """The maximum-reward path search, which export no longer runs.
 
 Export orders channels by consecutive ones (``reslice.ordering``). The
-path search stays as the tests' comparison reference; within the package
-only ``reslice.pipeline`` imports it, for ``bench/tracing.py``.
+path search, and ``reduce_producers`` (each producer's slot map, refused
+on an unsupported segment), stay as the tests' comparison reference;
+within the package only ``reslice.pipeline`` imports them, for
+``bench/tracing.py``.
 
 A reorder graph has one node per retained-slot set (layers with identical
 sets merge), rewarded with its size; nodes whose sets intersect share an
@@ -28,8 +30,8 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from reslice.graph import ChannelMask, ValidationError
-from reslice.segments import Segment, retained_slots
+from reslice.graph import ChannelMask, ModelGraph, ValidationError
+from reslice.segments import Segment, UnsupportedTopologyError, retained_slots
 
 logger = logging.getLogger(__name__)
 
@@ -120,6 +122,22 @@ def reorder_graph_from_sets(retained: Mapping[str, Iterable[int]],
 def build_reorder_graph(segment: Segment, masks: ChannelMask) -> ReorderGraph:
     """The reorder graph of a segment's consumers (input masks)."""
     return reorder_graph_from_sets(retained_slots(segment, masks), segment.channel_space)
+
+
+@dataclass(frozen=True)
+class ProducerEquivalence:
+    """Map from a producer's local output channels to shared-space slots."""
+
+    producer: str
+    slots: tuple[int, ...]
+
+
+def reduce_producers(segment: Segment, graph: ModelGraph | None = None) -> list[ProducerEquivalence]:
+    """Per-producer slot maps, or an error when the join structure breaks
+    the one-channel-to-one-slot assumptions."""
+    if segment.unsupported is not None:
+        raise UnsupportedTopologyError(segment.id, segment.unsupported)
+    return [ProducerEquivalence(p, segment.producer_slots[p]) for p in segment.producers]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """End-to-end export: masks in, physically pruned model out.
 
-Both modes order a segment by one rule (``_channel_order``): a copy-free
+The strategies differ only in the order each gives a segment's channels;
+``_segment_order`` picks it for all of them, and the planner turns it into
+a plan. Reorder's rule in both modes (``_channel_order``) is a copy-free
 order of the kept slots if one exists (an exact consecutive-ones test per
 band), else the layout of the largest subset of layers that can all slice,
-the others gathering. Input mode lays out the consumers' retained
-channels, read across their whole read vector; output mode the producers'
-kept filters, each inside its own band. The order is planned once.
+the others gathering: of the consumers' retained channels in input mode,
+of the producers' kept filters, each inside its own band, in output mode.
 Segments nobody prunes are left untouched.
 """
 
@@ -27,18 +28,16 @@ from reslice.planner import (
     SegmentPlan,
     apply_plan,
     copy_report,
-    output_refusal,
-    plan_baseline,
-    plan_constrained,
     plan_export,
     plan_export_output,
-    reduce_producers,
+    plan_output_baseline,
 )
 from reslice.segments import (Segment, UnsupportedTopologyError, find_segments,
                               producer_retained_slots, retained_slots)
 
 # unused here, but bench/tracing.py patches these names on this module
-from reslice.path_search import build_reorder_graph, decompose_paths, order_channels  # noqa: F401
+from reslice.path_search import (build_reorder_graph, decompose_paths,  # noqa: F401
+                                 order_channels, reduce_producers)
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +61,7 @@ def _is_pruned(segment: Segment, masks: ChannelMask, mode: str) -> bool:
 
 def _channel_order(segment: Segment, retained: Mapping[str, frozenset[int]],
                    reads: Mapping[str, tuple[int, ...]]) -> tuple[int, ...]:
-    """The ordering rule of both modes: a copy-free order of the kept slots,
+    """The reorder rule of both modes: a copy-free order of the kept slots,
     else the layout of the largest subset of ``retained`` that can all be
     contiguous (``ordering``)."""
     order = find_zero_copy_order(segment, retained, reads)
@@ -71,29 +70,40 @@ def _channel_order(segment: Segment, retained: Mapping[str, frozenset[int]],
     return order
 
 
-def _plan_reorder(graph: ModelGraph, segment: Segment, masks: ChannelMask,
-                  mode: str) -> SegmentPlan:
+def _segment_order(segment: Segment, masks: ChannelMask, mode: str,
+                   strategy: str) -> tuple[int, ...] | None:
+    """The channel order ``strategy`` gives the segment, or None where it
+    keeps its layout: when it is locked, and under the output baseline.
+
+    Reorder takes ``_channel_order``. Constrained takes the in-place order:
+    the slots where they are, minus those every reader prunes. Baseline
+    takes it only when every slot's readers agree (all keep or all prune).
+    """
+    if segment.lock_reason or (mode == MODE_OUTPUT and strategy == STRATEGY_BASELINE):
+        return None
     if mode == MODE_OUTPUT:
-        if output_refusal(graph, segment):  # the planner refuses it or keeps its layout
-            return plan_export_output(graph, segment, (), masks)
         own_band = {p: (i,) for i, band in enumerate(segment.bands) for p in band.producers}
-        order = _channel_order(segment, producer_retained_slots(segment, masks), own_band)
-        return plan_export_output(graph, segment, order, masks)
-    if segment.lock_reason:  # plan_export refuses an unsupported segment
-        return plan_export(graph, segment, (), (), masks)
-    order = _channel_order(segment, retained_slots(segment, masks), segment.band_reads)
-    return plan_export(graph, segment, order, reduce_producers(segment), masks)
+        return _channel_order(segment, producer_retained_slots(segment, masks), own_band)
+    slots = retained_slots(segment, masks)
+    if strategy == STRATEGY_REORDER:
+        return _channel_order(segment, slots, segment.band_reads)
+    gone = {s for vec in segment.consumer_slots.values() for s in vec}.difference(*slots.values())
+    in_place = tuple(s for s in range(segment.channel_space) if s not in gone)
+    if strategy == STRATEGY_CONSTRAINED or all(
+            slots[c] == set(segment.consumer_slots[c]).intersection(in_place)
+            for c in segment.consumers):
+        return in_place
+    return None
 
 
 def _plan_segment(graph: ModelGraph, segment: Segment, masks: ChannelMask,
                   mode: str, strategy: str) -> SegmentPlan:
-    if strategy == STRATEGY_REORDER:
-        return _plan_reorder(graph, segment, masks, mode)
-    if mode == MODE_OUTPUT:
-        return plan_export_output(graph, segment, (), masks, STRATEGY_BASELINE)
+    order = _segment_order(segment, masks, mode, strategy)
+    if mode == MODE_INPUT:
+        return plan_export(graph, segment, order, masks, strategy)
     if strategy == STRATEGY_BASELINE:
-        return plan_baseline(graph, segment, masks)
-    return plan_constrained(graph, segment, masks)
+        return plan_output_baseline(graph, segment, masks)
+    return plan_export_output(graph, segment, order, masks)
 
 
 def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,

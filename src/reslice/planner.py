@@ -8,12 +8,13 @@ exact copy cost. ``apply_plan`` executes plans mechanically; it never
 re-derives anything, so a serialized plan is a complete record of the
 transformation.
 
-Input mode prunes consumer input channels (the default). Output mode prunes
+The planner picks no order: ``reslice.pipeline`` chooses each strategy's
+order, and None keeps a segment's layout. Input mode (``plan_export``)
+prunes consumer input channels; constrained consumers zero their pruned
+columns and always slice. Output mode (``plan_export_output``) prunes
 producer output channels and rewrites the join as runs of slices combined
-by add/concat. Baseline plans reproduce the naive export: no reordering,
-every partially-pruned reader pays a full copy. Constrained plans keep the
-tensor layout and zero pruned weight columns instead, which is always
-copy-free.
+by add/concat; its baseline (``plan_output_baseline``) drops filters and
+restores each producer's width with a zero-filling gather.
 """
 
 from __future__ import annotations
@@ -165,9 +166,10 @@ def _structure_from_layouts(
     return producer_orders, per_channel
 
 
-def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strategy: str,
-                order: tuple[int, ...] | None) -> SegmentPlan:
-    """The input-mode plan in which the producers adopt ``order``.
+def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | None,
+                masks: ChannelMask, strategy: str = STRATEGY_REORDER) -> SegmentPlan:
+    """The input-mode plan of ``strategy`` in which the producers adopt
+    ``order``.
 
     With no order the layout stays fixed: no filter moves or is dropped, a
     consumer reading all of its columns takes the whole tensor and any
@@ -175,7 +177,17 @@ def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strateg
     (``band_layouts``) and a consumer slices where its retained columns
     land contiguously, else gathers. Constrained consumers read every
     column that survives and zero the pruned ones, so they always slice.
+    The reorder strategy refuses an unsupported segment, and a locked
+    segment takes no order.
     """
+    if strategy == STRATEGY_REORDER and segment.unsupported is not None:
+        raise UnsupportedTopologyError(segment.id, segment.unsupported)
+    if order is not None:
+        if segment.lock_reason:
+            raise ValidationError([f"{segment.id}: an order is given for a locked segment "
+                                   f"({segment.lock_reason})"])
+        if not set().union(*retained_slots(segment, masks).values()).issubset(order):
+            raise ValidationError([f"{segment.id}: order does not cover all retained channels"])
     kept = _retained_indices(segment.consumer_slots, masks)
     empty = [c for c in segment.consumers if not kept[c]]
     if empty:
@@ -225,84 +237,12 @@ def _plan_input(graph: ModelGraph, segment: Segment, masks: ChannelMask, strateg
     )
 
 
-def _in_place_order(segment: Segment, slots: Mapping[str, frozenset[int]]) -> tuple[int, ...]:
-    """The identity order minus the channels read by consumers but retained
-    by none of them."""
-    read = {s for c in segment.consumers for s in segment.consumer_slots[c]}
-    gone = read.difference(*slots.values())
-    return tuple(s for s in range(segment.channel_space) if s not in gone)
-
-
-@dataclass(frozen=True)
-class ProducerEquivalence:
-    """Map from a producer's local output channels to shared-space slots."""
-
-    producer: str
-    slots: tuple[int, ...]
-
-
-def reduce_producers(segment: Segment, graph: ModelGraph | None = None) -> list[ProducerEquivalence]:
-    """Per-producer slot maps, or an error when the join structure breaks
-    the one-channel-to-one-slot assumptions."""
-    if segment.unsupported is not None:
-        raise UnsupportedTopologyError(segment.id, segment.unsupported)
-    return [ProducerEquivalence(p, segment.producer_slots[p]) for p in segment.producers]
-
-
-def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...],
-                equivalences: Iterable[ProducerEquivalence], masks: ChannelMask) -> SegmentPlan:
-    """Reordered export: producers adopt the order, consumers contiguous in
-    their rewritten read vector get slices, the rest get gathers. A segment
-    with a ``lock_reason`` keeps its layout instead; an unsupported one is
-    refused."""
-    if segment.unsupported is not None:
-        raise UnsupportedTopologyError(segment.id, segment.unsupported)
-    eq_map = {e.producer: tuple(e.slots) for e in equivalences}
-    if eq_map and eq_map != {p: segment.producer_slots[p] for p in eq_map}:
-        raise ValidationError([f"{segment.id}: producer equivalences disagree with segment"])
-    if segment.lock_reason:
-        return _plan_input(graph, segment, masks, STRATEGY_REORDER, None)
-
-    slots = retained_slots(segment, masks)
-    needed = set().union(*slots.values()) if slots else set()
-    if not needed <= set(order):
-        raise ValidationError([f"{segment.id}: order does not cover all retained channels"])
-    return _plan_input(graph, segment, masks, STRATEGY_REORDER, order)
-
-
-def plan_baseline(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
-    """Naive export: no reordering. Consumers pruning anything pay a full
-    gather. When every slot's readers agree (all keep or all prune) and the
-    layout is free to change, the agreed-pruned filters are dropped instead
-    and everyone slices."""
-    order = None
-    if segment.lock_reason is None:
-        slots = retained_slots(segment, masks)
-        in_place = _in_place_order(segment, slots)
-        if all(slots[c] == set(segment.consumer_slots[c]).intersection(in_place)
-               for c in segment.consumers):
-            order = in_place
-    return _plan_input(graph, segment, masks, STRATEGY_BASELINE, order)
-
-
-def plan_constrained(graph: ModelGraph, segment: Segment, masks: ChannelMask) -> SegmentPlan:
-    """Constrained export: keep the layout, zero pruned weight columns.
-
-    Channels pruned by every reader are dropped (when the layout is free);
-    everything else stays in place, so every consumer takes a full slice and
-    nothing is ever copied.
-    """
-    order = None
-    if segment.lock_reason is None:
-        order = _in_place_order(segment, retained_slots(segment, masks))
-    return _plan_input(graph, segment, masks, STRATEGY_CONSTRAINED, order)
-
-
 # --------------------------------------------------------------------------
 # output-mode planners
 # --------------------------------------------------------------------------
 
-def _output_baseline(graph: ModelGraph, segment: Segment, output_masks: ChannelMask) -> SegmentPlan:
+def plan_output_baseline(graph: ModelGraph, segment: Segment,
+                         output_masks: ChannelMask) -> SegmentPlan:
     """Drop pruned filters and restore each producer's original width with a
     zero-filling gather right after it. Downstream stays untouched, so this
     is equivalent for any topology, bias layers included."""
@@ -380,33 +320,18 @@ def output_refusal(graph: ModelGraph, segment: Segment) -> str | None:
     return None
 
 
-def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ...],
-                       output_masks: ChannelMask, strategy: str = STRATEGY_REORDER) -> SegmentPlan:
+def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | None,
+                       output_masks: ChannelMask) -> SegmentPlan:
     """Output-side pruning: producers drop their own pruned filters.
 
-    Reorder strategy: producers adopt ``order``, which lists each kept
-    filter's slot once (``producer_retained_slots``); the join is
-    rewritten as maximal constant-producer-set runs (a slice per producer,
-    an add per shared run, one concat). Producers whose kept filters end up
-    non-contiguous in the order are counted as copied. A locked or refused
-    segment ignores the order.
-
-    Baseline strategy: per-producer drop + zero-infill gather (see
-    ``_output_baseline``); the order is unused.
+    Producers adopt ``order``, which lists each kept filter's slot once
+    (``producer_retained_slots``); the join is rewritten as maximal
+    constant-producer-set runs (a slice per producer, an add per shared
+    run, one concat). Producers whose kept filters end up non-contiguous in
+    the order are counted as copied. An unsupported segment, or one that
+    ``output_refusal`` names, is refused.
     """
-    if strategy == STRATEGY_BASELINE:
-        return _output_baseline(graph, segment, output_masks)
-    if strategy != STRATEGY_REORDER:
-        raise ValidationError([f"unsupported output strategy {strategy!r}"])
-    if segment.unsupported is not None:
-        raise UnsupportedTopologyError(segment.id, segment.unsupported)
-    masked = [p for p in segment.producers
-              if p in output_masks
-              and set(output_masks[p]) != set(range(graph.layer(p).out_channels))]
-    if segment.lock_reason and not masked:
-        return replace(_output_baseline(graph, segment, {}), strategy=STRATEGY_REORDER)
-
-    reason = output_refusal(graph, segment)
+    reason = segment.unsupported or output_refusal(graph, segment)
     if reason is not None:
         raise UnsupportedTopologyError(segment.id, reason)
 
@@ -414,7 +339,7 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     # a producer whose mask is empty keeps filter 0, zeroed
     zero_rows = {p: (0,) for p in segment.producers
                  if p in output_masks and len(output_masks[p]) == 0}
-    if sorted(order) != sorted(set().union(*retained.values())):
+    if sorted(order or ()) != sorted(set().union(*retained.values())):
         raise ValidationError([f"{segment.id}: order does not list each kept channel once"])
 
     # no per-channel layer lies inside, so the layouts need no vectors

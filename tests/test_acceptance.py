@@ -45,7 +45,7 @@ def test_criterion_1_worked_examples():
     rg = build_reorder_graph(s, masks)
     order = order_channels(rg, decompose_paths(rg))
     assert order == (0, 2, 1, 3)
-    assert plan_export(g, s, order, (), masks).stats.copied == 0
+    assert plan_export(g, s, order, masks).stats.copied == 0
 
     # masks [1,3] and [2,3] on three channels: order [1,3,2]; the second
     # consumer reads channels (2,3) as the reversed window (3,2)
@@ -55,7 +55,7 @@ def test_criterion_1_worked_examples():
     rg = build_reorder_graph(s, masks)
     order = order_channels(rg, decompose_paths(rg))
     assert order == (0, 2, 1)
-    plan = plan_export(g, s, order, (), masks)
+    plan = plan_export(g, s, order, masks)
     d = access(plan, "D")
     assert (d.mode, d.start, d.length, d.perm) == ("slice", 1, 2, (2, 1))
     assert plan.stats.copied == 0
@@ -92,7 +92,7 @@ def test_criterion_1_worked_examples():
     rg = build_reorder_graph(s, masks)
     order = order_channels(rg, [Path(("B", "C"), 4), Path(("D",), 2)])
     assert order == (0, 2, 3, 1)
-    plan = plan_export(g, s, order, (), masks)
+    plan = plan_export(g, s, order, masks)
     assert plan.producer_orders["A"] == (0, 2, 3, 1)
     c = access(plan, "C")
     assert (c.mode, c.start, c.length, c.perm) == ("slice", 1, 3, (2, 3, 1))

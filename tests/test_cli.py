@@ -393,6 +393,25 @@ def test_verify_with_no_trials_is_exit_2(model_files, capsys, trials):
     assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_with_a_bad_tolerance_is_exit_2(model_files, capsys, tol):
+    # an infinite tolerance would pass an export made with other masks, and
+    # no deviation is within a negative or NaN one
+    tmp, model, weights = model_files
+    masks, other = tmp / "masks.json", tmp / "other.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    save_masks({"B": (0, 1), "D": (1, 2)}, other)
+    prefix = tmp / "exported"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights, "--masks", other,
+                   "--out-prefix", prefix, f"--tol={tol}") == 2
+    captured = capsys.readouterr()
+    assert "max deviation" not in captured.out
+    assert captured.err == f"error: --tol must be finite and non-negative, got {tol}\n"
+
+
 @pytest.mark.parametrize("command", ["export", "verify", "stats"])
 @pytest.mark.parametrize("content", [None, "not json", "[]"])
 def test_missing_or_malformed_model_file_is_exit_1(model_files, capsys, command, content):

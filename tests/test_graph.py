@@ -169,6 +169,19 @@ def test_weights_on_weightless_layer_flagged():
 def test_normalize_mask_sorts_and_dedupes():
     assert normalize_mask([3, 1, 3, 0]) == (0, 1, 3)
     assert normalize_mask(()) == ()
+    assert normalize_mask(np.array([2, 0, 2])) == (0, 2)
+
+
+@pytest.mark.parametrize("mask,bad", [((0.5, 1.7, True), "0.5"), ((2.9, "3"), "2.9"),
+                                      ((1, True), "True")])
+def test_non_integer_mask_indices_are_refused_not_truncated(tmp_path, mask, bad):
+    # int() would turn (0.5, 1.7, True) into [0, 1], a mask that
+    # load_masks and validate_masks refuse
+    with pytest.raises(ValidationError, match=f"mask index {bad} is not an integer"):
+        normalize_mask(mask)
+    with pytest.raises(ValidationError):
+        save_masks({"B": mask}, tmp_path / "masks.json")
+    assert not (tmp_path / "masks.json").exists()
 
 
 def test_validate_masks_sides_and_bounds():

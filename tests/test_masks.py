@@ -8,7 +8,7 @@ from helpers import (ADD, INPUT, MIX, OUTPUT, PASS, PER, build_model, concat_fix
 from reslice.graph import ValidationError, validate_masks
 from reslice.interp import check_equivalence
 from reslice.masks import achieved_sparsity, make_masks, score_channels
-from reslice.pipeline import export_model
+from reslice.pipeline import export_model, plan_model
 from reslice.planner import output_refusal
 from reslice.segments import find_segments
 
@@ -162,13 +162,13 @@ def test_constrained_protects_bands_and_readers():
 
 
 def test_constrained_masks_stay_copy_free():
-    from reslice.planner import plan_baseline
     graph, weights = residual_block_fixture()
     segments = find_segments(graph)
     scores = score_channels(graph, weights.tensors, "l2")
     masks = make_masks(graph, scores, 0.5, "constrained", segments)
     block = next(s for s in segments if set(s.producers) == {"A", "C"})
-    assert plan_baseline(graph, block, masks).stats.copied == 0
+    plans, _ = plan_model(graph, masks, strategy="baseline")
+    assert next(p for p in plans if p.segment == block.id).stats.copied == 0
 
 
 def test_constrained_is_input_side_only():

@@ -123,7 +123,7 @@ def test_zero_copy_search_has_no_pattern_cap():
     masks = {cid: (i,) for i, cid in enumerate(ids)}
     found = find_zero_copy_order(seg, retained_slots(seg, masks), seg.band_reads)
     assert found == tuple(range(9))
-    assert plan_export(g, seg, found, (), masks).stats.copied == 0
+    assert plan_export(g, seg, found, masks).stats.copied == 0
 
 
 def test_zero_copy_search_respects_locks():
@@ -277,7 +277,7 @@ def check_against_oracle(graph, seg, masks, outcomes):
     found = find_zero_copy_order(seg, retained, seg.band_reads)
     assert (found is not None) == zero_copy_exists(graph, seg, retained), masks
     if found is not None:
-        assert plan_export(graph, seg, found, (), masks).stats.copied == 0, masks
+        assert plan_export(graph, seg, found, masks).stats.copied == 0, masks
     outcomes[found is not None] += 1
     return retained
 

@@ -40,7 +40,16 @@ def test_only_the_pipeline_imports_the_path_search():
             importers[path.name] = names
     assert importers == {"pipeline.py": {"reslice.path_search.build_reorder_graph",
                                          "reslice.path_search.decompose_paths",
-                                         "reslice.path_search.order_channels"}}
+                                         "reslice.path_search.order_channels",
+                                         "reslice.path_search.reduce_producers"}}
+
+
+def test_the_planner_picks_no_order():
+    # every strategy's channel order is chosen in reslice.pipeline; the
+    # planner only lays out the order it is given, band by band
+    names = {n for n in imported_names(PACKAGE / "planner.py")
+             if n == "reslice.ordering" or n.startswith("reslice.ordering.")}
+    assert names == {"reslice.ordering.band_layouts"}
 
 
 def json_dump_callers(path):

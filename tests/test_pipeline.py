@@ -111,8 +111,7 @@ def test_zero_copy_rescue_beats_the_path_order():
              "y": (2, 3, 4), "z": (1, 2, 4)}
     segment = next(s for s in find_segments(graph) if s.producers == ("A",))
     rg = build_reorder_graph(segment, masks)
-    raw = plan_export(graph, segment, order_channels(rg, decompose_paths(rg)),
-                      (), masks)
+    raw = plan_export(graph, segment, order_channels(rg, decompose_paths(rg)), masks)
     assert raw.stats.copied > 0
 
     result = export_model(graph, weights, masks)

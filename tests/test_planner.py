@@ -14,11 +14,10 @@ from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
 from reslice.path_search import build_reorder_graph, decompose_paths, order_channels
-from reslice.planner import (ConsumerAccess, CopyStats, ProducerEquivalence,
-                             UnsupportedTopologyError, apply_plan,
-                             copy_report, load_plans, plan_baseline,
-                             plan_constrained, plan_export, plan_export_output,
-                             plan_from_dict, plan_to_dict, save_plans)
+from reslice.planner import (ConsumerAccess, CopyStats, UnsupportedTopologyError,
+                             apply_plan, copy_report, load_plans, plan_export,
+                             plan_export_output, plan_from_dict, plan_output_baseline,
+                             plan_to_dict, save_plans)
 from reslice.segments import find_segments
 
 
@@ -33,6 +32,13 @@ def access(plan, consumer):
     return next(a for a in plan.consumers if a.consumer == consumer)
 
 
+def planned(graph, masks, strategy, producers=("A",)):
+    """The plan ``plan_model`` makes under ``strategy`` for the segment of
+    ``producers``."""
+    plans, _ = plan_model(graph, masks, strategy=strategy)
+    return next(p for p in plans if set(p.producers) == set(producers))
+
+
 # --------------------------------------------------------------------------
 # reordered export
 # --------------------------------------------------------------------------
@@ -43,7 +49,7 @@ def test_reordered_fan_accesses():
     graph, _ = fan_fixture(4, ("B", "C", "D"))
     s = seg(graph, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
-    plan = plan_export(graph, s, (0, 2, 3, 1), (), masks)
+    plan = plan_export(graph, s, (0, 2, 3, 1), masks)
 
     assert plan.mode == "input"
     assert plan.strategy == "reorder"
@@ -68,7 +74,7 @@ def test_reversed_slice_window():
     order = order_channels(rg, decompose_paths(rg))
     assert order == (0, 2, 1)
 
-    plan = plan_export(graph, s, order, (), masks)
+    plan = plan_export(graph, s, order, masks)
     b = access(plan, "B")
     assert (b.mode, b.start, b.length, b.perm) == ("slice", 0, 2, (0, 2))
     d = access(plan, "D")
@@ -79,7 +85,7 @@ def test_reversed_slice_window():
 def test_identity_plan_when_nothing_pruned():
     graph, weights = fan_fixture(4, ("B", "D"))
     s = seg(graph, {"A"})
-    plan = plan_export(graph, s, (0, 1, 2, 3), (), {})
+    plan = plan_export(graph, s, (0, 1, 2, 3), {})
     assert plan.producer_orders["A"] == (0, 1, 2, 3)
     for a in plan.consumers:
         assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 4, (0, 1, 2, 3))
@@ -98,18 +104,7 @@ def test_order_must_cover_retained():
     s = seg(graph, {"A"})
     masks = {"B": (0, 1), "D": (2, 3)}
     with pytest.raises(ValidationError):
-        plan_export(graph, s, (0, 1, 2), (), masks)
-
-
-def test_equivalences_must_match_segment():
-    graph, _ = fan_fixture(4, ("B", "D"))
-    s = seg(graph, {"A"})
-    bad = [ProducerEquivalence("A", (4, 5, 6, 7))]
-    with pytest.raises(ValidationError):
-        plan_export(graph, s, (0, 1, 2, 3), bad, {})
-    good = [ProducerEquivalence("A", s.producer_slots["A"])]
-    plan = plan_export(graph, s, (0, 1, 2, 3), good, {})
-    assert plan.stats.copied == 0
+        plan_export(graph, s, (0, 1, 2), masks)
 
 
 def test_locked_segment_forces_gathers():
@@ -117,11 +112,20 @@ def test_locked_segment_forces_gathers():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"in"})
     assert s.lock_reason == "a producer is the model input"
-    plan = plan_export(graph, s, (0, 1, 2, 3), (), {"A": (0, 2)})
+    plan = plan_export(graph, s, None, {"A": (0, 2)})
     assert plan.producer_orders["in"] == (0, 1, 2, 3)
     a = access(plan, "A")
     assert (a.mode, a.perm, a.indices) == ("gather", (0, 2), (0, 2))
     assert plan.stats == CopyStats(2, 2)
+
+
+@pytest.mark.parametrize("strategy", ["reorder", "baseline", "constrained"])
+def test_locked_segment_takes_no_order(strategy):
+    # the pipeline gives a locked segment no order; one given anyway is an error
+    graph, _ = single_branch_fixture()
+    s = seg(graph, {"in"})
+    with pytest.raises(ValidationError, match="an order is given for a locked segment"):
+        plan_export(graph, s, (0, 1, 2, 3), {"A": (0, 2)}, strategy)
 
 
 def test_unsupported_segment_refused():
@@ -137,7 +141,7 @@ def test_unsupported_segment_refused():
          ("X", "j"), ("Y", "j"), ("j", "out")])
     bad = next(s for s in find_segments(graph) if s.unsupported is not None)
     with pytest.raises(UnsupportedTopologyError):
-        plan_export(graph, bad, (0, 1), (), {})
+        plan_export(graph, bad, (0, 1), {})
 
 
 # --------------------------------------------------------------------------
@@ -146,8 +150,7 @@ def test_unsupported_segment_refused():
 
 def test_baseline_divergent_masks_gather():
     graph, _ = fan_fixture(4, ("B", "D"))
-    s = seg(graph, {"A"})
-    plan = plan_baseline(graph, s, {"B": (0, 1), "D": (1, 2)})
+    plan = planned(graph, {"B": (0, 1), "D": (1, 2)}, "baseline")
     assert plan.strategy == "baseline"
     assert plan.producer_orders["A"] == (0, 1, 2, 3)
     b = access(plan, "B")
@@ -159,8 +162,7 @@ def test_baseline_divergent_masks_gather():
 
 def test_baseline_agreeing_masks_drop():
     graph, _ = fan_fixture(4, ("B", "D"))
-    s = seg(graph, {"A"})
-    plan = plan_baseline(graph, s, {"B": (0, 1), "D": (0, 1)})
+    plan = planned(graph, {"B": (0, 1), "D": (0, 1)}, "baseline")
     assert plan.producer_orders["A"] == (0, 1)
     for a in plan.consumers:
         assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 2, (0, 1))
@@ -169,8 +171,7 @@ def test_baseline_agreeing_masks_drop():
 
 def test_baseline_single_consumer_drops():
     graph, _ = fan_fixture(4, ("B",))
-    s = seg(graph, {"A"})
-    plan = plan_baseline(graph, s, {"B": (1, 3)})
+    plan = planned(graph, {"B": (1, 3)}, "baseline")
     assert plan.producer_orders["A"] == (1, 3)
     b = access(plan, "B")
     assert (b.mode, b.start, b.length, b.perm) == ("slice", 0, 2, (1, 3))
@@ -185,8 +186,8 @@ def test_reorder_beats_baseline_on_mutual_exclusion():
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 1)}
     rg = build_reorder_graph(s, masks)
     order = order_channels(rg, decompose_paths(rg))
-    reordered = plan_export(graph, s, order, (), masks)
-    baseline = plan_baseline(graph, s, masks)
+    reordered = plan_export(graph, s, order, masks)
+    baseline = planned(graph, masks, "baseline")
     assert baseline.stats == CopyStats(8, 8)
     assert reordered.stats == CopyStats(8, 2)
     assert access(reordered, "B").mode == "slice"
@@ -196,9 +197,8 @@ def test_reorder_beats_baseline_on_mutual_exclusion():
 
 def test_constrained_zeroes_columns():
     graph, weights = fan_fixture(4, ("B", "D"))
-    s = seg(graph, {"A"})
     masks = {"B": (0, 1), "D": (1, 2)}
-    plan = plan_constrained(graph, s, masks)
+    plan = planned(graph, masks, "constrained")
     assert plan.strategy == "constrained"
     # slot 3 is pruned by everyone and drops; the rest keep their places
     assert plan.producer_orders["A"] == (0, 1, 2)
@@ -220,7 +220,7 @@ def test_constrained_keeps_a_channel_read_twice_in_place():
          ("B", MIX, 4, 2), ("out", OUTPUT, 2, 2)],
         [("in", "A"), ("A", "j"), ("A", "j"), ("j", "B"), ("B", "out")])
     masks = {"B": (0, 1, 3)}
-    plan = plan_constrained(graph, seg(graph, {"A"}), masks)
+    plan = planned(graph, masks, "constrained")
     assert plan.producer_orders == {"A": (0, 1)}
     assert access(plan, "B") == ConsumerAccess("B", "slice", start=0, length=4,
                                                perm=(0, 1, 2, 3))
@@ -236,20 +236,20 @@ def test_constrained_keeps_a_channel_read_twice_in_place():
 # applying plans
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("planner", [
-    lambda g, s, m: plan_export(g, s, (0, 1, 2, 3), (), m),
-    plan_baseline, plan_constrained])
-def test_input_planners_reject_an_empty_consumer_mask(planner):
+@pytest.mark.parametrize("strategy", ["reorder", "baseline", "constrained"])
+def test_input_planners_reject_an_empty_consumer_mask(strategy):
+    # ``plan_model`` refuses an empty mask first; the planner checks it too
     graph, _ = fan_fixture(4, ("B", "D"))
+    order = None if strategy == "baseline" else (0, 1, 2, 3)
     with pytest.raises(ValidationError, match="B: mask keeps no channel"):
-        planner(graph, seg(graph, {"A"}), {"B": (), "D": (0, 1)})
+        plan_export(graph, seg(graph, {"A"}), order, {"B": (), "D": (0, 1)}, strategy)
 
 
 def test_apply_reorders_weights_and_inserts_reads():
     graph, weights = fan_fixture(4, ("B", "C", "D"))
     s = seg(graph, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
-    plan = plan_export(graph, s, (0, 2, 3, 1), (), masks)
+    plan = plan_export(graph, s, (0, 2, 3, 1), masks)
     new_graph, new_weights = apply_plan([plan], graph, weights)
 
     assert np.array_equal(new_weights["A"], weights["A"][[0, 2, 3, 1], :])
@@ -282,8 +282,7 @@ def test_apply_is_pure():
     layers_before = list(graph.layers)
     edges_before = list(graph.edges)
     s = seg(graph, {"A"})
-    plan = plan_export(graph, s, (2, 0, 3, 1), (),
-                       {"B": (0, 2), "D": (1, 3)})
+    plan = plan_export(graph, s, (2, 0, 3, 1), {"B": (0, 2), "D": (1, 3)})
     apply_plan([plan], graph, weights)
     assert list(graph.layers) == layers_before
     assert list(graph.edges) == edges_before
@@ -439,7 +438,7 @@ def test_output_identity_masks_keep_join():
 def test_output_baseline_infill():
     graph, weights = single_branch_fixture()
     s = seg(graph, {"A"})
-    plan = plan_export_output(graph, s, (), {"A": (0, 2, 3)}, strategy="baseline")
+    plan = plan_output_baseline(graph, s, {"A": (0, 2, 3)})
     assert plan.strategy == "baseline"
     assert plan.producer_orders["A"] == (0, 2, 3)
     assert plan.infill["A"] == (0, -1, 1, 2)
@@ -458,7 +457,7 @@ def test_output_baseline_infill():
 def test_output_baseline_empty_mask_keeps_one_row():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"A"})
-    plan = plan_export_output(graph, s, (), {"A": ()}, strategy="baseline")
+    plan = plan_output_baseline(graph, s, {"A": ()})
     assert plan.producer_orders["A"] == (0,)
     assert plan.infill["A"] == (-1, -1, -1, -1)
 
@@ -488,13 +487,8 @@ def test_output_refuses_stacked_joins():
 def test_output_locked_segment():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"in"})
-    plan = plan_export_output(graph, s, (), {})
-    assert (plan.mode, plan.strategy, plan.producer_orders) == (
-        "output", "reorder", {"in": (0, 1, 2, 3)})
-    assert (plan.zero_rows, plan.infill, plan.consumers, plan.join) == ({}, {}, (), None)
-    assert plan.stats == CopyStats(4, 0)
     with pytest.raises(UnsupportedTopologyError) as exc:
-        plan_export_output(graph, s, (), {"in": (0, 1)})
+        plan_export_output(graph, s, None, {"in": (0, 1)})
     # the refusal names the segment's lock reason
     assert exc.value.reason == ("producers cannot drop output channels: a producer is the "
                                 "model input; use the baseline infill")
@@ -517,8 +511,8 @@ def test_copy_report_sums():
     graph, _ = fan_fixture(4, ("B", "C", "D"))
     s = seg(graph, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
-    a = plan_export(graph, s, (0, 2, 3, 1), (), masks)
-    b = plan_baseline(graph, s, masks)
+    a = plan_export(graph, s, (0, 2, 3, 1), masks)
+    b = planned(graph, masks, "baseline")
     totals = copy_report([a, b])
     assert totals.total_reads == a.stats.total_reads + b.stats.total_reads
     assert totals.copied == a.stats.copied + b.stats.copied
@@ -531,8 +525,8 @@ def sample_plans():
     fan, _ = fan_fixture(4, ("B", "C", "D"))
     s = seg(fan, {"A"})
     masks = {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 3)}
-    out.append(plan_export(fan, s, (0, 2, 3, 1), (), masks))
-    out.append(plan_constrained(fan, s, masks))
+    out.append(plan_export(fan, s, (0, 2, 3, 1), masks))
+    out.append(planned(fan, masks, "constrained"))
     return out
 
 

@@ -27,7 +27,7 @@ from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.path_search import (build_reorder_graph, decompose_paths, order_channels,
                                  reorder_graph_from_sets)
 from reslice.pipeline import plan_model
-from reslice.planner import copy_report, plan_baseline, plan_export, plan_export_output
+from reslice.planner import copy_report, plan_export, plan_export_output
 from reslice.segments import producer_retained_slots, retained_slots
 
 
@@ -39,7 +39,7 @@ def fan_segment(n_consumers, channels=64):
 def path_search_copies(graph, segment, masks):
     rg = build_reorder_graph(segment, masks)
     return plan_export(graph, segment, order_channels(rg, decompose_paths(rg)),
-                       (), masks).stats.copied
+                       masks).stats.copied
 
 
 def path_search_output_copies(graph, segment, masks):
@@ -110,11 +110,12 @@ def test_subset_against_the_exhaustive_optimum():
         if find_zero_copy_order(segment, retained, segment.band_reads) is not None:
             continue
         order, chosen = largest_c1p_order(segment, retained, segment.band_reads)
-        plan = plan_export(graph, segment, order, (), masks)
+        plan = plan_export(graph, segment, order, masks)
         access = {a.consumer: a for a in plan.consumers}
         assert all(access[c].mode == "slice" for c in chosen), seed
+        baseline_plans, _ = plan_model(graph, masks, strategy="baseline")
         baseline = {a.consumer: len(a.perm) if a.mode == "gather" else 0
-                    for a in plan_baseline(graph, segment, masks).consumers}
+                    for p in baseline_plans if p.segment == segment.id for a in p.consumers}
         for c, a in access.items():
             assert (len(a.perm) if a.mode == "gather" else 0) <= baseline[c], (seed, c)
         found = sum(len(retained[c]) for c in chosen)
@@ -144,7 +145,7 @@ def test_subset_copies_no_more_than_the_path_search_on_fans():
         for masks in failing_fan_masks(segment, n, kind):
             retained = retained_slots(segment, masks)
             order, _ = largest_c1p_order(segment, retained, segment.band_reads)
-            copied = plan_export(graph, segment, order, (), masks).stats.copied
+            copied = plan_export(graph, segment, order, masks).stats.copied
             reference = path_search_copies(graph, segment, masks)
             ours, theirs = ours + copied, theirs + reference
             losses[kind, n] += copied > reference
@@ -224,7 +225,7 @@ def test_subset_never_copies_more_than_the_path_search_on_random_dags():
             if find_zero_copy_order(segment, retained, segment.band_reads) is not None:
                 continue
             order, _ = largest_c1p_order(segment, retained, segment.band_reads)
-            copied = plan_export(graph, segment, order, (), masks).stats.copied
+            copied = plan_export(graph, segment, order, masks).stats.copied
             reference = path_search_copies(graph, segment, masks)
             assert copied <= reference, seed
             cases, better = cases + 1, better + (copied < reference)

@@ -29,6 +29,7 @@ from reslice.graph import (
     load_model,
     save_masks,
     save_model,
+    validate_masks,
 )
 from reslice.interp import DEFAULT_TOLERANCE, DEFAULT_TRIALS, check_equivalence
 from reslice.masks import (
@@ -53,7 +54,7 @@ from reslice.planner import (
     load_plans,
     save_plans,
 )
-from reslice.segments import UnsupportedTopologyError, find_segments
+from reslice.segments import UnsupportedTopologyError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -66,8 +67,8 @@ def cmd_prune(args: argparse.Namespace) -> int:
     graph, weights = load_model(args.model, args.weights)
     scores = score_channels(graph, weights, args.heuristic, side=args.mode, seed=args.seed)
     mask_mode = MODE_CONSTRAINED if args.constrained else MODE_UNCONSTRAINED
-    masks = make_masks(graph, scores, args.sparsity, mask_mode, find_segments(graph),
-                       side=args.mode, scope=args.scope)
+    masks = make_masks(graph, scores, args.sparsity, mask_mode, side=args.mode,
+                       scope=args.scope)
     save_masks(masks, args.out)
     print(f"achieved sparsity: {achieved_sparsity(scores, masks):.4f}")
     return EXIT_OK
@@ -104,6 +105,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError([f"--tol must be finite and non-negative, got {args.tol:g}"])
     graph, weights = load_model(args.model, args.weights)
     masks = load_masks(args.masks) if args.masks else {}
+    diags = validate_masks(graph, masks, args.mode)
+    if diags:
+        raise ValidationError(diags)
     try:
         plans = load_plans(f"{args.out_prefix}.plan.json")
         exported = load_model(f"{args.out_prefix}.model.json", f"{args.out_prefix}.weights.json")
@@ -136,7 +140,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     rows = []
     for strategy in strategies:
         plans, fallbacks = plan_model(graph, masks, mode=args.mode, strategy=strategy,
-                                      on_unsupported=args.on_unsupported)
+                                      on_unsupported=ON_UNSUPPORTED_BASELINE)
         rows.append((strategy, copy_report(plans), sorted(fallbacks)))
     if args.json:
         payload = [{"strategy": s, "total_reads": t.total_reads, "copied": t.copied,
@@ -200,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--masks", required=True)
     p.add_argument("--mode", choices=(MODE_INPUT, MODE_OUTPUT), default=MODE_INPUT)
-    p.add_argument("--on-unsupported", default=ON_UNSUPPORTED_BASELINE,
-                   choices=(ON_UNSUPPORTED_ERROR, ON_UNSUPPORTED_BASELINE))
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_stats)
     return parser

@@ -408,9 +408,10 @@ def read_ints(values) -> tuple[int, ...]:
 
 
 def _expect_version(obj: dict, path, *want: int) -> int:
-    """The file's version, which must be one of ``want``."""
+    """The file's version, which must be an integer and one of ``want``
+    (``true`` and ``1.0`` equal 1 in Python, so both are checked)."""
     version = obj.get("version")
-    if version not in want:
+    if not _is_int(version) or version not in want:
         wanted = " or ".join(str(w) for w in want)
         raise ModelFormatError(f"{path}: unsupported version {version!r} (want {wanted})")
     return version

@@ -14,14 +14,12 @@ from typing import Mapping
 import numpy as np
 
 from reslice.graph import ChannelMask, LayerKind, ModelGraph, ValidationError
-from reslice.planner import output_refusal
-from reslice.segments import Segment
+from reslice.planner import MODE_INPUT, MODE_OUTPUT, output_refusal
+from reslice.segments import Segment, find_segments
 
 HEURISTICS = ("l1", "l2", "lamp", "random")
 MODE_UNCONSTRAINED = "unconstrained"
 MODE_CONSTRAINED = "constrained"
-SIDE_INPUT = "input"
-SIDE_OUTPUT = "output"
 SCOPE_GLOBAL = "global"
 SCOPE_PER_LAYER = "per-layer"
 
@@ -42,7 +40,7 @@ def _lamp(squared: np.ndarray) -> np.ndarray:
 
 
 def score_channels(graph: ModelGraph, weights: Mapping[str, np.ndarray],
-                   heuristic: str, side: str = SIDE_INPUT, seed: int = 0) -> ChannelScore:
+                   heuristic: str, side: str = MODE_INPUT, seed: int = 0) -> ChannelScore:
     """Score every channel of every matrix layer.
 
     Input side scores columns (what the layer reads), output side scores rows
@@ -50,13 +48,13 @@ def score_channels(graph: ModelGraph, weights: Mapping[str, np.ndarray],
     """
     if heuristic not in HEURISTICS:
         raise ValidationError([f"unknown heuristic {heuristic!r}, expected one of {HEURISTICS}"])
-    if side not in (SIDE_INPUT, SIDE_OUTPUT):
+    if side not in (MODE_INPUT, MODE_OUTPUT):
         raise ValidationError([f"unknown side {side!r}"])
     rng = np.random.default_rng(seed)
     scores: ChannelScore = {}
     for lid in sorted(l.id for l in graph.layers if l.kind is LayerKind.CHANNEL_MIX):
         mat = np.asarray(weights[lid], dtype=np.float64)
-        axis = 1 if side == SIDE_OUTPUT else 0
+        axis = 1 if side == MODE_OUTPUT else 0
         if heuristic == "l1":
             scores[lid] = np.sum(np.abs(mat), axis=axis)
         elif heuristic == "l2":
@@ -68,16 +66,11 @@ def score_channels(graph: ModelGraph, weights: Mapping[str, np.ndarray],
     return scores
 
 
-def _skip_for_output(graph: ModelGraph, segments: list[Segment]) -> set[str]:
-    # Producers of the segments whose filters output mode cannot drop.
-    return {p for seg in segments if output_refusal(graph, seg) is not None
-            for p in seg.producers}
-
-
-def _targets(graph: ModelGraph, scores: ChannelScore, segments: list[Segment],
-             side: str) -> list[str]:
-    if side == SIDE_OUTPUT:
-        skip = _skip_for_output(graph, segments)
+def _targets(graph: ModelGraph, scores: ChannelScore, side: str) -> list[str]:
+    if side == MODE_OUTPUT:
+        # skip the producers of segments whose filters output mode cannot drop
+        skip = {p for seg in find_segments(graph) if output_refusal(graph, seg) is not None
+                for p in seg.producers}
         return [lid for lid in sorted(scores) if lid not in skip]
     return sorted(scores)
 
@@ -156,10 +149,12 @@ def _constrained(scores: ChannelScore, segments: list[Segment],
 
 
 def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
-               mode: str, segments: list[Segment], side: str = SIDE_INPUT,
+               mode: str, side: str = MODE_INPUT,
                scope: str = SCOPE_GLOBAL) -> ChannelMask:
     """Retained-channel masks pruning roughly ``sparsity`` of scored pairs.
 
+    Every mask keeps at least one channel. Constrained masks prune whole
+    slots of the graph's segments (``find_segments``), found here.
     Output-side masks silently skip the producers of every segment that
     output mode refuses (``output_refusal``: locked layouts, stacked joins,
     per-channel offsets, join operands it cannot trace), so the result is
@@ -172,10 +167,10 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
     if scope not in (SCOPE_GLOBAL, SCOPE_PER_LAYER):
         raise ValidationError([f"unknown scope {scope!r}"])
     if mode == MODE_CONSTRAINED:
-        if side != SIDE_INPUT:
+        if side != MODE_INPUT:
             raise ValidationError(["constrained masks are defined for the input side only"])
-        return _constrained(scores, segments, sparsity)
-    return _unconstrained(scores, _targets(graph, scores, segments, side), sparsity, scope)
+        return _constrained(scores, find_segments(graph), sparsity)
+    return _unconstrained(scores, _targets(graph, scores, side), sparsity, scope)
 
 
 def achieved_sparsity(scores: ChannelScore, masks: ChannelMask) -> float:

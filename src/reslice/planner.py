@@ -34,6 +34,7 @@ from reslice.graph import (
     ValidationError,
     WeightStore,
     _dump_json,
+    _expect_version,
     _load_json,
     read_int,
     read_ints,
@@ -41,7 +42,7 @@ from reslice.graph import (
 )
 from reslice.ordering import band_layouts
 from reslice.segments import (Segment, UnsupportedTopologyError, _retained_indices,
-                              producer_retained_slots, propagate_vectors, retained_slots)
+                              producer_retained_slots, propagate_vectors)
 
 PLAN_FILE_VERSION = 1
 
@@ -110,13 +111,15 @@ class JoinRewrite:
 
 @dataclass(frozen=True)
 class SegmentPlan:
+    """One segment's rewrite, executed as given by ``apply_plan``. Masks
+    keep at least one channel each, so no kept filter is ever zeroed."""
+
     segment: str
     mode: str
     strategy: str
     producers: tuple[str, ...]
     interior: tuple[str, ...]
     producer_orders: dict[str, tuple[int, ...]]  # kept local filters, new order
-    zero_rows: dict[str, tuple[int, ...]]  # kept filters forced to zero (sentinels)
     consumers: tuple[ConsumerAccess, ...]
     per_channel: dict[str, tuple[int, ...]]  # interior vector id -> old positions, new order
     zero_columns: dict[str, tuple[int, ...]]  # consumer -> original columns zeroed
@@ -182,16 +185,14 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
     """
     if strategy == STRATEGY_REORDER and segment.unsupported is not None:
         raise UnsupportedTopologyError(segment.id, segment.unsupported)
+    kept = _retained_indices(segment.consumer_slots, masks)
     if order is not None:
         if segment.lock_reason:
             raise ValidationError([f"{segment.id}: an order is given for a locked segment "
                                    f"({segment.lock_reason})"])
-        if not set().union(*retained_slots(segment, masks).values()).issubset(order):
+        if not {segment.consumer_slots[c][i] for c, columns in kept.items()
+                for i in columns}.issubset(order):
             raise ValidationError([f"{segment.id}: order does not cover all retained channels"])
-    kept = _retained_indices(segment.consumer_slots, masks)
-    empty = [c for c in segment.consumers if not kept[c]]
-    if empty:
-        raise ValidationError([f"{c}: mask keeps no channel" for c in empty])
     if order is None:
         producer_orders = {p: tuple(range(graph.layer(p).out_channels))
                            for p in segment.producers}
@@ -229,7 +230,7 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
     return SegmentPlan(
         segment=segment.id, mode=MODE_INPUT, strategy=strategy,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, zero_rows={},
+        producer_orders=producer_orders,
         consumers=tuple(accesses), per_channel=per_channel,
         zero_columns=zero_columns, infill={}, join=None,
         stats=CopyStats(sum(len(k) for k in kept.values()),
@@ -247,34 +248,20 @@ def plan_output_baseline(graph: ModelGraph, segment: Segment,
     zero-filling gather right after it. Downstream stays untouched, so this
     is equivalent for any topology, bias layers included."""
     kept_filters = _retained_indices(segment.producer_slots, output_masks, "output mask")
-    producer_orders = {}
     infill = {}
-    total = 0
     copied = 0
-    for p in segment.producers:
+    for p, kept in kept_filters.items():
         width = graph.layer(p).out_channels
-        kept = kept_filters[p]
         if len(kept) < width:
-            if not kept:
-                # nothing survives; keep one dangling filter so the layer
-                # stays legal and fill the whole tensor with zeros
-                producer_orders[p] = (0,)
-                infill[p] = tuple([-1] * width)
-                continue
             new_index = {local: i for i, local in enumerate(kept)}
-            producer_orders[p] = tuple(kept)
             infill[p] = tuple(new_index.get(i, -1) for i in range(width))
-            total += len(kept)
             copied += len(kept)
-        else:
-            producer_orders[p] = tuple(range(width))
-            total += width
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_BASELINE,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, zero_rows={},
+        producer_orders=kept_filters,
         consumers=(), per_channel={}, zero_columns={}, infill=infill, join=None,
-        stats=CopyStats(total, copied),
+        stats=CopyStats(sum(map(len, kept_filters.values())), copied),
     )
 
 
@@ -336,9 +323,6 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
         raise UnsupportedTopologyError(segment.id, reason)
 
     retained = producer_retained_slots(segment, output_masks)
-    # a producer whose mask is empty keeps filter 0, zeroed
-    zero_rows = {p: (0,) for p in segment.producers
-                 if p in output_masks and len(output_masks[p]) == 0}
     if sorted(order or ()) != sorted(set().union(*retained.values())):
         raise ValidationError([f"{segment.id}: order does not list each kept channel once"])
 
@@ -393,7 +377,7 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_REORDER,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders, zero_rows=zero_rows,
+        producer_orders=producer_orders,
         consumers=tuple(accesses), per_channel={}, zero_columns={},
         infill={}, join=join_rewrite,
         stats=CopyStats(total, copied),
@@ -491,7 +475,7 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
         raise ValidationError([f"plan {plan.segment}: names unknown layer {lid!r}"
                                for lid in unknown])
     for role, ids, keys in (
-            ("producer", plan.producers, {*plan.producer_orders, *plan.zero_rows, *plan.infill}),
+            ("producer", plan.producers, {*plan.producer_orders, *plan.infill}),
             ("consumer", [a.consumer for a in plan.consumers], plan.zero_columns)):
         if len(set(ids)) != len(ids):
             raise ValidationError([f"plan {plan.segment}: a {role} is named twice"])
@@ -538,14 +522,9 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
         if lay.kind is LayerKind.INPUT and rows != tuple(range(lay.out_channels)):
             raise ValidationError([f"{p}: cannot permute a model input"])
         _check_indices(plan, f"{p} filter order", rows, range(lay.out_channels))
-        if lay.kind is LayerKind.INPUT:
-            continue
-        _check_indices(plan, f"{p} zero rows", plan.zero_rows.get(p, ()), set(rows))
         if rows != tuple(range(lay.out_channels)):
             weights[p] = weights[p][list(rows), :]
             layers[p] = replace(lay, out_channels=len(rows))
-        for local in plan.zero_rows.get(p, ()):
-            weights[p][rows.index(local), :] = 0.0
 
     # 2. output-mode infill: restore original widths with zero-fill gathers
     for p in sorted(plan.infill):
@@ -754,7 +733,6 @@ def plan_to_dict(plan: SegmentPlan) -> dict:
         "producers": list(plan.producers),
         "interior": list(plan.interior),
         "producer_orders": _int_map_to_dict(plan.producer_orders),
-        "zero_rows": _int_map_to_dict(plan.zero_rows),
         "consumers": [_access_to_dict(a) for a in plan.consumers],
         "per_channel": _int_map_to_dict(plan.per_channel),
         "zero_columns": _int_map_to_dict(plan.zero_columns),
@@ -766,6 +744,9 @@ def plan_to_dict(plan: SegmentPlan) -> dict:
 
 def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
     try:
+        # older files carry zero_rows, which export always wrote empty
+        if obj.get("zero_rows", {}) != {}:
+            raise ModelFormatError(f"zero_rows must be empty, got {obj['zero_rows']!r}")
         join = None
         if obj.get("join") is not None:
             j = obj["join"]
@@ -786,7 +767,6 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             producers=tuple(str(p) for p in obj["producers"]),
             interior=tuple(str(u) for u in obj["interior"]),
             producer_orders=_int_map_from_dict(obj["producer_orders"]),
-            zero_rows=_int_map_from_dict(obj["zero_rows"]),
             consumers=tuple(_access_from_dict(rec) for rec in obj["consumers"]),
             per_channel=_int_map_from_dict(obj["per_channel"]),
             zero_columns=_int_map_from_dict(obj["zero_columns"]),
@@ -811,8 +791,7 @@ def save_plans(plans: Iterable[SegmentPlan], path: str | Path) -> None:
 
 def load_plans(path: str | Path) -> list[SegmentPlan]:
     obj = _load_json(path)
-    if obj.get("version") != PLAN_FILE_VERSION:
-        raise ModelFormatError(f"{path}: unsupported plan version {obj.get('version')!r}")
+    _expect_version(obj, path, PLAN_FILE_VERSION)
     if not isinstance(obj.get("segments"), list):
         raise ModelFormatError(f"{path}: need a 'segments' list")
     return [plan_from_dict(rec, str(path)) for rec in obj["segments"]]

@@ -311,10 +311,10 @@ def _retained_indices(vectors: Mapping[str, tuple[int, ...]], masks: ChannelMask
                       what: str = "mask") -> dict[str, tuple[int, ...]]:
     """Per-layer retained local channel indices, ascending and distinct.
 
-    ``vectors`` maps each layer to its slot vector (a segment's
-    ``consumer_slots`` or ``producer_slots``); a layer without a mask entry
-    retains every index, and an index outside its vector raises
-    ValidationError.
+    This is where every planner reads a mask. ``vectors`` maps each layer to
+    its slot vector (a segment's ``consumer_slots`` or ``producer_slots``);
+    a layer without a mask entry retains every index. A mask that keeps no
+    channel, or names an index outside its vector, raises ValidationError.
     """
     out: dict[str, tuple[int, ...]] = {}
     for lid, vec in vectors.items():
@@ -322,6 +322,8 @@ def _retained_indices(vectors: Mapping[str, tuple[int, ...]], masks: ChannelMask
             out[lid] = tuple(range(len(vec)))
             continue
         local = tuple(sorted(set(masks[lid])))
+        if not local:
+            raise ValidationError([f"{lid}: {what} keeps no channel"])
         bad = [i for i in local if not (0 <= i < len(vec))]
         if bad:
             raise ValidationError([f"{lid}: {what} index {bad[0]} out of [0, {len(vec)})"])
@@ -343,9 +345,9 @@ def producer_retained_slots(segment: Segment,
                             output_masks: ChannelMask) -> dict[str, frozenset[int]]:
     """Per-producer kept filters in segment-slot space (output masks).
 
-    A producer whose mask keeps nothing keeps its filter 0, which the
-    output planner zeroes, so no layer is left without channels.
+    Producers without a mask entry keep every filter; an empty or
+    out-of-range mask raises ValidationError (``_retained_indices``).
     """
     kept = _retained_indices(segment.producer_slots, output_masks, "output mask")
-    return {p: frozenset(segment.producer_slots[p][i] for i in rows or (0,))
+    return {p: frozenset(segment.producer_slots[p][i] for i in rows)
             for p, rows in kept.items()}

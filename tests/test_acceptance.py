@@ -32,7 +32,7 @@ def access(plan, consumer):
 
 def input_masks(graph, weights, sparsity, mode="unconstrained"):
     scores = score_channels(graph, weights.tensors, "l2")
-    return make_masks(graph, scores, sparsity, mode, find_segments(graph))
+    return make_masks(graph, scores, sparsity, mode)
 
 
 def test_criterion_1_worked_examples():
@@ -133,8 +133,7 @@ def test_criterion_3_functional_equivalence():
         graph, weights = random_dag(seed, bias_free=True)
         scores = score_channels(graph, weights.tensors, "l2", side="output")
         for sparsity in SPARSITIES:
-            masks = make_masks(graph, scores, sparsity, "unconstrained",
-                               find_segments(graph), side="output")
+            masks = make_masks(graph, scores, sparsity, "unconstrained", side="output")
             result = export_model(graph, weights, masks, mode="output")
             report = check_equivalence(graph, weights, masks, result.graph,
                                        result.weights, mask_side="output")

@@ -101,6 +101,13 @@ def test_unsupported_topology_is_exit_3(tmp_path, capsys):
     assert run_cli("export", "--model", model, "--weights", wfile,
                    "--masks", masks, "--on-unsupported", "baseline",
                    "--out-prefix", tmp_path / "x") == 0
+    # stats always falls back, and names the refused segment
+    capsys.readouterr()
+    assert run_cli("stats", "--model", model, "--weights", wfile, "--masks", masks,
+                   "--json") == 0
+    rows = json.loads(capsys.readouterr().out)["strategies"]
+    assert {r["strategy"]: r["fallback_segments"] for r in rows} == {
+        "reorder": ["f"], "baseline": [], "constrained": []}
 
 
 def test_verify_mismatch_is_exit_4(model_files, capsys):
@@ -178,7 +185,7 @@ def test_verify_plan_index_out_of_range_is_exit_4(tmp_path, capsys, fixture, ent
         first["perm"][0] = 99
     elif entry == "zero_columns":
         segment["zero_columns"] = {first["consumer"]: [99]}
-    elif entry == "zero_rows":
+    elif entry == "zero_rows":  # no longer written; a non-empty one is refused
         segment["zero_rows"] = {"A": [99]}
     else:
         first["perm"][1] = first["perm"][0]
@@ -187,7 +194,11 @@ def test_verify_plan_index_out_of_range_is_exit_4(tmp_path, capsys, fixture, ent
     assert run_cli("verify", "--model", model, "--weights", wfile,
                    "--masks", masks, "--out-prefix", prefix) == 4
     err = capsys.readouterr().err
-    assert "verification failed" in err and "repeats an index or names one out of range" in err
+    assert "verification failed" in err
+    if entry == "zero_rows":
+        assert "zero_rows must be empty, got {'A': [99]}" in err
+    else:
+        assert "repeats an index or names one out of range" in err
 
 
 def test_verify_plan_permuting_a_layer_without_channel_vector_is_exit_4(model_files, capsys):
@@ -284,10 +295,13 @@ def test_verify_plan_entry_keyed_by_a_layer_outside_its_role_is_exit_4(
     tmp, model, weights = model_files
 
     def tamper(segment):
-        segment[entry][key] = [1, 0]
+        segment.setdefault(entry, {})[key] = [1, 0]
     assert _tamper_plan(tmp, model, weights, capsys, tamper, mode="input") == 4
     err = capsys.readouterr().err
-    assert f"keyed by {key!r}, which is not a {role} of the plan" in err
+    if entry == "zero_rows":  # no longer written; a non-empty one is refused
+        assert "zero_rows must be empty, got {'B': [1, 0]}" in err
+    else:
+        assert f"keyed by {key!r}, which is not a {role} of the plan" in err
 
 
 @pytest.mark.parametrize("entry", ["x", None, [0], 0.5, True])
@@ -375,6 +389,30 @@ def test_verify_with_other_masks_than_the_export_is_exit_4(model_files, capsys):
     assert "verification failed: deviation exceeds tolerance" in captured.err
 
 
+@pytest.mark.parametrize("retained, message", [
+    ({"B": [0, 99]}, "B: mask index out of [0, 4)"),
+    ({"B": [-2, 0]}, "B: mask index out of [0, 4)"),  # numpy would read -2 as 2
+    ({"B": [0, 2], "ghost": [0]}, "mask references unknown layer 'ghost'"),
+    ({"B": []}, "B: mask retains no channels"),
+], ids=["out_of_range", "negative", "unknown_layer", "empty"])
+def test_verify_with_bad_masks_is_exit_2(tmp_path, capsys, retained, message):
+    # verify checks its masks as export does, before replaying anything
+    graph, weights = fan_fixture()
+    model, wfile, masks = (tmp_path / n for n in ("m.model.json", "m.weights.json", "masks.json"))
+    save_model(graph, weights, model, wfile)
+    save_masks({"B": (0, 2)}, masks)
+    prefix = tmp_path / "exported"
+    assert run_cli("export", "--model", model, "--weights", wfile,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    masks.write_text(json.dumps({"version": 1, "retained": retained}))
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", wfile,
+                   "--masks", masks, "--out-prefix", prefix) == 2
+    captured = capsys.readouterr()
+    assert "max deviation" not in captured.out
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_with_no_trials_is_exit_2(model_files, capsys, trials):
     # no trial would pass any export, even one made with other masks
@@ -429,7 +467,8 @@ def test_missing_or_malformed_model_file_is_exit_1(model_files, capsys, command,
 
 def test_verify_accepts_a_plan_file_with_the_old_zero_copy_optimal_field(model_files, capsys):
     # earlier versions wrote stats.zero_copy_optimal (always 0) into every
-    # plan record and the totals; the reader ignores it
+    # plan record and the totals, and an empty zero_rows into every plan
+    # record; the reader ignores both
     tmp, model, weights = model_files
     masks = tmp / "masks.json"
     save_masks({"B": (0, 2), "D": (1, 2)}, masks)
@@ -441,6 +480,9 @@ def test_verify_accepts_a_plan_file_with_the_old_zero_copy_optimal_field(model_f
     old = json.loads(ppath.read_text())
     for record in (*(s["stats"] for s in old["segments"]), old["totals"]):
         record["zero_copy_optimal"] = 0
+    for segment in old["segments"]:
+        assert "zero_rows" not in segment
+        segment["zero_rows"] = {}
     ppath.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
     assert load_plans(ppath) == plans
     assert run_cli("verify", "--model", model, "--weights", weights,

@@ -27,6 +27,8 @@ from reslice.graph import (
     weights_to_dict,
 )
 
+from reslice.planner import load_plans
+
 from helpers import (MIX, build_model, fan_fixture, oracle_topological_order, random_dag,
                      save_weights_v1)
 
@@ -375,6 +377,31 @@ def test_weights_version_1_malformed(data):
     obj = {"version": 1, "tensors": {"A": {"shape": [2], "data": data}}}
     with pytest.raises(ModelFormatError):
         weights_from_dict(obj)
+
+
+def _read_file(load):
+    def read(obj, path):
+        path.write_text(json.dumps(obj))
+        return load(path)
+    return read
+
+
+READERS = {
+    "masks": (_read_file(load_masks), {"retained": {}}),
+    "plans": (_read_file(load_plans), {"segments": []}),
+    "model": (lambda obj, _path: graph_from_dict(obj), {"layers": [], "edges": []}),
+    "weights": (lambda obj, _path: weights_from_dict(obj), {"tensors": {}}),
+}
+
+
+@pytest.mark.parametrize("reader, version", [
+    ("masks", True), ("masks", 1.0), ("plans", True), ("plans", 1.0),
+    ("model", True), ("model", 1.0), ("weights", True), ("weights", 2.0)])
+def test_file_versions_must_be_integers(tmp_path, reader, version):
+    # true and 1.0 equal 1 in Python, and 2.0 equals 2; no reader takes them
+    read, body = READERS[reader]
+    with pytest.raises(ModelFormatError, match=f"unsupported version {version!r}"):
+        read({"version": version, **body}, tmp_path / "file.json")
 
 
 @pytest.mark.parametrize("version", [0, 3, None, "2"])

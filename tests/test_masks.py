@@ -74,7 +74,7 @@ def test_unknown_heuristic_and_side():
 def test_zero_sparsity_keeps_everything():
     graph, weights = two_layer_model()
     scores = score_channels(graph, weights.tensors, "l1")
-    masks = make_masks(graph, scores, 0.0, "unconstrained", find_segments(graph))
+    masks = make_masks(graph, scores, 0.0, "unconstrained")
     assert masks == {"m1": (0, 1, 2), "m2": (0, 1, 2)}
     assert achieved_sparsity(scores, masks) == 0.0
 
@@ -82,10 +82,9 @@ def test_zero_sparsity_keeps_everything():
 def test_global_budget_is_floored():
     graph, weights = two_layer_model()
     scores = score_channels(graph, weights.tensors, "l1")
-    segments = find_segments(graph)
     # 6 scored pairs: floor(0.3 * 6) = 1, floor(0.5 * 6) = 3
-    light = make_masks(graph, scores, 0.3, "unconstrained", segments)
-    heavy = make_masks(graph, scores, 0.5, "unconstrained", segments)
+    light = make_masks(graph, scores, 0.3, "unconstrained")
+    heavy = make_masks(graph, scores, 0.5, "unconstrained")
     assert sum(len(v) for v in light.values()) == 5
     assert sum(len(v) for v in heavy.values()) == 3
     assert achieved_sparsity(scores, heavy) == 0.5
@@ -96,7 +95,7 @@ def test_global_budget_prunes_lowest_scores_first():
     weights["m1"] = np.array([[9, 0.1, 9], [9, 0.1, 9], [9, 0.1, 9]], dtype=float)
     weights["m2"] = np.array([[5, 5, 0.2], [5, 5, 0.2]], dtype=float)
     scores = score_channels(graph, weights.tensors, "l1")
-    masks = make_masks(graph, scores, 0.34, "unconstrained", find_segments(graph))
+    masks = make_masks(graph, scores, 0.34, "unconstrained")
     assert masks["m1"] == (0, 2)
     assert masks["m2"] == (0, 1)
 
@@ -107,7 +106,7 @@ def test_layers_never_emptied():
          ("out", OUTPUT, 2, 2)],
         [("in", "m1"), ("m1", "m2"), ("m2", "out")])
     scores = score_channels(graph, weights.tensors, "l1")
-    masks = make_masks(graph, scores, 0.9, "unconstrained", find_segments(graph))
+    masks = make_masks(graph, scores, 0.9, "unconstrained")
     for lid, retained in masks.items():
         assert len(retained) == 1, lid
 
@@ -119,10 +118,8 @@ def test_per_layer_scope():
     weights["m1"] = np.full((3, 3), 0.01)
     weights["m2"] = np.full((2, 3), 10.0)
     scores = score_channels(graph, weights.tensors, "l1")
-    segments = find_segments(graph)
-    global_masks = make_masks(graph, scores, 0.5, "unconstrained", segments)
-    per_layer = make_masks(graph, scores, 0.5, "unconstrained", segments,
-                           scope="per-layer")
+    global_masks = make_masks(graph, scores, 0.5, "unconstrained")
+    per_layer = make_masks(graph, scores, 0.5, "unconstrained", scope="per-layer")
     # global: both cheap m1 prunes allowed by the keep-one rule, then one m2
     assert global_masks == {"m1": (2,), "m2": (1, 2)}
     # per-layer: floor(0.5 * 3) = 1 prune in each layer
@@ -131,30 +128,28 @@ def test_per_layer_scope():
 
 def test_masks_validate_on_their_side():
     graph, weights = residual_block_fixture()
-    segments = find_segments(graph)
     for side in ("input", "output"):
         scores = score_channels(graph, weights.tensors, "l2", side=side)
-        masks = make_masks(graph, scores, 0.4, "unconstrained", segments, side=side)
+        masks = make_masks(graph, scores, 0.4, "unconstrained", side=side)
         assert validate_masks(graph, masks, side=side) == []
 
 
 def test_constrained_masks_agree_across_readers():
     graph, weights = residual_block_fixture()
-    segments = find_segments(graph)
-    block = [s for s in segments if set(s.producers) == {"A", "C"}]
     scores = score_channels(graph, weights.tensors, "l1")
-    masks = make_masks(graph, scores, 0.5, "constrained", block)
+    masks = make_masks(graph, scores, 0.5, "constrained")
     # B and D read the same slots, so their retained sets must be equal
-    assert sorted(masks) == ["B", "D"]
+    assert sorted(masks) == ["A", "B", "C", "D"]
     assert set(masks["B"]) == set(masks["D"])
-    assert len(masks["B"]) == 2  # 8 pairs * 0.5 -> 2 slots of 2 pairs each
+    # 16 pairs * 0.5 -> 8: B and D's three cheapest shared slots go first,
+    # and a reader keeps at least one channel
+    assert len(masks["B"]) == 1
 
 
 def test_constrained_protects_bands_and_readers():
     graph, weights = concat_fixture()
-    segments = find_segments(graph)
     scores = score_channels(graph, weights.tensors, "l1")
-    masks = make_masks(graph, scores, 0.9, "constrained", segments)
+    masks = make_masks(graph, scores, 0.9, "constrained")
     assert set(masks["B"]) == set(masks["D"])
     kept = set(masks["B"])
     assert kept & {0, 1, 2}, "first producer band emptied"
@@ -165,7 +160,7 @@ def test_constrained_masks_stay_copy_free():
     graph, weights = residual_block_fixture()
     segments = find_segments(graph)
     scores = score_channels(graph, weights.tensors, "l2")
-    masks = make_masks(graph, scores, 0.5, "constrained", segments)
+    masks = make_masks(graph, scores, 0.5, "constrained")
     block = next(s for s in segments if set(s.producers) == {"A", "C"})
     plans, _ = plan_model(graph, masks, strategy="baseline")
     assert next(p for p in plans if p.segment == block.id).stats.copied == 0
@@ -175,15 +170,13 @@ def test_constrained_is_input_side_only():
     graph, weights = two_layer_model()
     scores = score_channels(graph, weights.tensors, "l1", side="output")
     with pytest.raises(ValidationError):
-        make_masks(graph, scores, 0.3, "constrained", find_segments(graph),
-                   side="output")
+        make_masks(graph, scores, 0.3, "constrained", side="output")
 
 
 def test_output_masks_skip_fragile_producers():
     graph, weights = single_branch_fixture()
-    segments = find_segments(graph)
     scores = score_channels(graph, weights.tensors, "l1", side="output")
-    masks = make_masks(graph, scores, 0.4, "unconstrained", segments, side="output")
+    masks = make_masks(graph, scores, 0.4, "unconstrained", side="output")
     # B feeds the model output (fixed layout); only A may drop filters
     assert sorted(masks) == ["A"]
 
@@ -192,8 +185,7 @@ def test_output_masks_skip_fragile_producers():
          ("B", MIX, 4, 2), ("out", OUTPUT, 2, 2)],
         [("in", "A"), ("A", "p"), ("p", "B"), ("B", "out")])
     scores = score_channels(with_bias, wb.tensors, "l1", side="output")
-    masks = make_masks(with_bias, scores, 0.4, "unconstrained",
-                       find_segments(with_bias), side="output")
+    masks = make_masks(with_bias, scores, 0.4, "unconstrained", side="output")
     assert masks == {}
 
 
@@ -207,8 +199,7 @@ def test_output_masks_skip_a_producer_feeding_the_join_twice():
     segment = next(s for s in find_segments(graph) if s.producers == ("A",))
     assert output_refusal(graph, segment) == "producer A feeds the join twice"
     scores = score_channels(graph, weights.tensors, "l2", side="output")
-    masks = make_masks(graph, scores, 0.4, "unconstrained", find_segments(graph),
-                       side="output")
+    masks = make_masks(graph, scores, 0.4, "unconstrained", side="output")
     assert "A" not in masks
     result = export_model(graph, weights, masks, mode="output")
     assert check_equivalence(graph, weights, masks, result.graph, result.weights,
@@ -218,15 +209,14 @@ def test_output_masks_skip_a_producer_feeding_the_join_twice():
 def test_make_masks_validates_arguments():
     graph, weights = two_layer_model()
     scores = score_channels(graph, weights.tensors, "l1")
-    segments = find_segments(graph)
     with pytest.raises(ValidationError):
-        make_masks(graph, scores, 1.0, "unconstrained", segments)
+        make_masks(graph, scores, 1.0, "unconstrained")
     with pytest.raises(ValidationError):
-        make_masks(graph, scores, -0.1, "unconstrained", segments)
+        make_masks(graph, scores, -0.1, "unconstrained")
     with pytest.raises(ValidationError):
-        make_masks(graph, scores, 0.5, "partial", segments)
+        make_masks(graph, scores, 0.5, "partial")
     with pytest.raises(ValidationError):
-        make_masks(graph, scores, 0.5, "unconstrained", segments, scope="band")
+        make_masks(graph, scores, 0.5, "unconstrained", scope="band")
 
 
 def test_achieved_sparsity_counts_missing_layers_as_kept():

@@ -75,3 +75,34 @@ def test_only_the_file_writer_and_stats_output_call_json_dump():
     assert callers <= {"graph._dump_json", "cli.cmd_stats"}
     imported = {n for p in PACKAGE.glob("*.py") for n in imported_names(p)}
     assert not imported & {"json.dump", "json.dumps"}
+
+
+def version_readers(path):
+    """``module.function`` for each read of a ``"version"`` key in a module:
+    ``obj["version"]`` or ``obj.get("version", ...)``."""
+    def reads_version(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            key = node.args[0]
+        else:
+            return False
+        return isinstance(key, ast.Constant) and key.value == "version"
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if reads_version(child):
+                yield f"{path.stem}.{owner}"
+            yield from visit(child, owner)
+    return set(visit(ast.parse(path.read_text(), str(path)), "<module>"))
+
+
+def test_only_expect_version_reads_a_file_version():
+    # every reader checks its file's version through graph._expect_version,
+    # so that all refuse the same values (a bool, a float, a missing key)
+    readers = set().union(*(version_readers(p) for p in PACKAGE.glob("*.py")))
+    assert readers == {"graph._expect_version"}

@@ -189,8 +189,7 @@ def test_exported_models_export_again():
         for mode, strategy in EXPORTS:
             graph, weights = random_dag(seed, bias_free=mode == "output")
             scores = score_channels(graph, weights.tensors, "l2", side=mode)
-            masks = make_masks(graph, scores, 0.4, "unconstrained", find_segments(graph),
-                               side=mode)
+            masks = make_masks(graph, scores, 0.4, "unconstrained", side=mode)
             first = export_model(graph, weights, masks, mode, strategy, "baseline")
             segments = find_segments(first.graph)
             repacked += any(first.graph.layer(u).kind in (LayerKind.SLICE, LayerKind.GATHER)
@@ -199,8 +198,7 @@ def test_exported_models_export_again():
                                if l.kind is LayerKind.GATHER)
             for mode2, strategy2 in EXPORTS:
                 scores = score_channels(first.graph, first.weights.tensors, "l2", side=mode2)
-                masks = make_masks(first.graph, scores, 0.3, "unconstrained", segments,
-                                   side=mode2)
+                masks = make_masks(first.graph, scores, 0.3, "unconstrained", side=mode2)
                 second = export_model(first.graph, first.weights, masks, mode2, strategy2,
                                       "baseline")
                 renamed += any(l.id.endswith("_2") for l in second.graph.layers)

@@ -304,7 +304,7 @@ def test_one_pass_apply_matches_plan_by_plan(mode, strategy):
     for seed in range(40):
         graph, weights = random_dag(seed, bias_free=mode == "output")
         scores = score_channels(graph, weights.tensors, "l2", side=mode)
-        masks = make_masks(graph, scores, 0.4, "unconstrained", find_segments(graph), side=mode)
+        masks = make_masks(graph, scores, 0.4, "unconstrained", side=mode)
         plans, _ = plan_model(graph, masks, mode, strategy, on_unsupported="baseline")
         multi += len(plans) > 1
         one_graph, one_weights = apply_plan(plans, graph, weights)
@@ -454,12 +454,19 @@ def test_output_baseline_infill():
     assert report.passed
 
 
-def test_output_baseline_empty_mask_keeps_one_row():
+@pytest.mark.parametrize("planner, masks, message", [
+    (lambda g, s, m: plan_export(g, s, (0, 1, 2, 3), m), {"B": ()},
+     "B: mask keeps no channel"),
+    (lambda g, s, m: plan_export_output(g, s, (0, 1, 2, 3), m), {"A": ()},
+     "A: output mask keeps no channel"),
+    (plan_output_baseline, {"A": ()}, "A: output mask keeps no channel"),
+], ids=["plan_export", "plan_export_output", "plan_output_baseline"])
+def test_every_planner_refuses_an_empty_mask(planner, masks, message):
+    # a mask keeps at least one channel; no planner keeps a stand-in filter
     graph, _ = single_branch_fixture()
-    s = seg(graph, {"A"})
-    plan = plan_output_baseline(graph, s, {"A": ()})
-    assert plan.producer_orders["A"] == (0,)
-    assert plan.infill["A"] == (-1, -1, -1, -1)
+    with pytest.raises(ValidationError) as exc:
+        planner(graph, seg(graph, {"A"}), masks)
+    assert exc.value.diagnostics == [message]
 
 
 def test_output_refuses_per_channel_interior():

@@ -177,8 +177,7 @@ def test_output_mode_copies_no_more_than_the_path_search_on_random_dags():
     for seed in range(600):
         graph, weights = random_dag(seed, bias_free=True)
         scores = score_channels(graph, weights, "random", side="output", seed=seed)
-        masks = make_masks(graph, scores, 0.4, "unconstrained", find_segments(graph),
-                           side="output")
+        masks = make_masks(graph, scores, 0.4, "unconstrained", side="output")
         plans, _ = plan_model(graph, masks, mode="output")
         by_id = {s.id: s for s in find_segments(graph)}
         for plan in plans:

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
+import orjson
 
 MODEL_FILE_VERSION = 1
 # save_model writes version 2; version 1 ("data" lists of numbers) still loads
@@ -319,8 +320,10 @@ def validate_masks(graph: ModelGraph, masks: Mapping[str, Iterable[int]],
 
     ``side`` selects which channel space the indices live in: ``input``
     masks index a consumer's input columns, ``output`` masks index a
-    producer's output filters.
+    producer's output filters. Any other side raises ValidationError.
     """
+    if side not in ("input", "output"):
+        raise ValidationError([f"unknown side {side!r}"])
     diags: list[str] = []
     for layer_id, retained in masks.items():
         if layer_id not in graph:
@@ -374,12 +377,35 @@ def _dump_json(obj: dict, path: str | Path) -> None:
         f.write("\n")
 
 
-def _load_json(path: str | Path) -> dict:
-    text = Path(path).read_text()
+# orjson's first call reserves a buffer of about 8 MiB. Made after a large
+# file has been freed, that call puts the buffer at the top of the heap and
+# glibc cannot hand the freed memory below it back, so make it now.
+orjson.loads("0.5")
+
+
+def _parse_json(text: str):
+    """``json.loads``, except that float tokens are read by orjson's
+    correctly rounded reader, which gives the same doubles as ``float`` in
+    about half the time. orjson refuses a token beyond float64's range
+    (``1e999``); then the stdlib parses the whole text, so such a file
+    loads as before."""
     try:
-        obj = json.loads(text)
+        return json.loads(text, parse_float=orjson.loads)
+    except orjson.JSONDecodeError:  # a subclass of json.JSONDecodeError
+        return json.loads(text)
+
+
+def _load_json(path: str | Path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    try:
+        obj = _parse_json(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise ModelFormatError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{path}: top level must be an object")
     return obj
@@ -500,6 +526,8 @@ def weights_from_dict(obj: dict, source: str = "<memory>") -> WeightStore:
             data = _decode_tensor(rec, version)
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"{source}: bad tensor for {layer_id!r} ({exc})") from exc
+        except OverflowError:  # an integer beyond float64's range: infinite, like 1e999
+            data = np.array(np.inf)
         if not np.isfinite(data).all():
             raise ModelFormatError(f"{source}: tensor {layer_id!r} holds a non-finite value")
         store[str(layer_id)] = data

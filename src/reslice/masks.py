@@ -112,7 +112,10 @@ def _constrained(scores: ChannelScore, segments: list[Segment],
     # budget. A slot is kept if dropping it would empty any reader's mask or
     # any producer band.
     readers: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    slot_band: dict[tuple[str, int], frozenset[int]] = {}
+    # bands of two segments may cover the same slot indices, so a band's
+    # budget is keyed by its segment too
+    slot_band: dict[tuple[str, int], tuple[str, tuple[int, ...]]] = {}
+    band_left: dict[tuple[str, tuple[int, ...]], int] = {}
     for seg in segments:
         for c in seg.consumers:
             if c not in scores:
@@ -121,8 +124,9 @@ def _constrained(scores: ChannelScore, segments: list[Segment],
                 if slot >= 0:
                     readers.setdefault((seg.id, slot), []).append((c, local))
         for band in seg.bands:
+            band_left[(seg.id, band.slots)] = len(band.slots)
             for slot in band.slots:
-                slot_band[(seg.id, slot)] = frozenset(band.slots)
+                slot_band[(seg.id, slot)] = (seg.id, band.slots)
 
     total = sum(len(scores[c]) for seg in segments for c in seg.consumers if c in scores)
     budget = floor(sparsity * total)
@@ -130,7 +134,6 @@ def _constrained(scores: ChannelScore, segments: list[Segment],
                     for (seg_id, slot), pair_list in readers.items())
 
     left = {c: len(scores[c]) for seg in segments for c in seg.consumers if c in scores}
-    band_left = {band: len(band) for band in set(slot_band.values())}
     pruned: dict[str, set[int]] = {}
     for _, seg_id, slot in ranked:
         pair_list = readers[(seg_id, slot)]
@@ -164,6 +167,8 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
         raise ValidationError([f"sparsity must be in [0, 1), got {sparsity}"])
     if mode not in (MODE_UNCONSTRAINED, MODE_CONSTRAINED):
         raise ValidationError([f"unknown mask mode {mode!r}"])
+    if side not in (MODE_INPUT, MODE_OUTPUT):
+        raise ValidationError([f"unknown side {side!r}"])
     if scope not in (SCOPE_GLOBAL, SCOPE_PER_LAYER):
         raise ValidationError([f"unknown scope {scope!r}"])
     if mode == MODE_CONSTRAINED:

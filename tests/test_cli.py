@@ -465,6 +465,22 @@ def test_missing_or_malformed_model_file_is_exit_1(model_files, capsys, command,
     assert err.startswith("error: ") and "broken.model.json" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"[" * 100_000, "nested too deeply"),
+], ids=["not_utf8", "nested_100000_deep"])
+def test_undecodable_model_file_is_exit_1(model_files, capsys, content, message):
+    tmp, _model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2)}, masks)
+    model = tmp / "broken.model.json"
+    model.write_bytes(content)
+    assert run_cli("export", "--model", model, "--weights", weights, "--masks", masks,
+                   "--out-prefix", tmp / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "broken.model.json" in err and message in err
+
+
 def test_verify_accepts_a_plan_file_with_the_old_zero_copy_optimal_field(model_files, capsys):
     # earlier versions wrote stats.zero_copy_optimal (always 0) into every
     # plan record and the totals, and an empty zero_rows into every plan
@@ -539,7 +555,8 @@ def _set_first_value(weights_file, layer, value):
     Path(weights_file).write_text(json.dumps(obj).replace('"SENTINEL"', value))
 
 
-@pytest.mark.parametrize("value", ["null", "1e999", "-1e999"])
+@pytest.mark.parametrize("value", ["null", "1e999", "-1e999",
+                                   pytest.param("9" * 400, id="400_digit_integer")])
 def test_export_of_non_finite_version_1_weights_is_exit_1(model_files, capsys, value):
     tmp, model, weights = model_files
     graph, store = residual_block_fixture()

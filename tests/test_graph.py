@@ -2,9 +2,15 @@
 
 import base64
 import json
+import math
+import tempfile
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reslice.graph import (
     Layer,
@@ -196,6 +202,8 @@ def test_validate_masks_sides_and_bounds():
     # output side indexes the producer's rows, which are wider here
     assert validate_masks(g, {"B": (0, 1)}, side="output") == []
     assert any("out of" in d for d in validate_masks(g, {"B": (0, 3)}, side="output"))
+    with pytest.raises(ValidationError, match="unknown side 'sideways'"):
+        validate_masks(g, {"B": (0, 1)}, side="sideways")
 
 
 @pytest.mark.parametrize("values, message", [
@@ -377,6 +385,70 @@ def test_weights_version_1_malformed(data):
     obj = {"version": 1, "tensors": {"A": {"shape": [2], "data": data}}}
     with pytest.raises(ModelFormatError):
         weights_from_dict(obj)
+
+
+def _load_v1_tokens(tokens):
+    """Load JSON number texts as the one version-1 tensor of a model, the
+    way ``reslice`` reads a weights file, flattened."""
+    n = len(tokens)
+    graph, weights = build_model(
+        [("in", LayerKind.INPUT, n, n), ("m", MIX, n, 1), ("out", LayerKind.OUTPUT, 1, 1)],
+        [("in", "m"), ("m", "out")])
+    with tempfile.TemporaryDirectory() as tmp:
+        model, wfile = Path(tmp, "v.model.json"), Path(tmp, "v.weights.json")
+        save_model(graph, weights, model, wfile)
+        data = ", ".join(tokens)
+        wfile.write_text(f'{{"version": 1, "tensors": {{"m": {{"shape": [1, {n}], '
+                         f'"data": [{data}]}}}}}}')
+        return load_model(model, wfile)[1]["m"].reshape(-1)
+
+
+def _assert_loads_as_float(tokens):
+    want = np.array([float(t) for t in tokens])
+    # compared as bits, so that -0.0 differs from 0.0
+    assert (_load_v1_tokens(tokens).view(np.uint64).tolist()
+            == want.view(np.uint64).tolist()), tokens
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_version_1_weights_load_every_finite_double_bit_identical(values):
+    _assert_loads_as_float([repr(x) for x in values])
+
+
+# a JSON number with a fraction or an exponent, which JSON readers hand to
+# their float parser (an integer token such as -0 loads as an int)
+FLOAT_TOKEN = r"-?(0|[1-9][0-9]{0,29})(\.[0-9]{1,30}([eE][-+]?[0-9]{1,3})?|[eE][-+]?[0-9]{1,3})"
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.from_regex(FLOAT_TOKEN, fullmatch=True)
+                .filter(lambda t: math.isfinite(float(t))), min_size=1, max_size=20))
+def test_version_1_weights_read_any_float_token_correctly_rounded(tokens):
+    _assert_loads_as_float(tokens)
+
+
+def _halfway(x):
+    """The exact decimal midway between ``x`` and the next double up."""
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        return f"{(Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2:E}"
+
+
+EDGE_TOKENS = [
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    _halfway(0.0), _halfway(5e-324), _halfway(1.0), _halfway(1.0 + 2 ** -52),
+    _halfway(2.0 ** 53), _halfway(2.2250738585072014e-308), _halfway(1e308),
+    "9007199254740993.0", "9007199254740995.0", "1e-400", "-1e-400", "-0.0", "0.0",
+    "1.234567890123456789012345", "1234567890123456789012345.0",
+    "0.1000000000000000055511151", "2.225073858507201136057409e-308",
+    "1.797693134862315708145274e308", "-4.940656458412465441765687e-324",
+    "1E5", "1e+5", "1e5", "1E-5", "-1.5E+300", "1.7976931348623157e308",
+]
+
+
+def test_version_1_weights_read_edge_tokens_correctly_rounded():
+    _assert_loads_as_float(EDGE_TOKENS)
 
 
 def _read_file(load):

@@ -144,6 +144,10 @@ def test_constrained_masks_agree_across_readers():
     # 16 pairs * 0.5 -> 8: B and D's three cheapest shared slots go first,
     # and a reader keeps at least one channel
     assert len(masks["B"]) == 1
+    # the last two pairs are A and C's cheapest shared slot: the input
+    # segment's band covers the same slots {0, 1, 2, 3} but has its own budget
+    assert masks["A"] == masks["C"] and len(masks["A"]) == 3
+    assert achieved_sparsity(scores, masks) == 0.5
 
 
 def test_constrained_protects_bands_and_readers():
@@ -217,6 +221,9 @@ def test_make_masks_validates_arguments():
         make_masks(graph, scores, 0.5, "partial")
     with pytest.raises(ValidationError):
         make_masks(graph, scores, 0.5, "unconstrained", scope="band")
+    for mode in ("unconstrained", "constrained"):
+        with pytest.raises(ValidationError, match="unknown side 'sideways'"):
+            make_masks(graph, scores, 0.4, mode, side="sideways")
 
 
 def test_achieved_sparsity_counts_missing_layers_as_kept():

@@ -117,8 +117,8 @@ class ModelGraph:
             preds[dst].append(src)
             succs[src].append(dst)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_preds", preds)
-        object.__setattr__(self, "_succs", succs)
+        object.__setattr__(self, "_preds", {k: tuple(v) for k, v in preds.items()})
+        object.__setattr__(self, "_succs", {k: tuple(v) for k, v in succs.items()})
         object.__setattr__(self, "_order", None)
         object.__setattr__(self, "_rank", None)
 
@@ -133,10 +133,10 @@ class ModelGraph:
 
     def predecessors(self, layer_id: str) -> tuple[str, ...]:
         """Incoming sources in edge-file order (meaningful for CONCAT/ADD)."""
-        return tuple(self._preds[layer_id])
+        return self._preds[layer_id]
 
     def successors(self, layer_id: str) -> tuple[str, ...]:
-        return tuple(self._succs[layer_id])
+        return self._succs[layer_id]
 
     def topological_order(self) -> tuple[str, ...]:
         """Kahn's algorithm; ties broken by layer file order (deterministic).
@@ -201,10 +201,12 @@ def normalize_mask(mask: Iterable[int]) -> tuple[int, ...]:
     """Sorted, de-duplicated tuple of channel indices. An index that is not
     an integer raises ValidationError instead of being truncated."""
     mask = list(mask)
-    bad = [i for i in mask if not _is_int(i)]
-    if bad:
-        raise ValidationError([f"mask index {bad[0]!r} is not an integer"])
-    return tuple(sorted(set(map(int, mask))))
+    if not set(map(type, mask)) <= {int}:
+        bad = [i for i in mask if not _is_int(i)]
+        if bad:
+            raise ValidationError([f"mask index {bad[0]!r} is not an integer"])
+        mask = map(int, mask)
+    return tuple(sorted(set(mask)))
 
 
 # --------------------------------------------------------------------------
@@ -337,10 +339,12 @@ def validate_masks(graph: ModelGraph, masks: Mapping[str, Iterable[int]],
         retained = list(retained)
         if not retained:
             diags.append(f"{layer_id}: mask retains no channels")
-        bad = [i for i in retained if not _is_int(i)]
+            continue
+        bad = [] if set(map(type, retained)) <= {int} else [
+            i for i in retained if not _is_int(i)]
         if bad:
             diags.append(f"{layer_id}: mask index {bad[0]!r} is not an integer")
-        elif any(not (0 <= i < space) for i in retained):
+        elif min(retained) < 0 or max(retained) >= space:
             diags.append(f"{layer_id}: mask index out of [0, {space})")
     return diags
 
@@ -423,6 +427,15 @@ def read_int(value) -> int:
     return int(value)
 
 
+def read_str(value) -> str:
+    """``value`` as a str. A number, bool, null, list or object where a
+    file must hold a layer id raises ModelFormatError instead of being
+    turned into its text."""
+    if not isinstance(value, str):
+        raise ModelFormatError(f"expected a string, got {value!r}")
+    return value
+
+
 def read_ints(values) -> tuple[int, ...]:
     """A list of integers as a tuple; each element is checked as by
     :func:`read_int`."""
@@ -471,7 +484,7 @@ def graph_from_dict(obj: dict, source: str = "<memory>") -> ModelGraph:
         try:
             kind = LayerKind(rec["kind"])
             params = read_ints(rec["params"]) if "params" in rec else None
-            layers.append(Layer(str(rec["id"]), kind, read_int(rec["in_channels"]),
+            layers.append(Layer(read_str(rec["id"]), kind, read_int(rec["in_channels"]),
                                 read_int(rec["out_channels"]), params))
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"{source}: bad layer record {rec!r} ({exc})") from exc
@@ -479,7 +492,10 @@ def graph_from_dict(obj: dict, source: str = "<memory>") -> ModelGraph:
     for rec in obj["edges"]:
         if not (isinstance(rec, list) and len(rec) == 2):
             raise ModelFormatError(f"{source}: bad edge record {rec!r}")
-        edges.append((str(rec[0]), str(rec[1])))
+        try:
+            edges.append((read_str(rec[0]), read_str(rec[1])))
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{source}: bad edge record {rec!r} ({exc})") from None
     try:
         return ModelGraph(layers, edges)
     except ValidationError as exc:

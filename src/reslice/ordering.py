@@ -23,6 +23,7 @@ improved by single swaps; the layers left out gather.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 from reslice.segments import Segment
@@ -37,14 +38,11 @@ def band_layouts(segment: Segment, order: tuple[int, ...]) -> dict[str, tuple[in
     by their position there. A band whose slots are all dropped keeps its
     lowest slot so no layer ends up with zero channels.
     """
-    position = {slot: i for i, slot in enumerate(order)}
+    position = dict(zip(order, range(len(order))))
     layouts: dict[str, tuple[int, ...]] = {}
     for band in segment.bands:
-        kept = sorted((s for s in band.slots if s in position), key=position.__getitem__)
-        if not kept:
-            kept = [min(band.slots)]
-        for p in band.producers:
-            layouts[p] = tuple(kept)
+        kept = sorted(filter(position.__contains__, band.slots), key=position.__getitem__)
+        layouts.update(dict.fromkeys(band.producers, tuple(kept or [min(band.slots)])))
     return layouts
 
 
@@ -89,7 +87,7 @@ def _c1p_order(sets: Iterable[frozenset[int]], universe: Iterable[int]) -> list[
     loose slots go by their smallest slot, so an order that already works
     comes back unchanged when it is ascending.
     """
-    family = sorted({s for s in sets if s}, key=sorted)
+    family = sorted(set(filter(None, sets)), key=sorted)
     overlaps = [[j for j, t in enumerate(family)
                  if not s.isdisjoint(t) and not s <= t and not t <= s] for s in family]
     seen = [False] * len(family)
@@ -126,20 +124,30 @@ def _c1p_order(sets: Iterable[frozenset[int]], universe: Iterable[int]) -> list[
             key = (parent, slot)
         children.setdefault(key, []).append(t)
 
-    def emit(members: set[int], kids: list[int]) -> list[int]:
-        covered = set().union(*(components[t][0] for t in kids))
-        blocks = [[x] for x in members - covered] + [layout(t) for t in kids]
-        blocks.sort(key=min)
-        return [x for block in blocks for x in block]
+    def emit(members: set[int] | frozenset[int], kids: list[int]) -> list[int]:
+        # the loose slots ascending, with each child block placed by its
+        # smallest slot
+        if not kids:
+            return sorted(members)
+        loose = sorted(members.difference(*[components[t][0] for t in kids]))
+        out: list[int] = []
+        done = 0
+        for first, t in sorted([(min(components[t][0]), t) for t in kids]):
+            cut = bisect_left(loose, first, done)
+            out += loose[done:cut]
+            out += layout(t)
+            done = cut
+        return out + loose[done:]
 
     def layout(t: int) -> list[int]:
         parts = components[t][1]
-        runs = [emit(part, children.get((t, i), [])) for i, part in enumerate(parts)]
-        if min(parts[0]) > min(parts[-1]):
-            runs.reverse()
-        return [x for run in runs for x in run]
+        turned = min(parts[0]) > min(parts[-1])
+        out: list[int] = []
+        for i in (range(len(parts) - 1, -1, -1) if turned else range(len(parts))):
+            out += emit(parts[i], children.get((t, i), []))
+        return out
 
-    return emit(set(universe), children.get(None, []))
+    return emit(frozenset(universe), children.get(None, []))
 
 
 def find_zero_copy_order(segment: Segment, retained: Mapping[str, frozenset[int]],

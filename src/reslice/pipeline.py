@@ -7,7 +7,9 @@ order of the kept slots if one exists (an exact consecutive-ones test per
 band), else the layout of the largest subset of layers that can all slice,
 the others gathering: of the consumers' retained channels in input mode,
 of the producers' kept filters, each inside its own band, in output mode.
-Segments nobody prunes are left untouched.
+Segments nobody prunes are left untouched. Each segment's masks are
+resolved once (``_resolve``) and the result is what ordering and planning
+read.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from reslice.planner import (
     plan_export_output,
     plan_output_baseline,
 )
-from reslice.segments import (Segment, UnsupportedTopologyError, find_segments,
-                              producer_retained_slots, retained_slots)
+from reslice.segments import (Retained, Segment, UnsupportedTopologyError, _retained_indices,
+                              find_segments, producer_retained_slots, retained_slots)
 
 # unused here, but bench/tracing.py patches these names on this module
 from reslice.path_search import (build_reorder_graph, decompose_paths,  # noqa: F401
@@ -54,9 +56,12 @@ class ExportResult:
     fallbacks: tuple[str, ...]  # segments exported via the baseline fallback
 
 
-def _is_pruned(segment: Segment, masks: ChannelMask, mode: str) -> bool:
-    layers = segment.producer_slots if mode == MODE_OUTPUT else segment.consumer_slots
-    return any(lid in masks and len(set(masks[lid])) < len(vec) for lid, vec in layers.items())
+def _resolve(segment: Segment, masks: ChannelMask, mode: str) -> Retained:
+    """The segment's masks, resolved once for ordering and planning: the
+    producers' in output mode, the consumers' in input mode."""
+    if mode == MODE_OUTPUT:
+        return _retained_indices(segment.producer_slots, masks, "output mask")
+    return _retained_indices(segment.consumer_slots, masks)
 
 
 def _channel_order(segment: Segment, retained: Mapping[str, frozenset[int]],
@@ -70,7 +75,7 @@ def _channel_order(segment: Segment, retained: Mapping[str, frozenset[int]],
     return order
 
 
-def _segment_order(segment: Segment, masks: ChannelMask, mode: str,
+def _segment_order(segment: Segment, kept: Retained, mode: str,
                    strategy: str) -> tuple[int, ...] | None:
     """The channel order ``strategy`` gives the segment, or None where it
     keeps its layout: when it is locked, and under the output baseline.
@@ -83,8 +88,8 @@ def _segment_order(segment: Segment, masks: ChannelMask, mode: str,
         return None
     if mode == MODE_OUTPUT:
         own_band = {p: (i,) for i, band in enumerate(segment.bands) for p in band.producers}
-        return _channel_order(segment, producer_retained_slots(segment, masks), own_band)
-    slots = retained_slots(segment, masks)
+        return _channel_order(segment, producer_retained_slots(segment, kept), own_band)
+    slots = retained_slots(segment, kept)
     if strategy == STRATEGY_REORDER:
         return _channel_order(segment, slots, segment.band_reads)
     gone = {s for vec in segment.consumer_slots.values() for s in vec}.difference(*slots.values())
@@ -96,14 +101,14 @@ def _segment_order(segment: Segment, masks: ChannelMask, mode: str,
     return None
 
 
-def _plan_segment(graph: ModelGraph, segment: Segment, masks: ChannelMask,
+def _plan_segment(graph: ModelGraph, segment: Segment, kept: Retained,
                   mode: str, strategy: str) -> SegmentPlan:
-    order = _segment_order(segment, masks, mode, strategy)
+    order = _segment_order(segment, kept, mode, strategy)
     if mode == MODE_INPUT:
-        return plan_export(graph, segment, order, masks, strategy)
+        return plan_export(graph, segment, order, kept, strategy)
     if strategy == STRATEGY_BASELINE:
-        return plan_output_baseline(graph, segment, masks)
-    return plan_export_output(graph, segment, order, masks)
+        return plan_output_baseline(graph, segment, kept)
+    return plan_export_output(graph, segment, order, kept)
 
 
 def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
@@ -126,15 +131,16 @@ def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
     plans: list[SegmentPlan] = []
     fallbacks: list[str] = []
     for segment in find_segments(graph):
-        if not _is_pruned(segment, masks, mode):
-            continue
+        kept = _resolve(segment, masks, mode)
+        if all(len(kept[lid]) == len(vec) for lid, vec in kept.vectors.items()):
+            continue  # nobody prunes the segment
         try:
-            plans.append(_plan_segment(graph, segment, masks, mode, strategy))
+            plans.append(_plan_segment(graph, segment, kept, mode, strategy))
         except UnsupportedTopologyError as exc:
             if on_unsupported != ON_UNSUPPORTED_BASELINE:
                 raise
             log.warning("segment %s: %s; falling back to baseline", segment.id, exc.reason)
-            plans.append(_plan_segment(graph, segment, masks, mode, STRATEGY_BASELINE))
+            plans.append(_plan_segment(graph, segment, kept, mode, STRATEGY_BASELINE))
             fallbacks.append(segment.id)
     return plans, fallbacks
 

@@ -20,7 +20,7 @@ restores each producer's width with a zero-filling gather.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -38,6 +38,7 @@ from reslice.graph import (
     _load_json,
     read_int,
     read_ints,
+    read_str,
     validate,
 )
 from reslice.ordering import band_layouts
@@ -132,23 +133,24 @@ class SegmentPlan:
 # input-mode planners
 # --------------------------------------------------------------------------
 
-def _access_from_pairs(consumer: str, pairs: list[tuple[int, int]],
-                       force_gather: bool = False) -> ConsumerAccess:
-    """Build the access record from (new position, original column) pairs."""
-    pairs = sorted(pairs)
-    positions = [p for p, _ in pairs]
-    contiguous = positions[-1] - positions[0] + 1 == len(positions)
-    if contiguous and not force_gather:
-        return ConsumerAccess(consumer, "slice", start=positions[0], length=len(positions),
-                              perm=tuple(local for _, local in pairs))
-    by_column = sorted(pairs, key=lambda t: t[1])
-    return ConsumerAccess(consumer, "gather",
-                          perm=tuple(local for _, local in by_column),
-                          indices=tuple(pos for pos, _ in by_column))
+def _access(consumer: str, columns: tuple[int, ...], spots: Sequence[int],
+            force_gather: bool = False) -> ConsumerAccess:
+    """The access record of a consumer whose ascending input ``columns``
+    land at ``spots``, their positions in the rewritten input."""
+    if not force_gather and max(spots) - min(spots) + 1 == len(spots):
+        window = sorted(range(len(spots)), key=spots.__getitem__)
+        return ConsumerAccess(consumer, "slice", start=min(spots), length=len(spots),
+                              perm=tuple(map(columns.__getitem__, window)))
+    return ConsumerAccess(consumer, "gather", perm=tuple(columns), indices=tuple(spots))
 
 
 def _access_cost(access: ConsumerAccess) -> int:
     return len(access.perm) if access.mode == "gather" else 0
+
+
+def _index_of(vec: Sequence[int]) -> dict[int, int]:
+    """Entry -> its position in ``vec`` (the last one, for a repeated entry)."""
+    return dict(zip(vec, range(len(vec))))
 
 
 def _structure_from_layouts(
@@ -159,13 +161,13 @@ def _structure_from_layouts(
     per-producer slot layouts."""
     producer_orders = {}
     for p in segment.producers:
-        local_of = {slot: i for i, slot in enumerate(segment.producer_slots[p])}
-        producer_orders[p] = tuple(local_of[s] for s in layouts[p])
+        local_of = _index_of(segment.producer_slots[p])
+        producer_orders[p] = tuple(map(local_of.__getitem__, layouts[p]))
     per_channel = {}
     for u in segment.interior:
         if graph.layer(u).kind is LayerKind.PER_CHANNEL:
-            old_pos = {slot: i for i, slot in enumerate(segment.node_slots[u])}
-            per_channel[u] = tuple(old_pos[s] for s in vectors[u])
+            old_pos = _index_of(segment.node_slots[u])
+            per_channel[u] = tuple(map(old_pos.__getitem__, vectors[u]))
     return producer_orders, per_channel
 
 
@@ -190,8 +192,9 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
         if segment.lock_reason:
             raise ValidationError([f"{segment.id}: an order is given for a locked segment "
                                    f"({segment.lock_reason})"])
-        if not {segment.consumer_slots[c][i] for c, columns in kept.items()
-                for i in columns}.issubset(order):
+        in_order = set(order)
+        if not all(in_order.issuperset(map(segment.consumer_slots[c].__getitem__, columns))
+                   for c, columns in kept.items()):
             raise ValidationError([f"{segment.id}: order does not cover all retained channels"])
     if order is None:
         producer_orders = {p: tuple(range(graph.layer(p).out_channels))
@@ -210,22 +213,20 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
         if order is None:
             position: list[int | None] = list(range(len(vec)))
         else:
-            where = {slot: i for i, slot in enumerate(vectors[graph.predecessors(c)[0]])}
-            position = [where.get(slot) for slot in vec]
+            position = list(map(_index_of(vectors[graph.predecessors(c)[0]]).get, vec))
         columns = kept[c]
         if strategy == STRATEGY_CONSTRAINED:
             columns = tuple(l for l, pos in enumerate(position) if pos is not None)
             zeroed = sorted(set(columns) - set(kept[c]))
             if zeroed:
                 zero_columns[c] = tuple(zeroed)
-        pairs = []
-        for local in columns:
-            if position[local] is None:
-                raise ValidationError(
-                    [f"{c}: retained channel {local} maps to dropped slot {vec[local]}"])
-            pairs.append((position[local], local))
-        accesses.append(_access_from_pairs(
-            c, pairs, force_gather=order is None and len(columns) < len(vec)))
+        spots = list(map(position.__getitem__, columns))
+        if None in spots:
+            local = columns[spots.index(None)]
+            raise ValidationError(
+                [f"{c}: retained channel {local} maps to dropped slot {vec[local]}"])
+        accesses.append(_access(c, columns, spots,
+                                force_gather=order is None and len(columns) < len(vec)))
 
     return SegmentPlan(
         segment=segment.id, mode=MODE_INPUT, strategy=strategy,
@@ -233,8 +234,7 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
         producer_orders=producer_orders,
         consumers=tuple(accesses), per_channel=per_channel,
         zero_columns=zero_columns, infill={}, join=None,
-        stats=CopyStats(sum(len(k) for k in kept.values()),
-                        sum(_access_cost(a) for a in accesses)),
+        stats=CopyStats(sum(map(len, kept.values())), sum(map(_access_cost, accesses))),
     )
 
 
@@ -259,7 +259,7 @@ def plan_output_baseline(graph: ModelGraph, segment: Segment,
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_BASELINE,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=kept_filters,
+        producer_orders=dict(kept_filters),
         consumers=(), per_channel={}, zero_columns={}, infill=infill, join=None,
         stats=CopyStats(sum(map(len, kept_filters.values())), copied),
     )
@@ -457,12 +457,27 @@ class _Rewrite:
                           [e for e in self.edges if e is not None])
 
 
-def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
+def _check_role(plan: SegmentPlan, role: str, ids: Sequence[str],
+                *entries: Collection[str]) -> None:
+    """Raise ValidationError if the plan names one of its ``role`` layers
+    twice or keys one of ``entries`` by a layer that is not one of them."""
+    members = set(ids)
+    if len(members) != len(ids):
+        raise ValidationError([f"plan {plan.segment}: a {role} is named twice"])
+    if not all(map(members.issuperset, entries)):
+        stray = sorted(set().union(*entries) - members)
+        raise ValidationError([f"plan {plan.segment}: an entry is keyed by {stray[0]!r}, "
+                               f"which is not a {role} of the plan"])
+
+
+def _check_names(plan: SegmentPlan, rw: _Rewrite) -> dict[str, str]:
     """Raise ValidationError unless every layer the plan names exists in the
-    model under rewrite, in the role the plan gives it."""
+    model under rewrite, in the role the plan gives it. Returns each
+    consumer's source, looked up before the plan rewires anything."""
     layers = rw.layers
+    consumers = [a.consumer for a in plan.consumers]
     # entry keys must name producers, consumers or interior layers, checked below
-    named = {*plan.producers, *plan.interior, *(a.consumer for a in plan.consumers)}
+    named = {*plan.producers, *plan.interior, *consumers}
     if plan.join is not None:
         jr = plan.join
         named.update((jr.join, *jr.operands, *jr.operands.values()))
@@ -470,61 +485,56 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> None:
                                   for run in jr.runs):
             raise ValidationError([f"plan {plan.segment}: a run of join {jr.join!r} "
                                    "names no producer or one that is not an operand"])
-    unknown = sorted(named - layers.keys())
-    if unknown:
+    if not layers.keys() >= named:
         raise ValidationError([f"plan {plan.segment}: names unknown layer {lid!r}"
-                               for lid in unknown])
-    for role, ids, keys in (
-            ("producer", plan.producers, {*plan.producer_orders, *plan.infill}),
-            ("consumer", [a.consumer for a in plan.consumers], plan.zero_columns)):
-        if len(set(ids)) != len(ids):
-            raise ValidationError([f"plan {plan.segment}: a {role} is named twice"])
-        stray = sorted(set(keys) - set(ids))
-        if stray:
-            raise ValidationError([f"plan {plan.segment}: an entry is keyed by {stray[0]!r}, "
-                                   f"which is not a {role} of the plan"])
+                               for lid in sorted(named - layers.keys())])
+    _check_role(plan, "producer", plan.producers, plan.producer_orders, plan.infill)
+    _check_role(plan, "consumer", consumers, plan.zero_columns)
     for p in plan.producers:
         if layers[p].kind not in (LayerKind.CHANNEL_MIX, LayerKind.INPUT):
             raise ValidationError([f"plan {plan.segment}: producer {p!r} is a "
                                    f"{layers[p].kind.value} layer"])
     members = {*plan.producers, *plan.interior}
-    for a in plan.consumers:
-        preds = rw.predecessors(a.consumer)
-        if (layers[a.consumer].kind is not LayerKind.CHANNEL_MIX or len(preds) != 1
+    sources = {}
+    for c in consumers:
+        preds = rw.predecessors(c)
+        if (layers[c].kind is not LayerKind.CHANNEL_MIX or len(preds) != 1
                 or preds[0] not in members):
-            raise ValidationError([f"plan {plan.segment}: {a.consumer!r} does not read "
+            raise ValidationError([f"plan {plan.segment}: {c!r} does not read "
                                    "this segment"])
+        sources[c] = preds[0]
     for u in plan.per_channel:
         if u not in plan.interior or layers[u].kind is not LayerKind.PER_CHANNEL:
             raise ValidationError([f"plan {plan.segment}: {u!r} is not a per-channel "
                                    "layer of this segment"])
+    return sources
 
 
 def _check_indices(plan: SegmentPlan, what: str, entries: Sequence[int],
                    allowed: Collection[int]) -> None:
     """Raise ValidationError unless ``entries`` are distinct members of ``allowed``."""
-    if len(set(entries)) != len(entries) or not all(i in allowed for i in entries):
+    distinct = set(entries)
+    if len(distinct) != len(entries) or distinct.difference(allowed):
         raise ValidationError([f"plan {plan.segment}: {what} repeats an index or names one "
                                "out of range"])
 
 
 def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
     """Apply one plan to the model under rewrite."""
-    _check_names(plan, rw)
+    sources = _check_names(plan, rw)
     layers, weights, taken = rw.layers, rw.weights, rw.taken
-    # consumers look up their source before this plan rewires anything
-    sources = {a.consumer: rw.predecessors(a.consumer)[0] for a in plan.consumers}
 
     # 1. producers: reorder/drop filter rows
     for p in plan.producers:
         lay = layers[p]
-        rows = tuple(plan.producer_orders.get(p, range(lay.out_channels)))
-        if lay.kind is LayerKind.INPUT and rows != tuple(range(lay.out_channels)):
-            raise ValidationError([f"{p}: cannot permute a model input"])
-        _check_indices(plan, f"{p} filter order", rows, range(lay.out_channels))
-        if rows != tuple(range(lay.out_channels)):
+        identity = tuple(range(lay.out_channels))
+        rows = tuple(plan.producer_orders.get(p, identity))
+        if rows != identity:
+            if lay.kind is LayerKind.INPUT:
+                raise ValidationError([f"{p}: cannot permute a model input"])
+            _check_indices(plan, f"{p} filter order", rows, range(lay.out_channels))
             weights[p] = weights[p][list(rows), :]
-            layers[p] = replace(lay, out_channels=len(rows))
+            layers[p] = Layer(p, lay.kind, lay.in_channels, len(rows), lay.params)
 
     # 2. output-mode infill: restore original widths with zero-fill gathers
     for p in sorted(plan.infill):
@@ -604,7 +614,8 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
             continue  # only locked segments hold these, and their inputs keep their width
         else:
             raise ValidationError([f"{u}: unexpected {lay.kind.value} interior layer"])
-        layers[u] = replace(lay, in_channels=w, out_channels=w)
+        if (lay.in_channels, lay.out_channels) != (w, w):
+            layers[u] = Layer(u, lay.kind, w, w, lay.params)
 
     # 5. consumers: restrict/permute columns, insert access nodes
     for access in plan.consumers:
@@ -614,12 +625,13 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
         perm = tuple(access.perm)
         zeroed = plan.zero_columns.get(c, ())
         _check_indices(plan, f"{c} column order", perm, range(lay.in_channels))
-        _check_indices(plan, f"{c} zero columns", zeroed, set(perm))
+        if zeroed:
+            _check_indices(plan, f"{c} zero columns", zeroed, set(perm))
         if perm != tuple(range(lay.in_channels)):
             weights[c] = weights[c][:, list(perm)]
-            layers[c] = replace(lay, in_channels=len(perm))
-        for local in zeroed:
-            weights[c][:, perm.index(local)] = 0.0
+            layers[c] = Layer(c, lay.kind, len(perm), lay.out_channels, lay.params)
+        if zeroed:
+            weights[c][:, list(map(_index_of(perm).__getitem__, zeroed))] = 0.0
         source_width = layers[pred].out_channels
         if access.mode == "slice":
             if access.length != len(perm):
@@ -699,7 +711,7 @@ def _int_pair(values) -> tuple[int, int]:
 
 
 def _access_from_dict(rec: dict) -> ConsumerAccess:
-    consumer = str(rec["consumer"])
+    consumer = read_str(rec["consumer"])
     perm = read_ints(rec["perm"])
     if "slice" in rec:
         start, length = _int_pair(rec["slice"])
@@ -754,18 +766,18 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
                 raise ModelFormatError(f"keep_original must be true or false, "
                                        f"got {j['keep_original']!r}")
             join = JoinRewrite(
-                join=str(j["join"]), keep_original=j["keep_original"],
-                operands={str(k): str(v) for k, v in j["operands"].items()},
+                join=read_str(j["join"]), keep_original=j["keep_original"],
+                operands={str(k): read_str(v) for k, v in j["operands"].items()},
                 runs=tuple(JoinRun({str(p): _int_pair(w) for p, w in r["windows"].items()})
                            for r in j["runs"]),
             )
         stats = obj["stats"]
         return SegmentPlan(
-            segment=str(obj["segment"]),
+            segment=read_str(obj["segment"]),
             mode=str(obj["mode"]),
             strategy=str(obj["strategy"]),
-            producers=tuple(str(p) for p in obj["producers"]),
-            interior=tuple(str(u) for u in obj["interior"]),
+            producers=tuple(map(read_str, obj["producers"])),
+            interior=tuple(map(read_str, obj["interior"])),
             producer_orders=_int_map_from_dict(obj["producer_orders"]),
             consumers=tuple(_access_from_dict(rec) for rec in obj["consumers"]),
             per_channel=_int_map_from_dict(obj["per_channel"]),

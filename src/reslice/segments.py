@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from reslice.graph import INTERIOR_KINDS, ChannelMask, LayerKind, ModelGraph, ValidationError
@@ -86,8 +87,10 @@ class Segment:
     def band_reads(self) -> dict[str, tuple[int, ...]]:
         """Per consumer, the indices into ``bands`` of the bands it reads,
         one per run of its read vector, in read order."""
-        band_of = {s: i for i, band in enumerate(self.bands) for s in band.slots}
-        return {c: tuple(i for i, _ in groupby(band_of[s] for s in vec))
+        band_of: dict[int, int] = {}
+        for i, band in enumerate(self.bands):
+            band_of.update(dict.fromkeys(band.slots, i))
+        return {c: tuple(map(itemgetter(0), groupby(map(band_of.__getitem__, vec))))
                 for c, vec in self.consumer_slots.items()}
 
 
@@ -162,6 +165,30 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _slot_numbering(count: int, joined: Sequence[tuple[Sequence[int], Sequence[int]]],
+                    ) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], int]:
+    """(canonical slot vector of a raw-id vector, number of slots) for
+    ``count`` raw ids, where add joins identify the ids at each position of
+    the vector pairs in ``joined``. The classes of identified ids are
+    numbered in order of their smallest id, so where nothing is joined each
+    raw id is its own slot and vectors are canonical as they are."""
+    if not joined:
+        return (lambda vec: vec), count
+    uf = _UnionFind(count)
+    for a, b in joined:
+        for x, y in zip(a, b):
+            uf.union(x, y)
+    number: dict[int, int] = {}  # class representative -> slot
+    canon = [number.setdefault(uf.find(raw), len(number)) for raw in range(count)]
+    done: dict[tuple[int, ...], tuple[int, ...]] = {}  # many nodes share one vector
+
+    def canon_vec(vec: tuple[int, ...]) -> tuple[int, ...]:
+        if vec not in done:
+            done[vec] = tuple(map(canon.__getitem__, vec))
+        return done[vec]
+    return canon_vec, len(number)
+
+
 def _walk(graph: ModelGraph, seed: str) -> tuple[set[str], set[str], set[str], bool]:
     """(producers, interior, consumers, reads model output) of the segment
     holding producer ``seed``.
@@ -209,38 +236,21 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
         width = graph.layer(p).out_channels
         producer_vectors[p] = tuple(range(counter, counter + width))
         counter += width
-    uf = _UnionFind(counter)
+    joined: list[tuple[Sequence[int], Sequence[int]]] = []  # add operand pairs
     zero_seen = False
 
     def fresh_zero():
         nonlocal counter, zero_seen
         zero_seen = True
-        uf.parent.append(counter)
         counter += 1
         return counter - 1
 
-    vectors = propagate_vectors(
-        graph, interior, producer_vectors,
-        merge=lambda a, b: [uf.union(x, y) for x, y in zip(a, b)],
-        zero=fresh_zero,
-    )
-
-    # canonical slot indices, in raw-id order of the class representative
-    canon: dict[int, int] = {}
-    for raw in range(counter):
-        root = uf.find(raw)
-        if root not in canon:
-            canon[root] = len(canon)
-
-    def canon_vec(vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(canon[uf.find(x)] for x in vec)
-
+    vectors = propagate_vectors(graph, interior, producer_vectors,
+                                merge=lambda a, b: joined.append((a, b)), zero=fresh_zero)
+    canon_vec, channel_space = _slot_numbering(counter, joined)
     producer_slots = {p: canon_vec(producer_vectors[p]) for p in producer_ids}
     node_slots = {u: canon_vec(vectors[u]) for u in interior_ids}
-    consumer_slots = {}
-    for c in consumer_ids:
-        pred = graph.predecessors(c)[0]
-        consumer_slots[c] = canon_vec(vectors[pred])
+    consumer_slots = {c: canon_vec(vectors[graph.predecessors(c)[0]]) for c in consumer_ids}
 
     # a slot space is ill-formed where one vector holds a slot twice
     ill_formed = [f"channels of producer {p} are identified with each other by the join structure"
@@ -278,7 +288,7 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
         producers=producer_ids,
         consumers=consumer_ids,
         interior=interior_ids,
-        channel_space=len(canon),
+        channel_space=channel_space,
         producer_slots=producer_slots,
         consumer_slots=consumer_slots,
         node_slots=node_slots,
@@ -307,16 +317,32 @@ def find_segments(graph: ModelGraph) -> list[Segment]:
     return sorted(segments, key=lambda s: s.producers[0])
 
 
+class Retained(dict):
+    """Layer id -> the local channel indices its mask retains, ascending and
+    distinct, for every layer of ``vectors`` (one segment's
+    ``consumer_slots`` or ``producer_slots``): a mask as
+    ``_retained_indices`` resolves it. Passed in again as the mask for the
+    same vectors, it is returned as it is, so the pipeline resolves each
+    segment's masks once and hands the result to ordering and planning."""
+
+    def __init__(self, vectors: Mapping[str, tuple[int, ...]]):
+        super().__init__()
+        self.vectors = vectors
+
+
 def _retained_indices(vectors: Mapping[str, tuple[int, ...]], masks: ChannelMask,
-                      what: str = "mask") -> dict[str, tuple[int, ...]]:
+                      what: str = "mask") -> Retained:
     """Per-layer retained local channel indices, ascending and distinct.
 
     This is where every planner reads a mask. ``vectors`` maps each layer to
     its slot vector (a segment's ``consumer_slots`` or ``producer_slots``);
     a layer without a mask entry retains every index. A mask that keeps no
     channel, or names an index outside its vector, raises ValidationError.
+    ``masks`` already resolved against ``vectors`` comes back unchanged.
     """
-    out: dict[str, tuple[int, ...]] = {}
+    if isinstance(masks, Retained) and masks.vectors is vectors:
+        return masks
+    out = Retained(vectors)
     for lid, vec in vectors.items():
         if lid not in masks:
             out[lid] = tuple(range(len(vec)))
@@ -337,7 +363,7 @@ def retained_slots(segment: Segment, masks: ChannelMask) -> dict[str, frozenset[
     Consumers without a mask entry retain everything they read. Mask
     indices are consumer-local input channel indices.
     """
-    return {c: frozenset(segment.consumer_slots[c][i] for i in columns)
+    return {c: frozenset(map(segment.consumer_slots[c].__getitem__, columns))
             for c, columns in _retained_indices(segment.consumer_slots, masks).items()}
 
 
@@ -349,5 +375,5 @@ def producer_retained_slots(segment: Segment,
     out-of-range mask raises ValidationError (``_retained_indices``).
     """
     kept = _retained_indices(segment.producer_slots, output_masks, "output mask")
-    return {p: frozenset(segment.producer_slots[p][i] for i in rows)
+    return {p: frozenset(map(segment.producer_slots[p].__getitem__, rows))
             for p, rows in kept.items()}

@@ -269,6 +269,21 @@ def dense_block(layers, stem=256, growth=32, keep=0.6, seed=0):
     return ModelGraph(layers_, edges), masks
 
 
+def ramp_weights(graph: ModelGraph) -> WeightStore:
+    """Weights for ``graph`` drawn from no random generator: entry (i, j)
+    of the k-th layer is ``((7i + 3j + k) % 11 - 5) / 4``, exactly
+    representable, so the same bytes come out under any numpy version."""
+    tensors = {}
+    for k, layer in enumerate(graph.layers):
+        if layer.kind is MIX:
+            i = np.arange(layer.out_channels)[:, None]
+            j = np.arange(layer.in_channels)[None, :]
+            tensors[layer.id] = ((7 * i + 3 * j + k) % 11 - 5) / 4.0
+        elif layer.kind is PER:
+            tensors[layer.id] = ((5 * np.arange(layer.out_channels) + k) % 7 - 3) / 2.0
+    return WeightStore(tensors)
+
+
 # --------------------------------------------------------------------------
 # independent oracles
 # --------------------------------------------------------------------------

@@ -334,6 +334,45 @@ def test_model_file_with_a_non_integer_count_is_exit_1(model_files, capsys, fiel
     assert "expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [None, 7, True, ["a"]], ids=["null", "7", "true", "list"])
+@pytest.mark.parametrize("where", ["layer id", "edge end", "plan consumer",
+                                   "exported layer id"])
+def test_a_layer_id_that_is_not_a_string_is_refused(model_files, capsys, where, value):
+    # export inputs fail with exit 1; inside verify, the plan file and the
+    # exported model count as a mismatch (exit 4). A reader that took
+    # str(value) would load each of these files.
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    prefix = tmp / "exported"
+
+    def rename_r(path, layer_id):
+        # r is the pass-through between the join and its readers B and D
+        doc = json.loads(Path(path).read_text())
+        next(rec for rec in doc["layers"] if rec["id"] == "r")["id"] = layer_id
+        doc["edges"] = [[value if end == "r" else end for end in edge] for edge in doc["edges"]]
+        Path(path).write_text(json.dumps(doc))
+
+    export = ("export", "--model", model, "--weights", weights, "--masks", masks,
+              "--out-prefix", prefix)
+    if where in ("layer id", "edge end"):
+        rename_r(model, value if where == "layer id" else str(value))
+        assert run_cli(*export) == 1
+    else:
+        assert run_cli(*export) == 0
+        if where == "plan consumer":
+            ppath = tmp / "exported.plan.json"
+            plan = json.loads(ppath.read_text())
+            plan["segments"][0]["consumers"][0]["consumer"] = value
+            ppath.write_text(json.dumps(plan))
+        else:
+            rename_r(tmp / "exported.model.json", value)
+        capsys.readouterr()
+        assert run_cli("verify", "--model", model, "--weights", weights,
+                       "--masks", masks, "--out-prefix", prefix) == 4
+    assert f"expected a string, got {value!r}" in capsys.readouterr().err
+
+
 def test_verify_plan_with_non_integer_indices_is_exit_4(model_files, capsys):
     tmp, model, weights = model_files
 

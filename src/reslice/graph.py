@@ -381,31 +381,73 @@ def _dump_json(obj: dict, path: str | Path) -> None:
         f.write("\n")
 
 
-# orjson's first call reserves a buffer of about 8 MiB. Made after a large
-# file has been freed, that call puts the buffer at the top of the heap and
+# orjson's first call reserves a buffer of about 8 MiB. Made while or after
+# a large file is read, that call puts the buffer at the top of the heap and
 # glibc cannot hand the freed memory below it back, so make it now.
 orjson.loads("0.5")
 
-
-def _parse_json(text: str):
-    """``json.loads``, except that float tokens are read by orjson's
-    correctly rounded reader, which gives the same doubles as ``float`` in
-    about half the time. orjson refuses a token beyond float64's range
-    (``1e999``); then the stdlib parses the whole text, so such a file
-    loads as before."""
-    try:
-        return json.loads(text, parse_float=orjson.loads)
-    except orjson.JSONDecodeError:  # a subclass of json.JSONDecodeError
-        return json.loads(text)
+# The stdlib's C scanner. Not json.scanner.py_make_scanner: its number
+# pattern takes non-ASCII digits, so it would read [1١] as [11].
+_scan_json = json.scanner.c_make_scanner(json.JSONDecoder())
 
 
-def _load_json(path: str | Path) -> dict:
+def _scan_floats(s: str, idx: int):
+    """Scan the JSON value at ``s[idx]``. An array of floats comes back as
+    a float64 array read by one orjson call, whose correctly rounded reader
+    gives the same doubles as ``float``. Any other value goes to the C
+    scanner, and so does an array that orjson refuses up to its first
+    ``]`` (a nested one, NaN, Infinity, a value beyond float64) or that
+    holds anything but floats (orjson reads integers differently: one
+    beyond 64 bits as a float)."""
+    if s.startswith("[", idx):
+        end = s.find("]", idx) + 1
+        try:
+            values = orjson.loads(s[idx:end])
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if set(map(type, values)) == {float}:
+                return np.array(values, dtype=np.float64), end
+    return _scan_json(s, idx)
+
+
+def _tensor_record(pairs: list) -> dict:
+    """A record's object, built as soon as it is parsed: a float64 array
+    stays one only as the record's ``data``, the rest become lists again."""
+    return {key: value.tolist() if key != "data" and type(value) is np.ndarray else value
+            for key, value in pairs}
+
+
+def _objects(scan_value, pairs_hook=None):
+    """A scanner that parses an object at Python level, scanning its values
+    with ``scan_value``, and hands every other value to the C scanner."""
+    def scan(s: str, idx: int):
+        if s.startswith("{", idx):
+            return json.decoder.JSONObject((s, idx + 1), True, scan_value, None, pairs_hook)
+        return _scan_json(s, idx)
+    return scan
+
+
+class _WeightsDecoder(json.JSONDecoder):
+    """Decodes a weights file to the same value as ``json.loads``, except
+    that each tensor record's all-float ``data`` list arrives as a float64
+    array. Only objects down to a record's depth (the top object,
+    ``tensors``, the records) are parsed at Python level; anything deeper
+    goes to the C scanner whole, so Python recursion stays three objects
+    deep."""
+
+    def __init__(self):
+        super().__init__()
+        self.scan_once = _objects(_objects(_objects(_scan_floats, _tensor_record)))
+
+
+def _load_json(path: str | Path, decoder: type[json.JSONDecoder] | None = None) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
-        obj = _parse_json(text)
+        obj = json.loads(text, cls=decoder)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
@@ -518,11 +560,13 @@ def _decode_tensor(rec: dict, version: int) -> np.ndarray:
     shape = read_ints(rec["shape"])
     if version == 1:
         data = rec["data"]
-        # numpy would read true as 1.0 and "1.5" as 1.5; null passes on to
-        # the finiteness check as NaN
-        if not isinstance(data, list) or not set(map(type, data)) <= {float, int, type(None)}:
-            raise ValueError("'data' must be a list of numbers")
-        return np.asarray(data, dtype=np.float64).reshape(shape)
+        # a list is checked, since numpy would read true as 1.0 and "1.5" as
+        # 1.5; null passes on to the finiteness check as NaN
+        if not (type(data) is np.ndarray and data.dtype == np.float64):
+            if not isinstance(data, list) or not set(map(type, data)) <= {float, int, type(None)}:
+                raise ValueError("'data' must be a list of numbers")
+            data = np.asarray(data, dtype=np.float64)
+        return data.reshape(shape)
     raw = base64.b64decode(rec["f64le"], validate=True)
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{len(raw)} payload bytes for shape {list(shape)}")
@@ -531,7 +575,9 @@ def _decode_tensor(rec: dict, version: int) -> np.ndarray:
 
 
 def weights_from_dict(obj: dict, source: str = "<memory>") -> WeightStore:
-    """Read weights file version 1 or 2. Non-finite values are rejected."""
+    """Read weights file version 1 or 2. Non-finite values are rejected.
+    A version-1 record's ``data`` is a list of numbers, or a float64 array
+    as the weights-file reader gives it."""
     version = _expect_version(obj, source, 1, 2)
     tensors_obj = obj.get("tensors")
     if not isinstance(tensors_obj, dict):
@@ -563,7 +609,7 @@ def load_model(model_file: str | Path, weights_file: str | Path) -> tuple[ModelG
     parsed graph/weights violate IR invariants.
     """
     graph = graph_from_dict(_load_json(model_file), str(model_file))
-    weights = weights_from_dict(_load_json(weights_file), str(weights_file))
+    weights = weights_from_dict(_load_json(weights_file, _WeightsDecoder), str(weights_file))
     diags = validate(graph, weights)
     if diags:
         raise ValidationError(diags)

@@ -421,7 +421,9 @@ class _Rewrite:
             self.out_edges[src].append(i)
             self.in_edges[dst].append(i)
         self.taken = set(self.layers)
-        self.weights = weights.copy()
+        # shares the input's tensors: a rewrite replaces a tensor with a new
+        # array, and copies one before writing into it
+        self.weights = WeightStore(dict(weights.tensors))
 
     def predecessors(self, layer_id: str) -> list[str]:
         return [self.edges[i][0] for i in self.in_edges[layer_id]]
@@ -630,6 +632,8 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
         if perm != tuple(range(lay.in_channels)):
             weights[c] = weights[c][:, list(perm)]
             layers[c] = Layer(c, lay.kind, len(perm), lay.out_channels, lay.params)
+        elif zeroed:
+            weights[c] = weights[c].copy()
         if zeroed:
             weights[c][:, list(map(_index_of(perm).__getitem__, zeroed))] = 0.0
         source_width = layers[pred].out_channels
@@ -660,7 +664,8 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
 
 def apply_plan(plans: Sequence[SegmentPlan], graph: ModelGraph,
                weights: WeightStore) -> tuple[ModelGraph, WeightStore]:
-    """Execute plans in order. Pure: the input graph and weights are untouched.
+    """Execute plans in order. Pure: the input graph and weights are untouched,
+    though the result may share the tensors no plan changes with the input.
 
     All plans rewrite one mutable copy of the model, which is built into a
     graph and validated once at the end; the result equals applying the
@@ -670,7 +675,7 @@ def apply_plan(plans: Sequence[SegmentPlan], graph: ModelGraph,
     belong to the model.
     """
     if not plans:
-        return graph, weights.copy()
+        return graph, WeightStore(dict(weights.tensors))
     rw = _Rewrite(graph, weights)
     for plan in plans:
         _apply_one(plan, rw)

@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 from reslice import UnsupportedTopologyError, ValidationError, export_model, save_model, save_plans
-from reslice.graph import graph_from_dict, graph_to_dict
+from reslice.graph import graph_from_dict, graph_to_dict, load_model
 from reslice.masks import make_masks, score_channels
 
-from helpers import dense_block, ramp_weights, random_dag
+from helpers import dense_block, ramp_weights, random_dag, save_weights_v1
 
 CORPUS = Path(__file__).parent / "data" / "golden_corpus.json"
 RUNS = (("input", "reorder"), ("input", "baseline"), ("input", "constrained"),
@@ -72,6 +72,22 @@ def scratch(tmp_path_factory) -> Path:
 @pytest.mark.parametrize("case", _cases(), ids=lambda case: case["name"])
 def test_export_bytes_match_the_corpus(case, scratch):
     assert export_digests(case, scratch) == case["sha256"]
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: case["name"])
+def test_version_1_weights_load_bit_identical(case, scratch):
+    # written as the benchmark writes its inputs: json.dumps(indent=2) of tolist()
+    graph = graph_from_dict(case["model"])
+    weights = ramp_weights(graph)
+    model, wfile = scratch / "v1.model.json", scratch / "v1.weights.json"
+    save_model(graph, weights, model, wfile)
+    save_weights_v1(weights, wfile)
+    loaded = load_model(model, wfile)[1]
+    assert list(loaded.tensors) == sorted(weights.tensors)
+    for lid, want in weights.tensors.items():
+        got = loaded[lid]
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_corpus_covers_both_modes_and_the_dense_block():

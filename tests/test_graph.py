@@ -1,13 +1,17 @@
 """IR construction, validation, and file round-trips."""
 
 import base64
+import io
 import json
 import math
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +37,12 @@ from reslice.graph import (
     weights_to_dict,
 )
 
-from reslice.planner import load_plans
+import reslice.graph
+from reslice.cli import main as cli_main
+from reslice.pipeline import export_model
+from reslice.planner import load_plans, save_plans
 
-from helpers import (MIX, build_model, fan_fixture, oracle_topological_order, random_dag,
+from helpers import (MIX, PER, build_model, fan_fixture, oracle_topological_order, random_dag,
                      save_weights_v1)
 
 
@@ -449,6 +456,210 @@ EDGE_TOKENS = [
 
 def test_version_1_weights_read_edge_tokens_correctly_rounded():
     _assert_loads_as_float(EDGE_TOKENS)
+
+
+# --------------------------------------------------------------------------
+# the weights-file reader against json.loads
+# --------------------------------------------------------------------------
+
+def _reader_files(tmp: Path) -> tuple[Path, Path, Path]:
+    """A model in(3) -> m (2x3 mix) -> v (2 per-channel) -> out, a masks
+    file for it, and the path its weights file is written to."""
+    graph, weights = build_model(
+        [("in", LayerKind.INPUT, 3, 3), ("m", MIX, 3, 2), ("v", PER, 2, 2),
+         ("out", LayerKind.OUTPUT, 2, 2)],
+        [("in", "m"), ("m", "v"), ("v", "out")])
+    model, wfile, masks = tmp / "r.model.json", tmp / "r.weights.json", tmp / "r.masks.json"
+    save_model(graph, weights, model, wfile)
+    save_masks({"m": [0, 2]}, masks)
+    return model, wfile, masks
+
+
+def _weights_outcome(model: Path, wfile: Path, masks: Path):
+    """What ``wfile`` loads as, by the reader ``load_model`` uses: each
+    tensor's id, shape and bits, or the error's type and message; then the
+    exit code and stderr of ``reslice stats`` on it."""
+    try:
+        store = weights_from_dict(reslice.graph._load_json(wfile, reslice.graph._WeightsDecoder),
+                                  str(wfile))
+        loaded = [(lid, t.dtype, t.shape, t.tobytes()) for lid, t in store.tensors.items()]
+    except ValueError as exc:  # ModelFormatError and ValidationError among them
+        loaded = (type(exc), str(exc))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli_main(["stats", "--model", str(model), "--weights", str(wfile),
+                         "--masks", str(masks)])
+    return loaded, code, err.getvalue()
+
+
+def _assert_reads_as_json_loads(text: str, tmp: Path) -> None:
+    """The weights reader gives what ``json.loads`` plus the checks of a
+    plain dict give: the same bits, or the same error and exit code."""
+    model, wfile, masks = _reader_files(tmp)
+    wfile.write_text(text, encoding="utf-8")
+    got = _weights_outcome(model, wfile, masks)
+    with mock.patch.object(reslice.graph, "_WeightsDecoder", None):
+        want = _weights_outcome(model, wfile, masks)
+    assert got == want, text[:200]
+
+
+M_DATA = "0.5, -1.25, 3.0, 0.001, -0.0, 2.5"
+
+
+def _v1(m=M_DATA, v="1.5, -2.5", m_extra="", top_extra="", tensors_head=""):
+    return ('{"version": 1, ' + top_extra + '"tensors": {' + tensors_head
+            + '"m": {"data": [' + m + '], ' + m_extra + '"shape": [2, 3]}, '
+            + '"v": {"data": [' + v + '], "shape": [2]}}}')
+
+
+DEEP = '{"a": ' * 600 + "1.5" + "}" * 600
+IDS = ('"a]": {"data": [1.5], "shape": [1]}, "b[": {"data": [2.5], "shape": [1]}, '
+       '"c{": {"data": [0.5], "shape": [1]}, "d\\"]": {"data": [3.5], "shape": [1]}, ')
+
+READER_CASES = {
+    "plain": _v1(),
+    "ascii_then_arabic_digit": _v1(m=M_DATA + ", 1\u0661"),
+    "fraction_then_arabic_digit": _v1(m=M_DATA + ", 1.5\u0661"),
+    "version_then_arabic_digit": _v1().replace('"version": 1', '"version": 1\u0661'),
+    "nan": _v1(v="NaN, 1.5"),
+    "infinity": _v1(v="1.5, Infinity"),
+    "null": _v1(v="null, 1.5"),
+    "true": _v1(v="true, 1.5"),
+    "2**64": _v1(m=f"{2 ** 64}, -1.25, 3.0, 0.001, -0.0, 2.5"),
+    "-2**63-1": _v1(m=f"0.5, -1.25, 3.0, {-2 ** 63 - 1}, -0.0, 2.5"),
+    "400_digit_integer": _v1(m="0.5, -1.25, 3.0, 0.001, -0.0, " + "9" * 400),
+    "400_digit_integer_bad_shape": _v1(v="9" * 400),
+    "1e999": _v1(v="1e999, 1.5"),
+    "1e-400": _v1(v="1e-400, -1e-400"),
+    "-0.0": _v1(v="-0.0, 0.0"),
+    "all_integers": _v1(m="1, 2, 3, 4, -5, 0", v="-0, 7"),
+    "mixed": _v1(m="1, 2.5, 3, 4.0, -5, 0.0"),
+    "nested": _v1(m="[0.5, -1.25], [3.0, 0.001], [-0.0, 2.5]"),
+    "string_in_data": _v1(v='1.5, "]"'),
+    "ids_with_brackets_and_quotes": _v1(tensors_head=IDS),
+    "duplicate_data": _v1(m_extra='"data": [9.5, 8.5, 7.5, 6.5, 5.5, 4.5], '),
+    "duplicate_tensor": _v1(tensors_head='"m": {"data": [1.5], "shape": [1]}, '),
+    "duplicate_version": _v1(top_extra='"version": 2, '),
+    "tabs_and_crs": _v1().replace(", ", "\t,\r").replace(": ", "\r:\t"),
+    "form_feed": _v1(v="1.5,\f-2.5"),
+    "trailing_comma_in_data": _v1(v="1.5, -2.5,"),
+    "trailing_comma_in_record": _v1().replace('"shape": [2]}', '"shape": [2],}'),
+    "trailing_comma_in_tensors": _v1()[:-2] + ",}}",
+    "empty_data": _v1(v=""),
+    "empty_data_and_shape": _v1(v="").replace('"shape": [2]}', '"shape": [0]}'),
+    "float_shape": _v1().replace('"shape": [2]}', '"shape": [2.0]}'),
+    "floats_beside_data": _v1(m_extra='"scale": [0.5, 1.5], '),
+    "deep_ignored_key": _v1(top_extra=f'"extra": {DEEP}, '),
+    "deep_key_in_record": _v1(m_extra=f'"extra": {DEEP}, '),
+    "byte_order_mark": "\ufeff" + _v1(),
+    "extra_data": _v1() + " [1.5]",
+    "not_an_object": "[1.5, -2.5]",
+    "tensors_not_an_object": '{"version": 1, "tensors": [[1.5]]}',
+    "record_not_an_object": '{"version": 1, "tensors": {"m": [1.5]}}',
+    "version_2": json.dumps(weights_to_dict(WeightStore(
+        {"m": np.arange(6.0).reshape(2, 3) / 3, "v": np.array([1.5, -2.5])}))),
+}
+
+
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_weights_reader_matches_json_loads_on_edge_cases(text, tmp_path):
+    _assert_reads_as_json_loads(text, tmp_path)
+
+
+FLOAT_REPRS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+ANY_TOKEN = st.one_of(
+    FLOAT_REPRS, st.from_regex(FLOAT_TOKEN, fullmatch=True),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["NaN", "-Infinity", "null", "true", "false", "1e999", "-0", "1\u0661",
+                     '"1.5"', "[1.5]", "{}", "9" * 400, "1e-400"]))
+
+
+@st.composite
+def version_1_files(draw):
+    sep = draw(st.sampled_from([",", ", ", ",\n  ", "\t,\r\n"]))
+    colon = draw(st.sampled_from([":", ": ", " :\t"]))
+
+    def record(shape, size):
+        data = draw(st.one_of(st.lists(FLOAT_REPRS, min_size=size, max_size=size),
+                              st.lists(ANY_TOKEN, max_size=8)))
+        shape = draw(st.sampled_from([shape, "[6]", "[2]", "[3, 2.0]", "[]"]))
+        items = [f'"data"{colon}[{sep.join(data)}]', f'"shape"{colon}{shape}']
+        if draw(st.booleans()):
+            items.reverse()
+        extra = draw(st.sampled_from(["", '"scale"{}[0.5, 1.5]', '"note"{}"x]"',
+                                      '"more"{}{{"a": [1.5]}}']))
+        if extra:
+            items.insert(draw(st.integers(0, 2)), extra.format(colon))
+        return "{" + sep.join(items) + "}"
+
+    tensors = [f'"m"{colon}{record("[2, 3]", 6)}', f'"v"{colon}{record("[2]", 2)}']
+    if draw(st.booleans()):
+        tensors.reverse()
+    version = draw(st.sampled_from(["1", "1", "1", "2", "1.0"]))
+    return (f'{{"tensors"{colon}{{{sep.join(tensors)}}}{sep}'
+            f'"version"{colon}{version}}}')
+
+
+@settings(deadline=None, max_examples=150)
+@given(version_1_files())
+def test_weights_reader_matches_json_loads_on_drawn_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_reads_as_json_loads(text, Path(tmp))
+
+
+class _CountingOrjson:
+    """Stands in for the orjson module and records the length of the text
+    each ``loads`` call parses."""
+
+    JSONDecodeError = orjson.JSONDecodeError
+
+    def __init__(self):
+        self.lengths: list[int] = []
+
+    def loads(self, text):
+        self.lengths.append(len(text))
+        return orjson.loads(text)
+
+
+def test_weights_reader_parses_each_data_array_with_one_orjson_call(tmp_path, monkeypatch):
+    graph, weights = build_model(
+        [("in", LayerKind.INPUT, 100, 100), ("a", MIX, 100, 100), ("b", MIX, 100, 100),
+         ("c", MIX, 100, 100), ("out", LayerKind.OUTPUT, 100, 100)],
+        [("in", "a"), ("a", "b"), ("b", "c"), ("c", "out")])
+    model, wfile = tmp_path / "m.json", tmp_path / "w.json"
+    save_model(graph, weights, model, wfile)
+    save_weights_v1(weights, wfile)
+    counting = _CountingOrjson()
+    monkeypatch.setattr(reslice.graph, "orjson", counting)
+    loaded = load_model(model, wfile)[1]
+    # one call for each 10k-value data array, and at most one per shape array
+    assert sum(n > 10_000 for n in counting.lengths) == 3
+    assert len(counting.lengths) <= 6
+    for lid, want in weights.tensors.items():
+        assert loaded[lid].tobytes() == want.tobytes()
+
+
+def test_only_weights_files_are_parsed_at_python_level(tmp_path, monkeypatch):
+    graph, weights = fan_fixture(4, ("B", "D"))
+    masks = {"B": (0, 2), "D": (1, 3)}
+    result = export_model(graph, weights, masks)
+    model, wfile = tmp_path / "m.json", tmp_path / "w.json"
+    save_model(result.graph, result.weights, model, wfile)
+    save_weights_v1(result.weights, tmp_path / "w1.json")
+    save_masks(masks, tmp_path / "masks.json")
+    save_plans(result.plans, tmp_path / "plan.json")
+    calls = []
+    real = json.decoder.JSONObject
+    monkeypatch.setattr(json.decoder, "JSONObject", lambda *a: calls.append(1) or real(*a))
+    load_masks(tmp_path / "masks.json")
+    load_plans(tmp_path / "plan.json")
+    assert calls == []
+    # the weights file's top object, its tensors and one call per record;
+    # none for the model file
+    for weights_file in (wfile, tmp_path / "w1.json"):
+        calls.clear()
+        load_model(model, weights_file)
+        assert len(calls) == 2 + len(result.weights.tensors)
 
 
 def _read_file(load):

@@ -282,12 +282,20 @@ def test_apply_is_pure():
     layers_before = list(graph.layers)
     edges_before = list(graph.edges)
     s = seg(graph, {"A"})
-    plan = plan_export(graph, s, (2, 0, 3, 1), {"B": (0, 2), "D": (1, 3)})
-    apply_plan([plan], graph, weights)
-    assert list(graph.layers) == layers_before
-    assert list(graph.edges) == edges_before
-    for lid, arr in before.items():
-        assert np.array_equal(weights[lid], arr)
+    reordered = plan_export(graph, s, (2, 0, 3, 1), {"B": (0, 2), "D": (1, 3)})
+    # every slot is retained by someone, so the constrained consumers keep
+    # their column order and their pruned columns are zeroed in place
+    constrained = plan_export(graph, s, (0, 1, 2, 3), {"B": (0, 1, 2), "D": (1, 2, 3)},
+                              "constrained")
+    assert all(a.perm == (0, 1, 2, 3) for a in constrained.consumers)
+    assert constrained.zero_columns == {"B": (3,), "D": (0,)}
+    for plan in (reordered, constrained):
+        _, out = apply_plan([plan], graph, weights)
+        assert list(graph.layers) == layers_before
+        assert list(graph.edges) == edges_before
+        for lid, arr in before.items():
+            assert np.array_equal(weights[lid], arr)
+    assert not out["B"][:, 3].any() and not out["D"][:, 0].any()
 
 
 def apply_one_at_a_time(plans, graph, weights):

@@ -20,7 +20,9 @@ Pipeline stages (one module each):
 - :mod:`reslice.planner`     an order -> slices/gathers/weight rewrites
 - :mod:`reslice.interp`      reference interpreter + equivalence checks
 - :mod:`reslice.masks`       magnitude-based mask generation
-- :mod:`reslice.pipeline`    export orchestration; picks every strategy's order
+- :mod:`reslice.pipeline`    export orchestration; picks every strategy's
+                             order, or none where a segment keeps its
+                             layout, so no segment is ever refused
 - :mod:`reslice.cli`         command line front end
 
 :mod:`reslice.path_search` keeps the maximum-reward path search and the
@@ -41,7 +43,7 @@ from reslice.graph import (
     save_masks,
     save_model,
 )
-from reslice.segments import Segment, UnsupportedTopologyError, find_segments
+from reslice.segments import Segment, find_segments
 from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.planner import (
     ConsumerAccess,
@@ -52,7 +54,6 @@ from reslice.planner import (
     load_plans,
     plan_export,
     plan_export_output,
-    plan_output_baseline,
     save_plans,
 )
 from reslice.interp import EquivalenceReport, check_equivalence, run
@@ -73,7 +74,6 @@ __all__ = [
     "ModelGraph",
     "Segment",
     "SegmentPlan",
-    "UnsupportedTopologyError",
     "ValidationError",
     "WeightStore",
     "apply_plan",
@@ -90,7 +90,6 @@ __all__ = [
     "plan_export",
     "plan_export_output",
     "plan_model",
-    "plan_output_baseline",
     "run",
     "save_masks",
     "save_model",

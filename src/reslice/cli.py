@@ -8,7 +8,7 @@ logs go to stderr. Weights files of version 1 and 2 are read; ``export``
 writes version 2.
 
 Exit codes: 0 success, 1 I/O or file-format failure, 2 invalid usage or
-validation failure, 3 unsupported topology, 4 verification failure.
+validation failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from reslice.masks import (
     make_masks,
     score_channels,
 )
-from reslice.pipeline import ON_UNSUPPORTED_BASELINE, ON_UNSUPPORTED_ERROR, export_model, plan_model
+from reslice.pipeline import export_model, plan_model
 from reslice.planner import (
     MODE_INPUT,
     MODE_OUTPUT,
@@ -54,12 +54,10 @@ from reslice.planner import (
     load_plans,
     save_plans,
 )
-from reslice.segments import UnsupportedTopologyError
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
-EXIT_UNSUPPORTED = 3
 EXIT_MISMATCH = 4
 
 
@@ -82,8 +80,7 @@ def _print_stats(label: str, stats) -> None:
 def cmd_export(args: argparse.Namespace) -> int:
     graph, weights = load_model(args.model, args.weights)
     masks = load_masks(args.masks)
-    result = export_model(graph, weights, masks, mode=args.mode, strategy=args.strategy,
-                          on_unsupported=args.on_unsupported)
+    result = export_model(graph, weights, masks, mode=args.mode, strategy=args.strategy)
     save_model(result.graph, result.weights,
                f"{args.out_prefix}.model.json", f"{args.out_prefix}.weights.json")
     save_plans(result.plans, f"{args.out_prefix}.plan.json")
@@ -139,8 +136,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         strategies.append(STRATEGY_CONSTRAINED)
     rows = []
     for strategy in strategies:
-        plans, fallbacks = plan_model(graph, masks, mode=args.mode, strategy=strategy,
-                                      on_unsupported=ON_UNSUPPORTED_BASELINE)
+        plans, fallbacks = plan_model(graph, masks, mode=args.mode, strategy=strategy)
         rows.append((strategy, copy_report(plans), sorted(fallbacks)))
     if args.json:
         payload = [{"strategy": s, "total_reads": t.total_reads, "copied": t.copied,
@@ -183,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(MODE_INPUT, MODE_OUTPUT), default=MODE_INPUT)
     p.add_argument("--strategy", default=STRATEGY_REORDER,
                    choices=(STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED))
-    p.add_argument("--on-unsupported", default=ON_UNSUPPORTED_ERROR,
-                   choices=(ON_UNSUPPORTED_ERROR, ON_UNSUPPORTED_BASELINE))
     p.add_argument("--out-prefix", required=True,
                    help="writes PREFIX.model.json, PREFIX.weights.json (weights file "
                         "version 2), PREFIX.plan.json")
@@ -215,9 +209,6 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except UnsupportedTopologyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -40,8 +40,11 @@ def run(graph: ModelGraph, weights: WeightStore, input_vector,
     a batch of them as the columns of a ``(C, T)`` matrix.
 
     Requires exactly one input and one output layer. ``masks`` simulates
-    pruning without changing any shapes.
+    pruning without changing any shapes, on the ``mask_side`` ("input" or
+    "output") of each channel mix it names.
     """
+    if mask_side not in ("input", "output"):
+        raise ValidationError([f"unknown side {mask_side!r}"])
     x_in = np.asarray(input_vector, dtype=np.float64)
     input_id = _single(graph, LayerKind.INPUT)
     output_id = _single(graph, LayerKind.OUTPUT)

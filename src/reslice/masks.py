@@ -158,10 +158,10 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
 
     Every mask keeps at least one channel. Constrained masks prune whole
     slots of the graph's segments (``find_segments``), found here.
-    Output-side masks silently skip the producers of every segment that
-    output mode refuses (``output_refusal``: locked layouts, stacked joins,
-    per-channel offsets, join operands it cannot trace), so the result is
-    always exportable.
+    Output-side masks silently skip the producers of every segment whose
+    filters output mode cannot drop (``output_refusal``: locked layouts,
+    stacked joins, per-channel offsets, join operands it cannot trace), so
+    no pruned producer is left to the baseline infill's gather.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError([f"sparsity must be in [0, 1), got {sparsity}"])

@@ -2,7 +2,7 @@
 
 Export orders channels by consecutive ones (``reslice.ordering``). The
 path search, and ``reduce_producers`` (each producer's slot map, refused
-on an unsupported segment), stay as the tests' comparison reference;
+on an ill-formed slot space), stay as the tests' comparison reference;
 within the package only ``reslice.pipeline`` imports them, for
 ``bench/tracing.py``.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from reslice.graph import ChannelMask, ModelGraph, ValidationError
-from reslice.segments import Segment, UnsupportedTopologyError, retained_slots
+from reslice.segments import Segment, retained_slots
 
 logger = logging.getLogger(__name__)
 
@@ -133,10 +133,12 @@ class ProducerEquivalence:
 
 
 def reduce_producers(segment: Segment, graph: ModelGraph | None = None) -> list[ProducerEquivalence]:
-    """Per-producer slot maps, or an error when the join structure breaks
-    the one-channel-to-one-slot assumptions."""
-    if segment.unsupported is not None:
-        raise UnsupportedTopologyError(segment.id, segment.unsupported)
+    """Per-producer slot maps. Raises ValidationError when the join
+    structure breaks the one-channel-to-one-slot assumption: a producer or
+    consumer vector holds a slot twice."""
+    vectors = [*segment.producer_slots.values(), *segment.consumer_slots.values()]
+    if any(len(set(vec)) != len(vec) for vec in vectors):
+        raise ValidationError([f"segment {segment.id}: {segment.lock_reason}"])
     return [ProducerEquivalence(p, segment.producer_slots[p]) for p in segment.producers]
 
 

@@ -7,14 +7,14 @@ order of the kept slots if one exists (an exact consecutive-ones test per
 band), else the layout of the largest subset of layers that can all slice,
 the others gathering: of the consumers' retained channels in input mode,
 of the producers' kept filters, each inside its own band, in output mode.
-Segments nobody prunes are left untouched. Each segment's masks are
-resolved once (``_resolve``) and the result is what ordering and planning
-read.
+Segments nobody prunes are left untouched, and a segment whose layout a
+strategy cannot change gets no order and keeps its layout, so export never
+refuses one. Each segment's masks are resolved once (``_resolve``) and the
+result is what ordering and planning read.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -32,19 +32,13 @@ from reslice.planner import (
     copy_report,
     plan_export,
     plan_export_output,
-    plan_output_baseline,
 )
-from reslice.segments import (Retained, Segment, UnsupportedTopologyError, _retained_indices,
-                              find_segments, producer_retained_slots, retained_slots)
+from reslice.segments import (Retained, Segment, _retained_indices, find_segments,
+                              producer_retained_slots, retained_slots)
 
 # unused here, but bench/tracing.py patches these names on this module
 from reslice.path_search import (build_reorder_graph, decompose_paths,  # noqa: F401
                                  order_channels, reduce_producers)
-
-log = logging.getLogger(__name__)
-
-ON_UNSUPPORTED_ERROR = "error"
-ON_UNSUPPORTED_BASELINE = "baseline"
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ class ExportResult:
     weights: WeightStore
     plans: tuple[SegmentPlan, ...]
     totals: CopyStats
-    fallbacks: tuple[str, ...]  # segments exported via the baseline fallback
+    fallbacks: tuple[str, ...]  # output-mode segments given the baseline infill under reorder
 
 
 def _resolve(segment: Segment, masks: ChannelMask, mode: str) -> Retained:
@@ -106,50 +100,37 @@ def _plan_segment(graph: ModelGraph, segment: Segment, kept: Retained,
     order = _segment_order(segment, kept, mode, strategy)
     if mode == MODE_INPUT:
         return plan_export(graph, segment, order, kept, strategy)
-    if strategy == STRATEGY_BASELINE:
-        return plan_output_baseline(graph, segment, kept)
     return plan_export_output(graph, segment, order, kept)
 
 
 def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
-               strategy: str = STRATEGY_REORDER,
-               on_unsupported: str = ON_UNSUPPORTED_ERROR,
-               ) -> tuple[list[SegmentPlan], list[str]]:
-    """Plan every pruned segment. Returns (plans, baseline-fallback ids)."""
+               strategy: str = STRATEGY_REORDER) -> tuple[list[SegmentPlan], list[str]]:
+    """Plan every pruned segment. Returns the plans and the ids of the
+    segments planned under another strategy than ``strategy``: those that
+    output mode gives the baseline infill under reorder."""
     if mode not in (MODE_INPUT, MODE_OUTPUT):
         raise ValidationError([f"unknown mode {mode!r}"])
     if strategy not in (STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED):
         raise ValidationError([f"unknown strategy {strategy!r}"])
     if mode == MODE_OUTPUT and strategy == STRATEGY_CONSTRAINED:
         raise ValidationError(["constrained strategy applies to input-side pruning only"])
-    if on_unsupported not in (ON_UNSUPPORTED_ERROR, ON_UNSUPPORTED_BASELINE):
-        raise ValidationError([f"unknown unsupported-topology policy {on_unsupported!r}"])
     diags = validate_masks(graph, masks, mode)
     if diags:
         raise ValidationError(diags)
 
     plans: list[SegmentPlan] = []
-    fallbacks: list[str] = []
     for segment in find_segments(graph):
         kept = _resolve(segment, masks, mode)
         if all(len(kept[lid]) == len(vec) for lid, vec in kept.vectors.items()):
             continue  # nobody prunes the segment
-        try:
-            plans.append(_plan_segment(graph, segment, kept, mode, strategy))
-        except UnsupportedTopologyError as exc:
-            if on_unsupported != ON_UNSUPPORTED_BASELINE:
-                raise
-            log.warning("segment %s: %s; falling back to baseline", segment.id, exc.reason)
-            plans.append(_plan_segment(graph, segment, kept, mode, STRATEGY_BASELINE))
-            fallbacks.append(segment.id)
-    return plans, fallbacks
+        plans.append(_plan_segment(graph, segment, kept, mode, strategy))
+    return plans, [p.segment for p in plans if p.strategy != strategy]
 
 
 def export_model(graph: ModelGraph, weights: WeightStore, masks: ChannelMask,
-                 mode: str = MODE_INPUT, strategy: str = STRATEGY_REORDER,
-                 on_unsupported: str = ON_UNSUPPORTED_ERROR) -> ExportResult:
+                 mode: str = MODE_INPUT, strategy: str = STRATEGY_REORDER) -> ExportResult:
     """Plan and apply the full export; pure (inputs untouched)."""
-    plans, fallbacks = plan_model(graph, masks, mode, strategy, on_unsupported)
+    plans, fallbacks = plan_model(graph, masks, mode, strategy)
     out_graph, out_weights = apply_plan(plans, graph, weights)
     return ExportResult(
         graph=out_graph, weights=out_weights, plans=tuple(plans),

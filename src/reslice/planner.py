@@ -13,8 +13,8 @@ order, and None keeps a segment's layout. Input mode (``plan_export``)
 prunes consumer input channels; constrained consumers zero their pruned
 columns and always slice. Output mode (``plan_export_output``) prunes
 producer output channels and rewrites the join as runs of slices combined
-by add/concat; its baseline (``plan_output_baseline``) drops filters and
-restores each producer's width with a zero-filling gather.
+by add/concat; with no order it writes the baseline infill, which drops
+filters and restores each producer's width with a zero-filling gather.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from reslice.graph import (
     validate,
 )
 from reslice.ordering import band_layouts
-from reslice.segments import (Segment, UnsupportedTopologyError, _retained_indices,
-                              producer_retained_slots, propagate_vectors)
+from reslice.segments import (Segment, _retained_indices, producer_retained_slots,
+                              propagate_vectors)
 
 PLAN_FILE_VERSION = 1
 
@@ -63,7 +63,7 @@ class CopyStats:
     copied: int
 
     def __post_init__(self):
-        if not (0 <= self.copied <= max(self.total_reads, 0)):
+        if not 0 <= self.copied <= self.total_reads:
             raise ValidationError([f"copied {self.copied} outside [0, {self.total_reads}]"])
 
     @property
@@ -182,11 +182,8 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
     (``band_layouts``) and a consumer slices where its retained columns
     land contiguously, else gathers. Constrained consumers read every
     column that survives and zero the pruned ones, so they always slice.
-    The reorder strategy refuses an unsupported segment, and a locked
-    segment takes no order.
+    A locked segment takes no order.
     """
-    if strategy == STRATEGY_REORDER and segment.unsupported is not None:
-        raise UnsupportedTopologyError(segment.id, segment.unsupported)
     kept = _retained_indices(segment.consumer_slots, masks)
     if order is not None:
         if segment.lock_reason:
@@ -242,8 +239,8 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
 # output-mode planners
 # --------------------------------------------------------------------------
 
-def plan_output_baseline(graph: ModelGraph, segment: Segment,
-                         output_masks: ChannelMask) -> SegmentPlan:
+def _plan_output_baseline(graph: ModelGraph, segment: Segment,
+                          output_masks: ChannelMask) -> SegmentPlan:
     """Drop pruned filters and restore each producer's original width with a
     zero-filling gather right after it. Downstream stays untouched, so this
     is equivalent for any topology, bias layers included."""
@@ -265,23 +262,24 @@ def plan_output_baseline(graph: ModelGraph, segment: Segment,
     )
 
 
-def _trace_join_operands(graph: ModelGraph, segment: Segment, join: str) -> dict[str, str]:
+def _trace_join_operands(graph: ModelGraph, segment: Segment,
+                         join: str) -> dict[str, str] | str:
     """Map each producer to the join operand on its branch (the producer
-    itself or the last pass-through before the join)."""
+    itself or the last pass-through before the join), or say why no such
+    map exists."""
     operands: dict[str, str] = {}
     for op in graph.predecessors(join):
         node = op
         while node not in segment.producers:
             kind = graph.layer(node).kind
             if kind is not LayerKind.PASS_THROUGH:
-                raise UnsupportedTopologyError(
-                    segment.id, f"join operand passes through a {kind.value} layer")
+                return f"join operand passes through a {kind.value} layer"
             node = graph.predecessors(node)[0]
         if node in operands:
-            raise UnsupportedTopologyError(segment.id, f"producer {node} feeds the join twice")
+            return f"producer {node} feeds the join twice"
         operands[node] = op
     if set(operands) != set(segment.producers):
-        raise UnsupportedTopologyError(segment.id, "join does not combine all producers")
+        return "join does not combine all producers"
     return operands
 
 
@@ -299,12 +297,8 @@ def output_refusal(graph: ModelGraph, segment: Segment) -> str | None:
              if graph.layer(u).kind in (LayerKind.ADD, LayerKind.CONCAT)]
     if len(joins) > 1:
         return "more than one join between producers"
-    try:
-        for join in joins:
-            _trace_join_operands(graph, segment, join)
-    except UnsupportedTopologyError as exc:
-        return exc.reason
-    return None
+    traced = [_trace_join_operands(graph, segment, join) for join in joins]
+    return next((why for why in traced if isinstance(why, str)), None)
 
 
 def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | None,
@@ -315,15 +309,14 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     (``producer_retained_slots``); the join is rewritten as maximal
     constant-producer-set runs (a slice per producer, an add per shared
     run, one concat). Producers whose kept filters end up non-contiguous in
-    the order are counted as copied. An unsupported segment, or one that
-    ``output_refusal`` names, is refused.
+    the order are counted as copied. With no order, or where
+    ``output_refusal`` names a reason, the layout stays: the baseline infill.
     """
-    reason = segment.unsupported or output_refusal(graph, segment)
-    if reason is not None:
-        raise UnsupportedTopologyError(segment.id, reason)
+    if order is None or output_refusal(graph, segment) is not None:
+        return _plan_output_baseline(graph, segment, output_masks)
 
     retained = producer_retained_slots(segment, output_masks)
-    if sorted(order or ()) != sorted(set().union(*retained.values())):
+    if sorted(order) != sorted(set().union(*retained.values())):
         raise ValidationError([f"{segment.id}: order does not list each kept channel once"])
 
     # no per-channel layer lies inside, so the layouts need no vectors
@@ -777,10 +770,15 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
                            for r in j["runs"]),
             )
         stats = obj["stats"]
+        mode, strategy = read_str(obj["mode"]), read_str(obj["strategy"])
+        if mode not in (MODE_INPUT, MODE_OUTPUT):
+            raise ModelFormatError(f"unknown mode {mode!r}")
+        if strategy not in (STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED):
+            raise ModelFormatError(f"unknown strategy {strategy!r}")
         return SegmentPlan(
             segment=read_str(obj["segment"]),
-            mode=str(obj["mode"]),
-            strategy=str(obj["strategy"]),
+            mode=mode,
+            strategy=strategy,
             producers=tuple(map(read_str, obj["producers"])),
             interior=tuple(map(read_str, obj["interior"])),
             producer_orders=_int_map_from_dict(obj["producer_orders"]),

@@ -31,15 +31,6 @@ from reslice.graph import INTERIOR_KINDS, ChannelMask, LayerKind, ModelGraph, Va
 ZERO = -1
 
 
-class UnsupportedTopologyError(RuntimeError):
-    """The join structure violates a reduction assumption for the segment."""
-
-    def __init__(self, segment_id: str, reason: str):
-        super().__init__(f"segment {segment_id}: {reason}")
-        self.segment_id = segment_id
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class Band:
     """A group of producers that reorder together.
@@ -64,8 +55,8 @@ class Segment:
     interior node, used to permute per-channel vectors at export time.
 
     ``lock_reason`` says why the layout must stay fixed (None: producers may
-    reorder and drop channels). ``unsupported`` is the lock reason too when
-    the slot space is ill-formed; the reorder strategy refuses those.
+    reorder and drop channels). An ill-formed slot space, where one vector
+    holds a slot twice, is the first such reason and leaves ``bands`` empty.
     """
 
     producers: tuple[str, ...]
@@ -77,7 +68,6 @@ class Segment:
     node_slots: dict[str, tuple[int, ...]] = field(default_factory=dict)
     bands: tuple[Band, ...] = ()
     lock_reason: str | None = None
-    unsupported: str | None = None
 
     @property
     def id(self) -> str:
@@ -257,13 +247,12 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
                   for p in producer_ids if len(set(producer_slots[p])) != len(producer_slots[p])]
     ill_formed += [f"consumer {c} reads the same channel more than once"
                    for c in consumer_ids if len(set(consumer_slots[c])) != len(consumer_slots[c])]
-    unsupported = ill_formed[0] if ill_formed else None
 
     # band structure: identical slot vectors reorder together, disjoint slot
     # sets reorder independently. Producers are sorted, so each band lists
     # its producers sorted and bands come in order of their first producer.
     bands: list[Band] = []
-    if unsupported is None:
+    if not ill_formed:
         by_vector: dict[tuple[int, ...], list[str]] = {}
         for p in producer_ids:
             by_vector.setdefault(producer_slots[p], []).append(p)
@@ -273,7 +262,7 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
     # band's own slots are distinct, so a slot listed twice lies in two bands.
     in_bands = [s for band in bands for s in band.slots]
     locks = (
-        (unsupported, unsupported),
+        (ill_formed, ill_formed[0] if ill_formed else None),
         (any(graph.layer(p).kind is LayerKind.INPUT for p in producer_ids),
          "a producer is the model input"),
         (reads_output, "the segment feeds the model output"),
@@ -294,7 +283,6 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
         node_slots=node_slots,
         bands=tuple(bands),
         lock_reason=lock_reason,
-        unsupported=unsupported,
     )
 
 

@@ -125,6 +125,60 @@ def concat_fixture(wa=3, wc=2, seed=0):
     return build_model(rows, edges, seed=seed)
 
 
+# segments that keep their layout: the first two have ill-formed slot
+# spaces, the others producers that output mode cannot let drop filters
+
+def duplicate_read_fixture():
+    """add(f, g) identifies f's slots with g's, so the concat reader X
+    reads every channel twice."""
+    return build_model(
+        [("in", INPUT, 2, 2), ("f", MIX, 2, 2), ("g", MIX, 2, 2),
+         ("cat", CONCAT, 4, 4), ("sum", ADD, 2, 2),
+         ("X", MIX, 4, 2), ("Y", MIX, 2, 2),
+         ("j", ADD, 2, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "f"), ("in", "g"), ("f", "cat"), ("g", "cat"),
+         ("f", "sum"), ("g", "sum"), ("cat", "X"), ("sum", "Y"),
+         ("X", "j"), ("Y", "j"), ("j", "out")])
+
+
+def intra_producer_merge_fixture():
+    """concat(A, X) + concat(X, A) with mismatched widths chains A's own
+    channels onto each other; B reads the sum."""
+    return build_model(
+        [("in", INPUT, 2, 2), ("A", MIX, 2, 2), ("X", MIX, 2, 1),
+         ("c1", CONCAT, 3, 3), ("c2", CONCAT, 3, 3), ("j", ADD, 3, 3),
+         ("B", MIX, 3, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "A"), ("in", "X"), ("A", "c1"), ("X", "c1"),
+         ("X", "c2"), ("A", "c2"), ("c1", "j"), ("c2", "j"),
+         ("j", "B"), ("B", "out")])
+
+
+def per_channel_interior_fixture():
+    """A per-channel offset p between producer A and its reader B."""
+    return build_model(
+        [("in", INPUT, 4, 4), ("A", MIX, 4, 4), ("p", PER, 4, 4),
+         ("B", MIX, 4, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "A"), ("A", "p"), ("p", "B"), ("B", "out")])
+
+
+def stacked_joins_fixture():
+    """add(add(A, B), C) read by D: two joins between producers."""
+    return build_model(
+        [("in", INPUT, 3, 3), ("A", MIX, 3, 3), ("B", MIX, 3, 3),
+         ("C", MIX, 3, 3), ("j1", ADD, 3, 3), ("j2", ADD, 3, 3),
+         ("D", MIX, 3, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "A"), ("in", "B"), ("in", "C"), ("A", "j1"), ("B", "j1"),
+         ("j1", "j2"), ("C", "j2"), ("j2", "D"), ("D", "out")])
+
+
+def input_residual_fixture():
+    """add(in, A) read by B: A shares its segment with the model input."""
+    return build_model(
+        [("in", INPUT, 4, 4), ("A", MIX, 4, 4), ("j", ADD, 4, 4),
+         ("B", MIX, 4, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "A"), ("in", "j"), ("A", "j"), ("j", "B"), ("B", "out")])
+
+
 # --------------------------------------------------------------------------
 # random generators
 # --------------------------------------------------------------------------

@@ -122,8 +122,7 @@ def test_criterion_3_functional_equivalence():
         for sparsity in SPARSITIES:
             masks = input_masks(graph, weights, sparsity)
             for strategy in ("reorder", "baseline"):
-                result = export_model(graph, weights, masks, strategy=strategy,
-                                      on_unsupported="baseline")
+                result = export_model(graph, weights, masks, strategy=strategy)
                 report = check_equivalence(graph, weights, masks,
                                            result.graph, result.weights)
                 assert report.passed, (seed, sparsity, strategy)
@@ -154,10 +153,8 @@ def test_criterion_4_copy_dominance():
         segments = find_segments(graph)
         for sparsity in SPARSITIES:
             masks = input_masks(graph, weights, sparsity)
-            reorder, _ = plan_model(graph, masks, strategy="reorder",
-                                    on_unsupported="baseline")
-            baseline, _ = plan_model(graph, masks, strategy="baseline",
-                                     on_unsupported="baseline")
+            reorder, _ = plan_model(graph, masks, strategy="reorder")
+            baseline, _ = plan_model(graph, masks, strategy="baseline")
             assert copy_report(reorder).copied <= copy_report(baseline).copied, \
                 (seed, sparsity)
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, build_model, fan_fixture,
-                     residual_block_fixture, save_weights_v1)
+from helpers import (duplicate_read_fixture, fan_fixture, input_residual_fixture,
+                     intra_producer_merge_fixture, per_channel_interior_fixture,
+                     residual_block_fixture, save_weights_v1, stacked_joins_fixture)
 from reslice.cli import main
 from reslice.graph import (graph_to_dict, load_masks, load_model, save_masks, save_model,
                            weights_from_dict, weights_to_dict)
@@ -81,33 +82,37 @@ def test_validation_failures_are_exit_2(model_files, capsys):
                    "--masks", bad, "--out-prefix", tmp / "x") == 2
 
 
-def test_unsupported_topology_is_exit_3(tmp_path, capsys):
-    graph, weights = build_model(
-        [("in", INPUT, 2, 2), ("f", MIX, 2, 2), ("g", MIX, 2, 2),
-         ("cat", CONCAT, 4, 4), ("sum", ADD, 2, 2),
-         ("X", MIX, 4, 2), ("Y", MIX, 2, 2),
-         ("j", ADD, 2, 2), ("out", OUTPUT, 2, 2)],
-        [("in", "f"), ("in", "g"), ("f", "cat"), ("g", "cat"),
-         ("f", "sum"), ("g", "sum"), ("cat", "X"), ("sum", "Y"),
-         ("X", "j"), ("Y", "j"), ("j", "out")])
-    model, wfile = tmp_path / "m.json", tmp_path / "w.json"
-    save_model(graph, weights, model, wfile)
-    masks = tmp_path / "masks.json"
-    save_masks({"X": (0, 2)}, masks)
-    assert run_cli("export", "--model", model, "--weights", wfile,
-                   "--masks", masks, "--out-prefix", tmp_path / "x") == 3
-    assert "error" in capsys.readouterr().err
-    # the baseline fallback turns the same export into a success
-    assert run_cli("export", "--model", model, "--weights", wfile,
-                   "--masks", masks, "--on-unsupported", "baseline",
-                   "--out-prefix", tmp_path / "x") == 0
-    # stats always falls back, and names the refused segment
+@pytest.mark.parametrize("model, mode, masks, segment", [
+    (duplicate_read_fixture, "input", {"X": (0, 2)}, "f"),
+    (intra_producer_merge_fixture, "input", {"B": (0, 2)}, "A"),
+    (per_channel_interior_fixture, "output", {"A": (0, 2)}, "A"),
+    (stacked_joins_fixture, "output", {"A": (0, 2)}, "A"),
+    (input_residual_fixture, "output", {"A": (0, 2)}, "A"),
+], ids=["duplicate-read", "intra-producer-merge", "per-channel-interior", "stacked-joins",
+        "model-input-producer"])
+def test_export_never_refuses_a_segment(tmp_path, capsys, model, mode, masks, segment):
+    # input mode keeps an ill-formed segment's layout under every strategy,
+    # and labels the plan with it; output mode gives a segment whose filters
+    # it cannot drop the baseline infill, which stats lists as a fallback
+    graph, weights = model()
+    files = {"--model": tmp_path / "m.json", "--weights": tmp_path / "w.json",
+             "--masks": tmp_path / "masks.json", "--mode": mode}
+    save_model(graph, weights, files["--model"], files["--weights"])
+    save_masks(masks, files["--masks"])
+    args = [x for item in files.items() for x in item]
+    strategies = ["reorder", "baseline"] + (["constrained"] if mode == "input" else [])
+    for strategy in strategies:
+        prefix = tmp_path / strategy
+        assert run_cli("export", *args, "--strategy", strategy, "--out-prefix", prefix) == 0
+        assert run_cli("verify", *args, "--out-prefix", prefix) == 0
+        plan = json.loads(Path(f"{prefix}.plan.json").read_text())
+        label = strategy if mode == "input" else "baseline"
+        assert [(s["segment"], s["strategy"]) for s in plan["segments"]] == [(segment, label)]
     capsys.readouterr()
-    assert run_cli("stats", "--model", model, "--weights", wfile, "--masks", masks,
-                   "--json") == 0
+    assert run_cli("stats", *args, "--json") == 0
     rows = json.loads(capsys.readouterr().out)["strategies"]
     assert {r["strategy"]: r["fallback_segments"] for r in rows} == {
-        "reorder": ["f"], "baseline": [], "constrained": []}
+        s: [segment] if mode == "output" and s == "reorder" else [] for s in strategies}
 
 
 def test_verify_mismatch_is_exit_4(model_files, capsys):
@@ -382,6 +387,24 @@ def test_verify_plan_with_non_integer_indices_is_exit_4(model_files, capsys):
     assert _tamper_plan(tmp, model, weights, capsys, tamper, mode="input") == 4
     err = capsys.readouterr().err
     assert "verification failed" in err and "expected an integer" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mode", 5, "expected a string, got 5"),
+    ("mode", "sideways", "unknown mode 'sideways'"),
+    ("strategy", ["x"], "expected a string, got ['x']"),
+    ("strategy", "magic", "unknown strategy 'magic'"),
+    ("stats", {"total_reads": -1, "copied": 0}, "copied 0 outside [0, -1]"),
+], ids=["mode-int", "mode-unknown", "strategy-list", "strategy-unknown", "negative-reads"])
+def test_verify_plan_with_an_unknown_mode_or_strategy_or_negative_reads_is_exit_4(
+        model_files, capsys, key, value, message):
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        segment[key] = value
+    assert _tamper_plan(tmp, model, weights, capsys, tamper, mode="input") == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and message in err
 
 
 @pytest.mark.parametrize("mode,masks", [

@@ -75,7 +75,8 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
 
     counts = {}
     for module, name in ((segments, "_walk"), (segments, "_build_segment"),
-                         (segments, "propagate_vectors"), (planner, "propagate_vectors")):
+                         (segments, "propagate_vectors"), (planner, "propagate_vectors"),
+                         (planner, "output_refusal")):
         _count(monkeypatch, counts, module, name)
     built = {}
     for cls in (segments.Retained, segments._UnionFind):
@@ -89,5 +90,7 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
     # layout at most once per plan
     assert counts["segments.propagate_vectors"] == len(found)
     assert counts["planner.propagate_vectors"] <= len(result.plans)
+    # output mode asks why it cannot drop filters at most once per plan
+    assert counts["planner.output_refusal"] <= (len(result.plans) if mode == "output" else 0)
     assert built["Retained"] == len(found)  # masks resolved once per segment
     assert built["_UnionFind"] == joined  # only where an add join identifies slots

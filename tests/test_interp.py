@@ -78,6 +78,16 @@ def test_output_mask_zeroes_after_the_matrix():
     assert np.allclose(masked, expect)
 
 
+@pytest.mark.parametrize("side", ["sideways", None, "Input"])
+def test_an_unknown_mask_side_is_refused(side):
+    # any side but "input" or "output" used to run the model unmasked
+    graph, weights = chain(MIX, 3, 3)
+    with pytest.raises(ValidationError, match="unknown side"):
+        run(graph, weights, np.ones(3), masks={"u": (1,)}, mask_side=side)
+    with pytest.raises(ValidationError, match="unknown side"):
+        check_equivalence(graph, weights, {"u": (1,)}, graph, weights, mask_side=side)
+
+
 def test_masks_only_touch_named_layers():
     graph, weights = fan_fixture(4, ("B", "D"))
     x = np.arange(4.0)

@@ -3,26 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PASS, build_model,
+from helpers import (INPUT, MIX, OUTPUT, PASS, build_model, duplicate_read_fixture,
                      fan_fixture, random_dag, residual_block_fixture)
 from reslice.graph import LayerKind, ValidationError
 from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
 from reslice.path_search import build_reorder_graph, decompose_paths, order_channels
 from reslice.pipeline import export_model, plan_model
-from reslice.planner import UnsupportedTopologyError, copy_report, plan_export
+from reslice.planner import copy_report, plan_export
 from reslice.segments import find_segments
-
-
-def duplicate_read_model():
-    return build_model(
-        [("in", INPUT, 2, 2), ("f", MIX, 2, 2), ("g", MIX, 2, 2),
-         ("cat", CONCAT, 4, 4), ("sum", ADD, 2, 2),
-         ("X", MIX, 4, 2), ("Y", MIX, 2, 2),
-         ("j", ADD, 2, 2), ("out", OUTPUT, 2, 2)],
-        [("in", "f"), ("in", "g"), ("f", "cat"), ("g", "cat"),
-         ("f", "sum"), ("g", "sum"), ("cat", "X"), ("sum", "Y"),
-         ("X", "j"), ("Y", "j"), ("j", "out")])
 
 
 def test_plan_model_validates_arguments():
@@ -33,8 +22,6 @@ def test_plan_model_validates_arguments():
         plan_model(graph, {}, strategy="magic")
     with pytest.raises(ValidationError):
         plan_model(graph, {}, mode="output", strategy="constrained")
-    with pytest.raises(ValidationError):
-        plan_model(graph, {}, on_unsupported="ignore")
     with pytest.raises(ValidationError):
         plan_model(graph, {"B": (0, 9)})
     with pytest.raises(ValidationError):
@@ -122,18 +109,15 @@ def test_zero_copy_rescue_beats_the_path_order():
     assert report.passed
 
 
-def test_unsupported_policy_error_and_fallback():
-    graph, weights = duplicate_read_model()
+@pytest.mark.parametrize("strategy", ["reorder", "baseline", "constrained"])
+def test_an_ill_formed_segment_exports_under_every_strategy(strategy):
+    # the segment keeps its layout, as any locked segment does, and its plan
+    # carries the strategy asked for
+    graph, weights = duplicate_read_fixture()
     masks = {"X": (0, 2)}
-    with pytest.raises(UnsupportedTopologyError):
-        plan_model(graph, masks)
-
-    plans, fallbacks = plan_model(graph, masks, on_unsupported="baseline")
-    assert fallbacks == ["f"]
-    assert [p.strategy for p in plans] == ["baseline"]
-
-    result = export_model(graph, weights, masks, on_unsupported="baseline")
-    assert result.fallbacks == ("f",)
+    result = export_model(graph, weights, masks, strategy=strategy)
+    assert [(p.segment, p.strategy) for p in result.plans] == [("f", strategy)]
+    assert result.fallbacks == ()
     report = check_equivalence(graph, weights, masks, result.graph, result.weights)
     assert report.passed
 
@@ -190,7 +174,7 @@ def test_exported_models_export_again():
             graph, weights = random_dag(seed, bias_free=mode == "output")
             scores = score_channels(graph, weights.tensors, "l2", side=mode)
             masks = make_masks(graph, scores, 0.4, "unconstrained", side=mode)
-            first = export_model(graph, weights, masks, mode, strategy, "baseline")
+            first = export_model(graph, weights, masks, mode, strategy)
             segments = find_segments(first.graph)
             repacked += any(first.graph.layer(u).kind in (LayerKind.SLICE, LayerKind.GATHER)
                             for s in segments for u in s.interior)
@@ -199,8 +183,7 @@ def test_exported_models_export_again():
             for mode2, strategy2 in EXPORTS:
                 scores = score_channels(first.graph, first.weights.tensors, "l2", side=mode2)
                 masks = make_masks(first.graph, scores, 0.3, "unconstrained", side=mode2)
-                second = export_model(first.graph, first.weights, masks, mode2, strategy2,
-                                      "baseline")
+                second = export_model(first.graph, first.weights, masks, mode2, strategy2)
                 renamed += any(l.id.endswith("_2") for l in second.graph.layers)
                 report = check_equivalence(first.graph, first.weights, masks, second.graph,
                                            second.weights, mask_side=mode2)

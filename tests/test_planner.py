@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 import reslice.planner
-from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PASS, PER, build_model,
-                     fan_fixture, random_dag, residual_block_fixture,
-                     single_branch_fixture)
+from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PASS, build_model,
+                     duplicate_read_fixture, fan_fixture, per_channel_interior_fixture,
+                     random_dag, residual_block_fixture, single_branch_fixture,
+                     stacked_joins_fixture)
 from reslice.graph import LayerKind, ModelFormatError, ModelGraph, ValidationError, graph_to_dict
 from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
 from reslice.path_search import build_reorder_graph, decompose_paths, order_channels
-from reslice.planner import (ConsumerAccess, CopyStats, UnsupportedTopologyError,
-                             apply_plan, copy_report, load_plans, plan_export,
-                             plan_export_output, plan_from_dict, plan_output_baseline,
-                             plan_to_dict, save_plans)
+from reslice.planner import (ConsumerAccess, CopyStats, _plan_output_baseline, apply_plan,
+                             copy_report, load_plans, output_refusal, plan_export,
+                             plan_export_output, plan_from_dict, plan_to_dict, save_plans)
 from reslice.segments import find_segments
 
 
@@ -128,20 +128,21 @@ def test_locked_segment_takes_no_order(strategy):
         plan_export(graph, s, (0, 1, 2, 3), {"A": (0, 2)}, strategy)
 
 
-def test_unsupported_segment_refused():
-    # concat(f, g) and add(f, g) in one segment: the add identifies f's slots
-    # with g's, so the concat reader sees every channel twice
-    graph, _ = build_model(
-        [("in", INPUT, 2, 2), ("f", MIX, 2, 2), ("g", MIX, 2, 2),
-         ("cat", CONCAT, 4, 4), ("sum", ADD, 2, 2),
-         ("X", MIX, 4, 2), ("Y", MIX, 2, 2),
-         ("j", ADD, 2, 2), ("out", OUTPUT, 2, 2)],
-        [("in", "f"), ("in", "g"), ("f", "cat"), ("g", "cat"),
-         ("f", "sum"), ("g", "sum"), ("cat", "X"), ("sum", "Y"),
-         ("X", "j"), ("Y", "j"), ("j", "out")])
-    bad = next(s for s in find_segments(graph) if s.unsupported is not None)
-    with pytest.raises(UnsupportedTopologyError):
-        plan_export(graph, bad, (0, 1), {})
+@pytest.mark.parametrize("strategy", ["reorder", "baseline", "constrained"])
+def test_ill_formed_segment_keeps_its_layout(strategy):
+    # the concat reader X sees every channel twice; like any locked segment
+    # the segment takes no order, and X gathers
+    graph, weights = duplicate_read_fixture()
+    masks = {"X": (0, 2)}
+    plan = planned(graph, masks, strategy, producers=("f", "g"))
+    assert plan.strategy == strategy
+    assert plan.producer_orders == {"f": (0, 1), "g": (0, 1)}
+    if strategy == "constrained":
+        assert access(plan, "X").mode == "slice" and plan.zero_columns == {"X": (1, 3)}
+    else:
+        assert access(plan, "X") == ConsumerAccess("X", "gather", perm=(0, 2), indices=(0, 2))
+    new_graph, new_weights = apply_plan([plan], graph, weights)
+    assert check_equivalence(graph, weights, masks, new_graph, new_weights).passed
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +314,7 @@ def test_one_pass_apply_matches_plan_by_plan(mode, strategy):
         graph, weights = random_dag(seed, bias_free=mode == "output")
         scores = score_channels(graph, weights.tensors, "l2", side=mode)
         masks = make_masks(graph, scores, 0.4, "unconstrained", side=mode)
-        plans, _ = plan_model(graph, masks, mode, strategy, on_unsupported="baseline")
+        plans, _ = plan_model(graph, masks, mode, strategy)
         multi += len(plans) > 1
         one_graph, one_weights = apply_plan(plans, graph, weights)
         ref_graph, ref_weights = apply_one_at_a_time(plans, graph, weights)
@@ -446,7 +447,7 @@ def test_output_identity_masks_keep_join():
 def test_output_baseline_infill():
     graph, weights = single_branch_fixture()
     s = seg(graph, {"A"})
-    plan = plan_output_baseline(graph, s, {"A": (0, 2, 3)})
+    plan = plan_export_output(graph, s, None, {"A": (0, 2, 3)})
     assert plan.strategy == "baseline"
     assert plan.producer_orders["A"] == (0, 2, 3)
     assert plan.infill["A"] == (0, -1, 1, 2)
@@ -467,7 +468,7 @@ def test_output_baseline_infill():
      "B: mask keeps no channel"),
     (lambda g, s, m: plan_export_output(g, s, (0, 1, 2, 3), m), {"A": ()},
      "A: output mask keeps no channel"),
-    (plan_output_baseline, {"A": ()}, "A: output mask keeps no channel"),
+    (_plan_output_baseline, {"A": ()}, "A: output mask keeps no channel"),
 ], ids=["plan_export", "plan_export_output", "plan_output_baseline"])
 def test_every_planner_refuses_an_empty_mask(planner, masks, message):
     # a mask keeps at least one channel; no planner keeps a stand-in filter
@@ -477,36 +478,37 @@ def test_every_planner_refuses_an_empty_mask(planner, masks, message):
     assert exc.value.diagnostics == [message]
 
 
-def test_output_refuses_per_channel_interior():
-    graph, _ = build_model(
-        [("in", INPUT, 4, 4), ("A", MIX, 4, 4), ("p", PER, 4, 4),
-         ("B", MIX, 4, 2), ("out", OUTPUT, 2, 2)],
-        [("in", "A"), ("A", "p"), ("p", "B"), ("B", "out")])
-    s = seg(graph, {"A"})
-    with pytest.raises(UnsupportedTopologyError):
-        plan_export_output(graph, s, (), {"A": (0, 1)})
-
-
-def test_output_refuses_stacked_joins():
-    graph, _ = build_model(
-        [("in", INPUT, 3, 3), ("A", MIX, 3, 3), ("B", MIX, 3, 3),
-         ("C", MIX, 3, 3), ("j1", ADD, 3, 3), ("j2", ADD, 3, 3),
-         ("D", MIX, 3, 2), ("out", OUTPUT, 2, 2)],
-        [("in", "A"), ("in", "B"), ("in", "C"), ("A", "j1"), ("B", "j1"),
-         ("j1", "j2"), ("C", "j2"), ("j2", "D"), ("D", "out")])
-    s = seg(graph, {"A", "B", "C"})
-    with pytest.raises(UnsupportedTopologyError):
-        plan_export_output(graph, s, (), {"A": (0, 1)})
+@pytest.mark.parametrize("model, reason", [
+    (per_channel_interior_fixture, "per-channel layer p inside an output-pruned segment"),
+    (stacked_joins_fixture, "more than one join between producers"),
+], ids=["per-channel-interior", "stacked-joins"])
+def test_output_segment_it_cannot_rewrite_gets_the_baseline_infill(model, reason):
+    # the segment is not locked, so reorder gives it an order; output mode
+    # writes the baseline infill wherever output_refusal names a reason, as
+    # it does with no order
+    graph, weights = model()
+    s = next(s for s in find_segments(graph) if "A" in s.producers)
+    masks = {"A": (0, 2)}
+    assert s.lock_reason is None and output_refusal(graph, s).startswith(reason)
+    (plan,), fallbacks = plan_model(graph, masks, "output", "reorder")
+    assert fallbacks == ["A"]
+    assert plan == plan_export_output(graph, s, None, masks)
+    assert plan.strategy == "baseline"
+    assert plan.infill == {"A": (0, -1, 1, -1)[:graph.layer("A").out_channels]}
+    new_graph, new_weights = apply_plan([plan], graph, weights)
+    assert check_equivalence(graph, weights, masks, new_graph, new_weights,
+                             mask_side="output").passed
 
 
 def test_output_locked_segment():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"in"})
-    with pytest.raises(UnsupportedTopologyError) as exc:
-        plan_export_output(graph, s, None, {"in": (0, 1)})
-    # the refusal names the segment's lock reason
-    assert exc.value.reason == ("producers cannot drop output channels: a producer is the "
-                                "model input; use the baseline infill")
+    # the model input cannot drop channels, even when given an order
+    assert output_refusal(graph, s) == ("producers cannot drop output channels: a producer "
+                                        "is the model input; use the baseline infill")
+    for order in (None, (0, 1)):
+        plan = plan_export_output(graph, s, order, {"in": (0, 1)})
+        assert plan.strategy == "baseline" and plan.infill == {"in": (0, 1, -1, -1)}
 
 
 # --------------------------------------------------------------------------
@@ -518,6 +520,8 @@ def test_copy_stats_bounds():
         CopyStats(2, 3)
     with pytest.raises(ValidationError):
         CopyStats(2, -1)
+    with pytest.raises(ValidationError):
+        CopyStats(-1, 0)
     assert CopyStats(0, 0).copied_fraction == 0.0
     assert CopyStats(8, 2).copied_fraction == 0.25
 
@@ -575,3 +579,9 @@ def test_plan_file_rejects_bad_input(tmp_path):
     (tmp_path / "broken.json").write_text('{"version": 1, "segments": [{"mode": "x"}]}')
     with pytest.raises(ModelFormatError):
         load_plans(tmp_path / "broken.json")
+    # a mode or strategy outside the known names, or a negative read count
+    record = obj["segments"][0]
+    for key, value in (("mode", 5), ("mode", "sideways"), ("strategy", ["x"]),
+                       ("strategy", "magic"), ("stats", {"total_reads": -1, "copied": 0})):
+        with pytest.raises(ModelFormatError):
+            plan_from_dict({**record, key: value})

@@ -8,7 +8,8 @@ from reslice import ValidationError, find_segments
 from reslice.path_search import build_reorder_graph, reduce_producers, reorder_graph_from_sets
 from reslice.segments import retained_slots
 
-from helpers import fan_fixture, random_retained_sets, residual_block_fixture
+from helpers import (duplicate_read_fixture, fan_fixture, random_retained_sets,
+                     residual_block_fixture)
 
 
 def test_disjoint_sets_have_no_edge():
@@ -91,6 +92,16 @@ def test_reduce_producers_reports_slot_vectors():
     eqs = reduce_producers(seg)
     assert [e.producer for e in eqs] == ["A", "C"]
     assert all(e.slots == (0, 1, 2, 3) for e in eqs)
+
+
+def test_reduce_producers_refuses_a_slot_read_twice():
+    # add(f, g) identifies f's slots with g's, so the concat reader X reads
+    # every slot twice: no one-channel-to-one-slot map exists
+    g, _ = duplicate_read_fixture()
+    seg = next(s for s in find_segments(g) if s.producers == ("f", "g"))
+    with pytest.raises(ValidationError) as exc:
+        reduce_producers(seg)
+    assert exc.value.diagnostics == ["segment f: consumer X reads the same channel more than once"]
 
 
 @settings(deadline=None, max_examples=80)

@@ -16,7 +16,9 @@ from helpers import (
     PASS,
     build_model,
     concat_fixture,
+    duplicate_read_fixture,
     fan_fixture,
+    intra_producer_merge_fixture,
     oracle_segments,
     random_dag,
     residual_block_fixture,
@@ -155,35 +157,19 @@ def test_interior_reads_lock_a_reexported_segment(strategy, kind):
 def test_duplicate_read_is_unsupported():
     # concat(f, g) and add(f, g) seen together force f and g onto the same
     # slots, so the concat reader sees every channel twice
-    g, _ = build_model(
-        [("in", INPUT, 2, 2), ("f", MIX, 2, 2), ("g", MIX, 2, 2),
-         ("cat", CONCAT, 4, 4), ("sum", ADD, 2, 2),
-         ("X", MIX, 4, 2), ("Y", MIX, 2, 2),
-         ("j", ADD, 2, 2), ("out", OUTPUT, 2, 2)],
-        [("in", "f"), ("in", "g"), ("f", "cat"), ("g", "cat"),
-         ("f", "sum"), ("g", "sum"), ("cat", "X"), ("sum", "Y"),
-         ("X", "j"), ("Y", "j"), ("j", "out")],
-    )
+    g, _ = duplicate_read_fixture()
     seg = segment_by_producers(find_segments(g), {"f", "g"})
-    assert seg.unsupported is not None
-    assert "more than once" in seg.unsupported
-    assert seg.lock_reason == seg.unsupported
+    assert seg.lock_reason == "consumer X reads the same channel more than once"
+    assert seg.bands == ()
 
 
 def test_intra_producer_merge_is_unsupported():
     # concat(A, X) + concat(X, A) with mismatched widths chains A's own
     # channels onto each other
-    g, _ = build_model(
-        [("in", INPUT, 2, 2), ("A", MIX, 2, 2), ("X", MIX, 2, 1),
-         ("c1", CONCAT, 3, 3), ("c2", CONCAT, 3, 3), ("j", ADD, 3, 3),
-         ("B", MIX, 3, 2), ("out", OUTPUT, 2, 2)],
-        [("in", "A"), ("in", "X"), ("A", "c1"), ("X", "c1"),
-         ("X", "c2"), ("A", "c2"), ("c1", "j"), ("c2", "j"),
-         ("j", "B"), ("B", "out")],
-    )
+    g, _ = intra_producer_merge_fixture()
     seg = segment_by_producers(find_segments(g), {"A", "X"})
-    assert seg.unsupported is not None
-    assert seg.lock_reason == seg.unsupported
+    assert "are identified with each other" in seg.lock_reason
+    assert seg.bands == ()
 
 
 def test_partial_band_overlap_locks():
@@ -197,7 +183,7 @@ def test_partial_band_overlap_locks():
          ("A", "j"), ("cat", "j"), ("j", "Y"), ("Y", "out")],
     )
     seg = segment_by_producers(find_segments(g), {"A", "B", "X"})
-    assert seg.unsupported is None
+    assert len(seg.bands) == 3
     assert seg.producer_slots["A"] == (0, 1, 2)
     assert seg.producer_slots["B"] == (0, 1)
     assert seg.producer_slots["X"] == (2,)
@@ -256,7 +242,7 @@ def test_segments_match_reachability_oracle(seed):
 def test_consumer_vectors_cover_band_slots(seed):
     g, _ = random_dag(seed)
     for seg in find_segments(g):
-        if seg.unsupported:
+        if not seg.bands:  # an ill-formed slot space
             continue
         all_slots = {s for b in seg.bands for s in b.slots}
         assert all_slots == set(range(seg.channel_space)) or seg.lock_reason

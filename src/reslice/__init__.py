@@ -9,9 +9,9 @@ scattered channels into a copy.
 Pipeline stages (one module each):
 
 - :mod:`reslice.graph`       graph IR, weights, masks, file formats
-- :mod:`reslice.segments`    segment extraction, one walk per segment, and
-                             the retained-slot sets of consumers and
-                             producers
+- :mod:`reslice.segments`    segment extraction, one walk per segment, the
+                             lock reasons of both modes, and the
+                             retained-slot sets of consumers and producers
 - :mod:`reslice.ordering`    channel order (the kept slots, as a tuple in
                              their new order), in both modes: an exact
                              copy-free layout by consecutive ones, else the

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from reslice.graph import ChannelMask, LayerKind, ModelGraph, ValidationError
-from reslice.planner import MODE_INPUT, MODE_OUTPUT, output_refusal
+from reslice.planner import MODE_INPUT, MODE_OUTPUT
 from reslice.segments import Segment, find_segments
 
 HEURISTICS = ("l1", "l2", "lamp", "random")
@@ -69,7 +69,7 @@ def score_channels(graph: ModelGraph, weights: Mapping[str, np.ndarray],
 def _targets(graph: ModelGraph, scores: ChannelScore, side: str) -> list[str]:
     if side == MODE_OUTPUT:
         # skip the producers of segments whose filters output mode cannot drop
-        skip = {p for seg in find_segments(graph) if output_refusal(graph, seg) is not None
+        skip = {p for seg in find_segments(graph) if seg.output_lock_reason
                 for p in seg.producers}
         return [lid for lid in sorted(scores) if lid not in skip]
     return sorted(scores)
@@ -159,9 +159,9 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
     Every mask keeps at least one channel. Constrained masks prune whole
     slots of the graph's segments (``find_segments``), found here.
     Output-side masks silently skip the producers of every segment whose
-    filters output mode cannot drop (``output_refusal``: locked layouts,
-    stacked joins, per-channel offsets, join operands it cannot trace), so
-    no pruned producer is left to the baseline infill's gather.
+    filters output mode cannot drop (``Segment.output_lock_reason``: locked
+    layouts, stacked joins, per-channel offsets, join operands it cannot
+    trace), so no pruned producer is left to the baseline infill's gather.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError([f"sparsity must be in [0, 1), got {sparsity}"])

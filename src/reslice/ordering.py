@@ -26,6 +26,7 @@ import logging
 from bisect import bisect_left
 from typing import Iterable, Mapping
 
+from reslice.graph import ValidationError
 from reslice.segments import Segment
 
 log = logging.getLogger(__name__)
@@ -226,7 +227,8 @@ def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
     overlapping fans.
     """
     if segment.lock_reason:
-        raise ValueError(f"segment {segment.id} keeps its layout: {segment.lock_reason}")
+        raise ValidationError([f"{segment.id}: a locked segment takes no channel order "
+                               f"({segment.lock_reason})"])
     kept = frozenset().union(*retained.values())
     size = {c: len(r) for c, r in retained.items()}
     ranked = sorted(retained, key=lambda c: (-size[c], c))

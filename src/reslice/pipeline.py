@@ -7,10 +7,10 @@ order of the kept slots if one exists (an exact consecutive-ones test per
 band), else the layout of the largest subset of layers that can all slice,
 the others gathering: of the consumers' retained channels in input mode,
 of the producers' kept filters, each inside its own band, in output mode.
-Segments nobody prunes are left untouched, and a segment whose layout a
-strategy cannot change gets no order and keeps its layout, so export never
-refuses one. Each segment's masks are resolved once (``_resolve``) and the
-result is what ordering and planning read.
+Segments nobody prunes are left untouched; a segment locked for its mode
+(in output mode, ``Segment.output_lock_reason``) gets no order and keeps
+its layout, so export never refuses one. Masks are resolved once per
+segment (``_resolve``), and ordering and planning read the result.
 """
 
 from __future__ import annotations
@@ -72,13 +72,14 @@ def _channel_order(segment: Segment, retained: Mapping[str, frozenset[int]],
 def _segment_order(segment: Segment, kept: Retained, mode: str,
                    strategy: str) -> tuple[int, ...] | None:
     """The channel order ``strategy`` gives the segment, or None where it
-    keeps its layout: when it is locked, and under the output baseline.
+    keeps its layout: when ``mode`` locks it, and under the output baseline.
 
     Reorder takes ``_channel_order``. Constrained takes the in-place order:
     the slots where they are, minus those every reader prunes. Baseline
     takes it only when every slot's readers agree (all keep or all prune).
     """
-    if segment.lock_reason or (mode == MODE_OUTPUT and strategy == STRATEGY_BASELINE):
+    lock = segment.output_lock_reason if mode == MODE_OUTPUT else segment.lock_reason
+    if lock or (mode == MODE_OUTPUT and strategy == STRATEGY_BASELINE):
         return None
     if mode == MODE_OUTPUT:
         own_band = {p: (i,) for i, band in enumerate(segment.bands) for p in band.producers}
@@ -93,14 +94,6 @@ def _segment_order(segment: Segment, kept: Retained, mode: str,
             for c in segment.consumers):
         return in_place
     return None
-
-
-def _plan_segment(graph: ModelGraph, segment: Segment, kept: Retained,
-                  mode: str, strategy: str) -> SegmentPlan:
-    order = _segment_order(segment, kept, mode, strategy)
-    if mode == MODE_INPUT:
-        return plan_export(graph, segment, order, kept, strategy)
-    return plan_export_output(graph, segment, order, kept)
 
 
 def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
@@ -123,7 +116,9 @@ def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
         kept = _resolve(segment, masks, mode)
         if all(len(kept[lid]) == len(vec) for lid, vec in kept.vectors.items()):
             continue  # nobody prunes the segment
-        plans.append(_plan_segment(graph, segment, kept, mode, strategy))
+        order = _segment_order(segment, kept, mode, strategy)
+        plans.append(plan_export(graph, segment, order, kept, strategy) if mode == MODE_INPUT
+                     else plan_export_output(graph, segment, order, kept))
     return plans, [p.segment for p in plans if p.strategy != strategy]
 
 

@@ -262,45 +262,6 @@ def _plan_output_baseline(graph: ModelGraph, segment: Segment,
     )
 
 
-def _trace_join_operands(graph: ModelGraph, segment: Segment,
-                         join: str) -> dict[str, str] | str:
-    """Map each producer to the join operand on its branch (the producer
-    itself or the last pass-through before the join), or say why no such
-    map exists."""
-    operands: dict[str, str] = {}
-    for op in graph.predecessors(join):
-        node = op
-        while node not in segment.producers:
-            kind = graph.layer(node).kind
-            if kind is not LayerKind.PASS_THROUGH:
-                return f"join operand passes through a {kind.value} layer"
-            node = graph.predecessors(node)[0]
-        if node in operands:
-            return f"producer {node} feeds the join twice"
-        operands[node] = op
-    if set(operands) != set(segment.producers):
-        return "join does not combine all producers"
-    return operands
-
-
-def output_refusal(graph: ModelGraph, segment: Segment) -> str | None:
-    """Why output mode cannot drop filters of the segment's producers, or
-    None when it can."""
-    if segment.lock_reason:
-        return (f"producers cannot drop output channels: {segment.lock_reason}; "
-                "use the baseline infill")
-    biased = [u for u in segment.interior if graph.layer(u).kind is LayerKind.PER_CHANNEL]
-    if biased:
-        return (f"per-channel layer {biased[0]} inside an output-pruned segment: "
-                "a dropped channel's contribution would not stay zero")
-    joins = [u for u in segment.interior
-             if graph.layer(u).kind in (LayerKind.ADD, LayerKind.CONCAT)]
-    if len(joins) > 1:
-        return "more than one join between producers"
-    traced = [_trace_join_operands(graph, segment, join) for join in joins]
-    return next((why for why in traced if isinstance(why, str)), None)
-
-
 def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | None,
                        output_masks: ChannelMask) -> SegmentPlan:
     """Output-side pruning: producers drop their own pruned filters.
@@ -309,11 +270,15 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     (``producer_retained_slots``); the join is rewritten as maximal
     constant-producer-set runs (a slice per producer, an add per shared
     run, one concat). Producers whose kept filters end up non-contiguous in
-    the order are counted as copied. With no order, or where
-    ``output_refusal`` names a reason, the layout stays: the baseline infill.
+    the order are counted as copied. With no order the layout stays: the
+    baseline infill. A segment output mode cannot rewrite
+    (``Segment.output_lock_reason``) takes no order.
     """
-    if order is None or output_refusal(graph, segment) is not None:
+    if order is None:
         return _plan_output_baseline(graph, segment, output_masks)
+    if segment.output_lock_reason:
+        raise ValidationError([f"{segment.id}: an order is given for an output-locked segment "
+                               f"({segment.output_lock_reason})"])
 
     retained = producer_retained_slots(segment, output_masks)
     if sorted(order) != sorted(set().union(*retained.values())):
@@ -331,11 +296,8 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
             copied += len(layout)
 
     join_rewrite = None
-    joins = [u for u in segment.interior
-             if graph.layer(u).kind in (LayerKind.ADD, LayerKind.CONCAT)]
-    if joins:
-        join = joins[0]
-        operands = _trace_join_operands(graph, segment, join)
+    join, operands = segment.join, segment.join_operands
+    if join:
         # one run per stretch of ``order`` whose slots the same producers keep
         runs: list[JoinRun] = []
         cursor = dict.fromkeys(segment.producers, 0)
@@ -354,7 +316,7 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
                     == [(producer_of[op],) for op in graph.predecessors(join)]
                     and all(r.windows[p] == (0, len(producer_orders[p]))
                             for r in runs for p in r.windows))
-        join_rewrite = JoinRewrite(join, keep, operands, tuple(runs))
+        join_rewrite = JoinRewrite(join, keep, dict(operands), tuple(runs))
 
     # consumers read everything that survived; always a full slice. The
     # rewritten join emits the combined order; pass-throughs forward it.

@@ -12,8 +12,9 @@ canonical index set for the shared tensor's channels. Add joins identify
 producer channels positionally (channel i of each summed input is the same
 slot); concat gives each input its own block of slots. The per-producer
 and per-consumer slot vectors computed here drive everything downstream
-(retained-slot sets, ordering, planning, weight rewrites), and one lock
-reason records why a segment must keep its layout.
+(retained-slot sets, ordering, planning, weight rewrites), and two lock
+reasons record why a segment must keep its layout: in any mode, and in
+output mode, which must also rebuild the segment's one join.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Band:
     slots: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Segment:
     """One shared tensor space with its producers, consumers and plumbing.
 
@@ -57,6 +58,10 @@ class Segment:
     ``lock_reason`` says why the layout must stay fixed (None: producers may
     reorder and drop channels). An ill-formed slot space, where one vector
     holds a slot twice, is the first such reason and leaves ``bands`` empty.
+    ``output_lock_reason`` says why output mode must keep it (the lock
+    reason, or ``_output_join``'s); where it can rewrite a segment with a
+    join, ``join`` names it and ``join_operands`` maps each producer to
+    the join operand on its branch.
     """
 
     producers: tuple[str, ...]
@@ -68,6 +73,9 @@ class Segment:
     node_slots: dict[str, tuple[int, ...]] = field(default_factory=dict)
     bands: tuple[Band, ...] = ()
     lock_reason: str | None = None
+    output_lock_reason: str | None = None
+    join: str | None = None
+    join_operands: dict[str, str] = field(default_factory=dict)
 
     @property
     def id(self) -> str:
@@ -82,10 +90,6 @@ class Segment:
             band_of.update(dict.fromkeys(band.slots, i))
         return {c: tuple(map(itemgetter(0), groupby(map(band_of.__getitem__, vec))))
                 for c, vec in self.consumer_slots.items()}
-
-
-def _is_producer_kind(kind: LayerKind) -> bool:
-    return kind in (LayerKind.CHANNEL_MIX, LayerKind.INPUT)
 
 
 def propagate_vectors(
@@ -213,6 +217,34 @@ def _walk(graph: ModelGraph, seed: str) -> tuple[set[str], set[str], set[str], b
     return producers, interior, consumers, reads_output
 
 
+def _output_join(graph: ModelGraph, producers: set[str], by_kind: Mapping[LayerKind, list[str]]
+                 ) -> tuple[str | None, str | None, dict[str, str]]:
+    """(why output mode cannot rewrite a segment that no lock reason fixes,
+    or None; the one join it rebuilds, if any; the join operand on each
+    producer's branch, the producer itself or the last pass-through before
+    the join). ``by_kind`` lists the interior nodes of each kind."""
+    if LayerKind.PER_CHANNEL in by_kind:
+        return (f"per-channel layer {by_kind[LayerKind.PER_CHANNEL][0]} inside an output-pruned "
+                "segment: a dropped channel's contribution would not stay zero"), None, {}
+    joins = by_kind.get(LayerKind.ADD, []) + by_kind.get(LayerKind.CONCAT, [])
+    if len(joins) != 1:
+        return ("more than one join between producers" if joins else None), None, {}
+    operands: dict[str, str] = {}
+    for op in graph.predecessors(joins[0]):
+        node = op
+        while node not in producers:
+            kind = graph.layer(node).kind
+            if kind is not LayerKind.PASS_THROUGH:
+                return f"join operand passes through a {kind.value} layer", None, {}
+            node = graph.predecessors(node)[0]
+        if node in operands:
+            return f"producer {node} feeds the join twice", None, {}
+        operands[node] = op
+    if len(operands) != len(producers):
+        return "join does not combine all producers", None, {}
+    return None, joins[0], operands
+
+
 def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
                    consumers: set[str], reads_output: bool) -> Segment:
     producer_ids = tuple(sorted(producers))
@@ -260,6 +292,9 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
     # the first reason that holds fixes the layout. Interior slice/gather
     # nodes select positions, which do not survive an upstream reorder. A
     # band's own slots are distinct, so a slot listed twice lies in two bands.
+    by_kind: dict[LayerKind, list[str]] = {}
+    for u in interior_ids:
+        by_kind.setdefault(graph.layer(u).kind, []).append(u)
     in_bands = [s for band in bands for s in band.slots]
     locks = (
         (ill_formed, ill_formed[0] if ill_formed else None),
@@ -267,11 +302,13 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
          "a producer is the model input"),
         (reads_output, "the segment feeds the model output"),
         (zero_seen, "the segment carries zero-filled channels"),
-        (any(graph.layer(u).kind in (LayerKind.SLICE, LayerKind.GATHER) for u in interior),
+        (LayerKind.SLICE in by_kind or LayerKind.GATHER in by_kind,
          "an interior slice or gather selects channels by position"),
         (len(set(in_bands)) < len(in_bands), "producer bands overlap without being identical"),
     )
     lock_reason = next((why for holds, why in locks if holds), None)
+    output_lock, join, operands = ((lock_reason, None, {}) if lock_reason
+                                   else _output_join(graph, producers, by_kind))
 
     return Segment(
         producers=producer_ids,
@@ -283,6 +320,9 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
         node_slots=node_slots,
         bands=tuple(bands),
         lock_reason=lock_reason,
+        output_lock_reason=output_lock,
+        join=join,
+        join_operands=operands,
     )
 
 
@@ -297,7 +337,7 @@ def find_segments(graph: ModelGraph) -> list[Segment]:
     segments: list[Segment] = []
     for seed in graph.topological_order():
         if (seed in assigned or not graph.successors(seed)
-                or not _is_producer_kind(graph.layer(seed).kind)):
+                or graph.layer(seed).kind not in (LayerKind.CHANNEL_MIX, LayerKind.INPUT)):
             continue
         segment = _build_segment(graph, *_walk(graph, seed))
         segments.append(segment)

@@ -4,16 +4,21 @@ A 100-block chain is exported and the derivations are counted, not timed:
 a derivation that comes back a second time would double its count long
 before it showed in a timing. Per segment the pipeline walks the graph
 once, builds the slot space once (a union-find only where an add join
-identifies slots) and resolves the masks once for ordering and planning.
+identifies slots), decides once whether output mode can rewrite it (tracing
+its join's operands there and nowhere else) and resolves the masks once for
+ordering and planning. Output mode orders no segment it cannot rewrite.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from helpers import ADD, INPUT, MIX, OUTPUT, PASS, ramp_weights
+import sys
+
+from helpers import (ADD, INPUT, MIX, OUTPUT, PASS, per_channel_interior_fixture, ramp_weights,
+                     stacked_joins_fixture)
 from reslice import Layer, ModelGraph, export_model, find_segments
-from reslice import planner, segments
+from reslice import pipeline, planner, segments
 from reslice.graph import LayerKind
 from reslice.masks import make_masks, score_channels
 
@@ -47,15 +52,17 @@ def residual_chain(blocks: int = 100) -> tuple[ModelGraph, dict[str, tuple[int, 
     return ModelGraph(layers, edges), masks
 
 
-def _count(monkeypatch, counts, owner, name, key=None):
+def _count(monkeypatch, counts, owner, name, key=None, calls=None):
     """Count calls of ``owner.name`` in ``counts[key]``, by default
-    ``counts["module.name"]``."""
+    ``counts["module.name"]``; append each call's arguments to ``calls``."""
     key = key or f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
     counts[key] = 0
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         counts[key] += 1
+        if calls is not None:
+            calls.append(args)
         return original(*args, **kwargs)
     monkeypatch.setattr(owner, name, counted)
 
@@ -75,9 +82,16 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
 
     counts = {}
     for module, name in ((segments, "_walk"), (segments, "_build_segment"),
-                         (segments, "propagate_vectors"), (planner, "propagate_vectors"),
-                         (planner, "output_refusal")):
+                         (segments, "propagate_vectors"), (planner, "propagate_vectors")):
         _count(monkeypatch, counts, module, name)
+    # the module that asks for each output-mode join trace
+    callers = []
+    output_join = segments._output_join
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return output_join(*args)
+    monkeypatch.setattr(segments, "_output_join", traced)
     built = {}
     for cls in (segments.Retained, segments._UnionFind):
         _count(monkeypatch, built, cls, "__init__", cls.__name__)
@@ -90,7 +104,36 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
     # layout at most once per plan
     assert counts["segments.propagate_vectors"] == len(found)
     assert counts["planner.propagate_vectors"] <= len(result.plans)
-    # output mode asks why it cannot drop filters at most once per plan
-    assert counts["planner.output_refusal"] <= (len(result.plans) if mode == "output" else 0)
+    # the join trace runs at most once per segment, during segmentation,
+    # in either mode: the planner reads what the segment records
+    assert len(callers) <= len(found) and set(callers) == {"reslice.segments"}
+    assert not hasattr(planner, "_trace_join_operands")
     assert built["Retained"] == len(found)  # masks resolved once per segment
     assert built["_UnionFind"] == joined  # only where an add join identifies slots
+
+
+def output_pruned_residual_chain():
+    graph, _ = residual_chain(30)
+    return graph, ramp_weights(graph)
+
+
+@pytest.mark.parametrize("model", [per_channel_interior_fixture, stacked_joins_fixture,
+                                   output_pruned_residual_chain])
+def test_output_reorder_orders_no_output_locked_segment(monkeypatch, model):
+    # every channel mix drops its odd filters, so the segments output mode
+    # cannot rewrite are planned too; they get the baseline infill without
+    # a channel order being computed first
+    graph, weights = model()
+    masks = {l.id: tuple(range(0, l.out_channels, 2)) for l in graph.layers if l.kind is MIX}
+    found = find_segments(graph)
+    locked = {s.id for s in found if s.output_lock_reason}
+
+    counts, calls = {}, []
+    for name in ("find_zero_copy_order", "largest_c1p_order"):
+        _count(monkeypatch, counts, pipeline, name, calls=calls)
+    result = export_model(graph, weights, masks, mode="output", strategy="reorder")
+
+    planned = {p.segment for p in result.plans}
+    assert planned & locked and set(result.fallbacks) == planned & locked
+    ordered = {args[0].id for args in calls}
+    assert ordered == planned - locked

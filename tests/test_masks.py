@@ -9,7 +9,6 @@ from reslice.graph import ValidationError, validate_masks
 from reslice.interp import check_equivalence
 from reslice.masks import achieved_sparsity, make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
-from reslice.planner import output_refusal
 from reslice.segments import find_segments
 
 
@@ -201,7 +200,8 @@ def test_output_masks_skip_a_producer_feeding_the_join_twice():
          ("B", MIX, 6, 3), ("out", OUTPUT, 3, 3)],
         [("in", "A"), ("A", "r"), ("A", "j"), ("r", "j"), ("j", "B"), ("B", "out")])
     segment = next(s for s in find_segments(graph) if s.producers == ("A",))
-    assert output_refusal(graph, segment) == "producer A feeds the join twice"
+    assert segment.lock_reason is None
+    assert segment.output_lock_reason == "producer A feeds the join twice"
     scores = score_channels(graph, weights.tensors, "l2", side="output")
     masks = make_masks(graph, scores, 0.4, "unconstrained", side="output")
     assert "A" not in masks

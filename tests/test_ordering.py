@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslice import find_segments
-from reslice.ordering import _c1p_order, band_layouts, find_zero_copy_order
+from reslice.graph import ValidationError
+from reslice.ordering import _c1p_order, band_layouts, find_zero_copy_order, largest_c1p_order
 from reslice.path_search import Path, decompose_paths, order_channels, reorder_graph_from_sets
 from reslice.pipeline import export_model
 from reslice.planner import plan_export
@@ -131,6 +132,18 @@ def test_zero_copy_search_respects_locks():
     seg = next(s for s in find_segments(g) if s.producers == ("in",))
     assert seg.lock_reason == "a producer is the model input"
     assert find_zero_copy_order(seg, {"A": frozenset({0, 1})}, {"A": (0,)}) is None
+
+
+def test_largest_c1p_order_refuses_a_locked_segment():
+    # a ValidationError naming the segment, like every refusal of a locked
+    # segment; it is a ValueError too
+    g, _ = fan_fixture()
+    seg = next(s for s in find_segments(g) if s.producers == ("in",))
+    with pytest.raises(ValidationError) as exc:
+        largest_c1p_order(seg, {"A": frozenset({0, 1})}, {"A": (0,)})
+    assert exc.value.diagnostics == [
+        "in: a locked segment takes no channel order (a producer is the model input)"]
+    assert isinstance(exc.value, ValueError)
 
 
 def only_adjacent_overlaps(rg, nodes):

@@ -52,6 +52,17 @@ def test_the_planner_picks_no_order():
     assert names == {"reslice.ordering.band_layouts"}
 
 
+def test_segmentation_alone_decides_the_output_lock():
+    # Segment.output_lock_reason is the one record of why output mode keeps
+    # a layout: masks take only the mode names from the planner, and no
+    # module imports a refusal or join-trace helper from it
+    masks = {n for n in imported_names(PACKAGE / "masks.py") if n.startswith("reslice.planner.")}
+    assert masks == {"reslice.planner.MODE_INPUT", "reslice.planner.MODE_OUTPUT"}
+    from_planner = {n.rsplit(".", 1)[1] for p in PACKAGE.glob("*.py") for n in imported_names(p)
+                    if n.startswith("reslice.planner.")}
+    assert not {n for n in from_planner if "refusal" in n or "trace" in n}
+
+
 def json_dump_callers(path):
     """``module.function`` for each call of ``json.dump`` or ``json.dumps``
     in a module (``module.<module>`` outside any function)."""

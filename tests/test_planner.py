@@ -16,7 +16,7 @@ from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
 from reslice.path_search import build_reorder_graph, decompose_paths, order_channels
 from reslice.planner import (ConsumerAccess, CopyStats, _plan_output_baseline, apply_plan,
-                             copy_report, load_plans, output_refusal, plan_export,
+                             copy_report, load_plans, plan_export,
                              plan_export_output, plan_from_dict, plan_to_dict, save_plans)
 from reslice.segments import find_segments
 
@@ -483,16 +483,21 @@ def test_every_planner_refuses_an_empty_mask(planner, masks, message):
     (stacked_joins_fixture, "more than one join between producers"),
 ], ids=["per-channel-interior", "stacked-joins"])
 def test_output_segment_it_cannot_rewrite_gets_the_baseline_infill(model, reason):
-    # the segment is not locked, so reorder gives it an order; output mode
-    # writes the baseline infill wherever output_refusal names a reason, as
-    # it does with no order
+    # the segment is not locked, but output mode cannot rewrite it: reorder
+    # gives it no order, so it gets the baseline infill, and an order given
+    # to the planner is refused
     graph, weights = model()
     s = next(s for s in find_segments(graph) if "A" in s.producers)
     masks = {"A": (0, 2)}
-    assert s.lock_reason is None and output_refusal(graph, s).startswith(reason)
+    assert s.lock_reason is None and s.output_lock_reason.startswith(reason)
+    assert s.join is None and s.join_operands == {}
     (plan,), fallbacks = plan_model(graph, masks, "output", "reorder")
     assert fallbacks == ["A"]
     assert plan == plan_export_output(graph, s, None, masks)
+    with pytest.raises(ValidationError) as exc:
+        plan_export_output(graph, s, (0, 2), masks)
+    assert exc.value.diagnostics == [f"A: an order is given for an output-locked segment "
+                                     f"({s.output_lock_reason})"]
     assert plan.strategy == "baseline"
     assert plan.infill == {"A": (0, -1, 1, -1)[:graph.layer("A").out_channels]}
     new_graph, new_weights = apply_plan([plan], graph, weights)
@@ -503,12 +508,15 @@ def test_output_segment_it_cannot_rewrite_gets_the_baseline_infill(model, reason
 def test_output_locked_segment():
     graph, _ = single_branch_fixture()
     s = seg(graph, {"in"})
-    # the model input cannot drop channels, even when given an order
-    assert output_refusal(graph, s) == ("producers cannot drop output channels: a producer "
-                                        "is the model input; use the baseline infill")
-    for order in (None, (0, 1)):
-        plan = plan_export_output(graph, s, order, {"in": (0, 1)})
-        assert plan.strategy == "baseline" and plan.infill == {"in": (0, 1, -1, -1)}
+    # the model input cannot drop channels: with no order the layout stays,
+    # and an order is refused as plan_export refuses one
+    assert s.output_lock_reason == s.lock_reason == "a producer is the model input"
+    plan = plan_export_output(graph, s, None, {"in": (0, 1)})
+    assert plan.strategy == "baseline" and plan.infill == {"in": (0, 1, -1, -1)}
+    with pytest.raises(ValidationError) as exc:
+        plan_export_output(graph, s, (0, 1), {"in": (0, 1)})
+    assert exc.value.diagnostics == ["in: an order is given for an output-locked segment "
+                                     "(a producer is the model input)"]
 
 
 # --------------------------------------------------------------------------

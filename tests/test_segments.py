@@ -1,5 +1,7 @@
 """Segment discovery: the walk, slot spaces, bands, locks."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +22,11 @@ from helpers import (
     fan_fixture,
     intra_producer_merge_fixture,
     oracle_segments,
+    per_channel_interior_fixture,
     random_dag,
     residual_block_fixture,
     single_branch_fixture,
+    stacked_joins_fixture,
 )
 
 
@@ -188,6 +192,52 @@ def test_partial_band_overlap_locks():
     assert seg.producer_slots["B"] == (0, 1)
     assert seg.producer_slots["X"] == (2,)
     assert seg.lock_reason == "producer bands overlap without being identical"
+
+
+@pytest.mark.parametrize("model, producers, reason", [
+    (single_branch_fixture, {"A"}, None),
+    (single_branch_fixture, {"B"}, FEEDS_OUTPUT),
+    (residual_block_fixture, {"A", "C"}, None),
+    (per_channel_interior_fixture, {"A"},
+     "per-channel layer p inside an output-pruned segment: "
+     "a dropped channel's contribution would not stay zero"),
+    (stacked_joins_fixture, {"A", "B", "C"}, "more than one join between producers"),
+], ids=["unlocked", "locked", "add-join", "per-channel-interior", "stacked-joins"])
+def test_output_lock_reason(model, producers, reason):
+    # output mode keeps the layout of every locked segment, and of those
+    # whose filters it cannot drop or whose join it cannot rebuild
+    g, _ = model()
+    seg = segment_by_producers(find_segments(g), producers)
+    assert seg.output_lock_reason == (seg.lock_reason or reason)
+    if reason:
+        assert seg.join is None and seg.join_operands == {}
+
+
+def test_segment_records_the_join_output_mode_rebuilds():
+    g, _ = residual_block_fixture()
+    seg = segment_by_producers(find_segments(g), {"A", "C"})
+    assert seg.join == "j" and seg.join_operands == {"A": "A", "C": "C"}
+    # a pass-through between a producer and the join is that branch's operand
+    g, _ = build_model(
+        [("in", INPUT, 3, 3), ("A", MIX, 3, 3), ("r", PASS, 3, 3), ("C", MIX, 3, 3),
+         ("k", CONCAT, 6, 6), ("B", MIX, 6, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "A"), ("A", "r"), ("in", "C"), ("r", "k"), ("C", "k"), ("k", "B"),
+         ("B", "out")])
+    seg = segment_by_producers(find_segments(g), {"A", "C"})
+    assert seg.output_lock_reason is None
+    assert seg.join == "k" and seg.join_operands == {"A": "r", "C": "C"}
+    g, _ = single_branch_fixture()
+    assert segment_by_producers(find_segments(g), {"A"}).join is None
+
+
+def test_a_segment_is_frozen():
+    # what segmentation decided cannot be reassigned once band_reads is cached
+    g, _ = residual_block_fixture()
+    seg = segment_by_producers(find_segments(g), {"A", "C"})
+    assert seg.band_reads == {"B": (0,), "D": (0,)}
+    with pytest.raises(FrozenInstanceError):
+        seg.lock_reason = "a producer is the model input"
+    assert seg.lock_reason is None
 
 
 def test_every_producer_belongs_to_exactly_one_segment():

@@ -14,7 +14,7 @@ from reslice.graph import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.interp import check_equivalence
 from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.pipeline import export_model
-from reslice.segments import find_segments, retained_slots
+from reslice.segments import find_segments, resolve_masks
 
 K = LayerKind
 
@@ -55,7 +55,7 @@ def main():
     block = next(s for s in segments if set(s.producers) == {"A", "C"})
 
     print("\n2. copy-free layout (consecutive-ones test per band)")
-    retained = retained_slots(block, masks)
+    retained = resolve_masks(block, masks, "input").slots
     found = find_zero_copy_order(block, retained, block.band_reads)
     print(f"   order {found}" if found is not None else
           "   none: no order makes every consumer's channels contiguous")

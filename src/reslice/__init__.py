@@ -10,8 +10,8 @@ Pipeline stages (one module each):
 
 - :mod:`reslice.graph`       graph IR, weights, masks, file formats
 - :mod:`reslice.segments`    segment extraction, one walk per segment, the
-                             lock reasons of both modes, and the
-                             retained-slot sets of consumers and producers
+                             lock reasons of both modes, and each mode's
+                             reading of a segment's masks (``resolve_masks``)
 - :mod:`reslice.ordering`    channel order (the kept slots, as a tuple in
                              their new order), in both modes: an exact
                              copy-free layout by consecutive ones, else the

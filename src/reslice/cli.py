@@ -21,6 +21,8 @@ import sys
 import numpy as np
 
 from reslice.graph import (
+    MODE_INPUT,
+    MODES,
     ModelFormatError,
     ValidationError,
     WeightStore,
@@ -44,8 +46,6 @@ from reslice.masks import (
 )
 from reslice.pipeline import export_model, plan_model
 from reslice.planner import (
-    MODE_INPUT,
-    MODE_OUTPUT,
     STRATEGY_BASELINE,
     STRATEGY_CONSTRAINED,
     STRATEGY_REORDER,
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", required=True, choices=HEURISTICS)
     p.add_argument("--sparsity", required=True, type=float,
                    help="fraction of (layer, channel) pairs to prune, in [0, 1)")
-    p.add_argument("--mode", choices=(MODE_INPUT, MODE_OUTPUT), default=MODE_INPUT)
+    p.add_argument("--mode", choices=MODES, default=MODE_INPUT)
     p.add_argument("--constrained", action="store_true",
                    help="prune whole shared channels so all readers agree")
     p.add_argument("--scope", choices=(SCOPE_GLOBAL, SCOPE_PER_LAYER), default=SCOPE_GLOBAL)
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="rewrite the model per the masks")
     add_model(p)
     p.add_argument("--masks", required=True)
-    p.add_argument("--mode", choices=(MODE_INPUT, MODE_OUTPUT), default=MODE_INPUT)
+    p.add_argument("--mode", choices=MODES, default=MODE_INPUT)
     p.add_argument("--strategy", default=STRATEGY_REORDER,
                    choices=(STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED))
     p.add_argument("--out-prefix", required=True,
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay a plan and check equivalence")
     add_model(p)
     p.add_argument("--masks", help="masks the export was made with")
-    p.add_argument("--mode", choices=(MODE_INPUT, MODE_OUTPUT), default=MODE_INPUT)
+    p.add_argument("--mode", choices=MODES, default=MODE_INPUT)
     p.add_argument("--out-prefix", required=True, help="prefix used at export time")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="compare export strategies without exporting")
     add_model(p)
     p.add_argument("--masks", required=True)
-    p.add_argument("--mode", choices=(MODE_INPUT, MODE_OUTPUT), default=MODE_INPUT)
+    p.add_argument("--mode", choices=MODES, default=MODE_INPUT)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_stats)
     return parser

@@ -27,6 +27,11 @@ MODEL_FILE_VERSION = 1
 WEIGHTS_FILE_VERSION = 2
 MASKS_FILE_VERSION = 1
 
+# the side of each channel mix a mask indexes: its input columns or its filters
+MODE_INPUT = "input"
+MODE_OUTPUT = "output"
+MODES = (MODE_INPUT, MODE_OUTPUT)
+
 
 class ModelFormatError(ValueError):
     """A model/weights/masks file does not follow the documented schema."""
@@ -317,14 +322,14 @@ def validate(graph: ModelGraph, weights: WeightStore | None = None) -> list[str]
 
 
 def validate_masks(graph: ModelGraph, masks: Mapping[str, Iterable[int]],
-                   side: str = "input") -> list[str]:
+                   side: str = MODE_INPUT) -> list[str]:
     """Check mask indices against layer channel counts.
 
     ``side`` selects which channel space the indices live in: ``input``
     masks index a consumer's input columns, ``output`` masks index a
     producer's output filters. Any other side raises ValidationError.
     """
-    if side not in ("input", "output"):
+    if side not in MODES:
         raise ValidationError([f"unknown side {side!r}"])
     diags: list[str] = []
     for layer_id, retained in masks.items():
@@ -335,7 +340,7 @@ def validate_masks(graph: ModelGraph, masks: Mapping[str, Iterable[int]],
         if layer.kind is not LayerKind.CHANNEL_MIX:
             diags.append(f"{layer_id}: masks only apply to channel-mixing layers")
             continue
-        space = layer.in_channels if side == "input" else layer.out_channels
+        space = layer.in_channels if side == MODE_INPUT else layer.out_channels
         retained = list(retained)
         if not retained:
             diags.append(f"{layer_id}: mask retains no channels")

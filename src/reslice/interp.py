@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reslice.graph import ChannelMask, LayerKind, ModelGraph, ValidationError, WeightStore
+from reslice.graph import (MODE_INPUT, MODE_OUTPUT, MODES, ChannelMask, LayerKind, ModelGraph,
+                           ValidationError, WeightStore)
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_TRIALS = 8
@@ -35,7 +36,7 @@ def _single(graph: ModelGraph, kind: LayerKind) -> str:
 
 
 def run(graph: ModelGraph, weights: WeightStore, input_vector,
-        masks: ChannelMask | None = None, mask_side: str = "input") -> np.ndarray:
+        masks: ChannelMask | None = None, mask_side: str = MODE_INPUT) -> np.ndarray:
     """Evaluate the model on one activation vector of shape ``(C,)``, or on
     a batch of them as the columns of a ``(C, T)`` matrix.
 
@@ -43,7 +44,7 @@ def run(graph: ModelGraph, weights: WeightStore, input_vector,
     pruning without changing any shapes, on the ``mask_side`` ("input" or
     "output") of each channel mix it names.
     """
-    if mask_side not in ("input", "output"):
+    if mask_side not in MODES:
         raise ValidationError([f"unknown side {mask_side!r}"])
     x_in = np.asarray(input_vector, dtype=np.float64)
     input_id = _single(graph, LayerKind.INPUT)
@@ -63,10 +64,10 @@ def run(graph: ModelGraph, weights: WeightStore, input_vector,
             out = x_in
         elif layer.kind is LayerKind.CHANNEL_MIX:
             x = ins[0]
-            if mask_side == "input" and lid in masks:
+            if mask_side == MODE_INPUT and lid in masks:
                 x = x * _mask_vector(len(x), masks[lid])[column]
             out = weights[lid] @ x
-            if mask_side == "output" and lid in masks:
+            if mask_side == MODE_OUTPUT and lid in masks:
                 out = out * _mask_vector(len(out), masks[lid])[column]
         elif layer.kind is LayerKind.ADD:
             out = np.sum(ins, axis=0)
@@ -107,7 +108,7 @@ def check_equivalence(
     original_graph: ModelGraph, original_weights: WeightStore, masks: ChannelMask | None,
     exported_graph: ModelGraph, exported_weights: WeightStore,
     trials: int = DEFAULT_TRIALS, tol: float = DEFAULT_TOLERANCE,
-    seed: int = 0, mask_side: str = "input",
+    seed: int = 0, mask_side: str = MODE_INPUT,
 ) -> EquivalenceReport:
     """Max relative deviation between the mask-simulated original and the
     exported model over ``trials`` (at least 1) random standard-normal inputs."""

@@ -3,7 +3,9 @@
 Scores rank channels per layer; masks prune the globally lowest-scored
 fraction of (layer, channel) pairs. Unconstrained masks are independent per
 consumer. Constrained masks prune whole shared slots so every reader of a
-channel agrees, which keeps even the baseline exporter copy-free.
+channel agrees, which keeps even the baseline exporter copy-free. They prune
+no slot of a locked segment, whose layout export keeps: its readers keep
+every column.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from reslice.graph import ChannelMask, LayerKind, ModelGraph, ValidationError
-from reslice.planner import MODE_INPUT, MODE_OUTPUT
+from reslice.graph import (MODE_INPUT, MODE_OUTPUT, MODES, ChannelMask, LayerKind, ModelGraph,
+                           ValidationError)
 from reslice.segments import Segment, find_segments
 
 HEURISTICS = ("l1", "l2", "lamp", "random")
@@ -48,7 +50,7 @@ def score_channels(graph: ModelGraph, weights: Mapping[str, np.ndarray],
     """
     if heuristic not in HEURISTICS:
         raise ValidationError([f"unknown heuristic {heuristic!r}, expected one of {HEURISTICS}"])
-    if side not in (MODE_INPUT, MODE_OUTPUT):
+    if side not in MODES:
         raise ValidationError([f"unknown side {side!r}"])
     rng = np.random.default_rng(seed)
     scores: ChannelScore = {}
@@ -110,19 +112,21 @@ def _constrained(scores: ChannelScore, segments: list[Segment],
     # Shared slots are scored by summing every reader's score for the slot,
     # then pruned greedily (cheapest slot first) toward the global pair
     # budget. A slot is kept if dropping it would empty any reader's mask or
-    # any producer band.
+    # any producer band. A locked segment keeps its layout, so its readers
+    # keep every column, though their pairs still count toward the budget.
     readers: dict[tuple[str, int], list[tuple[str, int]]] = {}
     # bands of two segments may cover the same slot indices, so a band's
     # budget is keyed by its segment too
     slot_band: dict[tuple[str, int], tuple[str, tuple[int, ...]]] = {}
     band_left: dict[tuple[str, tuple[int, ...]], int] = {}
     for seg in segments:
+        if seg.lock_reason:
+            continue
         for c in seg.consumers:
             if c not in scores:
                 continue
             for local, slot in enumerate(seg.consumer_slots[c]):
-                if slot >= 0:
-                    readers.setdefault((seg.id, slot), []).append((c, local))
+                readers.setdefault((seg.id, slot), []).append((c, local))
         for band in seg.bands:
             band_left[(seg.id, band.slots)] = len(band.slots)
             for slot in band.slots:
@@ -157,17 +161,18 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
     """Retained-channel masks pruning roughly ``sparsity`` of scored pairs.
 
     Every mask keeps at least one channel. Constrained masks prune whole
-    slots of the graph's segments (``find_segments``), found here.
+    slots of the graph's segments (``find_segments``), found here, but none
+    of a locked one, whose readers count toward ``sparsity`` all the same.
     Output-side masks silently skip the producers of every segment whose
     filters output mode cannot drop (``Segment.output_lock_reason``: locked
-    layouts, stacked joins, per-channel offsets, join operands it cannot
-    trace), so no pruned producer is left to the baseline infill's gather.
+    layouts, stacked joins, per-channel offsets, a producer feeding the
+    join twice), so no pruned producer is left to the baseline infill's gather.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError([f"sparsity must be in [0, 1), got {sparsity}"])
     if mode not in (MODE_UNCONSTRAINED, MODE_CONSTRAINED):
         raise ValidationError([f"unknown mask mode {mode!r}"])
-    if side not in (MODE_INPUT, MODE_OUTPUT):
+    if side not in MODES:
         raise ValidationError([f"unknown side {side!r}"])
     if scope not in (SCOPE_GLOBAL, SCOPE_PER_LAYER):
         raise ValidationError([f"unknown scope {scope!r}"])

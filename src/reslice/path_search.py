@@ -30,8 +30,8 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from reslice.graph import ChannelMask, ModelGraph, ValidationError
-from reslice.segments import Segment, retained_slots
+from reslice.graph import MODE_INPUT, ChannelMask, ModelGraph, ValidationError
+from reslice.segments import Segment, resolve_masks
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +121,8 @@ def reorder_graph_from_sets(retained: Mapping[str, Iterable[int]],
 
 def build_reorder_graph(segment: Segment, masks: ChannelMask) -> ReorderGraph:
     """The reorder graph of a segment's consumers (input masks)."""
-    return reorder_graph_from_sets(retained_slots(segment, masks), segment.channel_space)
+    return reorder_graph_from_sets(resolve_masks(segment, masks, MODE_INPUT).slots,
+                                   segment.channel_space)
 
 
 @dataclass(frozen=True)

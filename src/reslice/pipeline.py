@@ -10,7 +10,8 @@ of the producers' kept filters, each inside its own band, in output mode.
 Segments nobody prunes are left untouched; a segment locked for its mode
 (in output mode, ``Segment.output_lock_reason``) gets no order and keeps
 its layout, so export never refuses one. Masks are resolved once per
-segment (``_resolve``), and ordering and planning read the result.
+segment (``segments.resolve_masks``), and ordering and planning read the
+result and its slot sets.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from reslice.graph import ChannelMask, ModelGraph, ValidationError, WeightStore, validate_masks
+from reslice.graph import (MODE_INPUT, MODE_OUTPUT, MODES, ChannelMask, ModelGraph,
+                           ValidationError, WeightStore, validate_masks)
 from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.planner import (
-    MODE_INPUT,
-    MODE_OUTPUT,
     STRATEGY_BASELINE,
     STRATEGY_CONSTRAINED,
     STRATEGY_REORDER,
@@ -33,8 +33,7 @@ from reslice.planner import (
     plan_export,
     plan_export_output,
 )
-from reslice.segments import (Retained, Segment, _retained_indices, find_segments,
-                              producer_retained_slots, retained_slots)
+from reslice.segments import Retained, Segment, find_segments, resolve_masks
 
 # unused here, but bench/tracing.py patches these names on this module
 from reslice.path_search import (build_reorder_graph, decompose_paths,  # noqa: F401
@@ -48,14 +47,6 @@ class ExportResult:
     plans: tuple[SegmentPlan, ...]
     totals: CopyStats
     fallbacks: tuple[str, ...]  # output-mode segments given the baseline infill under reorder
-
-
-def _resolve(segment: Segment, masks: ChannelMask, mode: str) -> Retained:
-    """The segment's masks, resolved once for ordering and planning: the
-    producers' in output mode, the consumers' in input mode."""
-    if mode == MODE_OUTPUT:
-        return _retained_indices(segment.producer_slots, masks, "output mask")
-    return _retained_indices(segment.consumer_slots, masks)
 
 
 def _channel_order(segment: Segment, retained: Mapping[str, frozenset[int]],
@@ -83,8 +74,8 @@ def _segment_order(segment: Segment, kept: Retained, mode: str,
         return None
     if mode == MODE_OUTPUT:
         own_band = {p: (i,) for i, band in enumerate(segment.bands) for p in band.producers}
-        return _channel_order(segment, producer_retained_slots(segment, kept), own_band)
-    slots = retained_slots(segment, kept)
+        return _channel_order(segment, kept.slots, own_band)
+    slots = kept.slots
     if strategy == STRATEGY_REORDER:
         return _channel_order(segment, slots, segment.band_reads)
     gone = {s for vec in segment.consumer_slots.values() for s in vec}.difference(*slots.values())
@@ -101,7 +92,7 @@ def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
     """Plan every pruned segment. Returns the plans and the ids of the
     segments planned under another strategy than ``strategy``: those that
     output mode gives the baseline infill under reorder."""
-    if mode not in (MODE_INPUT, MODE_OUTPUT):
+    if mode not in MODES:
         raise ValidationError([f"unknown mode {mode!r}"])
     if strategy not in (STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED):
         raise ValidationError([f"unknown strategy {strategy!r}"])
@@ -113,7 +104,7 @@ def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
 
     plans: list[SegmentPlan] = []
     for segment in find_segments(graph):
-        kept = _resolve(segment, masks, mode)
+        kept = resolve_masks(segment, masks, mode)
         if all(len(kept[lid]) == len(vec) for lid, vec in kept.vectors.items()):
             continue  # nobody prunes the segment
         order = _segment_order(segment, kept, mode, strategy)

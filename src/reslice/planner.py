@@ -26,6 +26,9 @@ from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 from reslice.graph import (
+    MODE_INPUT,
+    MODE_OUTPUT,
+    MODES,
     ChannelMask,
     Layer,
     LayerKind,
@@ -42,13 +45,10 @@ from reslice.graph import (
     validate,
 )
 from reslice.ordering import band_layouts
-from reslice.segments import (Segment, _retained_indices, producer_retained_slots,
-                              propagate_vectors)
+from reslice.segments import Segment, propagate_vectors, resolve_masks
 
 PLAN_FILE_VERSION = 1
 
-MODE_INPUT = "input"
-MODE_OUTPUT = "output"
 STRATEGY_REORDER = "reorder"
 STRATEGY_BASELINE = "baseline"
 STRATEGY_CONSTRAINED = "constrained"
@@ -184,14 +184,12 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
     column that survives and zero the pruned ones, so they always slice.
     A locked segment takes no order.
     """
-    kept = _retained_indices(segment.consumer_slots, masks)
+    kept = resolve_masks(segment, masks, MODE_INPUT)
     if order is not None:
         if segment.lock_reason:
             raise ValidationError([f"{segment.id}: an order is given for a locked segment "
                                    f"({segment.lock_reason})"])
-        in_order = set(order)
-        if not all(in_order.issuperset(map(segment.consumer_slots[c].__getitem__, columns))
-                   for c, columns in kept.items()):
+        if set().union(*kept.slots.values()).difference(order):
             raise ValidationError([f"{segment.id}: order does not cover all retained channels"])
     if order is None:
         producer_orders = {p: tuple(range(graph.layer(p).out_channels))
@@ -244,7 +242,7 @@ def _plan_output_baseline(graph: ModelGraph, segment: Segment,
     """Drop pruned filters and restore each producer's original width with a
     zero-filling gather right after it. Downstream stays untouched, so this
     is equivalent for any topology, bias layers included."""
-    kept_filters = _retained_indices(segment.producer_slots, output_masks, "output mask")
+    kept_filters = resolve_masks(segment, output_masks, MODE_OUTPUT)
     infill = {}
     copied = 0
     for p, kept in kept_filters.items():
@@ -267,7 +265,7 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     """Output-side pruning: producers drop their own pruned filters.
 
     Producers adopt ``order``, which lists each kept filter's slot once
-    (``producer_retained_slots``); the join is rewritten as maximal
+    (``Retained.slots``); the join is rewritten as maximal
     constant-producer-set runs (a slice per producer, an add per shared
     run, one concat). Producers whose kept filters end up non-contiguous in
     the order are counted as copied. With no order the layout stays: the
@@ -280,7 +278,7 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
         raise ValidationError([f"{segment.id}: an order is given for an output-locked segment "
                                f"({segment.output_lock_reason})"])
 
-    retained = producer_retained_slots(segment, output_masks)
+    retained = resolve_masks(segment, output_masks, MODE_OUTPUT).slots
     if sorted(order) != sorted(set().union(*retained.values())):
         raise ValidationError([f"{segment.id}: order does not list each kept channel once"])
 
@@ -357,18 +355,17 @@ def _fresh_id(taken: set[str], base: str) -> str:
 class _Rewrite:
     """A mutable copy of ``source`` under rewrite.
 
-    Layers and edges sit in lists in file order; a removed entry becomes
-    None, so every other entry keeps its position and the model comes out
-    in the order a rebuild after each plan would give. ``out_edges`` and
-    ``in_edges`` index edge positions by source and by destination
-    (``in_edges`` ascending, so predecessors keep their file order).
+    Layers and edges keep file order, so the model comes out in the order a
+    rebuild after each plan would give: in ``layers`` a replaced layer keeps
+    its place and a new one goes last; in ``edges`` a removed entry becomes
+    None, so every other keeps its position. ``out_edges`` and ``in_edges``
+    index edge positions by source and by destination (``in_edges``
+    ascending, so predecessors keep their file order).
     """
 
     def __init__(self, graph: ModelGraph, weights: WeightStore):
         self.source = graph
         self.layers: dict[str, Layer] = {l.id: l for l in graph.layers}
-        self.order: list[str | None] = [l.id for l in graph.layers]
-        self.slot = {lid: i for i, lid in enumerate(self.order)}
         self.edges: list[tuple[str, str] | None] = list(graph.edges)
         self.out_edges: dict[str, list[int]] = defaultdict(list)
         self.in_edges: dict[str, list[int]] = defaultdict(list)
@@ -385,8 +382,6 @@ class _Rewrite:
 
     def add_layer(self, layer: Layer) -> None:
         self.layers[layer.id] = layer
-        self.slot[layer.id] = len(self.order)
-        self.order.append(layer.id)
 
     def remove_layer(self, layer_id: str) -> None:
         """Drop a layer and the edges into it; move its out-edges first."""
@@ -394,7 +389,6 @@ class _Rewrite:
             self.out_edges[self.edges[i][0]].remove(i)
             self.edges[i] = None
         del self.layers[layer_id]
-        self.order[self.slot.pop(layer_id)] = None
 
     def add_edge(self, src: str, dst: str) -> None:
         self.out_edges[src].append(len(self.edges))
@@ -410,8 +404,7 @@ class _Rewrite:
             self.edges[i] = (new, dst)
 
     def graph(self) -> ModelGraph:
-        return ModelGraph([self.layers[i] for i in self.order if i is not None],
-                          [e for e in self.edges if e is not None])
+        return ModelGraph(list(self.layers.values()), [e for e in self.edges if e is not None])
 
 
 def _check_role(plan: SegmentPlan, role: str, ids: Sequence[str],
@@ -733,7 +726,7 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             )
         stats = obj["stats"]
         mode, strategy = read_str(obj["mode"]), read_str(obj["strategy"])
-        if mode not in (MODE_INPUT, MODE_OUTPUT):
+        if mode not in MODES:
             raise ModelFormatError(f"unknown mode {mode!r}")
         if strategy not in (STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED):
             raise ModelFormatError(f"unknown strategy {strategy!r}")

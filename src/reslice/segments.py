@@ -25,7 +25,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from reslice.graph import INTERIOR_KINDS, ChannelMask, LayerKind, ModelGraph, ValidationError
+from reslice.graph import (INTERIOR_KINDS, MODE_OUTPUT, MODES, ChannelMask, LayerKind, ModelGraph,
+                           ValidationError)
 
 # token used in slot vectors for channels that are constant zero
 # (produced by gather layers with -1 source entries in re-imported exports)
@@ -104,10 +105,10 @@ def propagate_vectors(
 
     Returns the output vector of every node in ``producer_vectors`` plus
     every interior node. ``merge(a, b)`` is called on each positional pair
-    of Add operand vectors (the segmenter unifies slots there; the planner
-    asserts equality). ``zero()`` supplies the vector entry for gather
-    channels sourced from -1. ``overrides`` fixes the output vector of the
-    interior nodes it names (a rewritten join emits its combined order).
+    of Add operand vectors (the segmenter unifies slots there). ``zero()``
+    supplies the vector entry for gather channels sourced from -1.
+    ``overrides`` fixes the output vector of the interior nodes it names (a
+    rewritten join emits its combined order).
     Only the interior is visited, in the graph's topological order.
     """
     vectors: dict[str, tuple] = {p: tuple(v) for p, v in producer_vectors.items()}
@@ -229,19 +230,16 @@ def _output_join(graph: ModelGraph, producers: set[str], by_kind: Mapping[LayerK
     joins = by_kind.get(LayerKind.ADD, []) + by_kind.get(LayerKind.CONCAT, [])
     if len(joins) != 1:
         return ("more than one join between producers" if joins else None), None, {}
+    # every other interior node is a pass-through, so each operand's branch
+    # leads back to one producer, and every producer's branch to the join
     operands: dict[str, str] = {}
     for op in graph.predecessors(joins[0]):
         node = op
         while node not in producers:
-            kind = graph.layer(node).kind
-            if kind is not LayerKind.PASS_THROUGH:
-                return f"join operand passes through a {kind.value} layer", None, {}
             node = graph.predecessors(node)[0]
         if node in operands:
             return f"producer {node} feeds the join twice", None, {}
         operands[node] = op
-    if len(operands) != len(producers):
-        return "join does not combine all producers", None, {}
     return None, joins[0], operands
 
 
@@ -348,26 +346,36 @@ def find_segments(graph: ModelGraph) -> list[Segment]:
 class Retained(dict):
     """Layer id -> the local channel indices its mask retains, ascending and
     distinct, for every layer of ``vectors`` (one segment's
-    ``consumer_slots`` or ``producer_slots``): a mask as
-    ``_retained_indices`` resolves it. Passed in again as the mask for the
-    same vectors, it is returned as it is, so the pipeline resolves each
-    segment's masks once and hands the result to ordering and planning."""
+    ``consumer_slots`` or ``producer_slots``): a mask as ``resolve_masks``
+    resolves it. Passed in again as the mask for the same vectors, it is
+    returned as it is, so the pipeline resolves each segment's masks once
+    and hands the result to ordering and planning. ``slots`` holds the same
+    channels in segment-slot space, derived on first use."""
 
     def __init__(self, vectors: Mapping[str, tuple[int, ...]]):
         super().__init__()
         self.vectors = vectors
 
+    @cached_property
+    def slots(self) -> dict[str, frozenset[int]]:
+        return {lid: frozenset(map(self.vectors[lid].__getitem__, local))
+                for lid, local in self.items()}
 
-def _retained_indices(vectors: Mapping[str, tuple[int, ...]], masks: ChannelMask,
-                      what: str = "mask") -> Retained:
-    """Per-layer retained local channel indices, ascending and distinct.
 
-    This is where every planner reads a mask. ``vectors`` maps each layer to
-    its slot vector (a segment's ``consumer_slots`` or ``producer_slots``);
-    a layer without a mask entry retains every index. A mask that keeps no
-    channel, or names an index outside its vector, raises ValidationError.
-    ``masks`` already resolved against ``vectors`` comes back unchanged.
+def resolve_masks(segment: Segment, masks: ChannelMask, mode: str) -> Retained:
+    """The segment's masks as per-layer retained local channel indices.
+
+    This is where every stage reads a mask. Input-mode masks index each
+    consumer's input columns (``consumer_slots``), output-mode masks each
+    producer's filters (``producer_slots``). A layer without a mask entry
+    retains every index. A mask that keeps no channel, or names an index
+    outside its vector, raises ValidationError. ``masks`` already resolved
+    against the same vectors comes back unchanged.
     """
+    if mode not in MODES:
+        raise ValidationError([f"unknown mode {mode!r}"])
+    vectors, what = ((segment.producer_slots, "output mask") if mode == MODE_OUTPUT
+                     else (segment.consumer_slots, "mask"))
     if isinstance(masks, Retained) and masks.vectors is vectors:
         return masks
     out = Retained(vectors)
@@ -383,25 +391,3 @@ def _retained_indices(vectors: Mapping[str, tuple[int, ...]], masks: ChannelMask
             raise ValidationError([f"{lid}: {what} index {bad[0]} out of [0, {len(vec)})"])
         out[lid] = local
     return out
-
-
-def retained_slots(segment: Segment, masks: ChannelMask) -> dict[str, frozenset[int]]:
-    """Per-consumer retained channels in segment-slot space.
-
-    Consumers without a mask entry retain everything they read. Mask
-    indices are consumer-local input channel indices.
-    """
-    return {c: frozenset(map(segment.consumer_slots[c].__getitem__, columns))
-            for c, columns in _retained_indices(segment.consumer_slots, masks).items()}
-
-
-def producer_retained_slots(segment: Segment,
-                            output_masks: ChannelMask) -> dict[str, frozenset[int]]:
-    """Per-producer kept filters in segment-slot space (output masks).
-
-    Producers without a mask entry keep every filter; an empty or
-    out-of-range mask raises ValidationError (``_retained_indices``).
-    """
-    kept = _retained_indices(segment.producer_slots, output_masks, "output mask")
-    return {p: frozenset(map(segment.producer_slots[p].__getitem__, rows))
-            for p, rows in kept.items()}

@@ -16,7 +16,7 @@ from reslice.path_search import (Path, build_reorder_graph, decompose_paths, ord
                                  reorder_graph_from_sets, solve_mrap)
 from reslice.pipeline import export_model, plan_model
 from reslice.planner import copy_report, plan_export
-from reslice.segments import find_segments, retained_slots
+from reslice.segments import find_segments, resolve_masks
 
 SPARSITIES = (0.1, 0.3, 0.5)
 N_RANDOM_MODELS = 100
@@ -166,7 +166,7 @@ def test_criterion_4_copy_dominance():
                         or len(segment.consumers) > 6
                         or segment.channel_space > 8):
                     continue
-                if zero_copy_exists(graph, segment, retained_slots(segment, masks)):
+                if zero_copy_exists(graph, segment, resolve_masks(segment, masks, "input").slots):
                     oracle_hits += 1
                     assert plan.stats.copied == 0, (seed, sparsity, segment.id)
     elapsed = time.monotonic() - t0

@@ -568,6 +568,22 @@ def test_verify_accepts_a_plan_file_with_the_old_zero_copy_optimal_field(model_f
     assert "max deviation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("model", [duplicate_read_fixture, intra_producer_merge_fixture])
+def test_prune_constrained_keeps_an_ill_formed_segment(tmp_path, capsys, model):
+    # every segment of these models is locked, the ill-formed one included,
+    # so constrained masks prune nothing and export plans nothing
+    graph, weights = model()
+    files = [tmp_path / "m.model.json", tmp_path / "m.weights.json"]
+    save_model(graph, weights, *files)
+    masks = tmp_path / "masks.json"
+    assert run_cli("prune", "--model", files[0], "--weights", files[1], "--heuristic", "l2",
+                   "--sparsity", "0.5", "--constrained", "--out", masks) == 0
+    assert "achieved sparsity: 0.0000" in capsys.readouterr().out
+    assert run_cli("export", "--model", files[0], "--weights", files[1], "--masks", masks,
+                   "--strategy", "baseline", "--out-prefix", tmp_path / "x") == 0
+    assert load_plans(tmp_path / "x.plan.json") == []
+
+
 def test_export_reruns_are_byte_identical(model_files):
     tmp, model, weights = model_files
     masks = tmp / "masks.json"

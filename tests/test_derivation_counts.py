@@ -6,14 +6,16 @@ before it showed in a timing. Per segment the pipeline walks the graph
 once, builds the slot space once (a union-find only where an add join
 identifies slots), decides once whether output mode can rewrite it (tracing
 its join's operands there and nowhere else) and resolves the masks once for
-ordering and planning. Output mode orders no segment it cannot rewrite.
+ordering and planning, which share one derivation of the retained slot sets.
+Output mode orders no segment it cannot rewrite.
 """
 
 from __future__ import annotations
 
-import pytest
-
 import sys
+from functools import cached_property
+
+import pytest
 
 from helpers import (ADD, INPUT, MIX, OUTPUT, PASS, per_channel_interior_fixture, ramp_weights,
                      stacked_joins_fixture)
@@ -95,6 +97,16 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
     built = {}
     for cls in (segments.Retained, segments._UnionFind):
         _count(monkeypatch, built, cls, "__init__", cls.__name__)
+    # each evaluation of Retained.slots, the retained slot sets
+    derive_slots = segments.Retained.slots.func
+    evaluated = []
+
+    def slots(retained):
+        evaluated.append(retained)
+        return derive_slots(retained)
+    counted_slots = cached_property(slots)
+    counted_slots.__set_name__(segments.Retained, "slots")
+    monkeypatch.setattr(segments.Retained, "slots", counted_slots)
 
     result = export_model(graph, weights, masks, mode=mode, strategy=strategy)
     assert len(result.plans) > 40
@@ -109,6 +121,8 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
     assert len(callers) <= len(found) and set(callers) == {"reslice.segments"}
     assert not hasattr(planner, "_trace_join_operands")
     assert built["Retained"] == len(found)  # masks resolved once per segment
+    # ordering and planning share one derivation of a plan's slot sets
+    assert len(evaluated) <= len(result.plans)
     assert built["_UnionFind"] == joined  # only where an add join identifies slots
 
 

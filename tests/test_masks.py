@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (ADD, INPUT, MIX, OUTPUT, PASS, PER, build_model, concat_fixture,
-                     residual_block_fixture, single_branch_fixture)
+                     random_dag, residual_block_fixture, single_branch_fixture)
 from reslice.graph import ValidationError, validate_masks
 from reslice.interp import check_equivalence
 from reslice.masks import achieved_sparsity, make_masks, score_channels
@@ -143,10 +144,10 @@ def test_constrained_masks_agree_across_readers():
     # 16 pairs * 0.5 -> 8: B and D's three cheapest shared slots go first,
     # and a reader keeps at least one channel
     assert len(masks["B"]) == 1
-    # the last two pairs are A and C's cheapest shared slot: the input
-    # segment's band covers the same slots {0, 1, 2, 3} but has its own budget
-    assert masks["A"] == masks["C"] and len(masks["A"]) == 3
-    assert achieved_sparsity(scores, masks) == 0.5
+    # A and C read the model input, whose segment is locked: they keep every
+    # column, so the last two pairs of the budget go unspent
+    assert masks["A"] == masks["C"] == (0, 1, 2, 3)
+    assert achieved_sparsity(scores, masks) == 0.375
 
 
 def test_constrained_protects_bands_and_readers():
@@ -167,6 +168,22 @@ def test_constrained_masks_stay_copy_free():
     block = next(s for s in segments if set(s.producers) == {"A", "C"})
     plans, _ = plan_model(graph, masks, strategy="baseline")
     assert next(p for p in plans if p.segment == block.id).stats.copied == 0
+
+
+def test_constrained_masks_export_copy_free_under_baseline_and_reorder():
+    # a locked segment keeps its layout, so constrained masks prune none of
+    # its slots: every reader of the model input, say, keeps all its columns
+    models = [(name, getattr(helpers, name)()) for name in dir(helpers)
+              if name.endswith("_fixture")]
+    models += [(f"random_dag({seed})", random_dag(seed)) for seed in range(300)]
+    assert len(models) == 310
+    for i, (name, (graph, weights)) in enumerate(models):
+        sparsity = (0.3, 0.5, 0.8)[i % 3]
+        masks = make_masks(graph, score_channels(graph, weights.tensors, "l2"), sparsity,
+                           "constrained")
+        for strategy in ("baseline", "reorder"):
+            result = export_model(graph, weights, masks, strategy=strategy)
+            assert result.totals.copied == 0, (name, strategy)
 
 
 def test_constrained_is_input_side_only():

@@ -13,7 +13,7 @@ from reslice.ordering import _c1p_order, band_layouts, find_zero_copy_order, lar
 from reslice.path_search import Path, decompose_paths, order_channels, reorder_graph_from_sets
 from reslice.pipeline import export_model
 from reslice.planner import plan_export
-from reslice.segments import retained_slots
+from reslice.segments import resolve_masks
 
 from helpers import (
     ADD,
@@ -99,10 +99,10 @@ def test_band_layouts_keeps_sentinel_for_dead_band():
 def test_zero_copy_search_finds_layout_solver_missed():
     g, _ = fan_fixture(n_channels=6, consumer_ids=("B", "C", "D", "E", "F"))
     seg = next(s for s in find_segments(g) if s.producers == ("A",))
-    retained = retained_slots(seg, {
+    retained = resolve_masks(seg, {
         "B": (0, 1, 2), "C": (1, 2, 3, 4), "D": (3, 4, 5),
         "E": (2, 3, 4), "F": (1, 2, 4),
-    })
+    }, "input").slots
     found = find_zero_copy_order(seg, retained, seg.band_reads)
     assert found == (0, 1, 2, 4, 3, 5)
     for want in retained.values():
@@ -112,7 +112,7 @@ def test_zero_copy_search_finds_layout_solver_missed():
 def test_zero_copy_search_exhausts_impossible_case():
     g, _ = fan_fixture(n_channels=4, consumer_ids=("B", "C", "D"))
     seg = next(s for s in find_segments(g) if s.producers == ("A",))
-    retained = retained_slots(seg, {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 1)})
+    retained = resolve_masks(seg, {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 1)}, "input").slots
     assert find_zero_copy_order(seg, retained, seg.band_reads) is None
 
 
@@ -122,7 +122,7 @@ def test_zero_copy_search_has_no_pattern_cap():
     g, _ = fan_fixture(n_channels=9, consumer_ids=ids)
     seg = next(s for s in find_segments(g) if s.producers == ("A",))
     masks = {cid: (i,) for i, cid in enumerate(ids)}
-    found = find_zero_copy_order(seg, retained_slots(seg, masks), seg.band_reads)
+    found = find_zero_copy_order(seg, resolve_masks(seg, masks, "input").slots, seg.band_reads)
     assert found == tuple(range(9))
     assert plan_export(g, seg, found, masks).stats.copied == 0
 
@@ -194,7 +194,7 @@ def test_zero_copy_search_agrees_with_raw_permutation_oracle(seed):
              for i, c in enumerate(("B", "C", "D"))}
     masks = {c: tuple(i for i in v if i < 6) or (0,) for c, v in masks.items()}
     seg = next(s for s in find_segments(g) if s.producers == ("A",))
-    retained = retained_slots(seg, masks)
+    retained = resolve_masks(seg, masks, "input").slots
     found = find_zero_copy_order(seg, retained, seg.band_reads)
     exists = zero_copy_exists(g, seg, retained)
     assert (found is not None) == exists
@@ -286,7 +286,7 @@ def concat_reads_fixture(widths, reads, seed=0):
 
 
 def check_against_oracle(graph, seg, masks, outcomes):
-    retained = retained_slots(seg, masks)
+    retained = resolve_masks(seg, masks, "input").slots
     found = find_zero_copy_order(seg, retained, seg.band_reads)
     assert (found is not None) == zero_copy_exists(graph, seg, retained), masks
     if found is not None:
@@ -328,6 +328,6 @@ def test_zero_copy_search_agrees_with_oracle_on_random_dags():
             masks = {c: tuple(sorted(int(x) for x in rng.choice(
                          len(vec), int(rng.integers(1, len(vec) + 1)), replace=False)))
                      for c, vec in seg.consumer_slots.items()}
-            if len(set().union(*retained_slots(seg, masks).values())) <= 8:
+            if len(set().union(*resolve_masks(seg, masks, "input").slots.values())) <= 8:
                 check_against_oracle(graph, seg, masks, outcomes)
     assert outcomes[True] > 100 and outcomes[False] > 20

@@ -54,13 +54,22 @@ def test_the_planner_picks_no_order():
 
 def test_segmentation_alone_decides_the_output_lock():
     # Segment.output_lock_reason is the one record of why output mode keeps
-    # a layout: masks take only the mode names from the planner, and no
-    # module imports a refusal or join-trace helper from it
-    masks = {n for n in imported_names(PACKAGE / "masks.py") if n.startswith("reslice.planner.")}
-    assert masks == {"reslice.planner.MODE_INPUT", "reslice.planner.MODE_OUTPUT"}
+    # a layout: masks import nothing from the planner, and no module imports
+    # a refusal or join-trace helper from it
+    masks = {n for n in imported_names(PACKAGE / "masks.py")
+             if n == "reslice.planner" or n.startswith("reslice.planner.")}
+    assert masks == set()
     from_planner = {n.rsplit(".", 1)[1] for p in PACKAGE.glob("*.py") for n in imported_names(p)
                     if n.startswith("reslice.planner.")}
     assert not {n for n in from_planner if "refusal" in n or "trace" in n}
+
+
+def test_only_the_graph_module_spells_a_mode():
+    # every other module names a mode as graph.MODE_INPUT or MODE_OUTPUT
+    spelled = {path.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Constant) and node.value in ("input", "output")}
+    assert spelled == {"graph.py"}
 
 
 def json_dump_callers(path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from reslice import ValidationError, find_segments
 from reslice.path_search import build_reorder_graph, reduce_producers, reorder_graph_from_sets
-from reslice.segments import retained_slots
+from reslice.segments import resolve_masks
 
 from helpers import (duplicate_read_fixture, fan_fixture, random_retained_sets,
                      residual_block_fixture)
@@ -70,11 +70,11 @@ def test_edges_and_subgraph():
 def test_retained_slots_maps_local_mask_to_segment_space():
     g, _ = fan_fixture()
     seg = next(s for s in find_segments(g) if s.producers == ("A",))
-    slots = retained_slots(seg, {"B": (1, 3)})
+    slots = resolve_masks(seg, {"B": (1, 3)}, "input").slots
     assert slots["B"] == frozenset({1, 3})
     assert slots["D"] == frozenset({0, 1, 2, 3})  # unmasked = keep all
     with pytest.raises(ValidationError):
-        retained_slots(seg, {"B": (9,)})
+        resolve_masks(seg, {"B": (9,)}, "input")
 
 
 def test_build_reorder_graph_on_residual_segment():

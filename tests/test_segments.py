@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reslice import LayerKind, export_model, find_segments
-from reslice.segments import propagate_vectors
+from reslice import LayerKind, ValidationError, export_model, find_segments
+from reslice.segments import propagate_vectors, resolve_masks
 
 from helpers import (
     ADD,
@@ -228,6 +228,43 @@ def test_segment_records_the_join_output_mode_rebuilds():
     assert seg.join == "k" and seg.join_operands == {"A": "r", "C": "C"}
     g, _ = single_branch_fixture()
     assert segment_by_producers(find_segments(g), {"A"}).join is None
+
+
+def test_a_recorded_join_combines_every_producer_through_pass_throughs():
+    # so output mode's join record needs no check that an operand passes
+    # through another kind of layer or that the join misses a producer
+    joined = 0
+    for seed in range(2000):
+        g, _ = random_dag(seed)
+        for seg in find_segments(g):
+            if seg.join is None:
+                continue
+            joined += 1
+            assert set(seg.join_operands) == set(seg.producers), (seed, seg.id)
+            for producer, node in seg.join_operands.items():
+                assert node in g.predecessors(seg.join), (seed, seg.id)
+                while node != producer:
+                    assert g.layer(node).kind is LayerKind.PASS_THROUGH, (seed, seg.id)
+                    node = g.predecessors(node)[0]
+    assert joined > 1000
+
+
+def test_resolve_masks_reads_each_mode_on_its_own_side():
+    g, _ = residual_block_fixture()
+    seg = segment_by_producers(find_segments(g), {"A", "C"})
+    # input masks index the consumers' columns; a producer's entry is not read
+    kept = resolve_masks(seg, {"B": (3, 1), "A": (0,)}, "input")
+    assert dict(kept) == {"B": (1, 3), "D": (0, 1, 2, 3)}
+    assert kept.slots == {"B": frozenset({1, 3}), "D": frozenset(range(4))}
+    assert resolve_masks(seg, kept, "input") is kept
+    # output masks index the producers' filters
+    filters = resolve_masks(seg, {"A": (2, 0)}, "output")
+    assert dict(filters) == {"A": (0, 2), "C": (0, 1, 2, 3)}
+    assert resolve_masks(seg, kept, "output") == {"A": (0, 1, 2, 3), "C": (0, 1, 2, 3)}
+    with pytest.raises(ValidationError, match="A: output mask index 4 out of"):
+        resolve_masks(seg, {"A": (4,)}, "output")
+    with pytest.raises(ValidationError, match="unknown mode 'sideways'"):
+        resolve_masks(seg, {}, "sideways")
 
 
 def test_a_segment_is_frozen():

@@ -28,7 +28,7 @@ from reslice.path_search import (build_reorder_graph, decompose_paths, order_cha
                                  reorder_graph_from_sets)
 from reslice.pipeline import plan_model
 from reslice.planner import copy_report, plan_export, plan_export_output
-from reslice.segments import producer_retained_slots, retained_slots
+from reslice.segments import resolve_masks
 
 
 def fan_segment(n_consumers, channels=64):
@@ -43,7 +43,7 @@ def path_search_copies(graph, segment, masks):
 
 
 def path_search_output_copies(graph, segment, masks):
-    rg = reorder_graph_from_sets(producer_retained_slots(segment, masks), segment.channel_space)
+    rg = reorder_graph_from_sets(resolve_masks(segment, masks, "output").slots, segment.channel_space)
     return plan_export_output(graph, segment, order_channels(rg, decompose_paths(rg)),
                               masks).stats.copied
 
@@ -55,7 +55,7 @@ def failing_fan_masks(segment, n, kind, count=12):
     while count:
         masks = fan_masks(np.random.default_rng(seed), n, kind)
         seed += 1
-        if find_zero_copy_order(segment, retained_slots(segment, masks),
+        if find_zero_copy_order(segment, resolve_masks(segment, masks, "input").slots,
                                 segment.band_reads) is None:
             count -= 1
             yield masks
@@ -77,7 +77,7 @@ def test_zero_copy_search_tests_a_subset_against_the_full_kept_universe():
     graph, masks = dense_block(3, stem=4, growth=2)
     masks.update(y03=(3, 4, 6), t=tuple(range(10)))
     segment = next(s for s in find_segments(graph) if s.producers[0] == "x0")
-    retained = retained_slots(segment, masks)
+    retained = resolve_masks(segment, masks, "input").slots
     kept = frozenset().union(*retained.values())
     alone, reads = {"y03": retained["y03"]}, segment.band_reads
     assert find_zero_copy_order(segment, alone, reads) is not None
@@ -106,7 +106,7 @@ def test_subset_against_the_exhaustive_optimum():
         masks = {c: tuple(sorted(int(x) for x in rng.choice(5, int(rng.integers(1, 6)),
                                                               replace=False)))
                  for c in segment.consumers}
-        retained = retained_slots(segment, masks)
+        retained = resolve_masks(segment, masks, "input").slots
         if find_zero_copy_order(segment, retained, segment.band_reads) is not None:
             continue
         order, chosen = largest_c1p_order(segment, retained, segment.band_reads)
@@ -143,7 +143,7 @@ def test_subset_copies_no_more_than_the_path_search_on_fans():
         graph, segment = fan_segment(n)
         ours = theirs = 0
         for masks in failing_fan_masks(segment, n, kind):
-            retained = retained_slots(segment, masks)
+            retained = resolve_masks(segment, masks, "input").slots
             order, _ = largest_c1p_order(segment, retained, segment.band_reads)
             copied = plan_export(graph, segment, order, masks).stats.copied
             reference = path_search_copies(graph, segment, masks)
@@ -198,7 +198,7 @@ def test_sparse_add_join_of_20_producers_plans_fast():
     graph, _ = add_join_fixture(64, ids)
     masks = fan_masks(np.random.default_rng(2), 20, "sparse")
     segment = next(s for s in find_segments(graph) if s.producers == ids)
-    assert find_zero_copy_order(segment, producer_retained_slots(segment, masks),
+    assert find_zero_copy_order(segment, resolve_masks(segment, masks, "output").slots,
                                 {p: (0,) for p in ids}) is None
     elapsed, (plans, _) = best_of_three(lambda: plan_model(graph, masks, mode="output"))
     baseline, _ = plan_model(graph, masks, mode="output", strategy="baseline")
@@ -220,7 +220,7 @@ def test_subset_never_copies_more_than_the_path_search_on_random_dags():
             masks = {c: tuple(sorted(int(x) for x in rng.choice(
                          len(vec), int(rng.integers(1, len(vec) + 1)), replace=False)))
                      for c, vec in segment.consumer_slots.items()}
-            retained = retained_slots(segment, masks)
+            retained = resolve_masks(segment, masks, "input").slots
             if find_zero_copy_order(segment, retained, segment.band_reads) is not None:
                 continue
             order, _ = largest_c1p_order(segment, retained, segment.band_reads)
@@ -247,7 +247,7 @@ def test_sparse_fan_of_31_consumers_plans_fast():
     path search takes 2-3 s."""
     graph, segment = fan_segment(31)
     masks = fan_masks(np.random.default_rng(2), 31, "sparse")
-    assert find_zero_copy_order(segment, retained_slots(segment, masks),
+    assert find_zero_copy_order(segment, resolve_masks(segment, masks, "input").slots,
                                 segment.band_reads) is None
     elapsed, (plans, _) = best_of_three(lambda: plan_model(graph, masks))
     baseline, _ = plan_model(graph, masks, strategy="baseline")
@@ -261,7 +261,7 @@ def test_fallback_logs_one_info_record_per_segment(caplog):
     ids = tuple(f"c{i:02d}" for i in range(31))
     masks = fan_masks(np.random.default_rng(0), 31, "mixed")
     graph, segment = fan_segment(31)
-    retained = retained_slots(segment, masks)
+    retained = resolve_masks(segment, masks, "input").slots
     assert find_zero_copy_order(segment, retained, segment.band_reads) is None
     _, chosen = largest_c1p_order(segment, retained, segment.band_reads)
     join, _ = add_join_fixture(64, ids)

@@ -11,6 +11,7 @@ All container types are immutable after construction and safe to share.
 from __future__ import annotations
 
 import base64
+import binascii
 import heapq
 import json
 import math
@@ -317,6 +318,8 @@ def validate(graph: ModelGraph, weights: WeightStore | None = None) -> list[str]
                         diags.append(f"{layer.id}: vector shape {shape} != ({layer.out_channels},)")
             elif layer.id in weights.tensors:
                 diags.append(f"{layer.id}: {layer.kind.value} layer cannot carry weights")
+        diags += [f"weights hold a tensor for unknown layer {layer_id!r}"
+                  for layer_id in weights.tensors if layer_id not in graph]
 
     return diags
 
@@ -361,29 +364,50 @@ def validate_masks(graph: ModelGraph, masks: Mapping[str, Iterable[int]],
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _write_json(f, value, depth: int) -> None:
-    """Write ``value`` as compact JSON, except that at depths 0 and 1 a
-    non-empty list or object puts each element on its own line."""
-    if depth == 2 or not isinstance(value, (dict, list)) or not value:
-        f.write(_ENCODER.encode(value))
+def _write_json(emit, value, depth: int) -> None:
+    """Emit ``value`` as compact JSON in ASCII bytes, except that at depths
+    0 and 1 a non-empty list or object puts each element on its own line.
+    A ``bytes`` value, a base64 payload, goes verbatim between quotes:
+    base64 needs no escaping. So an object holding one is written key by
+    key; any other value the C encoder writes whole. A key the writer
+    writes itself that is not a string raises ValidationError."""
+    if type(value) is bytes:
+        emit(b'"')
+        emit(value)
+        emit(b'"')
         return
     is_dict = isinstance(value, dict)
-    f.write("{" if is_dict else "[")
+    lines = depth < 2 and bool(value) and (is_dict or isinstance(value, list))
+    if not (lines or is_dict and bytes in map(type, value.values())):
+        emit(_ENCODER.encode(value).encode("ascii"))
+        return
+    if is_dict:
+        bad = [key for key in value if not isinstance(key, str)]
+        if bad:
+            raise ValidationError([f"cannot write key {bad[0]!r}: keys must be strings"])
+    emit(b"{" if is_dict else b"[")
     for i, key in enumerate(sorted(value) if is_dict else range(len(value))):
-        f.write(",\n" if i else "\n")
+        if lines:
+            emit(b",\n" if i else b"\n")
+        elif i:
+            emit(b",")
         if is_dict:
-            f.write(_ENCODER.encode(key) + ":")
-        _write_json(f, value[key], depth + 1)
-    f.write("\n}" if is_dict else "\n]")
+            emit(_ENCODER.encode(key).encode("ascii") + b":")
+        _write_json(emit, value[key], depth + 1)
+    emit((b"\n" if lines else b"") + (b"}" if is_dict else b"]"))
 
 
 def _dump_json(obj: dict, path: str | Path) -> None:
     """One line per top-level key and per element of a top-level list or
     object. Unlike ``json.dumps(indent=...)`` this keeps CPython's C
-    encoder, and it writes piece by piece instead of building the text."""
-    with open(path, "w", encoding="ascii") as f:
-        _write_json(f, obj, 0)
-        f.write("\n")
+    encoder. The pieces are collected before the file is opened, so a
+    value the writer refuses leaves no file behind, and written to it one
+    by one instead of being joined into the file's text."""
+    pieces: list[bytes] = []
+    _write_json(pieces.append, obj, 0)
+    pieces.append(b"\n")
+    with open(path, "wb") as f:
+        f.writelines(pieces)
 
 
 # orjson's first call reserves a buffer of about 8 MiB. Made while or after
@@ -549,16 +573,24 @@ def graph_from_dict(obj: dict, source: str = "<memory>") -> ModelGraph:
         raise ModelFormatError(f"{source}: {exc}") from exc
 
 
-def weights_to_dict(weights: WeightStore) -> dict:
-    """Version 2: each tensor's C-order little-endian float64 bytes, base64."""
+def _weights_file(weights: WeightStore) -> dict:
+    """The version-2 weights file as the writer takes it: each tensor's
+    C-order little-endian float64 bytes as base64 ``bytes``, encoded
+    straight from the array's buffer when it already holds them."""
     tensors = {}
     for layer_id, tensor in weights.tensors.items():
-        raw = np.asarray(tensor, dtype="<f8").tobytes(order="C")
-        tensors[layer_id] = {
-            "shape": list(tensor.shape),
-            "f64le": base64.b64encode(raw).decode("ascii"),
-        }
+        raw = np.ascontiguousarray(tensor, dtype="<f8")
+        tensors[layer_id] = {"shape": list(tensor.shape),
+                             "f64le": binascii.b2a_base64(raw, newline=False)}
     return {"version": WEIGHTS_FILE_VERSION, "tensors": tensors}
+
+
+def weights_to_dict(weights: WeightStore) -> dict:
+    """Version 2: each tensor's C-order little-endian float64 bytes, base64."""
+    obj = _weights_file(weights)
+    for rec in obj["tensors"].values():
+        rec["f64le"] = rec["f64le"].decode("ascii")
+    return obj
 
 
 def _decode_tensor(rec: dict, version: int) -> np.ndarray:
@@ -603,8 +635,11 @@ def weights_from_dict(obj: dict, source: str = "<memory>") -> WeightStore:
 
 def save_model(graph: ModelGraph, weights: WeightStore,
                model_file: str | Path, weights_file: str | Path) -> None:
+    """Write the model file and weights file version 2. A layer id in
+    ``weights`` that is not a string raises ValidationError before either
+    file is written, since the weights file is written first."""
+    _dump_json(_weights_file(weights), weights_file)
     _dump_json(graph_to_dict(graph), model_file)
-    _dump_json(weights_to_dict(weights), weights_file)
 
 
 def load_model(model_file: str | Path, weights_file: str | Path) -> tuple[ModelGraph, WeightStore]:

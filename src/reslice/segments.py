@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from reslice.graph import (INTERIOR_KINDS, MODE_OUTPUT, MODES, ChannelMask, LayerKind, ModelGraph,
                            ValidationError)
@@ -140,24 +142,25 @@ def propagate_vectors(
     return vectors
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # anchor to the smaller id so canonical slots are stable
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _join_roots(count: int, joined: Sequence[tuple[Sequence[int], Sequence[int]]],
+                ) -> np.ndarray:
+    """The smallest raw id of each raw id's class, where add joins identify
+    the ids at each position of the vector pairs in ``joined``. Each round
+    hooks, for every position whose two ids still lie in different classes,
+    the larger root onto the smaller, then jumps pointers until each id
+    points at its root; a root is thus always its class's smallest id."""
+    left = np.fromiter(chain.from_iterable(a for a, _ in joined), np.intp)
+    right = np.fromiter(chain.from_iterable(b for _, b in joined), np.intp)
+    root = np.arange(count)
+    while True:
+        a, b = root[left], root[right]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        apart = lo != hi
+        if not apart.any():
+            return root
+        np.minimum.at(root, hi[apart], lo[apart])
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 def _slot_numbering(count: int, joined: Sequence[tuple[Sequence[int], Sequence[int]]],
@@ -169,19 +172,16 @@ def _slot_numbering(count: int, joined: Sequence[tuple[Sequence[int], Sequence[i
     raw id is its own slot and vectors are canonical as they are."""
     if not joined:
         return (lambda vec: vec), count
-    uf = _UnionFind(count)
-    for a, b in joined:
-        for x, y in zip(a, b):
-            uf.union(x, y)
-    number: dict[int, int] = {}  # class representative -> slot
-    canon = [number.setdefault(uf.find(raw), len(number)) for raw in range(count)]
+    root = _join_roots(count, joined)
+    is_root = root == np.arange(count)
+    canon = (np.cumsum(is_root) - 1)[root].tolist()
     done: dict[tuple[int, ...], tuple[int, ...]] = {}  # many nodes share one vector
 
     def canon_vec(vec: tuple[int, ...]) -> tuple[int, ...]:
         if vec not in done:
             done[vec] = tuple(map(canon.__getitem__, vec))
         return done[vec]
-    return canon_vec, len(number)
+    return canon_vec, int(is_root.sum())
 
 
 def _walk(graph: ModelGraph, seed: str) -> tuple[set[str], set[str], set[str], bool]:

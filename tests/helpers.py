@@ -1,8 +1,9 @@
-"""Shared fixtures, random generators, independent oracles and a writer of
-version-1 weights files.
+"""Shared fixtures, random generators, independent oracles, a writer of
+version-1 weights files and an oracle of the layout every file is written in.
 
 The oracles deliberately re-derive results through different algorithms
-than the library (plain reachability + union-find for segments, raw
+than the library (plain reachability + union-find for segments, a
+depth-first search for the classes an add join identifies, raw
 permutation enumeration for zero-copy and consecutive-ones orders, every
 consumer subset for the largest consecutive-ones subset, a
 re-sorted ready list for topological order, a branch-and-bound DFS that
@@ -14,6 +15,7 @@ agreement means something.
 
 from __future__ import annotations
 
+import base64
 import json
 import pathlib
 from itertools import permutations, product
@@ -58,6 +60,33 @@ def save_weights_v1(weights: WeightStore, path) -> None:
                for lid, t in weights.tensors.items()}
     pathlib.Path(path).write_text(
         json.dumps({"version": 1, "tensors": tensors}, indent=2, sort_keys=True) + "\n")
+
+
+def oracle_file_bytes(obj) -> bytes:
+    """The documented layout of every file reslice writes, built with
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``: ``{``, one
+    line per top-level key in sorted order, where a non-empty top-level list
+    or object puts each element on its own line, then ``}`` and a newline."""
+    def dumps(value) -> str:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    def lay(value, depth: int) -> str:
+        if depth == 2 or not isinstance(value, (dict, list)) or not value:
+            return dumps(value)
+        if isinstance(value, dict):
+            lines = [f"{dumps(key)}:{lay(value[key], depth + 1)}" for key in sorted(value)]
+            return "{\n" + ",\n".join(lines) + "\n}"
+        return "[\n" + ",\n".join(lay(v, depth + 1) for v in value) + "\n]"
+    return (lay(obj, 0) + "\n").encode("ascii")
+
+
+def oracle_weights_dict(weights: WeightStore) -> dict:
+    """The value of a version-2 weights file: each tensor's C-order
+    little-endian float64 bytes, base64-encoded by ``base64.b64encode``."""
+    return {"version": 2, "tensors": {
+        lid: {"shape": list(t.shape),
+              "f64le": base64.b64encode(np.asarray(t, dtype="<f8").tobytes(order="C")).decode()}
+        for lid, t in weights.tensors.items()}}
 
 
 # --------------------------------------------------------------------------
@@ -415,6 +444,32 @@ def oracle_segments(graph: ModelGraph) -> list[tuple[tuple[str, ...], tuple[str,
         if prods:
             out.append((prods, cons))
     return sorted(out)
+
+
+def oracle_slot_numbering(count: int, joined) -> tuple[int, ...]:
+    """Each raw id's slot: the ids identified position by position by the
+    vector pairs in ``joined`` form classes, found by a depth-first search
+    from each id in ascending order, so classes are numbered in order of
+    their smallest id."""
+    adjacent: list[list[int]] = [[] for _ in range(count)]
+    for a, b in joined:
+        for x, y in zip(a, b):
+            adjacent[x].append(y)
+            adjacent[y].append(x)
+    slot: list[int | None] = [None] * count
+    number = 0
+    for start in range(count):
+        if slot[start] is not None:
+            continue
+        slot[start] = number
+        stack = [start]
+        while stack:
+            for v in adjacent[stack.pop()]:
+                if slot[v] is None:
+                    slot[v] = number
+                    stack.append(v)
+        number += 1
+    return tuple(slot)
 
 
 def zero_copy_exists(graph: ModelGraph, segment: Segment,

@@ -82,6 +82,21 @@ def test_validation_failures_are_exit_2(model_files, capsys):
                    "--masks", bad, "--out-prefix", tmp / "x") == 2
 
 
+def test_export_refuses_weights_for_an_unknown_layer(model_files, capsys):
+    # the stray tensor would otherwise be copied into the exported weights
+    tmp, model, weights = model_files
+    graph, store = load_model(model, weights)
+    store["ghost"] = np.zeros((2, 2))
+    save_model(graph, store, model, weights)
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2)}, masks)
+    capsys.readouterr()
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 2
+    assert "weights hold a tensor for unknown layer 'ghost'" in capsys.readouterr().err
+    assert not (tmp / "x.weights.json").exists()
+
+
 @pytest.mark.parametrize("model, mode, masks, segment", [
     (duplicate_read_fixture, "input", {"X": (0, 2)}, "f"),
     (intra_producer_merge_fixture, "input", {"B": (0, 2)}, "A"),

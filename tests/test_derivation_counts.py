@@ -3,10 +3,11 @@
 A 100-block chain is exported and the derivations are counted, not timed:
 a derivation that comes back a second time would double its count long
 before it showed in a timing. Per segment the pipeline walks the graph
-once, builds the slot space once (a union-find only where an add join
-identifies slots), decides once whether output mode can rewrite it (tracing
-its join's operands there and nowhere else) and resolves the masks once for
-ordering and planning, which share one derivation of the retained slot sets.
+once, builds the slot space once (joining raw ids into classes only where
+an add join identifies slots), decides once whether output mode can
+rewrite it (tracing its join's operands there and nowhere else) and
+resolves the masks once for ordering and planning, which share one
+derivation of the retained slot sets.
 Output mode orders no segment it cannot rewrite.
 """
 
@@ -95,8 +96,8 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
         return output_join(*args)
     monkeypatch.setattr(segments, "_output_join", traced)
     built = {}
-    for cls in (segments.Retained, segments._UnionFind):
-        _count(monkeypatch, built, cls, "__init__", cls.__name__)
+    _count(monkeypatch, built, segments.Retained, "__init__", "Retained")
+    _count(monkeypatch, counts, segments, "_join_roots")
     # each evaluation of Retained.slots, the retained slot sets
     derive_slots = segments.Retained.slots.func
     evaluated = []
@@ -123,7 +124,8 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
     assert built["Retained"] == len(found)  # masks resolved once per segment
     # ordering and planning share one derivation of a plan's slot sets
     assert len(evaluated) <= len(result.plans)
-    assert built["_UnionFind"] == joined  # only where an add join identifies slots
+    # raw ids are joined into classes only where an add join identifies slots
+    assert counts["segments._join_roots"] == joined
 
 
 def output_pruned_residual_chain():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -42,8 +43,8 @@ from reslice.cli import main as cli_main
 from reslice.pipeline import export_model
 from reslice.planner import load_plans, save_plans
 
-from helpers import (MIX, PER, build_model, fan_fixture, oracle_topological_order, random_dag,
-                     save_weights_v1)
+from helpers import (CONCAT, INPUT, MIX, OUTPUT, PER, build_model, fan_fixture, oracle_file_bytes,
+                     oracle_topological_order, oracle_weights_dict, random_dag, save_weights_v1)
 
 
 def test_duplicate_layer_ids_rejected():
@@ -179,6 +180,16 @@ def test_weights_on_weightless_layer_flagged():
     g, w = fan_fixture()
     w["r"] = np.zeros(4)
     assert any("cannot carry weights" in d for d in validate(g, w))
+
+
+def test_weights_for_an_unknown_layer_flagged(tmp_path):
+    g, w = fan_fixture()
+    w["ghost"] = np.zeros(4)
+    assert validate(g, w) == ["weights hold a tensor for unknown layer 'ghost'"]
+    m, wf = tmp_path / "m.json", tmp_path / "w.json"
+    save_model(g, w, m, wf)
+    with pytest.raises(ValidationError, match="unknown layer 'ghost'"):
+        load_model(m, wf)
 
 
 def test_normalize_mask_sorts_and_dedupes():
@@ -333,6 +344,91 @@ def test_weights_save_is_deterministic_across_runs_and_insertion_order(tmp_path)
     assert list(reversed_store.tensors) != list(store.tensors)
     save_model(g, reversed_store, tmp_path / "m.json", paths[2])
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("tensors", [{7: np.zeros((2, 2))},
+                                     {7: np.zeros((2, 2)), "A": np.zeros((2, 2))}])
+def test_save_model_refuses_a_layer_id_that_is_not_a_string(tmp_path, tensors):
+    # written, 7 would be a bare number the reader refuses; mixed with
+    # string ids it could not even be sorted
+    g, _ = fan_fixture()
+    m, wf = tmp_path / "m.json", tmp_path / "w.json"
+    with pytest.raises(ValidationError, match="cannot write key 7: keys must be strings"):
+        save_model(g, WeightStore(tensors), m, wf)
+    assert not m.exists() and not wf.exists()
+
+
+def _odd_ids_model():
+    """A fan whose layer ids need escaping in JSON: a quote, a backslash,
+    a non-ASCII letter and a newline."""
+    rows = [("in", INPUT, 4, 4), ('a"', MIX, 4, 4), ("b\\", MIX, 4, 2), ("c\u00e9", MIX, 4, 2),
+            ("d\n", CONCAT, 4, 4), ("out", OUTPUT, 4, 4)]
+    edges = [("in", 'a"'), ('a"', "b\\"), ('a"', "c\u00e9"), ("b\\", "d\n"), ("c\u00e9", "d\n"),
+             ("d\n", "out")]
+    return build_model(rows, edges)
+
+
+def test_every_file_writer_writes_the_oracle_layout(tmp_path):
+    graph, weights = _odd_ids_model()
+    masks = {"b\\": (0, 2), "c\u00e9": (3, 1)}
+    result = export_model(graph, weights, masks)
+    assert result.plans
+    m, wf, p, k = (tmp_path / name for name in ("m.json", "w.json", "p.json", "k.json"))
+    save_model(result.graph, result.weights, m, wf)
+    save_plans(result.plans, p)
+    save_masks(masks, k)
+    assert m.read_bytes() == oracle_file_bytes(graph_to_dict(result.graph))
+    assert wf.read_bytes() == oracle_file_bytes(oracle_weights_dict(result.weights))
+    assert p.read_bytes() == oracle_file_bytes(json.loads(p.read_bytes()))
+    assert k.read_bytes() == oracle_file_bytes(
+        {"version": 1, "retained": {"b\\": [0, 2], "c\u00e9": [1, 3]}})
+    # every odd id reaches each file, escaped
+    for path in (m, wf, p):
+        text = path.read_bytes()
+        assert all(esc in text for esc in (b'a\\"', b"b\\\\", b"c\\u00e9"))
+    assert b"d\\n" in m.read_bytes()
+    assert load_plans(p) == sorted(result.plans, key=lambda plan: plan.segment)
+
+
+@pytest.mark.parametrize("tensors", [
+    {},
+    {"A": np.array([[2.5]])},
+    {"A": np.arange(6.0).reshape(2, 3).T},  # a transposed view: not C-contiguous
+    {"A": np.arange(6.0).reshape(3, 2).astype(">f8")},
+    {"A": np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3)},
+    {"A": np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3])},
+    {'a"': np.ones(1), "b\\": np.ones(2), "c\u00e9": np.ones(3), "d\n": np.ones(4)},
+], ids=["empty", "1x1", "transposed", "big-endian", "float32", "signed-zero-subnormal",
+        "escaped-ids"])
+def test_save_model_writes_the_oracle_bytes(tmp_path, tensors):
+    # tensors passed straight to WeightStore(...) keep their dtype and layout
+    store = WeightStore(tensors)
+    empty = ModelGraph([], [])
+    m, wf = tmp_path / "m.json", tmp_path / "w.json"
+    save_model(empty, store, m, wf)
+    assert wf.read_bytes() == oracle_file_bytes(oracle_weights_dict(store))
+    assert m.read_bytes() == oracle_file_bytes(graph_to_dict(empty))
+    assert weights_to_dict(store) == oracle_weights_dict(store)
+    loaded = _load_weights(wf)
+    assert sorted(loaded.tensors) == sorted(tensors)
+    for lid, tensor in tensors.items():
+        want = np.asarray(tensor, dtype="<f8")
+        assert loaded[lid].shape == want.shape and loaded[lid].tobytes() == want.tobytes()
+
+
+def test_save_model_holds_about_one_copy_of_a_payload(tmp_path):
+    # 512x512 float64 is 2.1 MB of raw bytes and 2.8 MB of base64; encoding
+    # the payload to a str and then to file bytes would hold three copies
+    g = ModelGraph([Layer("in", INPUT, 512, 512), Layer("A", MIX, 512, 512),
+                    Layer("out", OUTPUT, 512, 512)], [("in", "A"), ("A", "out")])
+    store = WeightStore({"A": np.random.default_rng(0).standard_normal((512, 512))})
+    tracemalloc.start()
+    try:
+        save_model(g, store, tmp_path / "m.json", tmp_path / "w.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6
 
 
 def test_weights_versions_1_and_2_load_bit_identical_and_writable(tmp_path):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import reslice
 
 PACKAGE = Path(reslice.__file__).resolve().parent
@@ -72,57 +74,91 @@ def test_only_the_graph_module_spells_a_mode():
     assert spelled == {"graph.py"}
 
 
-def json_dump_callers(path):
-    """``module.function`` for each call of ``json.dump`` or ``json.dumps``
-    in a module (``module.<module>`` outside any function)."""
+def owners(path, matches):
+    """``module.function`` for each node of a module that ``matches``
+    (``module.<module>`` outside any function)."""
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in ("dump", "dumps")
-                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"):
+            if matches(child):
                 yield f"{path.stem}.{owner}"
             yield from visit(child, owner)
     return set(visit(ast.parse(path.read_text(), str(path)), "<module>"))
+
+
+def calls_json_dump(node):
+    """A call of ``json.dump`` or ``json.dumps``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
 
 
 def test_only_the_file_writer_and_stats_output_call_json_dump():
     # every file goes through graph._dump_json so that all share one
     # layout; `reslice stats --json` prints to stdout
-    callers = set().union(*(json_dump_callers(p) for p in PACKAGE.glob("*.py")))
+    callers = set().union(*(owners(p, calls_json_dump) for p in PACKAGE.glob("*.py")))
     assert callers <= {"graph._dump_json", "cli.cmd_stats"}
     imported = {n for p in PACKAGE.glob("*.py") for n in imported_names(p)}
     assert not imported & {"json.dump", "json.dumps"}
 
 
-def version_readers(path):
-    """``module.function`` for each read of a ``"version"`` key in a module:
-    ``obj["version"]`` or ``obj.get("version", ...)``."""
-    def reads_version(node):
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
-            key = node.slice
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get" and node.args):
-            key = node.args[0]
-        else:
-            return False
-        return isinstance(key, ast.Constant) and key.value == "version"
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, child.name)
-                continue
-            if reads_version(child):
-                yield f"{path.stem}.{owner}"
-            yield from visit(child, owner)
-    return set(visit(ast.parse(path.read_text(), str(path)), "<module>"))
+def reads_version(node):
+    """A read of a ``"version"`` key: ``obj["version"]`` or
+    ``obj.get("version", ...)``."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+        key = node.slice
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "get" and node.args):
+        key = node.args[0]
+    else:
+        return False
+    return isinstance(key, ast.Constant) and key.value == "version"
 
 
 def test_only_expect_version_reads_a_file_version():
     # every reader checks its file's version through graph._expect_version,
     # so that all refuse the same values (a bool, a float, a missing key)
-    readers = set().union(*(version_readers(p) for p in PACKAGE.glob("*.py")))
+    readers = set().union(*(owners(p, reads_version) for p in PACKAGE.glob("*.py")))
     assert readers == {"graph._expect_version"}
+
+
+READ_MODES = {"r", "rt", "tr", "rb", "br"}
+
+
+def writes_a_file(node):
+    """A call that can write a file: ``write_text``, ``write_bytes``, or an
+    ``open`` whose mode may be other than a constant read mode. The mode is
+    the second argument of ``open(path, mode)``; in ``x.open(...)`` it may
+    be the first (``Path.open(mode)``) or the second (``io.open(path,
+    mode)``), so such a call reads only if both are constant read modes."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:2]
+    modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return not all(isinstance(m, ast.Constant) and m.value in READ_MODES for m in modes)
+
+
+@pytest.mark.parametrize("code, writes", [
+    ("open(p, 'wb')", True), ("open(p, mode='a')", True), ("open(p, 'r+')", True),
+    ("open(p, m)", True), ("Path(p).open('x')", True), ("io.open(p, 'w')", True),
+    ("p.write_text(s)", True), ("p.write_bytes(b)", True),
+    ("open(p)", False), ("open(p, 'rb')", False), ("Path(p).open()", False),
+    ("Path(p).open('rb')", False),
+    ("p.read_text()", False),
+])
+def test_the_writer_check_reads_open_modes(code, writes):
+    assert any(writes_a_file(n) for n in ast.walk(ast.parse(code))) == writes
+
+
+def test_only_the_file_writer_opens_a_file_for_writing():
+    # one writer lays out every file; bytes payloads must not grow a second
+    writers = set().union(*(owners(p, writes_a_file) for p in PACKAGE.glob("*.py")))
+    assert writers == {"graph._dump_json"}

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reslice import LayerKind, ValidationError, export_model, find_segments
-from reslice.segments import propagate_vectors, resolve_masks
+import numpy as np
+
+from reslice.segments import _slot_numbering, propagate_vectors, resolve_masks
 
 from helpers import (
     ADD,
@@ -22,6 +24,7 @@ from helpers import (
     fan_fixture,
     intra_producer_merge_fixture,
     oracle_segments,
+    oracle_slot_numbering,
     per_channel_interior_fixture,
     random_dag,
     residual_block_fixture,
@@ -312,6 +315,34 @@ def test_propagate_vectors_concat_and_add():
     vecs = propagate_vectors(g, {"k", "r"}, {"A": (10, 11, 12), "C": (20, 21)})
     assert vecs["k"] == (10, 11, 12, 20, 21)
     assert vecs["r"] == (10, 11, 12, 20, 21)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_slot_numbering_matches_a_graph_search(data):
+    count = data.draw(st.integers(min_value=1, max_value=60))
+    raw_id = st.integers(min_value=0, max_value=count - 1)
+    joined = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        width = data.draw(st.integers(min_value=1, max_value=12))
+        vector = st.lists(raw_id, min_size=width, max_size=width).map(tuple)
+        joined.append((data.draw(vector), data.draw(vector)))
+    canon_vec, slots = _slot_numbering(count, joined)
+    want = oracle_slot_numbering(count, joined)
+    assert canon_vec(tuple(range(count))) == want
+    assert slots == max(want) + 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_slot_numbering_joins_a_long_shuffled_chain(seed):
+    # one class threaded through 2,000 ids in random order: many hooks per
+    # round, and roots that are not the smallest id at first
+    order = tuple(np.random.default_rng(seed).permutation(2000).tolist())
+    joined = [(order[:1000], order[1:1001]), (order[1000:-1], order[1001:])]
+    canon_vec, slots = _slot_numbering(2001, joined)
+    assert slots == 2
+    assert canon_vec(tuple(range(2001))) == (0,) * 2000 + (1,)
+    assert canon_vec(tuple(range(2001))) == oracle_slot_numbering(2001, joined)
 
 
 @settings(deadline=None, max_examples=60)

@@ -46,8 +46,7 @@ from reslice.masks import (
 )
 from reslice.pipeline import export_model, plan_model
 from reslice.planner import (
-    STRATEGY_BASELINE,
-    STRATEGY_CONSTRAINED,
+    MODE_STRATEGIES,
     STRATEGY_REORDER,
     apply_plan,
     copy_report,
@@ -131,11 +130,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     graph, _weights = load_model(args.model, args.weights)
     masks = load_masks(args.masks)
-    strategies = [STRATEGY_REORDER, STRATEGY_BASELINE]
-    if args.mode == MODE_INPUT:
-        strategies.append(STRATEGY_CONSTRAINED)
     rows = []
-    for strategy in strategies:
+    for strategy in MODE_STRATEGIES[args.mode]:
         plans, fallbacks = plan_model(graph, masks, mode=args.mode, strategy=strategy)
         rows.append((strategy, copy_report(plans), sorted(fallbacks)))
     if args.json:
@@ -178,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks", required=True)
     p.add_argument("--mode", choices=MODES, default=MODE_INPUT)
     p.add_argument("--strategy", default=STRATEGY_REORDER,
-                   choices=(STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED))
+                   choices=MODE_STRATEGIES[MODE_INPUT])
     p.add_argument("--out-prefix", required=True,
                    help="writes PREFIX.model.json, PREFIX.weights.json (weights file "
                         "version 2), PREFIX.plan.json")

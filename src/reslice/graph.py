@@ -109,9 +109,11 @@ class ModelGraph:
 
     def __init__(self, layers: Iterable[Layer], edges: Iterable[tuple[str, str]]):
         object.__setattr__(self, "layers", tuple(layers))
-        object.__setattr__(self, "edges", tuple((str(s), str(d)) for s, d in edges))
+        object.__setattr__(self, "edges", tuple((s, d) for s, d in edges))
         by_id = {}
         for layer in self.layers:
+            if not isinstance(layer.id, str):
+                raise ValidationError([f"layer id {layer.id!r} is not a string"])
             if layer.id in by_id:
                 raise ValidationError([f"duplicate layer id {layer.id!r}"])
             by_id[layer.id] = layer
@@ -657,7 +659,7 @@ def load_model(model_file: str | Path, weights_file: str | Path) -> tuple[ModelG
 
 
 def save_masks(masks: Mapping[str, Iterable[int]], path: str | Path) -> None:
-    retained = {str(layer_id): list(normalize_mask(idx)) for layer_id, idx in masks.items()}
+    retained = {layer_id: list(normalize_mask(idx)) for layer_id, idx in masks.items()}
     _dump_json({"version": MASKS_FILE_VERSION, "retained": retained}, path)
 
 

@@ -1,11 +1,14 @@
 """Weight-magnitude channel masks.
 
-Scores rank channels per layer; masks prune the globally lowest-scored
-fraction of (layer, channel) pairs. Unconstrained masks are independent per
-consumer. Constrained masks prune whole shared slots so every reader of a
-channel agrees, which keeps even the baseline exporter copy-free. They prune
-no slot of a locked segment, whose layout export keeps: its readers keep
-every column.
+Scores rank channels per layer. One rule prunes every mask: groups of
+(layer, channel) pairs go whole, cheapest first, while the pair budget
+covers the group and pruning it empties no layer and no producer band.
+The mask modes differ only in their groups. Unconstrained masks prune each
+pair alone, toward one budget over all layers or one per layer.
+Constrained masks prune a shared slot's pairs together, so every reader of
+a channel agrees, which keeps even the baseline exporter copy-free. They
+prune no slot of a locked segment, whose layout export keeps: its readers
+keep every column.
 """
 
 from __future__ import annotations
@@ -68,91 +71,47 @@ def score_channels(graph: ModelGraph, weights: Mapping[str, np.ndarray],
     return scores
 
 
-def _targets(graph: ModelGraph, scores: ChannelScore, side: str) -> list[str]:
-    if side == MODE_OUTPUT:
-        # skip the producers of segments whose filters output mode cannot drop
-        skip = {p for seg in find_segments(graph) if seg.output_lock_reason
-                for p in seg.producers}
-        return [lid for lid in sorted(scores) if lid not in skip]
-    return sorted(scores)
+# A group of (layer, channel) pairs pruned together: its score, its
+# tie-break key, its pairs and the producer band it takes a slot of, if any.
+Group = tuple[float, tuple, list[tuple[str, int]], tuple | None]
 
 
-def _prune_greedy(pairs: list[tuple[float, str, int]], budget: int,
-                  width: Mapping[str, int]) -> dict[str, set[int]]:
-    # Ascending score order; never empty a layer completely.
-    pruned: dict[str, set[int]] = {}
-    for _score, lid, ch in sorted(pairs):
-        if budget <= 0:
-            break
-        if len(pruned.get(lid, ())) >= width[lid] - 1:
+def _prune(groups: list[Group], budget: int, left: dict) -> set[tuple[str, int]]:
+    # Cheapest group first, ties broken by key. A group goes whole if the
+    # budget covers it and it takes no layer's or band's last channel;
+    # ``left`` counts the channels each layer and band still holds.
+    pruned: set[tuple[str, int]] = set()
+    for _score, _key, pairs, band in sorted(groups):
+        holders = [lid for lid, _ in pairs] + ([band] if band else [])
+        if len(pairs) > budget or any(left[h] <= 1 for h in holders):
             continue
-        pruned.setdefault(lid, set()).add(ch)
-        budget -= 1
+        for h in holders:
+            left[h] -= 1
+        pruned.update(pairs)
+        budget -= len(pairs)
     return pruned
 
 
-def _unconstrained(scores: ChannelScore, targets: list[str], sparsity: float,
-                   scope: str) -> ChannelMask:
-    width = {lid: len(scores[lid]) for lid in targets}
-    if scope == SCOPE_PER_LAYER:
-        pruned: dict[str, set[int]] = {}
-        for lid in targets:
-            per = [(float(scores[lid][ch]), lid, ch) for ch in range(width[lid])]
-            pruned.update(_prune_greedy(per, floor(sparsity * width[lid]), width))
-    else:
-        pairs = [(float(scores[lid][ch]), lid, ch)
-                 for lid in targets for ch in range(width[lid])]
-        pruned = _prune_greedy(pairs, floor(sparsity * len(pairs)), width)
-    return {lid: tuple(ch for ch in range(width[lid]) if ch not in pruned.get(lid, ()))
-            for lid in targets}
-
-
-def _constrained(scores: ChannelScore, segments: list[Segment],
-                 sparsity: float) -> ChannelMask:
-    # Shared slots are scored by summing every reader's score for the slot,
-    # then pruned greedily (cheapest slot first) toward the global pair
-    # budget. A slot is kept if dropping it would empty any reader's mask or
-    # any producer band. A locked segment keeps its layout, so its readers
-    # keep every column, though their pairs still count toward the budget.
-    readers: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    # bands of two segments may cover the same slot indices, so a band's
-    # budget is keyed by its segment too
-    slot_band: dict[tuple[str, int], tuple[str, tuple[int, ...]]] = {}
-    band_left: dict[tuple[str, tuple[int, ...]], int] = {}
+def _slot_groups(scores: ChannelScore, segments: list[Segment]) -> tuple[list[Group], dict]:
+    # One group per shared slot of an unlocked segment, read by every reader
+    # of the slot and scored by the sum of their scores, and the slot count
+    # of each producer band. Bands of two segments may cover the same slot
+    # indices, so a band is keyed by its segment too.
+    groups: list[Group] = []
+    bands: dict[tuple[str, tuple[int, ...]], int] = {}
     for seg in segments:
         if seg.lock_reason:
             continue
+        readers: dict[int, list[tuple[str, int]]] = {}
         for c in seg.consumers:
-            if c not in scores:
-                continue
-            for local, slot in enumerate(seg.consumer_slots[c]):
-                readers.setdefault((seg.id, slot), []).append((c, local))
+            for local, slot in enumerate(seg.consumer_slots[c] if c in scores else ()):
+                readers.setdefault(slot, []).append((c, local))
         for band in seg.bands:
-            band_left[(seg.id, band.slots)] = len(band.slots)
-            for slot in band.slots:
-                slot_band[(seg.id, slot)] = (seg.id, band.slots)
-
-    total = sum(len(scores[c]) for seg in segments for c in seg.consumers if c in scores)
-    budget = floor(sparsity * total)
-    ranked = sorted((sum(float(scores[c][local]) for c, local in pair_list), seg_id, slot)
-                    for (seg_id, slot), pair_list in readers.items())
-
-    left = {c: len(scores[c]) for seg in segments for c in seg.consumers if c in scores}
-    pruned: dict[str, set[int]] = {}
-    for _, seg_id, slot in ranked:
-        pair_list = readers[(seg_id, slot)]
-        band = slot_band[(seg_id, slot)]
-        if len(pair_list) > budget:
-            continue
-        if band_left[band] <= 1 or any(left[c] <= 1 for c, _ in pair_list):
-            continue
-        for c, local in pair_list:
-            pruned.setdefault(c, set()).add(local)
-            left[c] -= 1
-        band_left[band] -= 1
-        budget -= len(pair_list)
-    return {c: tuple(ch for ch in range(len(scores[c])) if ch not in pruned.get(c, ()))
-            for seg in segments for c in seg.consumers if c in scores}
+            bands[(seg.id, band.slots)] = len(band.slots)
+            groups += [(sum(float(scores[c][local]) for c, local in readers[slot]),
+                        (seg.id, slot), readers[slot], (seg.id, band.slots))
+                       for slot in band.slots if slot in readers]
+    return groups, bands
 
 
 def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
@@ -160,13 +119,16 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
                scope: str = SCOPE_GLOBAL) -> ChannelMask:
     """Retained-channel masks pruning roughly ``sparsity`` of scored pairs.
 
-    Every mask keeps at least one channel. Constrained masks prune whole
-    slots of the graph's segments (``find_segments``), found here, but none
-    of a locked one, whose readers count toward ``sparsity`` all the same.
-    Output-side masks silently skip the producers of every segment whose
-    filters output mode cannot drop (``Segment.output_lock_reason``: locked
-    layouts, stacked joins, per-channel offsets, a producer feeding the
-    join twice), so no pruned producer is left to the baseline infill's gather.
+    Every mask keeps at least one channel. Unconstrained masks prune single
+    pairs, toward a budget over all layers (global scope) or one per layer
+    (per-layer scope). Constrained masks take the global scope only and
+    prune whole slots of the graph's segments (``find_segments``), found
+    here, but none of a locked one, whose readers count toward ``sparsity``
+    all the same. Output-side masks silently skip the producers of every
+    segment whose filters output mode cannot drop
+    (``Segment.output_lock_reason``: locked layouts, stacked joins,
+    per-channel offsets, a producer feeding the join twice), so no pruned
+    producer is left to the baseline infill's gather.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError([f"sparsity must be in [0, 1), got {sparsity}"])
@@ -176,11 +138,27 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
         raise ValidationError([f"unknown side {side!r}"])
     if scope not in (SCOPE_GLOBAL, SCOPE_PER_LAYER):
         raise ValidationError([f"unknown scope {scope!r}"])
-    if mode == MODE_CONSTRAINED:
-        if side != MODE_INPUT:
-            raise ValidationError(["constrained masks are defined for the input side only"])
-        return _constrained(scores, find_segments(graph), sparsity)
-    return _unconstrained(scores, _targets(graph, scores, side), sparsity, scope)
+    if mode == MODE_CONSTRAINED and side != MODE_INPUT:
+        raise ValidationError(["constrained masks are defined for the input side only"])
+    if mode == MODE_CONSTRAINED and scope != SCOPE_GLOBAL:
+        raise ValidationError(["constrained masks take the global scope only"])
+    segments = find_segments(graph) if mode == MODE_CONSTRAINED or side == MODE_OUTPUT else []
+    skip = {p for seg in segments if side == MODE_OUTPUT and seg.output_lock_reason
+            for p in seg.producers}
+    width = {lid: len(scores[lid]) for lid in sorted(scores) if lid not in skip}
+    left = dict(width)
+    pruned: set[tuple[str, int]] = set()
+    # one budget over every layer, or one per layer
+    for lids in [[lid] for lid in width] if scope == SCOPE_PER_LAYER else [list(width)]:
+        if mode == MODE_CONSTRAINED:
+            groups, bands = _slot_groups(scores, segments)
+            left.update(bands)
+        else:
+            groups = [(float(scores[lid][ch]), (lid, ch), [(lid, ch)], None)
+                      for lid in lids for ch in range(width[lid])]
+        pruned |= _prune(groups, floor(sparsity * sum(width[lid] for lid in lids)), left)
+    return {lid: tuple(ch for ch in range(n) if (lid, ch) not in pruned)
+            for lid, n in width.items()}
 
 
 def achieved_sparsity(scores: ChannelScore, masks: ChannelMask) -> float:

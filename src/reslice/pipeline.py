@@ -23,6 +23,7 @@ from reslice.graph import (MODE_INPUT, MODE_OUTPUT, MODES, ChannelMask, ModelGra
                            ValidationError, WeightStore, validate_masks)
 from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.planner import (
+    MODE_STRATEGIES,
     STRATEGY_BASELINE,
     STRATEGY_CONSTRAINED,
     STRATEGY_REORDER,
@@ -94,10 +95,8 @@ def plan_model(graph: ModelGraph, masks: ChannelMask, mode: str = MODE_INPUT,
     output mode gives the baseline infill under reorder."""
     if mode not in MODES:
         raise ValidationError([f"unknown mode {mode!r}"])
-    if strategy not in (STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED):
-        raise ValidationError([f"unknown strategy {strategy!r}"])
-    if mode == MODE_OUTPUT and strategy == STRATEGY_CONSTRAINED:
-        raise ValidationError(["constrained strategy applies to input-side pruning only"])
+    if strategy not in MODE_STRATEGIES[mode]:
+        raise ValidationError([f"unknown strategy {strategy!r} for {mode} mode"])
     diags = validate_masks(graph, masks, mode)
     if diags:
         raise ValidationError(diags)

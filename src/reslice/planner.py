@@ -52,6 +52,9 @@ PLAN_FILE_VERSION = 1
 STRATEGY_REORDER = "reorder"
 STRATEGY_BASELINE = "baseline"
 STRATEGY_CONSTRAINED = "constrained"
+# the strategies each mode plans with, in the order ``reslice stats`` reports them
+MODE_STRATEGIES = {MODE_INPUT: (STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED),
+                   MODE_OUTPUT: (STRATEGY_REORDER, STRATEGY_BASELINE)}
 
 
 @dataclass(frozen=True)
@@ -728,8 +731,8 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
         mode, strategy = read_str(obj["mode"]), read_str(obj["strategy"])
         if mode not in MODES:
             raise ModelFormatError(f"unknown mode {mode!r}")
-        if strategy not in (STRATEGY_REORDER, STRATEGY_BASELINE, STRATEGY_CONSTRAINED):
-            raise ModelFormatError(f"unknown strategy {strategy!r}")
+        if strategy not in MODE_STRATEGIES[mode]:
+            raise ModelFormatError(f"unknown strategy {strategy!r} for {mode} mode")
         return SegmentPlan(
             segment=read_str(obj["segment"]),
             mode=mode,

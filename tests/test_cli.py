@@ -422,6 +422,17 @@ def test_verify_plan_with_an_unknown_mode_or_strategy_or_negative_reads_is_exit_
     assert "verification failed" in err and message in err
 
 
+def test_verify_output_plan_with_the_constrained_strategy_is_exit_4(model_files, capsys):
+    # export never writes such a plan: output mode plans no constrained strategy
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        segment["strategy"] = "constrained"
+    assert _tamper_plan(tmp, model, weights, capsys, tamper) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "unknown strategy 'constrained' for output mode" in err
+
+
 @pytest.mark.parametrize("mode,masks", [
     ("input", {"B": (0, 2), "D": (1, 2)}),
     ("output", {"A": (0, 2, 3), "C": (0, 1, 3)})])
@@ -597,6 +608,16 @@ def test_prune_constrained_keeps_an_ill_formed_segment(tmp_path, capsys, model):
     assert run_cli("export", "--model", files[0], "--weights", files[1], "--masks", masks,
                    "--strategy", "baseline", "--out-prefix", tmp_path / "x") == 0
     assert load_plans(tmp_path / "x.plan.json") == []
+
+
+def test_prune_refuses_constrained_masks_of_the_per_layer_scope(model_files, capsys):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    assert run_cli("prune", "--model", model, "--weights", weights, "--heuristic", "l2",
+                   "--sparsity", "0.5", "--constrained", "--scope", "per-layer",
+                   "--out", masks) == 2
+    assert "constrained masks take the global scope only" in capsys.readouterr().err
+    assert not masks.exists()
 
 
 def test_export_reruns_are_byte_identical(model_files):

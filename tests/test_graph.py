@@ -60,6 +60,21 @@ def test_edge_to_unknown_layer_rejected():
     assert "ghost" in str(exc.value)
 
 
+@pytest.mark.parametrize("edges", [[("i", 7)], []], ids=["connected", "alone"])
+def test_layer_id_that_is_not_a_string_rejected(edges):
+    # the files hold string ids only, so a graph with id 7 could be neither
+    # connected nor saved
+    layers = [Layer("i", LayerKind.INPUT, 2, 2), Layer(7, LayerKind.OUTPUT, 2, 2)]
+    with pytest.raises(ValidationError, match="layer id 7 is not a string"):
+        ModelGraph(layers, edges)
+
+
+def test_edge_ends_are_not_converted_to_strings():
+    layers = [Layer("i", LayerKind.INPUT, 2, 2), Layer("7", LayerKind.OUTPUT, 2, 2)]
+    with pytest.raises(ValidationError, match=r"edge \('i', 7\) references unknown layer"):
+        ModelGraph(layers, [("i", 7)])
+
+
 def test_predecessors_preserve_edge_order():
     g, _ = build_model(
         [("in", LayerKind.INPUT, 2, 2), ("x", MIX, 2, 3), ("y", MIX, 2, 3),
@@ -297,9 +312,15 @@ def test_masks_round_trip_and_normalization(tmp_path):
     assert loaded == {"B": (0, 2), "D": (1,)}
     save_masks(loaded, tmp_path / "again.json")
     assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
-    # a key that is not a string is written as a string
-    save_masks({7: [1]}, path)
-    assert load_masks(path) == {"7": (1,)}
+
+
+@pytest.mark.parametrize("masks", [{7: (0, 1)}, {7: (0,), "B": (1,)}])
+def test_save_masks_refuses_a_layer_id_that_is_not_a_string(tmp_path, masks):
+    # as for save_model: written, 7 would be text no layer is named
+    path = tmp_path / "masks.json"
+    with pytest.raises(ValidationError, match="cannot write key 7: keys must be strings"):
+        save_masks(masks, path)
+    assert not path.exists()
 
 
 # --------------------------------------------------------------------------

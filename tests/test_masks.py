@@ -1,14 +1,19 @@
 """Channel scoring and mask construction."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import helpers
 from helpers import (ADD, INPUT, MIX, OUTPUT, PASS, PER, build_model, concat_fixture,
-                     random_dag, residual_block_fixture, single_branch_fixture)
+                     dense_block, ramp_weights, random_dag, residual_block_fixture,
+                     single_branch_fixture)
+from reslice import masks as masks_module
 from reslice.graph import ValidationError, validate_masks
 from reslice.interp import check_equivalence
-from reslice.masks import achieved_sparsity, make_masks, score_channels
+from reslice.masks import HEURISTICS, achieved_sparsity, make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
 from reslice.segments import find_segments
 
@@ -193,6 +198,13 @@ def test_constrained_is_input_side_only():
         make_masks(graph, scores, 0.3, "constrained", side="output")
 
 
+def test_constrained_masks_take_the_global_scope_only():
+    graph, weights = residual_block_fixture()
+    scores = score_channels(graph, weights.tensors, "l1")
+    with pytest.raises(ValidationError, match="constrained masks take the global scope only"):
+        make_masks(graph, scores, 0.3, "constrained", scope="per-layer")
+
+
 def test_output_masks_skip_fragile_producers():
     graph, weights = single_branch_fixture()
     scores = score_channels(graph, weights.tensors, "l1", side="output")
@@ -247,3 +259,62 @@ def test_achieved_sparsity_counts_missing_layers_as_kept():
     graph, weights = two_layer_model()
     scores = score_channels(graph, weights.tensors, "l1")
     assert achieved_sparsity(scores, {"m1": (0,)}) == 2 / 6
+
+
+# sha256 of the canonical JSON of every mask set `_mask_grid` builds
+MASK_GRID_SHA256 = "052d2c723521adf23ba13a0e99575be9bfc9602a106e9680df01e7dcae5a2b06"
+
+
+def _mask_grid():
+    """Yield (label, graph, scores, sparsity, mode, side, scope) over 100
+    ``random_dag`` seeds and a small dense block with ``ramp_weights``, whose
+    many equal scores exercise every tie-break."""
+    models = [(f"random_dag({seed})", random_dag(seed)[0]) for seed in range(100)]
+    models.append(("dense_block(6, 32, 8)", dense_block(6, 32, 8)[0]))
+    for name, graph in models:
+        weights = ramp_weights(graph).tensors
+        for heuristic in HEURISTICS:
+            for side in ("input", "output"):
+                scores = score_channels(graph, weights, heuristic, side=side, seed=3)
+                for mode in ("unconstrained", "constrained"):
+                    if mode == "constrained" and side == "output":
+                        continue
+                    for scope in ("global", "per-layer"):
+                        if mode == "constrained" and scope == "per-layer":
+                            continue
+                        for sparsity in (0.0, 0.3, 0.5, 0.9):
+                            label = f"{name} {heuristic} {side} {mode} {scope} {sparsity}"
+                            yield label, graph, scores, sparsity, mode, side, scope
+
+
+def test_masks_match_a_pinned_digest():
+    # every mask set over a fixed grid, pinned by the sha256 of its canonical
+    # JSON: a rewrite of the greedy pruning must return exactly these masks
+    record = {}
+    for label, graph, scores, sparsity, mode, side, scope in _mask_grid():
+        masks = make_masks(graph, scores, sparsity, mode, side=side, scope=scope)
+        record[label] = {lid: list(kept) for lid, kept in masks.items()}
+    assert len(record) == 101 * 4 * 20
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == MASK_GRID_SHA256
+
+
+def test_make_masks_finds_segments_at_most_once(monkeypatch):
+    found = find_segments
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return found(graph)
+    monkeypatch.setattr(masks_module, "find_segments", counted)
+    graph = dense_block(6, 32, 8)[0]
+    weights = ramp_weights(graph).tensors
+    for side, mode, scope in (("input", "unconstrained", "global"),
+                              ("input", "unconstrained", "per-layer"),
+                              ("input", "constrained", "global"),
+                              ("output", "unconstrained", "global"),
+                              ("output", "unconstrained", "per-layer")):
+        scores = score_channels(graph, weights, "l2", side=side)
+        calls.clear()
+        make_masks(graph, scores, 0.5, mode, side=side, scope=scope)
+        assert len(calls) <= 1, (side, mode, scope)

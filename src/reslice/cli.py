@@ -106,6 +106,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError(diags)
     try:
         plans = load_plans(f"{args.out_prefix}.plan.json")
+        other = {plan.mode for plan in plans} - {args.mode}
+        if other:  # replayed under the wrong mode, a sound plan would fail numerically
+            print(f"verification failed: the plan is for {other.pop()} mode, "
+                  f"but --mode is {args.mode}", file=sys.stderr)
+            return EXIT_MISMATCH
         exported = load_model(f"{args.out_prefix}.model.json", f"{args.out_prefix}.weights.json")
         replayed_graph, replayed_weights = apply_plan(plans, graph, weights)
         if (graph_to_dict(replayed_graph) != graph_to_dict(exported[0])

@@ -587,14 +587,6 @@ def _weights_file(weights: WeightStore) -> dict:
     return {"version": WEIGHTS_FILE_VERSION, "tensors": tensors}
 
 
-def weights_to_dict(weights: WeightStore) -> dict:
-    """Version 2: each tensor's C-order little-endian float64 bytes, base64."""
-    obj = _weights_file(weights)
-    for rec in obj["tensors"].values():
-        rec["f64le"] = rec["f64le"].decode("ascii")
-    return obj
-
-
 def _decode_tensor(rec: dict, version: int) -> np.ndarray:
     shape = read_ints(rec["shape"])
     if version == 1:

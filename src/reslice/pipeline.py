@@ -46,8 +46,11 @@ class ExportResult:
     graph: ModelGraph
     weights: WeightStore
     plans: tuple[SegmentPlan, ...]
-    totals: CopyStats
     fallbacks: tuple[str, ...]  # output-mode segments given the baseline infill under reorder
+
+    @property
+    def totals(self) -> CopyStats:
+        return copy_report(self.plans)
 
 
 def _channel_order(segment: Segment, retained: Mapping[str, frozenset[int]],
@@ -117,7 +120,5 @@ def export_model(graph: ModelGraph, weights: WeightStore, masks: ChannelMask,
     """Plan and apply the full export; pure (inputs untouched)."""
     plans, fallbacks = plan_model(graph, masks, mode, strategy)
     out_graph, out_weights = apply_plan(plans, graph, weights)
-    return ExportResult(
-        graph=out_graph, weights=out_weights, plans=tuple(plans),
-        totals=copy_report(plans), fallbacks=tuple(fallbacks),
-    )
+    return ExportResult(graph=out_graph, weights=out_weights, plans=tuple(plans),
+                        fallbacks=tuple(fallbacks))

@@ -3,10 +3,11 @@
 A SegmentPlan is a pure value describing, per segment: which filters each
 producer keeps and in what order (the rest are dropped), how each consumer
 reads the rewritten tensor (contiguous slice + column permutation, or an
-explicit gather), how interior per-channel vectors are permuted, and the
-exact copy cost. ``apply_plan`` executes plans mechanically; it never
-re-derives anything, so a serialized plan is a complete record of the
-transformation.
+explicit gather) and how interior per-channel vectors are permuted. Its copy
+cost (``SegmentPlan.stats``) is read off those records, so a plan file
+holds no count of its own. ``apply_plan`` executes plans mechanically; it
+never re-derives anything, so a serialized plan is a complete record of
+the transformation.
 
 The planner picks no order: ``reslice.pipeline`` chooses each strategy's
 order, and None keeps a segment's layout. Input mode (``plan_export``)
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -129,7 +131,26 @@ class SegmentPlan:
     zero_columns: dict[str, tuple[int, ...]]  # consumer -> original columns zeroed
     infill: dict[str, tuple[int, ...]]  # producer -> gather params restoring its width
     join: JoinRewrite | None
-    stats: CopyStats
+
+    @cached_property
+    def stats(self) -> CopyStats:
+        """The plan's copy cost. Input mode: a consumer reads its columns
+        less the zeroed ones, and a gather copies all it reads. Output mode:
+        a producer reads its kept rows, and copies them behind an infill or
+        when the join runs holding it are not consecutive."""
+        if self.mode == MODE_INPUT:
+            return CopyStats(
+                sum(len(a.perm) - len(self.zero_columns.get(a.consumer, ()))
+                    for a in self.consumers),
+                sum(len(a.perm) for a in self.consumers if a.mode == "gather"))
+        runs = self.join.runs if self.join else ()
+        total = copied = 0
+        for p, rows in self.producer_orders.items():
+            held = [i for i, run in enumerate(runs) if p in run.windows]
+            total += len(rows)
+            if p in self.infill or (held and held[-1] - held[0] + 1 != len(held)):
+                copied += len(rows)
+        return CopyStats(total, copied)
 
 
 # --------------------------------------------------------------------------
@@ -145,10 +166,6 @@ def _access(consumer: str, columns: tuple[int, ...], spots: Sequence[int],
         return ConsumerAccess(consumer, "slice", start=min(spots), length=len(spots),
                               perm=tuple(map(columns.__getitem__, window)))
     return ConsumerAccess(consumer, "gather", perm=tuple(columns), indices=tuple(spots))
-
-
-def _access_cost(access: ConsumerAccess) -> int:
-    return len(access.perm) if access.mode == "gather" else 0
 
 
 def _index_of(vec: Sequence[int]) -> dict[int, int]:
@@ -232,7 +249,6 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
         producer_orders=producer_orders,
         consumers=tuple(accesses), per_channel=per_channel,
         zero_columns=zero_columns, infill={}, join=None,
-        stats=CopyStats(sum(map(len, kept.values())), sum(map(_access_cost, accesses))),
     )
 
 
@@ -247,19 +263,16 @@ def _plan_output_baseline(graph: ModelGraph, segment: Segment,
     is equivalent for any topology, bias layers included."""
     kept_filters = resolve_masks(segment, output_masks, MODE_OUTPUT)
     infill = {}
-    copied = 0
     for p, kept in kept_filters.items():
         width = graph.layer(p).out_channels
         if len(kept) < width:
             new_index = {local: i for i, local in enumerate(kept)}
             infill[p] = tuple(new_index.get(i, -1) for i in range(width))
-            copied += len(kept)
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_BASELINE,
         producers=segment.producers, interior=segment.interior,
         producer_orders=dict(kept_filters),
         consumers=(), per_channel={}, zero_columns={}, infill=infill, join=None,
-        stats=CopyStats(sum(map(len, kept_filters.values())), copied),
     )
 
 
@@ -270,9 +283,8 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     Producers adopt ``order``, which lists each kept filter's slot once
     (``Retained.slots``); the join is rewritten as maximal
     constant-producer-set runs (a slice per producer, an add per shared
-    run, one concat). Producers whose kept filters end up non-contiguous in
-    the order are counted as copied. With no order the layout stays: the
-    baseline infill. A segment output mode cannot rewrite
+    run, one concat). With no order the layout stays: the baseline
+    infill. A segment output mode cannot rewrite
     (``Segment.output_lock_reason``) takes no order.
     """
     if order is None:
@@ -290,11 +302,6 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     layouts = {p: tuple(sorted(retained[p], key=position.__getitem__))
                for p in segment.producers}
     producer_orders, _ = _structure_from_layouts(graph, segment, layouts, {})
-    total = sum(len(rows) for rows in producer_orders.values())
-    copied = 0
-    for layout in layouts.values():
-        if position[layout[-1]] - position[layout[0]] + 1 != len(layout):
-            copied += len(layout)
 
     join_rewrite = None
     join, operands = segment.join, segment.join_operands
@@ -336,7 +343,6 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
         producer_orders=producer_orders,
         consumers=tuple(accesses), per_channel={}, zero_columns={},
         infill={}, join=join_rewrite,
-        stats=CopyStats(total, copied),
     )
 
 
@@ -579,6 +585,8 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
         zeroed = plan.zero_columns.get(c, ())
         _check_indices(plan, f"{c} column order", perm, range(lay.in_channels))
         if zeroed:
+            if access.mode != "slice":  # a gather would copy more than it reads
+                raise ValidationError([f"{c}: a gathering consumer zeroes columns"])
             _check_indices(plan, f"{c} zero columns", zeroed, set(perm))
         if perm != tuple(range(lay.in_channels)):
             weights[c] = weights[c][:, list(perm)]
@@ -639,12 +647,9 @@ def apply_plan(plans: Sequence[SegmentPlan], graph: ModelGraph,
 
 
 def copy_report(plans: Iterable[SegmentPlan]) -> CopyStats:
-    """Aggregate stats across segments."""
-    total = copied = 0
-    for plan in plans:
-        total += plan.stats.total_reads
-        copied += plan.stats.copied
-    return CopyStats(total, copied)
+    """The copy cost of ``plans`` together."""
+    stats = [plan.stats for plan in plans]
+    return CopyStats(sum(s.total_reads for s in stats), sum(s.copied for s in stats))
 
 
 # --------------------------------------------------------------------------
@@ -706,13 +711,13 @@ def plan_to_dict(plan: SegmentPlan) -> dict:
         "zero_columns": _int_map_to_dict(plan.zero_columns),
         "infill": _int_map_to_dict(plan.infill),
         "join": join,
-        "stats": {"total_reads": plan.stats.total_reads, "copied": plan.stats.copied},
     }
 
 
 def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
     try:
-        # older files carry zero_rows, which export always wrote empty
+        # older files carry zero_rows, which export always wrote empty, and
+        # stats, which the records give (``SegmentPlan.stats``)
         if obj.get("zero_rows", {}) != {}:
             raise ModelFormatError(f"zero_rows must be empty, got {obj['zero_rows']!r}")
         join = None
@@ -727,7 +732,6 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
                 runs=tuple(JoinRun({str(p): _int_pair(w) for p, w in r["windows"].items()})
                            for r in j["runs"]),
             )
-        stats = obj["stats"]
         mode, strategy = read_str(obj["mode"]), read_str(obj["strategy"])
         if mode not in MODES:
             raise ModelFormatError(f"unknown mode {mode!r}")
@@ -745,21 +749,15 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             zero_columns=_int_map_from_dict(obj["zero_columns"]),
             infill=_int_map_from_dict(obj["infill"]),
             join=join,
-            stats=CopyStats(read_int(stats["total_reads"]), read_int(stats["copied"])),
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ModelFormatError(f"{source}: bad plan record ({exc})") from exc
 
 
 def save_plans(plans: Iterable[SegmentPlan], path: str | Path) -> None:
-    plans = list(plans)
-    totals = copy_report(plans)
-    obj = {
-        "version": PLAN_FILE_VERSION,
-        "segments": [plan_to_dict(p) for p in sorted(plans, key=lambda p: p.segment)],
-        "totals": {"total_reads": totals.total_reads, "copied": totals.copied},
-    }
-    _dump_json(obj, path)
+    _dump_json({"version": PLAN_FILE_VERSION,
+                "segments": [plan_to_dict(p) for p in sorted(plans, key=lambda p: p.segment)]},
+               path)
 
 
 def load_plans(path: str | Path) -> list[SegmentPlan]:

@@ -6,7 +6,8 @@ and the sha256 of the model, weights and plan files that ``export_model``
 plus ``save_model`` and ``save_plans`` write in input mode (reorder,
 baseline, constrained) and output mode (reorder, baseline). A run that
 raises pins the hash of its error's type and message instead. Weights come
-from ``ramp_weights``, so nothing is drawn at test time.
+from ``ramp_weights``, so nothing is drawn at test time. ``COUNTS_SHA256``
+pins every plan's copy count over the same runs.
 
 The masks were drawn once, when the corpus was written. Rewrite the corpus
 (``python tests/test_golden_corpus.py``) only for a change that means to
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reslice import ValidationError, export_model, save_model, save_plans
+from reslice import ValidationError, export_model, plan_model, save_model, save_plans
 from reslice.graph import graph_from_dict, graph_to_dict, load_model
 from reslice.masks import make_masks, score_channels
 
@@ -88,6 +89,30 @@ def test_version_1_weights_load_bit_identical(case, scratch):
         got = loaded[lid]
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# sha256 of every plan's (segment, total_reads, copied) over the corpus's runs
+COUNTS_SHA256 = "0a8eaea58ca2b0d819193125ec3567033266f021b90c76fe6fa5ce18bde57cc7"
+
+
+def test_copy_counts_match_a_pinned_digest():
+    # the paper's metric, per plan: a change to how a count is derived must
+    # leave every count as it is
+    record = {}
+    for case in _cases():
+        graph = graph_from_dict(case["model"])
+        for mode, strategy in RUNS:
+            masks = {lid: tuple(idx) for lid, idx in case["masks"][mode].items()}
+            try:
+                plans, _ = plan_model(graph, masks, mode=mode, strategy=strategy)
+            except ValidationError as exc:
+                record[f"{case['name']}/{mode}/{strategy}"] = str(exc)
+                continue
+            record[f"{case['name']}/{mode}/{strategy}"] = [
+                [p.segment, p.stats.total_reads, p.stats.copied] for p in plans]
+    assert len(record) == 101 * len(RUNS)
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == COUNTS_SHA256
 
 
 def test_corpus_covers_both_modes_and_the_dense_block():

@@ -35,7 +35,6 @@ from reslice.graph import (
     validate,
     validate_masks,
     weights_from_dict,
-    weights_to_dict,
 )
 
 import reslice.graph
@@ -293,7 +292,7 @@ def test_load_model_validates_invariants(tmp_path):
     m, wf = tmp_path / "m.json", tmp_path / "w.json"
     save_model(g, w, m, wf)
     obj = json.loads(wf.read_text())
-    obj["tensors"]["A"] = weights_to_dict(WeightStore({"A": np.zeros((2, 2))}))["tensors"]["A"]
+    obj["tensors"]["A"] = oracle_weights_dict(WeightStore({"A": np.zeros((2, 2))}))["tensors"]["A"]
     wf.write_text(json.dumps(obj))
     with pytest.raises(ValidationError):
         load_model(m, wf)
@@ -429,7 +428,6 @@ def test_save_model_writes_the_oracle_bytes(tmp_path, tensors):
     save_model(empty, store, m, wf)
     assert wf.read_bytes() == oracle_file_bytes(oracle_weights_dict(store))
     assert m.read_bytes() == oracle_file_bytes(graph_to_dict(empty))
-    assert weights_to_dict(store) == oracle_weights_dict(store)
     loaded = _load_weights(wf)
     assert sorted(loaded.tensors) == sorted(tensors)
     for lid, tensor in tensors.items():
@@ -470,7 +468,7 @@ def test_weights_versions_1_and_2_load_bit_identical_and_writable(tmp_path):
 
 
 def _v2_record(tamper):
-    rec = weights_to_dict(WeightStore({"A": np.arange(4.0).reshape(2, 2)}))["tensors"]["A"]
+    rec = oracle_weights_dict(WeightStore({"A": np.arange(4.0).reshape(2, 2)}))["tensors"]["A"]
     tamper(rec)
     return {"version": 2, "tensors": {"A": rec}}
 
@@ -673,7 +671,7 @@ READER_CASES = {
     "not_an_object": "[1.5, -2.5]",
     "tensors_not_an_object": '{"version": 1, "tensors": [[1.5]]}',
     "record_not_an_object": '{"version": 1, "tensors": {"m": [1.5]}}',
-    "version_2": json.dumps(weights_to_dict(WeightStore(
+    "version_2": json.dumps(oracle_weights_dict(WeightStore(
         {"m": np.arange(6.0).reshape(2, 3) / 3, "v": np.array([1.5, -2.5])}))),
 }
 

@@ -162,3 +162,16 @@ def test_only_the_file_writer_opens_a_file_for_writing():
     # one writer lays out every file; bytes payloads must not grow a second
     writers = set().union(*(owners(p, writes_a_file) for p in PACKAGE.glob("*.py")))
     assert writers == {"graph._dump_json"}
+
+
+def builds_copy_stats(node):
+    """A call of ``CopyStats(...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "CopyStats")
+
+
+def test_one_function_defines_the_copy_count():
+    # a plan's copy cost is read off the plan in SegmentPlan.stats and
+    # summed by copy_report; no planner counts on its own
+    builders = set().union(*(owners(p, builds_copy_stats) for p in PACKAGE.glob("*.py")))
+    assert builders == {"planner.stats", "planner.copy_report"}

@@ -1,5 +1,6 @@
 """Export planning: per-segment rewrite plans and their execution."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -211,6 +212,19 @@ def test_constrained_zeroes_columns():
     new_graph, new_weights = apply_plan([plan], graph, weights)
     report = check_equivalence(graph, weights, masks, new_graph, new_weights, seed=3)
     assert report.passed
+
+
+def test_apply_refuses_zero_columns_on_a_gathering_consumer():
+    # a gather copies every column it reads, so zeroing some would leave it
+    # copying more than it reads; the planner never writes such a plan
+    graph, weights = fan_fixture(4, ("B", "D"))
+    plan = planned(graph, {"B": (0, 1), "D": (1, 2)}, "constrained")
+    b = access(plan, "B")
+    gather = ConsumerAccess("B", "gather", perm=b.perm,
+                            indices=tuple(range(b.start, b.start + b.length)))
+    bad = dataclasses.replace(plan, consumers=(gather, access(plan, "D")))
+    with pytest.raises(ValidationError, match="B: a gathering consumer zeroes columns"):
+        apply_plan([bad], graph, weights)
 
 
 def test_constrained_keeps_a_channel_read_twice_in_place():
@@ -587,9 +601,9 @@ def test_plan_file_rejects_bad_input(tmp_path):
     (tmp_path / "broken.json").write_text('{"version": 1, "segments": [{"mode": "x"}]}')
     with pytest.raises(ModelFormatError):
         load_plans(tmp_path / "broken.json")
-    # a mode or strategy outside the known names, or a negative read count
+    # a mode or strategy outside the known names
     record = obj["segments"][0]
     for key, value in (("mode", 5), ("mode", "sideways"), ("strategy", ["x"]),
-                       ("strategy", "magic"), ("stats", {"total_reads": -1, "copied": 0})):
+                       ("strategy", "magic")):
         with pytest.raises(ModelFormatError):
             plan_from_dict({**record, key: value})

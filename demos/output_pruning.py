@@ -50,8 +50,8 @@ def main():
     for prod, rows in sorted(plan.producer_orders.items()):
         print(f"   {prod}: keeps filters {rows}")
     for run in plan.join.runs:
-        windows = {p: f"[{s}:{s + n}]" for p, (s, n) in run.windows.items()}
-        print(f"   run {'+'.join(run.producers):<4} windows {windows}")
+        windows = {p: f"[{s}:{s + n}]" for p, (s, n) in sorted(run.items())}
+        print(f"   run {'+'.join(sorted(run)):<4} windows {windows}")
     print(f"   copied: {result.totals.copied}")
     layer_ids = [l.id for l in result.graph.layers]
     print(f"   rebuilt join nodes: {[i for i in layer_ids if i.startswith('j.')]}")
@@ -63,7 +63,8 @@ def main():
     print("\nbaseline export: drop filters, restore width with a zero-fill gather")
     base = export_model(graph, weights, masks, mode="output", strategy="baseline")
     for plan in base.plans:
-        for prod, params in sorted(plan.infill.items()):
+        for prod in plan.infill:
+            params = base.graph.layer(f"{prod}.restore").params
             print(f"   {prod}: gather params {params} (-1 fills zero)")
     print(f"   copied: {base.totals.copied}")
     report = check_equivalence(graph, weights, masks, base.graph,

@@ -76,10 +76,9 @@ def main():
         print(f"   {prod}: keeps filters {rows} of {graph.layer(prod).out_channels}")
     for a in plan.consumers:
         if a.mode == "slice":
-            print(f"   {a.consumer}: slice [{a.start}:{a.start + a.length}] "
-                  f"reading original columns {a.perm}")
+            print(f"   {a.consumer}: slice [{a.start}:{a.start + a.length}]")
         else:
-            print(f"   {a.consumer}: gather {a.indices}")
+            print(f"   {a.consumer}: gather original columns {a.columns}")
     print(f"   copied channels: {result.totals.copied} of {result.totals.total_reads}")
 
     print("\n5. numerical check against the masked original")

@@ -128,7 +128,8 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
     segment whose filters output mode cannot drop
     (``Segment.output_lock_reason``: locked layouts, stacked joins,
     per-channel offsets, a producer feeding the join twice), so no pruned
-    producer is left to the baseline infill's gather.
+    producer is left to the baseline infill's gather. Each layer's scores
+    must number its channels on ``side``, else ValidationError.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError([f"sparsity must be in [0, 1), got {sparsity}"])
@@ -145,7 +146,15 @@ def make_masks(graph: ModelGraph, scores: ChannelScore, sparsity: float,
     segments = find_segments(graph) if mode == MODE_CONSTRAINED or side == MODE_OUTPUT else []
     skip = {p for seg in segments if side == MODE_OUTPUT and seg.output_lock_reason
             for p in seg.producers}
-    width = {lid: len(scores[lid]) for lid in sorted(scores) if lid not in skip}
+    width = {}  # the layers' widths on ``side``, which the scores must match
+    for lid in sorted(set(scores) - skip):
+        if lid not in graph:
+            raise ValidationError([f"scores name unknown layer {lid!r}"])
+        layer = graph.layer(lid)
+        width[lid] = layer.in_channels if side == MODE_INPUT else layer.out_channels
+        if len(scores[lid]) != width[lid]:
+            raise ValidationError([f"{lid}: {len(scores[lid])} scores for {width[lid]} "
+                                   f"{side}-side channels"])
     left = dict(width)
     pruned: set[tuple[str, int]] = set()
     # one budget over every layer, or one per layer

@@ -1,13 +1,15 @@
 """Export planning: turn a channel order into a concrete graph rewrite.
 
-A SegmentPlan is a pure value describing, per segment: which filters each
-producer keeps and in what order (the rest are dropped), how each consumer
-reads the rewritten tensor (contiguous slice + column permutation, or an
-explicit gather) and how interior per-channel vectors are permuted. Its copy
-cost (``SegmentPlan.stats``) is read off those records, so a plan file
-holds no count of its own. ``apply_plan`` executes plans mechanically; it
-never re-derives anything, so a serialized plan is a complete record of
-the transformation.
+A SegmentPlan is a pure value recording one segment's decisions: which
+filters each producer keeps and in what order (the rest are dropped), how
+each consumer reads the rewritten tensor (a slice window, or the columns
+an explicit gather keeps) and, in output mode, which producers an infill
+restores and the runs of the rebuilt join. Its copy cost
+(``SegmentPlan.stats``) is read off those records. ``apply_plan`` derives
+everything else from the producers' row orders, in one walk over the
+segment's interior: every channel permutation, the gather positions, the
+infill's parameters and whether the join stays. So a serialized plan is a
+complete record of the transformation, and stores nothing it derives.
 
 The planner picks no order: ``reslice.pipeline`` chooses each strategy's
 order, and None keeps a segment's layout. Input mode (``plan_export``)
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import accumulate, chain, groupby
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -78,46 +80,37 @@ class CopyStats:
 
 @dataclass(frozen=True)
 class ConsumerAccess:
-    """How one consumer reads the rewritten tensor.
-
-    ``perm`` lists the consumer's original input-column indices in the new
-    column order (a bijection onto its retained set). Slice mode: the
-    consumer reads ``[start, start+length)`` of its rewritten input; perm
-    follows window order. Gather mode: ``indices[i]`` is the position in the
-    rewritten input holding the channel for new column ``i``; perm is
-    ascending.
-    """
+    """How one consumer reads the rewritten tensor: slice mode reads the
+    window ``[start, start+length)`` of it; gather mode gathers ``columns``,
+    the consumer's original input columns it keeps, ascending, from wherever
+    they land. Either way ``apply_plan`` derives the column order."""
 
     consumer: str
     mode: str  # "slice" | "gather"
     start: int = 0
     length: int = 0
-    perm: tuple[int, ...] = ()
-    indices: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class JoinRun:
-    """One maximal run of output channels with a constant producer set."""
-
-    windows: dict[str, tuple[int, int]]  # producer -> (start, length) in its new output
+    columns: tuple[int, ...] = ()
 
     @property
-    def producers(self) -> tuple[str, ...]:
-        return tuple(sorted(self.windows))
+    def width(self) -> int:
+        """The number of columns the consumer reads."""
+        return self.length if self.mode == "slice" else len(self.columns)
 
 
 @dataclass(frozen=True)
 class JoinRewrite:
+    """The rebuilt join. Each run is one maximal stretch of its output
+    channels with a constant producer set, mapping each of them to its
+    ``(start, length)`` window in the producer's new output."""
+
     join: str
-    keep_original: bool
     operands: dict[str, str]  # producer -> the join operand on its branch
-    runs: tuple[JoinRun, ...]
+    runs: tuple[dict[str, tuple[int, int]], ...]
 
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """One segment's rewrite, executed as given by ``apply_plan``. Masks
+    """One segment's rewrite decisions, executed by ``apply_plan``. Masks
     keep at least one channel each, so no kept filter is ever zeroed."""
 
     segment: str
@@ -127,9 +120,8 @@ class SegmentPlan:
     interior: tuple[str, ...]
     producer_orders: dict[str, tuple[int, ...]]  # kept local filters, new order
     consumers: tuple[ConsumerAccess, ...]
-    per_channel: dict[str, tuple[int, ...]]  # interior vector id -> old positions, new order
     zero_columns: dict[str, tuple[int, ...]]  # consumer -> original columns zeroed
-    infill: dict[str, tuple[int, ...]]  # producer -> gather params restoring its width
+    infill: tuple[str, ...]  # producers whose width a zero-filling gather restores
     join: JoinRewrite | None
 
     @cached_property
@@ -140,13 +132,13 @@ class SegmentPlan:
         when the join runs holding it are not consecutive."""
         if self.mode == MODE_INPUT:
             return CopyStats(
-                sum(len(a.perm) - len(self.zero_columns.get(a.consumer, ()))
+                sum(a.width - len(self.zero_columns.get(a.consumer, ()))
                     for a in self.consumers),
-                sum(len(a.perm) for a in self.consumers if a.mode == "gather"))
+                sum(a.width for a in self.consumers if a.mode == "gather"))
         runs = self.join.runs if self.join else ()
         total = copied = 0
         for p, rows in self.producer_orders.items():
-            held = [i for i, run in enumerate(runs) if p in run.windows]
+            held = [i for i, run in enumerate(runs) if p in run]
             total += len(rows)
             if p in self.infill or (held and held[-1] - held[0] + 1 != len(held)):
                 copied += len(rows)
@@ -162,10 +154,8 @@ def _access(consumer: str, columns: tuple[int, ...], spots: Sequence[int],
     """The access record of a consumer whose ascending input ``columns``
     land at ``spots``, their positions in the rewritten input."""
     if not force_gather and max(spots) - min(spots) + 1 == len(spots):
-        window = sorted(range(len(spots)), key=spots.__getitem__)
-        return ConsumerAccess(consumer, "slice", start=min(spots), length=len(spots),
-                              perm=tuple(map(columns.__getitem__, window)))
-    return ConsumerAccess(consumer, "gather", perm=tuple(columns), indices=tuple(spots))
+        return ConsumerAccess(consumer, "slice", start=min(spots), length=len(spots))
+    return ConsumerAccess(consumer, "gather", columns=tuple(columns))
 
 
 def _index_of(vec: Sequence[int]) -> dict[int, int]:
@@ -173,22 +163,11 @@ def _index_of(vec: Sequence[int]) -> dict[int, int]:
     return dict(zip(vec, range(len(vec))))
 
 
-def _structure_from_layouts(
-    graph: ModelGraph, segment: Segment,
-    layouts: Mapping[str, tuple[int, ...]], vectors: Mapping[str, tuple[int, ...]],
-) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
-    """Producer row orders and per-channel vector perms induced by new
-    per-producer slot layouts."""
-    producer_orders = {}
-    for p in segment.producers:
-        local_of = _index_of(segment.producer_slots[p])
-        producer_orders[p] = tuple(map(local_of.__getitem__, layouts[p]))
-    per_channel = {}
-    for u in segment.interior:
-        if graph.layer(u).kind is LayerKind.PER_CHANNEL:
-            old_pos = _index_of(segment.node_slots[u])
-            per_channel[u] = tuple(map(old_pos.__getitem__, vectors[u]))
-    return producer_orders, per_channel
+def _producer_rows(segment: Segment, layouts: Mapping[str, tuple[int, ...]]
+                   ) -> dict[str, tuple[int, ...]]:
+    """Each producer's kept filters, in the order of its new slot layout."""
+    return {p: tuple(map(_index_of(segment.producer_slots[p]).__getitem__, layouts[p]))
+            for p in segment.producers}
 
 
 def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | None,
@@ -214,12 +193,10 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
     if order is None:
         producer_orders = {p: tuple(range(graph.layer(p).out_channels))
                            for p in segment.producers}
-        per_channel: dict[str, tuple[int, ...]] = {}
     else:
         layouts = band_layouts(segment, order)
         vectors = propagate_vectors(graph, segment.interior, layouts)
-        producer_orders, per_channel = _structure_from_layouts(
-            graph, segment, layouts, vectors)
+        producer_orders = _producer_rows(segment, layouts)
 
     accesses = []
     zero_columns = {}
@@ -246,9 +223,8 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
     return SegmentPlan(
         segment=segment.id, mode=MODE_INPUT, strategy=strategy,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders,
-        consumers=tuple(accesses), per_channel=per_channel,
-        zero_columns=zero_columns, infill={}, join=None,
+        producer_orders=producer_orders, consumers=tuple(accesses),
+        zero_columns=zero_columns, infill=(), join=None,
     )
 
 
@@ -262,17 +238,13 @@ def _plan_output_baseline(graph: ModelGraph, segment: Segment,
     zero-filling gather right after it. Downstream stays untouched, so this
     is equivalent for any topology, bias layers included."""
     kept_filters = resolve_masks(segment, output_masks, MODE_OUTPUT)
-    infill = {}
-    for p, kept in kept_filters.items():
-        width = graph.layer(p).out_channels
-        if len(kept) < width:
-            new_index = {local: i for i, local in enumerate(kept)}
-            infill[p] = tuple(new_index.get(i, -1) for i in range(width))
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_BASELINE,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=dict(kept_filters),
-        consumers=(), per_channel={}, zero_columns={}, infill=infill, join=None,
+        producer_orders=dict(kept_filters), consumers=(), zero_columns={},
+        infill=tuple(sorted(p for p, kept in kept_filters.items()
+                            if len(kept) < graph.layer(p).out_channels)),
+        join=None,
     )
 
 
@@ -301,65 +273,37 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     position = {slot: i for i, slot in enumerate(order)}
     layouts = {p: tuple(sorted(retained[p], key=position.__getitem__))
                for p in segment.producers}
-    producer_orders, _ = _structure_from_layouts(graph, segment, layouts, {})
 
     join_rewrite = None
-    join, operands = segment.join, segment.join_operands
-    if join:
+    if segment.join:
         # one run per stretch of ``order`` whose slots the same producers keep
-        runs: list[JoinRun] = []
+        runs = []
         cursor = dict.fromkeys(segment.producers, 0)
         owners = (tuple(p for p in segment.producers if slot in retained[p]) for slot in order)
         for sig, stretch in groupby(owners):
             length = len(list(stretch))
-            runs.append(JoinRun({p: (cursor[p], length) for p in sig}))
+            runs.append({p: (cursor[p], length) for p in sig})
             for p in sig:
                 cursor[p] += length
+        join_rewrite = JoinRewrite(segment.join, dict(segment.join_operands), tuple(runs))
 
-        if graph.layer(join).kind is LayerKind.ADD:
-            keep = len(runs) == 1 and runs[0].producers == segment.producers
-        else:
-            producer_of = {op: p for p, op in operands.items()}
-            keep = ([r.producers for r in runs]
-                    == [(producer_of[op],) for op in graph.predecessors(join)]
-                    and all(r.windows[p] == (0, len(producer_orders[p]))
-                            for r in runs for p in r.windows))
-        join_rewrite = JoinRewrite(join, keep, dict(operands), tuple(runs))
-
-    # consumers read everything that survived; always a full slice. The
+    # consumers read everything that survived, always a full slice. The
     # rewritten join emits the combined order; pass-throughs forward it.
-    overrides = {join_rewrite.join: order} if join_rewrite else None
+    overrides = {segment.join: order} if segment.join else None
     vectors = propagate_vectors(graph, segment.interior, layouts, overrides=overrides)
-    accesses = []
-    for c in segment.consumers:
-        realized = vectors[graph.predecessors(c)[0]]
-        local_of = {slot: i for i, slot in enumerate(segment.consumer_slots[c])}
-        perm = tuple(local_of[s] for s in realized)
-        accesses.append(ConsumerAccess(c, "slice", start=0, length=len(realized), perm=perm))
-
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_REORDER,
         producers=segment.producers, interior=segment.interior,
-        producer_orders=producer_orders,
-        consumers=tuple(accesses), per_channel={}, zero_columns={},
-        infill={}, join=join_rewrite,
+        producer_orders=_producer_rows(segment, layouts),
+        consumers=tuple(ConsumerAccess(c, "slice", length=len(vectors[graph.predecessors(c)[0]]))
+                        for c in segment.consumers),
+        zero_columns={}, infill=(), join=join_rewrite,
     )
 
 
 # --------------------------------------------------------------------------
 # plan application
 # --------------------------------------------------------------------------
-
-def _fresh_id(taken: set[str], base: str) -> str:
-    if base not in taken:
-        taken.add(base)
-        return base
-    k = 2
-    while f"{base}_{k}" in taken:
-        k += 1
-    taken.add(f"{base}_{k}")
-    return f"{base}_{k}"
-
 
 class _Rewrite:
     """A mutable copy of ``source`` under rewrite.
@@ -389,8 +333,20 @@ class _Rewrite:
     def predecessors(self, layer_id: str) -> list[str]:
         return [self.edges[i][0] for i in self.in_edges[layer_id]]
 
-    def add_layer(self, layer: Layer) -> None:
-        self.layers[layer.id] = layer
+    def add_node(self, base: str, kind: LayerKind, sources: Sequence[str], in_channels: int,
+                 out_channels: int, params: tuple[int, ...] | None = None) -> str:
+        """Add a layer reading ``sources``, in order, under the first free id
+        of ``base``, ``base_2``, ``base_3``...; returns the id."""
+        nid, k = base, 2
+        while nid in self.taken:
+            nid, k = f"{base}_{k}", k + 1
+        self.taken.add(nid)
+        self.layers[nid] = Layer(nid, kind, in_channels, out_channels, params)
+        for src in sources:
+            self.out_edges[src].append(len(self.edges))
+            self.in_edges[nid].append(len(self.edges))
+            self.edges.append((src, nid))
+        return nid
 
     def remove_layer(self, layer_id: str) -> None:
         """Drop a layer and the edges into it; move its out-edges first."""
@@ -398,11 +354,6 @@ class _Rewrite:
             self.out_edges[self.edges[i][0]].remove(i)
             self.edges[i] = None
         del self.layers[layer_id]
-
-    def add_edge(self, src: str, dst: str) -> None:
-        self.out_edges[src].append(len(self.edges))
-        self.in_edges[dst].append(len(self.edges))
-        self.edges.append((src, dst))
 
     def move_sources(self, positions: Iterable[int], new: str) -> None:
         """Make ``new`` the source of the edges at ``positions``."""
@@ -435,20 +386,26 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> dict[str, str]:
     consumer's source, looked up before the plan rewires anything."""
     layers = rw.layers
     consumers = [a.consumer for a in plan.consumers]
-    # entry keys must name producers, consumers or interior layers, checked below
     named = {*plan.producers, *plan.interior, *consumers}
-    if plan.join is not None:
-        jr = plan.join
+    jr = plan.join
+    if jr is not None:
         named.update((jr.join, *jr.operands, *jr.operands.values()))
-        if not jr.runs or not all(run.windows and run.windows.keys() <= jr.operands.keys()
-                                  for run in jr.runs):
+        if not jr.runs or not all(run and run.keys() <= jr.operands.keys() for run in jr.runs):
             raise ValidationError([f"plan {plan.segment}: a run of join {jr.join!r} "
                                    "names no producer or one that is not an operand"])
-    if not layers.keys() >= named:
+    # interior ids name layers of the input graph, whose order the walk takes
+    unknown = {lid for lid in named if lid not in layers}
+    unknown.update(u for u in plan.interior if u not in rw.source)
+    if unknown:
         raise ValidationError([f"plan {plan.segment}: names unknown layer {lid!r}"
-                               for lid in sorted(named - layers.keys())])
-    _check_role(plan, "producer", plan.producers, plan.producer_orders, plan.infill)
+                               for lid in sorted(unknown)])
+    _check_role(plan, "producer", plan.producers, plan.producer_orders, plan.infill,
+                jr.operands if jr else ())
     _check_role(plan, "consumer", consumers, plan.zero_columns)
+    _check_role(plan, "layer inside the segment", plan.interior)
+    if jr is not None and not set(jr.operands.values()) <= set(rw.predecessors(jr.join)):
+        raise ValidationError([f"plan {plan.segment}: an operand of join {jr.join!r} "
+                               "does not feed it"])
     for p in plan.producers:
         if layers[p].kind not in (LayerKind.CHANNEL_MIX, LayerKind.INPUT):
             raise ValidationError([f"plan {plan.segment}: producer {p!r} is a "
@@ -462,10 +419,6 @@ def _check_names(plan: SegmentPlan, rw: _Rewrite) -> dict[str, str]:
             raise ValidationError([f"plan {plan.segment}: {c!r} does not read "
                                    "this segment"])
         sources[c] = preds[0]
-    for u in plan.per_channel:
-        if u not in plan.interior or layers[u].kind is not LayerKind.PER_CHANNEL:
-            raise ValidationError([f"plan {plan.segment}: {u!r} is not a per-channel "
-                                   "layer of this segment"])
     return sources
 
 
@@ -478,101 +431,131 @@ def _check_indices(plan: SegmentPlan, what: str, entries: Sequence[int],
                                "out of range"])
 
 
+def _old_channels(plan: SegmentPlan, rw: _Rewrite, rows: Mapping[str, tuple[int, ...]]
+                  ) -> dict[str, tuple[int, ...]]:
+    """For each producer and interior node, the old channel index at each
+    of its new output positions.
+
+    A producer carries its ``rows``, or the identity over its width where
+    the infill restores it. Walking the interior in topological order, a
+    pass-through or per-channel layer carries its input's, a concat joins
+    its inputs' (offset by their old widths) and an add carries its first
+    operand's, which every other operand must equal. The rebuilt join is a
+    concat of its runs, each an add of its producers' windows. An interior
+    slice or gather carries the identity and refuses a moved input. Old
+    widths are read off the input graph.
+    """
+    layers, source = rw.layers, rw.source
+    old = {p: tuple(range(source.layer(p).out_channels)) if p in plan.infill else r
+           for p, r in rows.items()}
+    jr = plan.join
+    for u in sorted(plan.interior, key=source.topological_rank):
+        lay = layers[u]
+        preds = rw.predecessors(u)
+        stray = [q for q in preds if q not in old]
+        if stray:
+            raise ValidationError([f"plan {plan.segment}: {u!r} reads {stray[0]!r}, "
+                                   "which is not in the segment"])
+        if lay.kind in (LayerKind.PASS_THROUGH, LayerKind.PER_CHANNEL):
+            old[u] = old[preds[0]]
+            continue
+        if lay.kind in (LayerKind.SLICE, LayerKind.GATHER):
+            if old[preds[0]] != tuple(range(lay.in_channels)):
+                raise ValidationError([f"{u}: selects channels by position, but a "
+                                       "producer upstream of it moves"])
+            old[u] = tuple(range(lay.out_channels))
+            continue
+        if lay.kind not in (LayerKind.ADD, LayerKind.CONCAT):
+            raise ValidationError([f"{u}: unexpected {lay.kind.value} interior layer"])
+        ins = [old[q] for q in preds]
+        if lay.kind is LayerKind.CONCAT:
+            offsets = accumulate([0] + [source.layer(q).out_channels for q in preds])
+            ins = [tuple(offset + i for i in v) for v, offset in zip(ins, offsets)]
+        if jr is not None and u == jr.join:
+            operand = dict(zip(preds, ins))
+            groups = [[operand[jr.operands[p]][start:start + length]
+                       for p, (start, length) in sorted(run.items())] for run in jr.runs]
+        else:
+            groups = [ins] if lay.kind is LayerKind.ADD else [[v] for v in ins]
+        if any(v != group[0] for group in groups for v in group):
+            raise ValidationError([f"{u}: summed operands take different channel orders"])
+        old[u] = (groups[0][0] if len(groups) == 1
+                  else tuple(chain.from_iterable(group[0] for group in groups)))
+    return old
+
+
+def _keeps_join(jr: JoinRewrite, rw: _Rewrite) -> bool:
+    """Whether the runs would rebuild the join as it is: every window is a
+    producer's whole new output, and one run sums every operand of an add,
+    or the runs take a concat's operands one each, in its input order."""
+    layers = rw.layers
+    if any(window != (0, layers[p].out_channels) for run in jr.runs for p, window in run.items()):
+        return False
+    preds = rw.predecessors(jr.join)
+    operands = [sorted(map(jr.operands.__getitem__, run)) for run in jr.runs]
+    if layers[jr.join].kind is LayerKind.ADD:
+        return operands == [sorted(preds)]
+    return operands == [[q] for q in preds]
+
+
 def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
     """Apply one plan to the model under rewrite."""
     sources = _check_names(plan, rw)
-    layers, weights, taken = rw.layers, rw.weights, rw.taken
+    layers, weights = rw.layers, rw.weights
 
     # 1. producers: reorder/drop filter rows
+    rows = {}
     for p in plan.producers:
         lay = layers[p]
         identity = tuple(range(lay.out_channels))
-        rows = tuple(plan.producer_orders.get(p, identity))
-        if rows != identity:
+        rows[p] = tuple(plan.producer_orders.get(p, identity))
+        if rows[p] != identity:
             if lay.kind is LayerKind.INPUT:
                 raise ValidationError([f"{p}: cannot permute a model input"])
-            _check_indices(plan, f"{p} filter order", rows, range(lay.out_channels))
-            weights[p] = weights[p][list(rows), :]
-            layers[p] = Layer(p, lay.kind, lay.in_channels, len(rows), lay.params)
+            _check_indices(plan, f"{p} filter order", rows[p], identity)
+            weights[p] = weights[p][list(rows[p]), :]
+            layers[p] = Layer(p, lay.kind, lay.in_channels, len(rows[p]), lay.params)
+    old = _old_channels(plan, rw, rows)
 
     # 2. output-mode infill: restore original widths with zero-fill gathers
     for p in sorted(plan.infill):
-        params = plan.infill[p]
-        nid = _fresh_id(taken, f"{p}.restore")
-        rw.add_layer(Layer(nid, LayerKind.GATHER, in_channels=layers[p].out_channels,
-                           out_channels=len(params), params=tuple(params)))
-        rw.move_sources(rw.out_edges[p], nid)
-        rw.add_edge(p, nid)
+        new_position = _index_of(rows[p])
+        readers = list(rw.out_edges[p])
+        rw.move_sources(readers, rw.add_node(
+            f"{p}.restore", LayerKind.GATHER, [p], layers[p].out_channels, len(old[p]),
+            tuple(new_position.get(i, -1) for i in old[p])))
 
-    # 3. output-mode join rewrite
+    # 3. output-mode join rewrite: a slice per partial window, an add per
+    # shared run, one concat
     redirect: dict[str, str] = {}
-    if plan.join is not None and not plan.join.keep_original:
-        jr = plan.join
-        run_outputs: list[str] = []
-        run_width: list[int] = []
+    jr = plan.join
+    if jr is not None and not _keeps_join(jr, rw):
+        outputs, total = [], 0
         for i, run in enumerate(jr.runs):
-            parts: list[str] = []
-            width = 0
-            for p in run.producers:
-                start, length = run.windows[p]
-                source = jr.operands[p]
-                width = length
-                if (start, length) == (0, layers[p].out_channels):
-                    parts.append(source)
-                    continue
-                sid = _fresh_id(taken, f"{jr.join}.run{i}.{p}")
-                rw.add_layer(Layer(sid, LayerKind.SLICE, in_channels=layers[p].out_channels,
-                                   out_channels=length, params=(start, length)))
-                rw.add_edge(source, sid)
-                parts.append(sid)
-            if len(parts) > 1:
-                aid = _fresh_id(taken, f"{jr.join}.run{i}")
-                rw.add_layer(Layer(aid, LayerKind.ADD, in_channels=width, out_channels=width))
-                for part in parts:
-                    rw.add_edge(part, aid)
-                run_outputs.append(aid)
-            else:
-                run_outputs.append(parts[0])
-            run_width.append(width)
-        if len(run_outputs) > 1:
-            cid = _fresh_id(taken, f"{jr.join}.joined")
-            total = sum(run_width)
-            rw.add_layer(Layer(cid, LayerKind.CONCAT, in_channels=total, out_channels=total))
-            for r in run_outputs:
-                rw.add_edge(r, cid)
-            final = cid
-        else:
-            final = run_outputs[0]
+            parts = []
+            for p, (start, length) in sorted(run.items()):
+                source, width = jr.operands[p], layers[p].out_channels
+                parts.append(source if (start, length) == (0, width) else rw.add_node(
+                    f"{jr.join}.run{i}.{p}", LayerKind.SLICE, [source], width, length,
+                    (start, length)))
+            outputs.append(parts[0] if len(parts) == 1 else rw.add_node(
+                f"{jr.join}.run{i}", LayerKind.ADD, parts, length, length))
+            total += length
+        final = outputs[0] if len(outputs) == 1 else rw.add_node(
+            f"{jr.join}.joined", LayerKind.CONCAT, outputs, total, total)
         redirect[jr.join] = final
         rw.move_sources(rw.out_edges[jr.join], final)
         rw.remove_layer(jr.join)
 
-    # 4. interior: recompute widths, permute per-channel vectors. Interior
-    # ids name layers of the input graph, and plans add no edge between two
-    # interior nodes, so the input graph's order holds.
-    for u, perm in sorted(plan.per_channel.items()):
-        _check_indices(plan, f"{u} channel order", perm, range(len(weights[u])))
-        weights[u] = weights[u][list(perm)]
-    surviving = [u for u in plan.interior if u in layers and u in rw.source]
-    for u in sorted(surviving, key=rw.source.topological_rank):
-        lay = layers[u]
-        preds = rw.predecessors(u)
-        unknown = [q for q in preds if q not in layers]
-        if unknown:
-            raise ValidationError([f"edge ({unknown[0]!r}, {u!r}) references unknown layer"])
-        pred_widths = [layers[q].out_channels for q in preds]
-        if lay.kind is LayerKind.CONCAT:
-            w = sum(pred_widths)
-        elif lay.kind is LayerKind.ADD:
-            if len(set(pred_widths)) != 1:
-                raise ValidationError([f"{u}: add operands now differ in width {pred_widths}"])
-            w = pred_widths[0]
-        elif lay.kind in (LayerKind.PASS_THROUGH, LayerKind.PER_CHANNEL):
-            w = pred_widths[0]
-        elif lay.kind in (LayerKind.SLICE, LayerKind.GATHER):
-            continue  # only locked segments hold these, and their inputs keep their width
-        else:
-            raise ValidationError([f"{u}: unexpected {lay.kind.value} interior layer"])
+    # 4. interior: a width is the length of the node's channel vector, and a
+    # per-channel vector takes its node's old channels
+    for u in plan.interior:
+        lay = layers.get(u)  # None for a rebuilt join
+        if lay is None or lay.kind in (LayerKind.SLICE, LayerKind.GATHER):
+            continue
+        w = len(old[u])
+        if lay.kind is LayerKind.PER_CHANNEL and old[u] != tuple(range(len(weights[u]))):
+            weights[u] = weights[u][list(old[u])]
         if (lay.in_channels, lay.out_channels) != (w, w):
             layers[u] = Layer(u, lay.kind, w, w, lay.params)
 
@@ -581,9 +564,14 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
         c = access.consumer
         lay = layers[c]
         pred = redirect.get(sources[c], sources[c])
-        perm = tuple(access.perm)
+        src = old[sources[c]]
+        if access.mode == "slice":
+            perm = src[access.start:access.start + access.length]
+        else:
+            position = _index_of(src)
+            _check_indices(plan, f"{c} columns", access.columns, position)
+            perm = access.columns
         zeroed = plan.zero_columns.get(c, ())
-        _check_indices(plan, f"{c} column order", perm, range(lay.in_channels))
         if zeroed:
             if access.mode != "slice":  # a gather would copy more than it reads
                 raise ValidationError([f"{c}: a gathering consumer zeroes columns"])
@@ -597,28 +585,19 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
             weights[c][:, list(map(_index_of(perm).__getitem__, zeroed))] = 0.0
         source_width = layers[pred].out_channels
         if access.mode == "slice":
-            if access.length != len(perm):
-                raise ValidationError([f"{c}: slice length disagrees with its permutation"])
             if (access.start, access.length) == (0, source_width):
                 continue  # reads the whole tensor: no node needed
-            nid = _fresh_id(taken, f"{c}.read")
-            read = Layer(nid, LayerKind.SLICE, in_channels=source_width,
-                         out_channels=access.length, params=(access.start, access.length))
+            kind, params = LayerKind.SLICE, (access.start, access.length)
         else:
-            if len(access.indices) != len(perm):
-                raise ValidationError([f"{c}: gather width disagrees with its permutation"])
-            nid = _fresh_id(taken, f"{c}.read")
-            read = Layer(nid, LayerKind.GATHER, in_channels=source_width,
-                         out_channels=len(access.indices), params=tuple(access.indices))
-        rw.add_layer(read)
+            kind, params = LayerKind.GATHER, tuple(map(position.__getitem__, perm))
         idx = next((i for i in rw.in_edges[c] if rw.edges[i][0] == pred), None)
         if idx is None:
             raise ValidationError([f"{c}: expected edge from {pred} is missing"])
-        rw.move_sources([idx], nid)
-        rw.add_edge(pred, nid)
+        rw.move_sources([idx], rw.add_node(f"{c}.read", kind, [pred], source_width,
+                                           access.width, params))
 
     # the removed join's id is free again for the next plan's new nodes
-    taken.difference_update(redirect)
+    rw.taken.difference_update(redirect)
 
 
 def apply_plan(plans: Sequence[SegmentPlan], graph: ModelGraph,
@@ -657,12 +636,9 @@ def copy_report(plans: Iterable[SegmentPlan]) -> CopyStats:
 # --------------------------------------------------------------------------
 
 def _access_to_dict(a: ConsumerAccess) -> dict:
-    rec: dict = {"consumer": a.consumer, "perm": list(a.perm)}
     if a.mode == "slice":
-        rec["slice"] = [a.start, a.length]
-    else:
-        rec["gather"] = list(a.indices)
-    return rec
+        return {"consumer": a.consumer, "slice": [a.start, a.length]}
+    return {"consumer": a.consumer, "perm": list(a.columns)}
 
 
 def _int_pair(values) -> tuple[int, int]:
@@ -672,13 +648,13 @@ def _int_pair(values) -> tuple[int, int]:
 
 
 def _access_from_dict(rec: dict) -> ConsumerAccess:
+    # older files also give a slice's column order in "perm" and a gather's
+    # positions in "gather"; both are derived, so ignored
     consumer = read_str(rec["consumer"])
-    perm = read_ints(rec["perm"])
     if "slice" in rec:
         start, length = _int_pair(rec["slice"])
-        return ConsumerAccess(consumer, "slice", start=start, length=length, perm=perm)
-    return ConsumerAccess(consumer, "gather", perm=perm,
-                          indices=read_ints(rec["gather"]))
+        return ConsumerAccess(consumer, "slice", start=start, length=length)
+    return ConsumerAccess(consumer, "gather", columns=read_ints(rec["perm"]))
 
 
 def _int_map_to_dict(m: Mapping[str, tuple[int, ...]]) -> dict:
@@ -694,10 +670,9 @@ def plan_to_dict(plan: SegmentPlan) -> dict:
     if plan.join is not None:
         join = {
             "join": plan.join.join,
-            "keep_original": plan.join.keep_original,
             "operands": dict(sorted(plan.join.operands.items())),
-            "runs": [{"windows": {p: list(w) for p, w in sorted(r.windows.items())}}
-                     for r in plan.join.runs],
+            "runs": [{"windows": {p: list(w) for p, w in sorted(run.items())}}
+                     for run in plan.join.runs],
         }
     return {
         "segment": plan.segment,
@@ -707,29 +682,27 @@ def plan_to_dict(plan: SegmentPlan) -> dict:
         "interior": list(plan.interior),
         "producer_orders": _int_map_to_dict(plan.producer_orders),
         "consumers": [_access_to_dict(a) for a in plan.consumers],
-        "per_channel": _int_map_to_dict(plan.per_channel),
         "zero_columns": _int_map_to_dict(plan.zero_columns),
-        "infill": _int_map_to_dict(plan.infill),
+        "infill": sorted(plan.infill),
         "join": join,
     }
 
 
 def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
+    """The plan a record holds. Older records carry fields that are derived
+    (``per_channel``, the join's ``keep_original``, infill gather
+    parameters) or counted (``stats``); they are ignored."""
     try:
-        # older files carry zero_rows, which export always wrote empty, and
-        # stats, which the records give (``SegmentPlan.stats``)
+        # older files carry zero_rows, which export always wrote empty
         if obj.get("zero_rows", {}) != {}:
             raise ModelFormatError(f"zero_rows must be empty, got {obj['zero_rows']!r}")
         join = None
         if obj.get("join") is not None:
             j = obj["join"]
-            if not isinstance(j["keep_original"], bool):
-                raise ModelFormatError(f"keep_original must be true or false, "
-                                       f"got {j['keep_original']!r}")
             join = JoinRewrite(
-                join=read_str(j["join"]), keep_original=j["keep_original"],
+                join=read_str(j["join"]),
                 operands={str(k): read_str(v) for k, v in j["operands"].items()},
-                runs=tuple(JoinRun({str(p): _int_pair(w) for p, w in r["windows"].items()})
+                runs=tuple({str(p): _int_pair(w) for p, w in r["windows"].items()}
                            for r in j["runs"]),
             )
         mode, strategy = read_str(obj["mode"]), read_str(obj["strategy"])
@@ -737,7 +710,8 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             raise ModelFormatError(f"unknown mode {mode!r}")
         if strategy not in MODE_STRATEGIES[mode]:
             raise ModelFormatError(f"unknown strategy {strategy!r} for {mode} mode")
-        return SegmentPlan(
+        infill = obj["infill"]  # older files map each producer to its gather parameters
+        plan = SegmentPlan(
             segment=read_str(obj["segment"]),
             mode=mode,
             strategy=strategy,
@@ -745,13 +719,21 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             interior=tuple(map(read_str, obj["interior"])),
             producer_orders=_int_map_from_dict(obj["producer_orders"]),
             consumers=tuple(_access_from_dict(rec) for rec in obj["consumers"]),
-            per_channel=_int_map_from_dict(obj["per_channel"]),
             zero_columns=_int_map_from_dict(obj["zero_columns"]),
-            infill=_int_map_from_dict(obj["infill"]),
+            infill=tuple(map(read_str, infill if isinstance(infill, list) else dict(infill))),
             join=join,
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ModelFormatError(f"{source}: bad plan record ({exc})") from exc
+    # the copy count reads one side of the plan per mode, so a record of
+    # the other side would copy uncounted
+    if mode == MODE_OUTPUT and (plan.zero_columns
+                                or any(a.mode == "gather" for a in plan.consumers)):
+        raise ModelFormatError(f"{source}: an output-mode plan gathers or zeroes columns")
+    if mode == MODE_INPUT and (plan.infill or plan.join is not None):
+        raise ModelFormatError(f"{source}: an input-mode plan restores a width or "
+                               "rebuilds a join")
+    return plan
 
 
 def save_plans(plans: Iterable[SegmentPlan], path: str | Path) -> None:

@@ -25,6 +25,7 @@ import numpy as np
 from reslice import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.graph import INTERIOR_KINDS
 from reslice.path_search import Path, ReorderGraph
+from reslice.planner import apply_plan
 from reslice.segments import Segment, propagate_vectors
 
 MIX = LayerKind.CHANNEL_MIX
@@ -365,6 +366,20 @@ def ramp_weights(graph: ModelGraph) -> WeightStore:
         elif layer.kind is PER:
             tensors[layer.id] = ((5 * np.arange(layer.out_channels) + k) % 7 - 3) / 2.0
     return WeightStore(tensors)
+
+
+def read_columns(graph: ModelGraph, plan) -> dict[str, tuple[int, ...]]:
+    """Per consumer of ``plan``, the original input columns its rewritten
+    weights hold, in their new order, with -1 for a zeroed column: the plan
+    is applied to weights in which each consumer column holds its index
+    plus one."""
+    weights = ramp_weights(graph)
+    for a in plan.consumers:
+        layer = graph.layer(a.consumer)
+        weights[a.consumer] = np.tile(np.arange(1.0, layer.in_channels + 1),
+                                      (layer.out_channels, 1))
+    _, out = apply_plan([plan], graph, weights)
+    return {a.consumer: tuple(int(x) - 1 for x in out[a.consumer][0]) for a in plan.consumers}
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ figures; code stays zero-based throughout.
 import time
 
 from helpers import (brute_force_mrap, build_model, fan_fixture, random_dag,
-                     random_retained_sets, residual_block_fixture,
+                     random_retained_sets, read_columns, residual_block_fixture,
                      single_branch_fixture, zero_copy_exists)
 from reslice.graph import save_model
 from reslice.interp import check_equivalence
@@ -57,7 +57,8 @@ def test_criterion_1_worked_examples():
     assert order == (0, 2, 1)
     plan = plan_export(g, s, order, masks)
     d = access(plan, "D")
-    assert (d.mode, d.start, d.length, d.perm) == ("slice", 1, 2, (2, 1))
+    assert (d.mode, d.start, d.length) == ("slice", 1, 2)
+    assert read_columns(g, plan)["D"] == (2, 1)
     assert plan.stats.copied == 0
 
     # triangle B{1,2} D{2,3,4} E{1,4,5}: best path [D,E] with reward 5,
@@ -95,7 +96,8 @@ def test_criterion_1_worked_examples():
     plan = plan_export(g, s, order, masks)
     assert plan.producer_orders["A"] == (0, 2, 3, 1)
     c = access(plan, "C")
-    assert (c.mode, c.start, c.length, c.perm) == ("slice", 1, 3, (2, 3, 1))
+    assert (c.mode, c.start, c.length) == ("slice", 1, 3)
+    assert read_columns(g, plan)["C"] == (2, 3, 1)
     assert access(plan, "D").mode == "gather"
 
     elapsed = time.monotonic() - t0

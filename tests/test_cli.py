@@ -194,7 +194,10 @@ def test_verify_plan_index_out_of_range_is_exit_4(tmp_path, capsys, fixture, ent
     save_model(graph, weights, model, wfile)
     save_masks({"B": (0, 2), "D": (1, 2)}, masks)
     prefix = tmp_path / "exported"
-    assert run_cli("export", "--model", model, "--weights", wfile,
+    # a gather is the one read that records its columns, in "perm"; under
+    # baseline both readers gather
+    strategy = "baseline" if entry.endswith("perm") else "reorder"
+    assert run_cli("export", "--model", model, "--weights", wfile, "--strategy", strategy,
                    "--masks", masks, "--out-prefix", prefix) == 0
     ppath = tmp_path / "exported.plan.json"
     plan = json.loads(ppath.read_text())
@@ -222,23 +225,6 @@ def test_verify_plan_index_out_of_range_is_exit_4(tmp_path, capsys, fixture, ent
         assert "repeats an index or names one out of range" in err
 
 
-def test_verify_plan_permuting_a_layer_without_channel_vector_is_exit_4(model_files, capsys):
-    tmp, model, weights = model_files
-    masks = tmp / "masks.json"
-    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
-    prefix = tmp / "exported"
-    assert run_cli("export", "--model", model, "--weights", weights,
-                   "--masks", masks, "--out-prefix", prefix) == 0
-    ppath = tmp / "exported.plan.json"
-    plan = json.loads(ppath.read_text())
-    plan["segments"][0]["per_channel"] = {"r": [0, 1]}  # a pass-through layer
-    ppath.write_text(json.dumps(plan))
-    capsys.readouterr()
-    assert run_cli("verify", "--model", model, "--weights", weights,
-                   "--masks", masks, "--out-prefix", prefix) == 4
-    assert "'r' is not a per-channel layer of this segment" in capsys.readouterr().err
-
-
 def _tamper_plan(tmp, model, weights, capsys, tamper, mode="output"):
     """Export the residual block in ``mode``, edit the first segment of its
     plan file with ``tamper`` and return the exit code of verify."""
@@ -255,6 +241,20 @@ def _tamper_plan(tmp, model, weights, capsys, tamper, mode="output"):
     capsys.readouterr()
     return run_cli("verify", "--model", model, "--weights", weights, "--mode", mode,
                    "--masks", masks, "--out-prefix", prefix)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda segment: segment["join"]["operands"].update(A="r"),
+     "an operand of join 'j' does not feed it"),
+    (lambda segment: segment["interior"].append("r"), "a layer inside the segment is named twice"),
+    (lambda segment: segment["interior"].remove("j"), "'r' reads 'j', which is not in the segment"),
+], ids=["operand", "interior-twice", "interior-missing"])
+def test_verify_plan_whose_join_or_interior_misfits_the_model_is_exit_4(
+        model_files, capsys, tamper, message):
+    tmp, model, weights = model_files
+    assert _tamper_plan(tmp, model, weights, capsys, tamper) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err and message in err
 
 
 @pytest.mark.parametrize("windows", [{"A": [0, 1], "B": [0, 1]}, {"ghost": [0, 1]}, {}],
@@ -280,19 +280,6 @@ def test_verify_join_window_of_the_wrong_shape_is_exit_4(model_files, capsys, wi
     assert "verification failed" in err and "bad plan record" in err
 
 
-@pytest.mark.parametrize("value", [0, 1, [], None, "no"])
-def test_verify_join_keep_original_that_is_not_a_boolean_is_exit_4(model_files, capsys, value):
-    # bool() would read 0, [] and null as false, and "no" as true
-    tmp, model, weights = model_files
-
-    def tamper(segment):
-        assert segment["join"]["keep_original"] is False
-        segment["join"]["keep_original"] = value
-    assert _tamper_plan(tmp, model, weights, capsys, tamper) == 4
-    err = capsys.readouterr().err
-    assert "bad plan record" in err and "keep_original must be true or false" in err
-
-
 def test_verify_accepts_an_output_plan_file_with_the_old_kind_and_run_producers(
         model_files, capsys):
     # earlier versions also wrote the join's kind and each run's producers,
@@ -308,6 +295,34 @@ def test_verify_accepts_an_output_plan_file_with_the_old_kind_and_run_producers(
     assert "max deviation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode, entry", [("output", "gather"), ("output", "zero_columns"),
+                                         ("input", "infill"), ("input", "join")])
+def test_verify_refuses_a_record_foreign_to_the_plan_mode(model_files, capsys, mode, entry):
+    # the copy count reads the producers of an output-mode plan and the
+    # consumers of an input-mode one, so a record of the other side would
+    # copy uncounted: a gather for consumer B in an output-mode plan applies
+    # and passes the equivalence check, yet copy_report would read copied=0
+    tmp, model, weights = model_files
+
+    def tamper(segment):
+        if entry == "gather":
+            read = next(a for a in segment["consumers"] if a["consumer"] == "B")
+            del read["slice"]
+            read["perm"] = [0, 1, 2, 3]
+        elif entry == "zero_columns":
+            segment["zero_columns"] = {"B": [0]}
+        elif entry == "infill":
+            segment["infill"] = ["A"]
+        else:
+            segment["join"] = {"join": "j", "operands": {"A": "A", "C": "C"},
+                               "runs": [{"windows": {"A": [0, 4], "C": [0, 4]}}]}
+    assert _tamper_plan(tmp, model, weights, capsys, tamper, mode=mode) == 4
+    err = capsys.readouterr().err
+    assert "verification failed" in err
+    assert ("an output-mode plan gathers or zeroes columns" if mode == "output"
+            else "an input-mode plan restores a width or rebuilds a join") in err
+
+
 @pytest.mark.parametrize("entry, key, role", [
     ("producer_orders", "B", "producer"), ("zero_rows", "B", "producer"),
     ("infill", "B", "producer"), ("zero_columns", "A", "consumer")])
@@ -316,8 +331,13 @@ def test_verify_plan_entry_keyed_by_a_layer_outside_its_role_is_exit_4(
     tmp, model, weights = model_files
 
     def tamper(segment):
-        segment.setdefault(entry, {})[key] = [1, 0]
-    assert _tamper_plan(tmp, model, weights, capsys, tamper, mode="input") == 4
+        if entry == "infill":  # a list of the producers it restores
+            segment[entry] = [key]
+        else:
+            segment.setdefault(entry, {})[key] = [1, 0]
+    # only an output-mode plan holds an infill
+    mode = "output" if entry == "infill" else "input"
+    assert _tamper_plan(tmp, model, weights, capsys, tamper, mode=mode) == 4
     err = capsys.readouterr().err
     if entry == "zero_rows":  # no longer written; a non-empty one is refused
         assert "zero_rows must be empty, got {'B': [1, 0]}" in err
@@ -399,7 +419,8 @@ def test_verify_plan_with_non_integer_indices_is_exit_4(model_files, capsys):
 
     def tamper(segment):
         for access in segment["consumers"]:
-            access["perm"] = [i + 0.5 for i in access["perm"]]
+            key = "slice" if "slice" in access else "perm"
+            access[key] = [i + 0.5 for i in access[key]]
     assert _tamper_plan(tmp, model, weights, capsys, tamper, mode="input") == 4
     err = capsys.readouterr().err
     assert "verification failed" in err and "expected an integer" in err
@@ -507,6 +528,80 @@ def test_verify_accepts_a_plan_file_with_the_old_dropped_field(model_files, caps
     assert run_cli("verify", "--model", model, "--weights", weights, "--mode", mode,
                    "--masks", mfile, "--out-prefix", prefix) == 0
     assert "max deviation" in capsys.readouterr().out
+
+
+# plan records as an earlier layout wrote them, with the fields now derived
+# when a plan is applied: "per_channel", each slice's column order in
+# "perm", each gather's positions in "gather", the join's "keep_original"
+# and each infill's gather parameters
+OLD_LAYOUT_PLANS = {
+    "per-channel": (per_channel_interior_fixture, "input", "reorder", {"B": (1, 3)}, (
+        '{"consumers":[{"consumer":"B","perm":[1,3],"slice":[0,2]}],"infill":{},'
+        '"interior":["p"],"join":null,"mode":"input","per_channel":{"p":[1,3]},'
+        '"producer_orders":{"A":[1,3]},"producers":["A"],"segment":"A",'
+        '"strategy":"reorder","zero_columns":{}}')),
+    "gather": (lambda: fan_fixture(4, ("B", "C", "D")), "input", "reorder",
+               {"B": (0, 2, 3), "C": (1, 2, 3), "D": (0, 1)}, (
+        '{"consumers":[{"consumer":"B","perm":[0,2,3],"slice":[0,3]},'
+        '{"consumer":"C","perm":[2,3,1],"slice":[1,3]},'
+        '{"consumer":"D","gather":[0,3],"perm":[0,1]}],"infill":{},"interior":["r"],'
+        '"join":null,"mode":"input","per_channel":{},"producer_orders":{"A":[0,2,3,1]},'
+        '"producers":["A"],"segment":"A","strategy":"reorder","zero_columns":{}}')),
+    "join": (residual_block_fixture, "output", "reorder", {"A": (0, 2, 3), "C": (0, 1, 3)}, (
+        '{"consumers":[{"consumer":"B","perm":[1,0,3,2],"slice":[0,4]},'
+        '{"consumer":"D","perm":[1,0,3,2],"slice":[0,4]}],"infill":{},"interior":["j","r"],'
+        '"join":{"join":"j","keep_original":false,"operands":{"A":"A","C":"C"},'
+        '"runs":[{"windows":{"C":[0,1]}},{"windows":{"A":[0,2],"C":[1,2]}},'
+        '{"windows":{"A":[2,1]}}]},"mode":"output","per_channel":{},'
+        '"producer_orders":{"A":[0,3,2],"C":[1,0,3]},"producers":["A","C"],"segment":"A",'
+        '"strategy":"reorder","zero_columns":{}}')),
+    "kept-join": (residual_block_fixture, "output", "reorder", {"A": (0, 2, 3), "C": (0, 2, 3)}, (
+        '{"consumers":[{"consumer":"B","perm":[0,2,3],"slice":[0,3]},'
+        '{"consumer":"D","perm":[0,2,3],"slice":[0,3]}],"infill":{},"interior":["j","r"],'
+        '"join":{"join":"j","keep_original":true,"operands":{"A":"A","C":"C"},'
+        '"runs":[{"windows":{"A":[0,3],"C":[0,3]}}]},"mode":"output","per_channel":{},'
+        '"producer_orders":{"A":[0,2,3],"C":[0,2,3]},"producers":["A","C"],"segment":"A",'
+        '"strategy":"reorder","zero_columns":{}}')),
+    "infill": (residual_block_fixture, "output", "baseline", {"A": (0, 2, 3), "C": (0, 1, 3)}, (
+        '{"consumers":[],"infill":{"A":[0,-1,1,2],"C":[0,1,-1,2]},"interior":["j","r"],'
+        '"join":null,"mode":"output","per_channel":{},'
+        '"producer_orders":{"A":[0,2,3],"C":[0,1,3]},"producers":["A","C"],"segment":"A",'
+        '"strategy":"baseline","zero_columns":{}}')),
+}
+
+
+def _garble_derived_fields(segment):
+    segment["per_channel"] = {"ghost": [99, 99]}
+    for read in segment["consumers"]:
+        read["perm" if "slice" in read else "gather"] = [99, 99]
+    if segment["join"]:
+        segment["join"]["keep_original"] = not segment["join"]["keep_original"]
+    segment["infill"] = {p: [99] for p in segment["infill"]}
+
+
+@pytest.mark.parametrize("case", sorted(OLD_LAYOUT_PLANS))
+def test_a_plan_file_in_the_old_layout_verifies_whatever_its_derived_fields_hold(
+        tmp_path, capsys, case):
+    fixture, mode, strategy, masks, record = OLD_LAYOUT_PLANS[case]
+    graph, weights = fixture()
+    model, wfile, mfile = (tmp_path / n for n in ("m.model.json", "m.weights.json", "masks.json"))
+    save_model(graph, weights, model, wfile)
+    save_masks(masks, mfile)
+    prefix = tmp_path / "x"
+    assert run_cli("export", "--model", model, "--weights", wfile, "--mode", mode,
+                   "--strategy", strategy, "--masks", mfile, "--out-prefix", prefix) == 0
+    ppath = tmp_path / "x.plan.json"
+    plans = load_plans(ppath)
+    segment = json.loads(record)
+    for garbled in (False, True):
+        if garbled:
+            _garble_derived_fields(segment)
+        ppath.write_text(json.dumps({"version": 1, "segments": [segment]}))
+        assert load_plans(ppath) == plans
+        capsys.readouterr()
+        assert run_cli("verify", "--model", model, "--weights", wfile, "--mode", mode,
+                       "--masks", mfile, "--out-prefix", prefix) == 0
+        assert "max deviation" in capsys.readouterr().out
 
 
 def test_verify_with_other_masks_than_the_export_is_exit_4(model_files, capsys):

@@ -255,6 +255,25 @@ def test_make_masks_validates_arguments():
             make_masks(graph, scores, 0.4, mode, side="sideways")
 
 
+@pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
+def test_make_masks_refuses_scores_of_the_other_side(mode):
+    # a1 reads 4 channels and writes 5: its input-side scores do not fit its
+    # filters, and the masks they gave named filters a1 does not have
+    graph, weights = random_dag(1)
+    scores = score_channels(graph, weights.tensors, "l2", side="input")
+    with pytest.raises(ValidationError) as exc:
+        make_masks(graph, scores, 0.5, "unconstrained", side="output")
+    assert exc.value.diagnostics == ["a1: 4 scores for 5 output-side channels"]
+    flipped = score_channels(graph, weights.tensors, "l2", side="output")
+    with pytest.raises(ValidationError) as exc:
+        make_masks(graph, flipped, 0.5, mode, side="input")
+    assert exc.value.diagnostics == ["a1: 5 scores for 4 input-side channels"]
+    with pytest.raises(ValidationError, match="scores name unknown layer 'ghost'"):
+        make_masks(graph, {**scores, "ghost": np.ones(2)}, 0.5, mode)
+    masks = make_masks(graph, flipped, 0.5, "unconstrained", side="output")
+    assert validate_masks(graph, masks, "output") == []
+
+
 def test_achieved_sparsity_counts_missing_layers_as_kept():
     graph, weights = two_layer_model()
     scores = score_channels(graph, weights.tensors, "l1")

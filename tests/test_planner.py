@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 import reslice.planner
-from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PASS, build_model,
+from helpers import (ADD, CONCAT, INPUT, MIX, OUTPUT, PASS, add_join_fixture, build_model,
                      duplicate_read_fixture, fan_fixture, per_channel_interior_fixture,
-                     random_dag, residual_block_fixture, single_branch_fixture,
-                     stacked_joins_fixture)
+                     ramp_weights, random_dag, read_columns, residual_block_fixture,
+                     single_branch_fixture, stacked_joins_fixture)
 from reslice.graph import LayerKind, ModelFormatError, ModelGraph, ValidationError, graph_to_dict
 from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
 from reslice.path_search import build_reorder_graph, decompose_paths, order_channels
-from reslice.planner import (ConsumerAccess, CopyStats, _plan_output_baseline, apply_plan,
-                             copy_report, load_plans, plan_export,
+from reslice.planner import (ConsumerAccess, CopyStats, SegmentPlan, _plan_output_baseline,
+                             apply_plan, copy_report, load_plans, plan_export,
                              plan_export_output, plan_from_dict, plan_to_dict, save_plans)
 from reslice.segments import find_segments
 
@@ -57,11 +57,12 @@ def test_reordered_fan_accesses():
     assert plan.producer_orders["A"] == (0, 2, 3, 1)
 
     b = access(plan, "B")
-    assert (b.mode, b.start, b.length, b.perm) == ("slice", 0, 3, (0, 2, 3))
+    assert (b.mode, b.start, b.length) == ("slice", 0, 3)
     c = access(plan, "C")
-    assert (c.mode, c.start, c.length, c.perm) == ("slice", 1, 3, (2, 3, 1))
+    assert (c.mode, c.start, c.length) == ("slice", 1, 3)
     d = access(plan, "D")
-    assert (d.mode, d.perm, d.indices) == ("gather", (0, 3), (0, 2))
+    assert (d.mode, d.columns) == ("gather", (0, 3))
+    assert read_columns(graph, plan) == {"B": (0, 2, 3), "C": (2, 3, 1), "D": (0, 3)}
     assert plan.stats == CopyStats(8, 2)
 
 
@@ -77,9 +78,10 @@ def test_reversed_slice_window():
 
     plan = plan_export(graph, s, order, masks)
     b = access(plan, "B")
-    assert (b.mode, b.start, b.length, b.perm) == ("slice", 0, 2, (0, 2))
+    assert (b.mode, b.start, b.length) == ("slice", 0, 2)
     d = access(plan, "D")
-    assert (d.mode, d.start, d.length, d.perm) == ("slice", 1, 2, (2, 1))
+    assert (d.mode, d.start, d.length) == ("slice", 1, 2)
+    assert read_columns(graph, plan) == {"B": (0, 2), "D": (2, 1)}
     assert plan.stats.copied == 0
 
 
@@ -89,7 +91,7 @@ def test_identity_plan_when_nothing_pruned():
     plan = plan_export(graph, s, (0, 1, 2, 3), {})
     assert plan.producer_orders["A"] == (0, 1, 2, 3)
     for a in plan.consumers:
-        assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 4, (0, 1, 2, 3))
+        assert (a.mode, a.start, a.length) == ("slice", 0, 4)
     assert plan.stats == CopyStats(8, 0)
 
     new_graph, new_weights = apply_plan([plan], graph, weights)
@@ -116,8 +118,10 @@ def test_locked_segment_forces_gathers():
     plan = plan_export(graph, s, None, {"A": (0, 2)})
     assert plan.producer_orders["in"] == (0, 1, 2, 3)
     a = access(plan, "A")
-    assert (a.mode, a.perm, a.indices) == ("gather", (0, 2), (0, 2))
+    assert (a.mode, a.columns) == ("gather", (0, 2))
     assert plan.stats == CopyStats(2, 2)
+    new_graph, _ = apply_plan([plan], graph, ramp_weights(graph))
+    assert new_graph.layer("A.read").params == (0, 2)
 
 
 @pytest.mark.parametrize("strategy", ["reorder", "baseline", "constrained"])
@@ -141,7 +145,7 @@ def test_ill_formed_segment_keeps_its_layout(strategy):
     if strategy == "constrained":
         assert access(plan, "X").mode == "slice" and plan.zero_columns == {"X": (1, 3)}
     else:
-        assert access(plan, "X") == ConsumerAccess("X", "gather", perm=(0, 2), indices=(0, 2))
+        assert access(plan, "X") == ConsumerAccess("X", "gather", columns=(0, 2))
     new_graph, new_weights = apply_plan([plan], graph, weights)
     assert check_equivalence(graph, weights, masks, new_graph, new_weights).passed
 
@@ -156,10 +160,12 @@ def test_baseline_divergent_masks_gather():
     assert plan.strategy == "baseline"
     assert plan.producer_orders["A"] == (0, 1, 2, 3)
     b = access(plan, "B")
-    assert (b.mode, b.indices) == ("gather", (0, 1))
+    assert (b.mode, b.columns) == ("gather", (0, 1))
     d = access(plan, "D")
-    assert (d.mode, d.indices) == ("gather", (1, 2))
+    assert (d.mode, d.columns) == ("gather", (1, 2))
     assert plan.stats == CopyStats(4, 4)
+    new_graph, _ = apply_plan([plan], graph, ramp_weights(graph))
+    assert new_graph.layer("D.read").params == (1, 2)
 
 
 def test_baseline_agreeing_masks_drop():
@@ -167,16 +173,18 @@ def test_baseline_agreeing_masks_drop():
     plan = planned(graph, {"B": (0, 1), "D": (0, 1)}, "baseline")
     assert plan.producer_orders["A"] == (0, 1)
     for a in plan.consumers:
-        assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 2, (0, 1))
+        assert (a.mode, a.start, a.length) == ("slice", 0, 2)
+    assert read_columns(graph, plan) == {"B": (0, 1), "D": (0, 1)}
     assert plan.stats == CopyStats(4, 0)
 
 
 def test_baseline_single_consumer_drops():
-    graph, _ = fan_fixture(4, ("B",))
+    graph, _ = single_branch_fixture()
     plan = planned(graph, {"B": (1, 3)}, "baseline")
     assert plan.producer_orders["A"] == (1, 3)
     b = access(plan, "B")
-    assert (b.mode, b.start, b.length, b.perm) == ("slice", 0, 2, (1, 3))
+    assert (b.mode, b.start, b.length) == ("slice", 0, 2)
+    assert read_columns(graph, plan) == {"B": (1, 3)}
     assert plan.stats.copied == 0
 
 
@@ -206,7 +214,8 @@ def test_constrained_zeroes_columns():
     assert plan.producer_orders["A"] == (0, 1, 2)
     assert plan.zero_columns == {"B": (2,), "D": (0,)}
     for a in plan.consumers:
-        assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 3, (0, 1, 2))
+        assert (a.mode, a.start, a.length) == ("slice", 0, 3)
+    assert read_columns(graph, plan) == {"B": (0, 1, -1), "D": (-1, 1, 2)}
     assert plan.stats == CopyStats(4, 0)
 
     new_graph, new_weights = apply_plan([plan], graph, weights)
@@ -219,12 +228,46 @@ def test_apply_refuses_zero_columns_on_a_gathering_consumer():
     # copying more than it reads; the planner never writes such a plan
     graph, weights = fan_fixture(4, ("B", "D"))
     plan = planned(graph, {"B": (0, 1), "D": (1, 2)}, "constrained")
-    b = access(plan, "B")
-    gather = ConsumerAccess("B", "gather", perm=b.perm,
-                            indices=tuple(range(b.start, b.start + b.length)))
+    gather = ConsumerAccess("B", "gather", columns=(0, 1, 2))
     bad = dataclasses.replace(plan, consumers=(gather, access(plan, "D")))
     with pytest.raises(ValidationError, match="B: a gathering consumer zeroes columns"):
         apply_plan([bad], graph, weights)
+
+
+@pytest.mark.parametrize("c_rows", [(1, 0, 2, 3), (0, 1, 2)], ids=["swapped", "shorter"])
+def test_apply_refuses_add_operands_in_different_orders(c_rows):
+    # A and C are summed by the add j, so they form one band: channel i of
+    # A meets channel i of C. Rows of C in another order than A's would sum
+    # filters that do not belong together.
+    graph, weights = add_join_fixture()
+    plan = SegmentPlan("A", "input", "reorder", ("A", "C"), ("j",),
+                       {"A": (1, 0, 2, 3), "C": (1, 0, 2, 3)},
+                       (ConsumerAccess("B", "slice", length=4),), {}, (), None)
+    new_graph, new_weights = apply_plan([plan], graph, weights)
+    assert check_equivalence(graph, weights, {}, new_graph, new_weights).passed
+    bad = dataclasses.replace(plan, producer_orders={"A": (0, 1, 2, 3), "C": c_rows})
+    with pytest.raises(ValidationError) as exc:
+        apply_plan([bad], graph, weights)
+    assert exc.value.diagnostics == ["j: summed operands take different channel orders"]
+
+
+@pytest.mark.parametrize("kind, params", [(LayerKind.SLICE, (1, 2)), (LayerKind.GATHER, (3, 0))])
+def test_apply_refuses_moving_a_producer_above_an_interior_selection(kind, params):
+    # s picks A's channels by position, so the segment keeps its layout: a
+    # plan that moved A's rows would change what s picks
+    graph, weights = build_model(
+        [("in", INPUT, 4, 4), ("A", MIX, 4, 4), ("s", kind, 4, 2, params),
+         ("B", MIX, 2, 2), ("out", OUTPUT, 2, 2)],
+        [("in", "A"), ("A", "s"), ("s", "B"), ("B", "out")])
+    (plan,), _ = plan_model(graph, {"B": (1,)})
+    assert plan.producer_orders == {"A": (0, 1, 2, 3)}
+    new_graph, new_weights = apply_plan([plan], graph, weights)
+    assert check_equivalence(graph, weights, {"B": (1,)}, new_graph, new_weights).passed
+    moved = dataclasses.replace(plan, producer_orders={"A": (1, 0, 2, 3)})
+    with pytest.raises(ValidationError) as exc:
+        apply_plan([moved], graph, weights)
+    assert exc.value.diagnostics == [
+        "s: selects channels by position, but a producer upstream of it moves"]
 
 
 def test_constrained_keeps_a_channel_read_twice_in_place():
@@ -237,8 +280,8 @@ def test_constrained_keeps_a_channel_read_twice_in_place():
     masks = {"B": (0, 1, 3)}
     plan = planned(graph, masks, "constrained")
     assert plan.producer_orders == {"A": (0, 1)}
-    assert access(plan, "B") == ConsumerAccess("B", "slice", start=0, length=4,
-                                               perm=(0, 1, 2, 3))
+    assert access(plan, "B") == ConsumerAccess("B", "slice", start=0, length=4)
+    assert read_columns(graph, plan) == {"B": (0, 1, -1, 3)}
     assert plan.zero_columns == {"B": (2,)}
     assert plan.stats == CopyStats(3, 0)
 
@@ -302,7 +345,7 @@ def test_apply_is_pure():
     # their column order and their pruned columns are zeroed in place
     constrained = plan_export(graph, s, (0, 1, 2, 3), {"B": (0, 1, 2), "D": (1, 2, 3)},
                               "constrained")
-    assert all(a.perm == (0, 1, 2, 3) for a in constrained.consumers)
+    assert read_columns(graph, constrained) == {"B": (0, 1, 2, -1), "D": (-1, 1, 2, 3)}
     assert constrained.zero_columns == {"B": (3,), "D": (0,)}
     for plan in (reordered, constrained):
         _, out = apply_plan([plan], graph, weights)
@@ -416,16 +459,11 @@ def test_output_reorder_rewrites_residual_join():
     assert plan.producer_orders == {"A": (0, 3, 2), "C": (1, 0, 3)}
     assert plan.stats == CopyStats(6, 0)
 
-    jr = plan.join
-    assert jr is not None and not jr.keep_original
-    assert [r.producers for r in jr.runs] == [("C",), ("A", "C"), ("A",)]
-    assert jr.runs[0].windows == {"C": (0, 1)}
-    assert jr.runs[1].windows == {"A": (0, 2), "C": (1, 2)}
-    assert jr.runs[2].windows == {"A": (2, 1)}
-
+    assert plan.join.runs == ({"C": (0, 1)}, {"A": (0, 2), "C": (1, 2)}, {"A": (2, 1)})
     for c in ("B", "D"):
         a = access(plan, c)
-        assert (a.mode, a.start, a.length, a.perm) == ("slice", 0, 4, (1, 0, 3, 2))
+        assert (a.mode, a.start, a.length) == ("slice", 0, 4)
+    assert read_columns(graph, plan) == {"B": (1, 0, 3, 2), "D": (1, 0, 3, 2)}
 
     new_graph, new_weights = apply_plan([plan], graph, weights)
     assert [l.id for l in new_graph.layers] == [
@@ -448,11 +486,13 @@ def test_output_identity_masks_keep_join():
     masks = {"A": (0, 2, 3), "C": (0, 2, 3)}
     plan = plan_export_output(graph, s, (0, 2, 3), masks)
     assert plan.producer_orders == {"A": (0, 2, 3), "C": (0, 2, 3)}
-    assert plan.join.keep_original
+    assert plan.join.runs == ({"A": (0, 3), "C": (0, 3)},)
     assert plan.stats.copied == 0
 
+    # the one run sums both whole operands, so the add itself stays
     new_graph, new_weights = apply_plan([plan], graph, weights)
     assert new_graph.layer("j").out_channels == 3
+    assert len(new_graph.layers) == len(graph.layers)
     report = check_equivalence(graph, weights, masks, new_graph, new_weights,
                                seed=13, mask_side="output")
     assert report.passed
@@ -464,7 +504,7 @@ def test_output_baseline_infill():
     plan = plan_export_output(graph, s, None, {"A": (0, 2, 3)})
     assert plan.strategy == "baseline"
     assert plan.producer_orders["A"] == (0, 2, 3)
-    assert plan.infill["A"] == (0, -1, 1, 2)
+    assert plan.infill == ("A",)
     assert plan.consumers == ()
     assert plan.stats == CopyStats(3, 3)
 
@@ -512,9 +552,9 @@ def test_output_segment_it_cannot_rewrite_gets_the_baseline_infill(model, reason
         plan_export_output(graph, s, (0, 2), masks)
     assert exc.value.diagnostics == [f"A: an order is given for an output-locked segment "
                                      f"({s.output_lock_reason})"]
-    assert plan.strategy == "baseline"
-    assert plan.infill == {"A": (0, -1, 1, -1)[:graph.layer("A").out_channels]}
+    assert plan.strategy == "baseline" and plan.infill == ("A",)
     new_graph, new_weights = apply_plan([plan], graph, weights)
+    assert new_graph.layer("A.restore").params == (0, -1, 1, -1)[:graph.layer("A").out_channels]
     assert check_equivalence(graph, weights, masks, new_graph, new_weights,
                              mask_side="output").passed
 
@@ -526,7 +566,7 @@ def test_output_locked_segment():
     # and an order is refused as plan_export refuses one
     assert s.output_lock_reason == s.lock_reason == "a producer is the model input"
     plan = plan_export_output(graph, s, None, {"in": (0, 1)})
-    assert plan.strategy == "baseline" and plan.infill == {"in": (0, 1, -1, -1)}
+    assert plan.strategy == "baseline" and plan.infill == ("in",)
     with pytest.raises(ValidationError) as exc:
         plan_export_output(graph, s, (0, 1), {"in": (0, 1)})
     assert exc.value.diagnostics == ["in: an order is given for an output-locked segment "

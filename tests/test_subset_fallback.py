@@ -114,10 +114,10 @@ def test_subset_against_the_exhaustive_optimum():
         access = {a.consumer: a for a in plan.consumers}
         assert all(access[c].mode == "slice" for c in chosen), seed
         baseline_plans, _ = plan_model(graph, masks, strategy="baseline")
-        baseline = {a.consumer: len(a.perm) if a.mode == "gather" else 0
+        baseline = {a.consumer: a.width if a.mode == "gather" else 0
                     for p in baseline_plans if p.segment == segment.id for a in p.consumers}
         for c, a in access.items():
-            assert (len(a.perm) if a.mode == "gather" else 0) <= baseline[c], (seed, c)
+            assert (a.width if a.mode == "gather" else 0) <= baseline[c], (seed, c)
         found = sum(len(retained[c]) for c in chosen)
         best = oracle_max_c1p_subset(retained)
         assert found <= best

@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from reslice.graph import (
     MODE_INPUT,
     MODES,
     ModelFormatError,
+    ModelGraph,
     ValidationError,
     WeightStore,
     graph_to_dict,
@@ -31,6 +33,7 @@ from reslice.graph import (
     load_model,
     save_masks,
     save_model,
+    saves_as,
     validate_masks,
 )
 from reslice.interp import DEFAULT_TOLERANCE, DEFAULT_TRIALS, check_equivalence
@@ -60,7 +63,13 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 4
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ValidationError([f"--seed must be non-negative, got {seed}"])
+
+
 def cmd_prune(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     graph, weights = load_model(args.model, args.weights)
     scores = score_channels(graph, weights, args.heuristic, side=args.mode, seed=args.seed)
     mask_mode = MODE_CONSTRAINED if args.constrained else MODE_UNCONSTRAINED
@@ -94,11 +103,28 @@ def _same_weights(a: WeightStore, b: WeightStore) -> bool:
             and all(np.array_equal(a[k], b[k]) for k in a.tensors))
 
 
+def _saved_replay(plans, graph: ModelGraph, weights: WeightStore, model_file: str,
+                  weights_file: str) -> tuple[ModelGraph, WeightStore] | None:
+    """The plans' replay when ``save_model`` writes it as exactly the two
+    files' bytes, else None. A file that cannot be read, a plan that does
+    not apply and bytes that differ (an older layout, weights version 1, an
+    edited file) all leave the files to ``load_model``, which reports them
+    as it always has."""
+    try:
+        model_data = Path(model_file).read_bytes()
+        weights_data = Path(weights_file).read_bytes()
+        replayed = apply_plan(plans, graph, weights)
+    except (OSError, ModelFormatError, ValidationError):
+        return None
+    return replayed if saves_as(*replayed, model_data, weights_data) else None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:  # usage errors, not failed verifications
         raise ValidationError([f"--trials must be at least 1, got {args.trials}"])
     if not 0 <= args.tol < float("inf"):
         raise ValidationError([f"--tol must be finite and non-negative, got {args.tol:g}"])
+    _check_seed(args.seed)
     graph, weights = load_model(args.model, args.weights)
     masks = load_masks(args.masks) if args.masks else {}
     diags = validate_masks(graph, masks, args.mode)
@@ -111,13 +137,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"verification failed: the plan is for {other.pop()} mode, "
                   f"but --mode is {args.mode}", file=sys.stderr)
             return EXIT_MISMATCH
-        exported = load_model(f"{args.out_prefix}.model.json", f"{args.out_prefix}.weights.json")
-        replayed_graph, replayed_weights = apply_plan(plans, graph, weights)
-        if (graph_to_dict(replayed_graph) != graph_to_dict(exported[0])
-                or not _same_weights(replayed_weights, exported[1])):
-            print("verification failed: exported artifacts do not match the plan",
-                  file=sys.stderr)
-            return EXIT_MISMATCH
+        model_file = f"{args.out_prefix}.model.json"
+        weights_file = f"{args.out_prefix}.weights.json"
+        exported = _saved_replay(plans, graph, weights, model_file, weights_file)
+        if exported is None:
+            exported = load_model(model_file, weights_file)
+            replayed_graph, replayed_weights = apply_plan(plans, graph, weights)
+            if (graph_to_dict(replayed_graph) != graph_to_dict(exported[0])
+                    or not _same_weights(replayed_weights, exported[1])):
+                print("verification failed: exported artifacts do not match the plan",
+                      file=sys.stderr)
+                return EXIT_MISMATCH
         report = check_equivalence(graph, weights, masks, exported[0], exported[1],
                                    trials=args.trials, tol=args.tol, seed=args.seed,
                                    mask_side=args.mode)

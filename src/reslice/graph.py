@@ -399,17 +399,36 @@ def _write_json(emit, value, depth: int) -> None:
     emit((b"\n" if lines else b"") + (b"}" if is_dict else b"]"))
 
 
-def _dump_json(obj: dict, path: str | Path) -> None:
-    """One line per top-level key and per element of a top-level list or
-    object. Unlike ``json.dumps(indent=...)`` this keeps CPython's C
-    encoder. The pieces are collected before the file is opened, so a
-    value the writer refuses leaves no file behind, and written to it one
-    by one instead of being joined into the file's text."""
+def _file_pieces(obj: dict) -> list[bytes]:
+    """The bytes of the file that holds ``obj``, in the pieces the writer
+    emits: one line per top-level key and per element of a top-level list
+    or object. Unlike ``json.dumps(indent=...)`` this keeps CPython's C
+    encoder. Every file is written as these bytes, and ``saves_as``
+    compares exported files with them."""
     pieces: list[bytes] = []
     _write_json(pieces.append, obj, 0)
     pieces.append(b"\n")
+    return pieces
+
+
+def _dump_json(obj: dict, path: str | Path) -> None:
+    """Write ``obj`` as :func:`_file_pieces` lays it out. The pieces are
+    collected before the file is opened, so a value the writer refuses
+    leaves no file behind, and written to it one by one instead of being
+    joined into the file's text."""
+    pieces = _file_pieces(obj)
     with open(path, "wb") as f:
         f.writelines(pieces)
+
+
+def _holds(data: bytes, pieces: list[bytes]) -> bool:
+    """Whether ``data`` is exactly ``pieces`` joined, compared in place."""
+    pos = 0
+    for piece in pieces:
+        if not data.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return pos == len(data)
 
 
 # orjson's first call reserves a buffer of about 8 MiB. Made while or after
@@ -634,6 +653,17 @@ def save_model(graph: ModelGraph, weights: WeightStore,
     file is written, since the weights file is written first."""
     _dump_json(_weights_file(weights), weights_file)
     _dump_json(graph_to_dict(graph), model_file)
+
+
+def saves_as(graph: ModelGraph, weights: WeightStore,
+             model_data: bytes, weights_data: bytes) -> bool:
+    """Whether :func:`save_model` writes ``graph`` and ``weights`` as
+    exactly ``model_data`` and ``weights_data``. Then loading those files
+    gives back the same graph and bit-identical weights (base64 float64
+    round-trips exactly), so neither file needs parsing. The model is
+    compared first: the weights are encoded only when it matches."""
+    return (_holds(model_data, _file_pieces(graph_to_dict(graph)))
+            and _holds(weights_data, _file_pieces(_weights_file(weights))))
 
 
 def load_model(model_file: str | Path, weights_file: str | Path) -> tuple[ModelGraph, WeightStore]:

@@ -31,6 +31,18 @@ from reslice.segments import Segment
 
 log = logging.getLogger(__name__)
 
+# The most copy-free layout tests (``find_zero_copy_order`` calls) one
+# ``largest_c1p_order`` makes. Each test rebuilds its overlap components
+# from scratch, so unbounded swapping took seconds on wide overlapping fans
+# (7,974 tests on a 128-consumer fan). The benchmark workloads, the golden
+# corpus and a 48-layer dense block need at most 144, far below the cap.
+# Past it the swaps stop and the best subset found so far stands.
+MAX_C1P_TESTS = 3000
+
+
+class _OutOfTests(Exception):
+    """``largest_c1p_order`` spent its ``MAX_C1P_TESTS`` layout tests."""
+
 
 def band_layouts(segment: Segment, order: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
     """Per-producer slot layouts induced by a segment-wide channel order.
@@ -223,8 +235,9 @@ def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
     strictly raises the total size of the chosen sets, and the rejected
     ones that fit after the swap join. A swap is tried only with rejected
     sets that fit on their own once the chosen one leaves, and two of them
-    only when they are disjoint or nested, which bounds the search on wide
-    overlapping fans.
+    only when they are disjoint or nested. The search stops at
+    ``MAX_C1P_TESTS`` layout tests, keeping the sets chosen by then, and
+    the one INFO record it logs says so.
     """
     if segment.lock_reason:
         raise ValidationError([f"{segment.id}: a locked segment takes no channel order "
@@ -232,15 +245,19 @@ def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
     kept = frozenset().union(*retained.values())
     size = {c: len(r) for c, r in retained.items()}
     ranked = sorted(retained, key=lambda c: (-size[c], c))
+    tests = 0
 
     def layout(group: list[str]) -> tuple[int, ...] | None:
+        nonlocal tests
+        if tests == MAX_C1P_TESTS:
+            raise _OutOfTests
+        tests += 1
         return find_zero_copy_order(segment, {c: retained[c] for c in group}, reads, kept)
 
-    def fill(chosen: list[str]) -> list[str]:
+    def fill(chosen: list[str]) -> None:
         for c in ranked:
             if c not in chosen and layout([*chosen, c]) is not None:
                 chosen.append(c)
-        return chosen
 
     def nested_or_disjoint(a: str, b: str) -> bool:
         ra, rb = retained[a], retained[b]
@@ -266,9 +283,16 @@ def largest_c1p_order(segment: Segment, retained: Mapping[str, frozenset[int]],
                     return [*rest, *move]
         return None
 
-    chosen = fill([])
-    while (better := swap(chosen)) is not None:
-        chosen = fill(better)
-    log.info("segment %s: rule c1p-subset, %d layers chosen, %d rejected",
-             segment.id, len(chosen), len(retained) - len(chosen))
-    return layout(chosen), tuple(sorted(chosen))
+    chosen: list[str] = []
+    stopped = ""
+    try:
+        fill(chosen)
+        while (better := swap(chosen)) is not None:
+            chosen = better
+            fill(chosen)
+    except _OutOfTests:  # ``chosen`` only ever grows by a layer that fits
+        stopped = f", stopped after {MAX_C1P_TESTS} layout tests"
+    log.info("segment %s: rule c1p-subset, %d layers chosen, %d rejected%s",
+             segment.id, len(chosen), len(retained) - len(chosen), stopped)
+    order = find_zero_copy_order(segment, {c: retained[c] for c in chosen}, reads, kept)
+    return order, tuple(sorted(chosen))

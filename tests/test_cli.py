@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (duplicate_read_fixture, fan_fixture, input_residual_fixture,
+from helpers import (dense_block, duplicate_read_fixture, fan_fixture, input_residual_fixture,
                      intra_producer_merge_fixture, oracle_weights_dict,
-                     per_channel_interior_fixture, residual_block_fixture, save_weights_v1,
-                     stacked_joins_fixture)
+                     per_channel_interior_fixture, ramp_weights, random_dag,
+                     residual_block_fixture, save_weights_v1, stacked_joins_fixture)
+import reslice.cli
 from reslice.cli import main
 from reslice.graph import (graph_to_dict, load_masks, load_model, save_masks, save_model,
                            weights_from_dict)
+from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model
 from reslice.planner import CopyStats, copy_report, load_plans, plan_to_dict, save_plans
 
@@ -991,3 +993,135 @@ def test_files_hold_one_element_per_line_and_the_old_layout_still_verifies(
     assert run_cli("verify", "--model", model, "--weights", weights, "--mode", "output",
                    "--masks", tmp / "masks.json", "--out-prefix", tmp / "x") == 0
     assert "max deviation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["prune", "verify"])
+def test_a_negative_seed_is_exit_2(model_files, capsys, command):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 0
+    extra = {"prune": ["--heuristic", "l2", "--sparsity", "0.5", "--out", tmp / "p.json"],
+             "verify": ["--masks", masks, "--out-prefix", tmp / "x"]}[command]
+    capsys.readouterr()
+    assert run_cli(command, "--model", model, "--weights", weights, *extra, "--seed", -1) == 2
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+    assert not (tmp / "p.json").exists()
+
+
+# ``reslice verify`` re-encodes its replay of the plan with the writer and
+# compares the bytes with the exported files; only when they differ does it
+# load the files and compare what they hold.
+
+MODE_MASKS = {"input": {"B": (0, 2), "D": (1, 2)}, "output": {"A": (0, 2, 3), "C": (0, 1, 3)}}
+
+
+def _export(tmp, model, weights, mode):
+    """Export with ``MODE_MASKS[mode]``; the argv that verifies the export."""
+    masks = tmp / f"{mode}.masks.json"
+    save_masks(MODE_MASKS[mode], masks)
+    prefix = tmp / mode
+    assert run_cli("export", "--model", model, "--weights", weights, "--mode", mode,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    return ["verify", "--model", model, "--weights", weights, "--mode", mode,
+            "--masks", masks, "--out-prefix", prefix]
+
+
+@pytest.mark.parametrize("mode", ["input", "output"])
+def test_verify_of_an_untouched_export_parses_only_the_original_weights(
+        model_files, capsys, monkeypatch, mode):
+    tmp, model, weights = model_files
+    verify = _export(tmp, model, weights, mode)
+    calls = []
+    real = json.decoder.JSONObject
+    monkeypatch.setattr(json.decoder, "JSONObject", lambda *a: calls.append(1) or real(*a))
+    capsys.readouterr()
+    assert run_cli(*verify) == 0
+    assert "max deviation" in capsys.readouterr().out
+    # the original weights file's top object, its tensors and one call per
+    # record; none for the exported files
+    assert len(calls) == 2 + len(load_model(model, weights)[1].tensors)
+
+
+def _first_payload_char(text):
+    at = text.index('"f64le":"') + len('"f64le":"')
+    # the first base64 character holds the low mantissa bits of the first
+    # value, so the edit keeps the value finite
+    return text[:at] + ("B" if text[at] == "A" else "A") + text[at + 1:]
+
+
+def _first_out_channels_digit(text):
+    at = text.index('"out_channels":') + len('"out_channels":')
+    return text[:at] + ("8" if text[at] == "9" else str(int(text[at]) + 1)) + text[at + 1:]
+
+
+@pytest.mark.parametrize("mode", ["input", "output"])
+@pytest.mark.parametrize("suffix, edit, message", [
+    ("weights", _first_payload_char, "exported artifacts do not match the plan"),
+    ("model", _first_out_channels_digit, "input layer carries one channel count"),
+])
+def test_an_in_place_edit_of_an_exported_file_is_exit_4(
+        model_files, capsys, mode, suffix, edit, message):
+    tmp, model, weights = model_files
+    verify = _export(tmp, model, weights, mode)
+    path = tmp / f"{mode}.{suffix}.json"
+    before = path.read_text()
+    after = edit(before)
+    assert len(after) == len(before) and after.count("\n") == before.count("\n")
+    assert after != before
+    path.write_text(after)
+    capsys.readouterr()
+    assert run_cli(*verify) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ") and message in err
+
+
+def _count_loads(monkeypatch):
+    loads = []
+    real = reslice.cli.load_model
+    monkeypatch.setattr(reslice.cli, "load_model", lambda *a: loads.append(a) or real(*a))
+    return loads
+
+
+def _export_and_verify(tmp, graph, weights, masks, mode, monkeypatch):
+    """Export then verify through the CLI; the files ``load_model`` read."""
+    model, wfile, mfile = tmp / "m.json", tmp / "w.json", tmp / "masks.json"
+    save_model(graph, weights, model, wfile)
+    save_masks(masks, mfile)
+    common = ["--model", model, "--weights", wfile, "--masks", mfile, "--mode", mode,
+              "--out-prefix", tmp / "x"]
+    assert run_cli("export", *common) == 0
+    loads = _count_loads(monkeypatch)
+    assert run_cli("verify", *common) == 0
+    monkeypatch.undo()
+    return [Path(a[0]).name for a in loads]
+
+
+@pytest.mark.parametrize("mode", ["input", "output"])
+def test_verify_of_an_export_never_loads_the_exported_files(tmp_path, capsys, monkeypatch, mode):
+    # random DAGs with L2 masks at sparsity 0.5, and two dense blocks
+    cases = []
+    for seed in range(12):
+        graph, weights = random_dag(seed)
+        scores = score_channels(graph, weights, "l2", side=mode)
+        cases.append((graph, weights, make_masks(graph, scores, 0.5, "unconstrained",
+                                                  side=mode)))
+    if mode == "input":
+        for layers in (6, 12):
+            graph, masks = dense_block(layers, stem=64, growth=16, seed=layers)
+            cases.append((graph, ramp_weights(graph), masks))
+    for graph, weights, masks in cases:
+        assert _export_and_verify(tmp_path, graph, weights, masks, mode,
+                                  monkeypatch) == ["m.json"]
+    assert capsys.readouterr().out.count("max deviation") == len(cases)
+
+
+def test_verify_loads_the_exported_files_of_an_older_layout(model_files, monkeypatch):
+    tmp, model, weights = model_files
+    verify = _export(tmp, model, weights, "input")
+    wpath = tmp / "input.weights.json"
+    save_weights_v1(load_model(tmp / "input.model.json", wpath)[1], wpath)
+    loads = _count_loads(monkeypatch)
+    assert run_cli(*verify) == 0
+    assert [Path(a[0]).name for a in loads] == ["m.model.json", "input.model.json"]

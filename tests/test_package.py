@@ -1,6 +1,7 @@
 """The package's export list and its import structure."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -175,3 +176,32 @@ def test_one_function_defines_the_copy_count():
     # summed by copy_report; no planner counts on its own
     builders = set().union(*(owners(p, builds_copy_stats) for p in PACKAGE.glob("*.py")))
     assert builders == {"planner.stats", "planner.copy_report"}
+
+
+def traced_names():
+    """``(owner, attribute)`` for each entry of ``PATCHES`` in
+    bench/tracing.py, read from its source: the owner as dotted text."""
+    path = PACKAGE.parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    [patches] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["PATCHES"]]
+    return [(ast.unparse(entry.elts[0]), entry.elts[1].value) for entry in patches.elts]
+
+
+def resolve(dotted):
+    """The object a dotted name such as ``reslice.graph.ModelGraph`` names:
+    a module of the package, then attributes."""
+    package, module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"{package}.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_every_name_the_tracer_patches_exists():
+    # the benchmark's tracer replaces these attributes at install; one that
+    # a refactor drops would otherwise fail only there
+    names = traced_names()
+    assert len(names) > 10 and all(owner.startswith("reslice.") for owner, _ in names)
+    assert [f"{owner}.{attr}" for owner, attr in names
+            if not hasattr(resolve(owner), attr)] == []

@@ -22,7 +22,7 @@ from helpers import (
     oracle_max_c1p_subset,
     random_dag,
 )
-from reslice import find_segments, make_masks, score_channels
+from reslice import find_segments, make_masks, ordering, score_channels
 from reslice.ordering import find_zero_copy_order, largest_c1p_order
 from reslice.path_search import (build_reorder_graph, decompose_paths, order_channels,
                                  reorder_graph_from_sets)
@@ -273,3 +273,25 @@ def test_fallback_logs_one_info_record_per_segment(caplog):
         assert records == [("reslice.ordering", "INFO",
                             f"segment {seg_id}: rule c1p-subset, {len(chosen)} layers chosen, "
                             f"{31 - len(chosen)} rejected")]
+
+
+def test_subset_search_of_a_128_consumer_fan_stops_at_its_test_cap(caplog, monkeypatch):
+    """Mixed masks: about 0.25 s per plan, bounded at 10 times that, with
+    2,454 of 2,637 reads copied. Without the cap the swaps ran 7,974 layout
+    tests over 3-4 s and copied 1,331."""
+    graph, segment = fan_segment(128)
+    masks = fan_masks(np.random.default_rng(1), 128, "mixed")
+    elapsed, (plans, _) = best_of_three(lambda: plan_model(graph, masks))
+    assert copy_report(plans).copied == 2454
+    assert elapsed < 2.5
+    tests = []
+    real = ordering.find_zero_copy_order
+    monkeypatch.setattr(ordering, "find_zero_copy_order", lambda *a: tests.append(1) or real(*a))
+    retained = resolve_masks(segment, masks, "input").slots
+    with caplog.at_level(logging.INFO):
+        _, chosen = largest_c1p_order(segment, retained, segment.band_reads)
+    # the cap's tests and the final layout
+    assert len(tests) == ordering.MAX_C1P_TESTS + 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"segment A: rule c1p-subset, {len(chosen)} layers chosen, {128 - len(chosen)} "
+        f"rejected, stopped after {ordering.MAX_C1P_TESTS} layout tests"]

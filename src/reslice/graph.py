@@ -363,7 +363,16 @@ def validate_masks(graph: ModelGraph, masks: Mapping[str, Iterable[int]],
 # file formats (deterministic structured text)
 # --------------------------------------------------------------------------
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The one C encoder that writes every value and key: sorted keys, "," and
+# ":" separators, ASCII output, NaN and infinities allowed
+# (``JSONEncoder.encode`` would build a new one per call). It has no
+# circular-reference markers: a reused markers dict keeps the ids that an
+# error leaves in it. The writer's values are trees built afresh.
+# Arguments: markers, default, string encoder, indent, key separator, item
+# separator, sort_keys, skipkeys, allow_nan.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True)
 
 
 def _write_json(emit, value, depth: int) -> None:
@@ -381,7 +390,7 @@ def _write_json(emit, value, depth: int) -> None:
     is_dict = isinstance(value, dict)
     lines = depth < 2 and bool(value) and (is_dict or isinstance(value, list))
     if not (lines or is_dict and bytes in map(type, value.values())):
-        emit(_ENCODER.encode(value).encode("ascii"))
+        emit("".join(_encode(value, 0)).encode("ascii"))
         return
     if is_dict:
         bad = [key for key in value if not isinstance(key, str)]
@@ -394,7 +403,7 @@ def _write_json(emit, value, depth: int) -> None:
         elif i:
             emit(b",")
         if is_dict:
-            emit(_ENCODER.encode(key).encode("ascii") + b":")
+            emit("".join(_encode(key, 0)).encode("ascii") + b":")
         _write_json(emit, value[key], depth + 1)
     emit((b"\n" if lines else b"") + (b"}" if is_dict else b"]"))
 

@@ -10,10 +10,13 @@ needs no split) when its set is contiguous in the layout.
 every set is contiguous and builds one. Within one band that is the
 consecutive-ones property of the set x slot matrix. ``_c1p_order`` decides
 it by overlap components (Hsu, *J. Algorithms* 43(1), 2002) in O(m^2 n)
-for m sets and n slots, with no cap. A set reading across concatenated
-bands becomes one end-anchored set per band it touches. The kept slots to
-lay out can be given apart from the sets, so a subset of them can be
-tested against the full layout.
+for m sets and n slots, with no cap. A family of at most one distinct
+non-empty set skips the overlap components: it always has a layout, the
+one the components would give. A set reading across concatenated bands
+becomes one end-anchored set per band it touches; such a band also holds
+two sentinel sets, so it always takes the overlap components. The kept
+slots to lay out can be given apart from the sets, so a subset of them
+can be tested against the full layout.
 
 ``largest_c1p_order`` is the layout when no copy-free one exists: a large
 subset of the sets with a copy-free layout, chosen greedily by size and
@@ -88,19 +91,11 @@ def _refine(parts: list[set[int]], new: frozenset[int], union: set[int]) -> list
     return out
 
 
-def _c1p_order(sets: Iterable[frozenset[int]], universe: Iterable[int]) -> list[int] | None:
-    """An order of ``universe`` in which every set is contiguous, or None
-    when there is none (the sets lie inside the universe).
-
-    Each overlap component (sets joined by intersecting without nesting)
-    fixes an ordered partition of its union up to reversal. The unions form
-    a laminar family, and a nested union lies inside one part of the
-    smallest component enclosing it. A component is turned so that its
-    first part starts below its last, and inside a part child blocks and
-    loose slots go by their smallest slot, so an order that already works
-    comes back unchanged when it is ascending.
-    """
-    family = sorted(set(filter(None, sets)), key=sorted)
+def _overlap_components(family: list[frozenset[int]],
+                        ) -> list[tuple[set[int], list[set[int]]]] | None:
+    """The overlap components of ``family`` (sets joined by intersecting
+    without nesting), each as its union and the ordered partition of that
+    union it fixes up to reversal; None when a component fixes none."""
     overlaps = [[j for j, t in enumerate(family)
                  if not s.isdisjoint(t) and not s <= t and not t <= s] for s in family]
     seen = [False] * len(family)
@@ -122,6 +117,32 @@ def _c1p_order(sets: Iterable[frozenset[int]], universe: Iterable[int]) -> list[
                 return None
             union |= family[j]
         components.append((union, parts))
+    return components
+
+
+def _c1p_order(sets: Iterable[frozenset[int]], universe: Iterable[int]) -> list[int] | None:
+    """An order of ``universe`` in which every set is contiguous, or None
+    when there is none (the sets lie inside the universe).
+
+    At most one non-empty set always has one: the loose slots ascending,
+    with the set's slots as one ascending block placed by its smallest
+    slot. Otherwise each overlap component fixes an ordered partition of
+    its union up to reversal (``_overlap_components``). The unions form a
+    laminar family, and a nested union lies inside one part of the
+    smallest component enclosing it. A component is turned so that its
+    first part starts below its last, and inside a part child blocks and
+    loose slots go by their smallest slot, so an order that already works
+    comes back unchanged when it is ascending.
+    """
+    family = set(filter(None, sets))
+    if len(family) < 2:
+        block = sorted(family.pop()) if family else []
+        loose = sorted(set(universe).difference(block))
+        cut = bisect_left(loose, block[0]) if block else 0
+        return loose[:cut] + block + loose[cut:]
+    components = _overlap_components(sorted(family, key=sorted))
+    if components is None:
+        return None
 
     # largest union first; a set equal to a bigger component's union is its
     # parent (its one part), not its child

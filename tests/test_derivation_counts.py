@@ -21,7 +21,7 @@ import pytest
 from helpers import (ADD, INPUT, MIX, OUTPUT, PASS, per_channel_interior_fixture, ramp_weights,
                      stacked_joins_fixture)
 from reslice import Layer, ModelGraph, export_model, find_segments
-from reslice import pipeline, planner, segments
+from reslice import ordering, pipeline, planner, segments
 from reslice.graph import LayerKind
 from reslice.masks import make_masks, score_channels
 
@@ -153,3 +153,25 @@ def test_output_reorder_orders_no_output_locked_segment(monkeypatch, model):
     assert planned & locked and set(result.fallbacks) == planned & locked
     ordered = {args[0].id for args in calls}
     assert ordered == planned - locked
+
+
+def test_one_set_bands_skip_the_overlap_components(monkeypatch):
+    # a band holding at most one set is laid out directly; only families of
+    # two or more sets (here the bands an add join shares) build overlap
+    # components
+    graph, masks = residual_chain()
+    families = []
+    c1p_order = ordering._c1p_order
+
+    def recorded(sets, universe):
+        sets = list(sets)
+        families.append(set(filter(None, sets)))
+        return c1p_order(sets, universe)
+    monkeypatch.setattr(ordering, "_c1p_order", recorded)
+    counts = {}
+    _count(monkeypatch, counts, ordering, "_overlap_components")
+
+    export_model(graph, ramp_weights(graph), masks, mode="input", strategy="reorder")
+    one_set = sum(len(family) <= 1 for family in families)
+    assert one_set >= 80
+    assert 0 < counts["ordering._overlap_components"] == len(families) - one_set

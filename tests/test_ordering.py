@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reslice import find_segments
+from reslice import find_segments, ordering
 from reslice.graph import ValidationError
 from reslice.ordering import _c1p_order, band_layouts, find_zero_copy_order, largest_c1p_order
 from reslice.path_search import Path, decompose_paths, order_channels, reorder_graph_from_sets
@@ -268,6 +268,58 @@ def test_c1p_core_returns_a_working_ascending_order_unchanged():
         relabelled = [frozenset(int(label[x]) for x in s) for s in intervals]
         found = _c1p_order(relabelled, range(n))
         assert all(contiguous(found, s) for s in relabelled)
+
+
+def one_set_layout(block, universe):
+    """The documented layout of at most one set: the loose slots ascending,
+    with the set's slots as one ascending block placed by its smallest slot."""
+    loose = sorted(set(universe) - block)
+    first = min(block, default=max(universe) + 1)
+    return [x for x in loose if x < first] + sorted(block) + [x for x in loose if x > first]
+
+
+def test_c1p_core_lays_out_one_set_directly(monkeypatch):
+    rng = np.random.default_rng(2)
+    general = []
+    overlap_components = ordering._overlap_components
+    monkeypatch.setattr(ordering, "_overlap_components",
+                        lambda family: general.append(family) or overlap_components(family))
+    for _ in range(600):
+        n = int(rng.integers(1, 65))
+        universe = [int(x) for x in rng.choice(100, n, replace=False)]
+        block = frozenset(int(x) for x in rng.choice(universe, int(rng.integers(0, n + 1)),
+                                                     replace=False))
+        # repeats and empty sets leave one set, or none
+        sets = [block] * int(rng.integers(1, 3)) + [frozenset()] * int(rng.integers(0, 2))
+        found = _c1p_order(sets, universe)
+        assert sorted(found) == sorted(universe)
+        assert not block or contiguous(found, block)
+        assert found == one_set_layout(block, universe)
+        if n <= 6:
+            assert oracle_c1p(sets, universe) is not None
+        assert not general
+        # with the universe added as a second set the general path agrees
+        if block and block != set(universe):
+            assert _c1p_order([block, frozenset(universe)], universe) == found
+            assert general and general.pop() is not None
+
+
+def test_c1p_core_takes_the_general_path_for_an_anchored_band(monkeypatch):
+    # one set kept across a band's right end: with the two sentinels it is a
+    # family of three, and the set must end the band
+    calls = []
+    overlap_components = ordering._overlap_components
+    monkeypatch.setattr(ordering, "_overlap_components",
+                        lambda family: calls.append(family) or overlap_components(family))
+    channel_space = 8
+    universe = frozenset({0, 2, 3, 5, 6})
+    want = frozenset({0, 5})
+    left, right = -1, channel_space
+    sets = [want | {right}, universe | {left}, universe | {right}]
+    found = _c1p_order(sets, universe | {left, right})
+    assert len(calls) == 1
+    assert found == [left, 2, 3, 6, 0, 5, right]
+    assert all(contiguous(found, s) for s in sets)
 
 
 def concat_reads_fixture(widths, reads, seed=0):

@@ -105,6 +105,27 @@ def test_only_the_file_writer_and_stats_output_call_json_dump():
     assert not imported & {"json.dump", "json.dumps"}
 
 
+def builds_json_encoder(node):
+    """A call that builds a JSON encoder: ``JSONEncoder(...)`` or the C
+    encoder's ``c_make_encoder(...)``, under either spelling."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in ("JSONEncoder", "c_make_encoder")
+
+
+def test_the_file_writer_builds_its_one_encoder_at_module_level():
+    # JSONEncoder.encode builds a new C encoder on every call; the writer
+    # encodes every value and key with one, built when the module loads
+    builders = set().union(*(owners(p, builds_json_encoder) for p in PACKAGE.glob("*.py")))
+    assert builders == {"graph.<module>"}
+    tree = ast.parse((PACKAGE / "graph.py").read_text())
+    made = [n for n in ast.walk(tree) if builds_json_encoder(n)
+            and ast.unparse(n.func).rsplit(".", 1)[-1] == "c_make_encoder"]
+    assert len(made) == 1
+
+
 def reads_version(node):
     """A read of a ``"version"`` key: ``obj["version"]`` or
     ``obj.get("version", ...)``."""

@@ -234,8 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building it costs about as much as parsing
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -453,20 +453,23 @@ _scan_json = json.scanner.c_make_scanner(json.JSONDecoder())
 def _scan_floats(s: str, idx: int):
     """Scan the JSON value at ``s[idx]``. An array of floats comes back as
     a float64 array read by one orjson call, whose correctly rounded reader
-    gives the same doubles as ``float``. Any other value goes to the C
-    scanner, and so does an array that orjson refuses up to its first
+    gives the same doubles as ``float``; one pass checks its types and one
+    converts it. Every other value goes to the C scanner. An array with no
+    ``.``, ``e`` or ``E`` up to its first ``]`` holds no decimal and goes
+    there without an orjson call, which would read an integer beyond 64
+    bits as a float. So does an array that orjson refuses up to its first
     ``]`` (a nested one, NaN, Infinity, a value beyond float64) or that
-    holds anything but floats (orjson reads integers differently: one
-    beyond 64 bits as a float)."""
+    holds anything but floats."""
     if s.startswith("[", idx):
         end = s.find("]", idx) + 1
-        try:
-            values = orjson.loads(s[idx:end])
-        except orjson.JSONDecodeError:
-            pass
-        else:
-            if set(map(type, values)) == {float}:
-                return np.array(values, dtype=np.float64), end
+        if s.find(".", idx, end) >= 0 or s.find("e", idx, end) >= 0 or s.find("E", idx, end) >= 0:
+            try:
+                values = orjson.loads(s[idx:end])
+            except orjson.JSONDecodeError:
+                pass
+            else:
+                if list(map(type, values)).count(float) == len(values):
+                    return np.fromiter(values, np.float64, len(values)), end
     return _scan_json(s, idx)
 
 
@@ -703,7 +706,7 @@ def load_masks(path: str | Path) -> ChannelMask:
     masks: ChannelMask = {}
     for layer_id, idx in retained_obj.items():
         try:
-            masks[str(layer_id)] = normalize_mask(read_ints(idx))
+            masks[str(layer_id)] = tuple(sorted(set(read_ints(idx))))
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: retained[{layer_id!r}] {exc}") from None
     return masks

@@ -55,8 +55,7 @@ class Segment:
     ``producer_slots[p][i]`` is the slot written by producer ``p``'s local
     output channel ``i``; ``consumer_slots[c][j]`` is the slot read by
     consumer ``c``'s local input channel ``j`` (its full read vector, in
-    tensor order). ``node_slots`` carries the output slot vector of every
-    interior node, used to permute per-channel vectors at export time.
+    tensor order).
 
     ``lock_reason`` says why the layout must stay fixed (None: producers may
     reorder and drop channels). An ill-formed slot space, where one vector
@@ -73,7 +72,6 @@ class Segment:
     channel_space: int
     producer_slots: dict[str, tuple[int, ...]] = field(default_factory=dict)
     consumer_slots: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    node_slots: dict[str, tuple[int, ...]] = field(default_factory=dict)
     bands: tuple[Band, ...] = ()
     lock_reason: str | None = None
     output_lock_reason: str | None = None
@@ -269,7 +267,6 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
                                 merge=lambda a, b: joined.append((a, b)), zero=fresh_zero)
     canon_vec, channel_space = _slot_numbering(counter, joined)
     producer_slots = {p: canon_vec(producer_vectors[p]) for p in producer_ids}
-    node_slots = {u: canon_vec(vectors[u]) for u in interior_ids}
     consumer_slots = {c: canon_vec(vectors[graph.predecessors(c)[0]]) for c in consumer_ids}
 
     # a slot space is ill-formed where one vector holds a slot twice
@@ -315,7 +312,6 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
         channel_space=channel_space,
         producer_slots=producer_slots,
         consumer_slots=consumer_slots,
-        node_slots=node_slots,
         bands=tuple(bands),
         lock_reason=lock_reason,
         output_lock_reason=output_lock,

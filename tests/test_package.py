@@ -126,6 +126,18 @@ def test_the_file_writer_builds_its_one_encoder_at_module_level():
     assert len(made) == 1
 
 
+def calls_build_parser(node):
+    """A call of ``build_parser``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "build_parser")
+
+
+def test_the_command_line_parser_is_built_once_per_process():
+    # building the four-command parser costs about as much as parsing with
+    # it; reslice.cli builds it when the module loads, and main reuses it
+    assert owners(PACKAGE / "cli.py", calls_build_parser) == {"cli.<module>"}
+
+
 def reads_version(node):
     """A read of a ``"version"`` key: ``obj["version"]`` or
     ``obj.get("version", ...)``."""

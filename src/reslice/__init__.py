@@ -17,7 +17,8 @@ Pipeline stages (one module each):
                              copy-free layout by consecutive ones, else the
                              layout of the largest subset of layers that
                              can all slice
-- :mod:`reslice.planner`     an order -> slices/gathers/weight rewrites
+- :mod:`reslice.planner`     an order -> producer rows -> slices, gathers
+                             and weight rewrites, by one shared interior walk
 - :mod:`reslice.interp`      reference interpreter + equivalence checks
 - :mod:`reslice.masks`       magnitude-based mask generation
 - :mod:`reslice.pipeline`    export orchestration; picks every strategy's

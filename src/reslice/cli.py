@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -98,25 +99,26 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _same_weights(a: WeightStore, b: WeightStore) -> bool:
-    return (sorted(a.tensors) == sorted(b.tensors)
-            and all(np.array_equal(a[k], b[k]) for k in a.tensors))
-
-
-def _saved_replay(plans, graph: ModelGraph, weights: WeightStore, model_file: str,
-                  weights_file: str) -> tuple[ModelGraph, WeightStore] | None:
-    """The plans' replay when ``save_model`` writes it as exactly the two
-    files' bytes, else None. A file that cannot be read, a plan that does
-    not apply and bytes that differ (an older layout, weights version 1, an
-    edited file) all leave the files to ``load_model``, which reports them
-    as it always has."""
+def _exported(plans, graph: ModelGraph, weights: WeightStore, model_file: str,
+              weights_file: str) -> tuple[ModelGraph, WeightStore] | None:
+    """The exported model and weights, checked against one replay of the
+    plans, or None where they differ. Files that ``save_model`` writes the
+    replay as are not parsed; others (an older layout, weights version 1,
+    an edit) are loaded, and a bad file is reported before a bad plan."""
     try:
-        model_data = Path(model_file).read_bytes()
-        weights_data = Path(weights_file).read_bytes()
         replayed = apply_plan(plans, graph, weights)
-    except (OSError, ModelFormatError, ValidationError):
-        return None
-    return replayed if saves_as(*replayed, model_data, weights_data) else None
+    except (ModelFormatError, ValidationError):
+        load_model(model_file, weights_file)
+        raise
+    with suppress(OSError):  # load_model reports a file that cannot be read
+        if saves_as(*replayed, Path(model_file).read_bytes(), Path(weights_file).read_bytes()):
+            return replayed
+    exported = load_model(model_file, weights_file)
+    tensors = replayed[1].tensors
+    same = (graph_to_dict(replayed[0]) == graph_to_dict(exported[0])
+            and sorted(tensors) == sorted(exported[1].tensors)
+            and all(np.array_equal(tensors[k], exported[1][k]) for k in tensors))
+    return exported if same else None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -139,15 +141,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_MISMATCH
         model_file = f"{args.out_prefix}.model.json"
         weights_file = f"{args.out_prefix}.weights.json"
-        exported = _saved_replay(plans, graph, weights, model_file, weights_file)
+        exported = _exported(plans, graph, weights, model_file, weights_file)
         if exported is None:
-            exported = load_model(model_file, weights_file)
-            replayed_graph, replayed_weights = apply_plan(plans, graph, weights)
-            if (graph_to_dict(replayed_graph) != graph_to_dict(exported[0])
-                    or not _same_weights(replayed_weights, exported[1])):
-                print("verification failed: exported artifacts do not match the plan",
-                      file=sys.stderr)
-                return EXIT_MISMATCH
+            print("verification failed: exported artifacts do not match the plan",
+                  file=sys.stderr)
+            return EXIT_MISMATCH
         report = check_equivalence(graph, weights, masks, exported[0], exported[1],
                                    trials=args.trials, tol=args.tol, seed=args.seed,
                                    mask_side=args.mode)

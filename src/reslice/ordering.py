@@ -20,7 +20,8 @@ can be tested against the full layout.
 
 ``largest_c1p_order`` is the layout when no copy-free one exists: a large
 subset of the sets with a copy-free layout, chosen greedily by size and
-improved by single swaps; the layers left out gather.
+improved by single swaps; the layers left out gather. The planner splits
+either one into each producer's rows.
 """
 
 from __future__ import annotations
@@ -45,21 +46,6 @@ MAX_C1P_TESTS = 3000
 
 class _OutOfTests(Exception):
     """``largest_c1p_order`` spent its ``MAX_C1P_TESTS`` layout tests."""
-
-
-def band_layouts(segment: Segment, order: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-    """Per-producer slot layouts induced by a segment-wide channel order.
-
-    Each producer keeps its own band's slots that ``order`` keeps, arranged
-    by their position there. A band whose slots are all dropped keeps its
-    lowest slot so no layer ends up with zero channels.
-    """
-    position = dict(zip(order, range(len(order))))
-    layouts: dict[str, tuple[int, ...]] = {}
-    for band in segment.bands:
-        kept = sorted(filter(position.__contains__, band.slots), key=position.__getitem__)
-        layouts.update(dict.fromkeys(band.producers, tuple(kept or [min(band.slots)])))
-    return layouts
 
 
 def _refine(parts: list[set[int]], new: frozenset[int], union: set[int]) -> list[set[int]] | None:
@@ -197,11 +183,11 @@ def find_zero_copy_order(segment: Segment, retained: Mapping[str, frozenset[int]
     keep go wherever they fit.
 
     Each band is solved on its own kept slots and the band layouts are
-    concatenated in ``segment.bands`` order (``band_layouts`` splits them
-    back). A set whose slots span bands F..G of its read vector keeps a
-    suffix of F and a prefix of G, against two sentinels pinned to the
-    ends of those bands, and must keep every slot of the bands between,
-    each of which must keep some slot.
+    concatenated in ``segment.bands`` order (``planner._producer_rows``
+    splits them back). A set whose slots span bands F..G of its read
+    vector keeps a suffix of F and a prefix of G, against two sentinels
+    pinned to the ends of those bands, and must keep every slot of the
+    bands between, each of which must keep some slot.
     """
     if segment.lock_reason:
         return None

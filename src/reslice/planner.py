@@ -5,14 +5,17 @@ filters each producer keeps and in what order (the rest are dropped), how
 each consumer reads the rewritten tensor (a slice window, or the columns
 an explicit gather keeps) and, in output mode, which producers an infill
 restores and the runs of the rebuilt join. Its copy cost
-(``SegmentPlan.stats``) is read off those records. ``apply_plan`` derives
-everything else from the producers' row orders, in one walk over the
-segment's interior: every channel permutation, the gather positions, the
-infill's parameters and whether the join stays. So a serialized plan is a
-complete record of the transformation, and stores nothing it derives.
+(``SegmentPlan.stats``) is read off those records. One walk over the
+segment's interior (``_old_channels``) gives every node the old channel at
+each new position: planning reads each consumer's positions off it, and
+``apply_plan`` derives the rest (every channel permutation, the gather
+positions, the infill's parameters and whether the join stays). So a
+serialized plan is a complete record of the transformation, and stores
+nothing it derives.
 
 The planner picks no order: ``reslice.pipeline`` chooses each strategy's
-order, and None keeps a segment's layout. Input mode (``plan_export``)
+order, and None keeps a segment's layout. One rule (``_producer_rows``)
+turns an order into each producer's rows. Input mode (``plan_export``)
 prunes consumer input channels; constrained consumers zero their pruned
 columns and always slice. Output mode (``plan_export_output``) prunes
 producer output channels and rewrites the join as runs of slices combined
@@ -22,7 +25,7 @@ filters and restores each producer's width with a zero-filling gather.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, groupby
@@ -48,8 +51,7 @@ from reslice.graph import (
     read_str,
     validate,
 )
-from reslice.ordering import band_layouts
-from reslice.segments import Segment, propagate_vectors, resolve_masks
+from reslice.segments import Segment, resolve_masks
 
 PLAN_FILE_VERSION = 1
 
@@ -163,11 +165,24 @@ def _index_of(vec: Sequence[int]) -> dict[int, int]:
     return dict(zip(vec, range(len(vec))))
 
 
-def _producer_rows(segment: Segment, layouts: Mapping[str, tuple[int, ...]]
+def _producer_rows(segment: Segment, order: tuple[int, ...] | None,
+                   own: Mapping[str, Collection[int]] | None = None
                    ) -> dict[str, tuple[int, ...]]:
-    """Each producer's kept filters, in the order of its new slot layout."""
-    return {p: tuple(map(_index_of(segment.producer_slots[p]).__getitem__, layouts[p]))
-            for p in segment.producers}
+    """Each producer's kept filters, in their new order: its band's slots
+    that ``order`` keeps, by position there (the band's lowest slot where it
+    keeps none, so no layer ends up with zero channels), and in output mode
+    only its own retained slots, ``own[p]``. Without an order, the identity."""
+    if order is None:
+        return {p: tuple(range(len(vec))) for p, vec in segment.producer_slots.items()}
+    position = _index_of(order)
+    rows = {}
+    for band in segment.bands:
+        layout = sorted(filter(position.__contains__, band.slots),
+                        key=position.__getitem__) or [min(band.slots)]
+        row_of = _index_of(band.slots)
+        rows.update((p, tuple(row_of[s] for s in layout if own is None or s in own[p]))
+                    for p in band.producers)
+    return rows
 
 
 def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | None,
@@ -177,11 +192,10 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
 
     With no order the layout stays fixed: no filter moves or is dropped, a
     consumer reading all of its columns takes the whole tensor and any
-    other gathers. Under an order each producer takes its band's layout
-    (``band_layouts``) and a consumer slices where its retained columns
-    land contiguously, else gathers. Constrained consumers read every
-    column that survives and zero the pruned ones, so they always slice.
-    A locked segment takes no order.
+    other gathers. Under an order a consumer slices where its retained
+    columns land contiguously (read off ``_old_channels``), else gathers.
+    Constrained consumers read every column that survives and zero the
+    pruned ones, so they always slice. A locked segment takes no order.
     """
     kept = resolve_masks(segment, masks, MODE_INPUT)
     if order is not None:
@@ -190,22 +204,14 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
                                    f"({segment.lock_reason})"])
         if set().union(*kept.slots.values()).difference(order):
             raise ValidationError([f"{segment.id}: order does not cover all retained channels"])
-    if order is None:
-        producer_orders = {p: tuple(range(graph.layer(p).out_channels))
-                           for p in segment.producers}
-    else:
-        layouts = band_layouts(segment, order)
-        vectors = propagate_vectors(graph, segment.interior, layouts)
-        producer_orders = _producer_rows(segment, layouts)
+    producer_orders = _producer_rows(segment, order)
+    old = _old_channels(segment.id, graph, graph, segment.interior, producer_orders)
 
     accesses = []
     zero_columns = {}
     for c in segment.consumers:
         vec = segment.consumer_slots[c]
-        if order is None:
-            position: list[int | None] = list(range(len(vec)))
-        else:
-            position = list(map(_index_of(vectors[graph.predecessors(c)[0]]).get, vec))
+        position = list(map(_index_of(old[graph.predecessors(c)[0]]).get, range(len(vec))))
         columns = kept[c]
         if strategy == STRATEGY_CONSTRAINED:
             columns = tuple(l for l, pos in enumerate(position) if pos is not None)
@@ -232,35 +238,26 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
 # output-mode planners
 # --------------------------------------------------------------------------
 
-def _plan_output_baseline(graph: ModelGraph, segment: Segment,
-                          output_masks: ChannelMask) -> SegmentPlan:
-    """Drop pruned filters and restore each producer's original width with a
-    zero-filling gather right after it. Downstream stays untouched, so this
-    is equivalent for any topology, bias layers included."""
-    kept_filters = resolve_masks(segment, output_masks, MODE_OUTPUT)
-    return SegmentPlan(
-        segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_BASELINE,
-        producers=segment.producers, interior=segment.interior,
-        producer_orders=dict(kept_filters), consumers=(), zero_columns={},
-        infill=tuple(sorted(p for p, kept in kept_filters.items()
-                            if len(kept) < graph.layer(p).out_channels)),
-        join=None,
-    )
-
-
 def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | None,
                        output_masks: ChannelMask) -> SegmentPlan:
     """Output-side pruning: producers drop their own pruned filters.
 
-    Producers adopt ``order``, which lists each kept filter's slot once
-    (``Retained.slots``); the join is rewritten as maximal
-    constant-producer-set runs (a slice per producer, an add per shared
-    run, one concat). With no order the layout stays: the baseline
-    infill. A segment output mode cannot rewrite
-    (``Segment.output_lock_reason``) takes no order.
+    With no order the layout stays: the baseline infill restores each
+    producer's original width with a zero-filling gather right after it.
+    Downstream stays untouched, so this is equivalent for any topology,
+    bias layers included. Otherwise producers adopt ``order``, which lists
+    each kept filter's slot once (``Retained.slots``), and the join is
+    rewritten as maximal constant-producer-set runs (a slice per producer,
+    an add per shared run, one concat). A segment output mode cannot
+    rewrite (``Segment.output_lock_reason``) takes no order.
     """
     if order is None:
-        return _plan_output_baseline(graph, segment, output_masks)
+        kept = resolve_masks(segment, output_masks, MODE_OUTPUT)
+        return SegmentPlan(
+            segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_BASELINE,
+            producers=segment.producers, interior=segment.interior,
+            producer_orders=dict(kept), consumers=(), zero_columns={}, join=None,
+            infill=tuple(p for p in segment.producers if len(kept[p]) < len(kept.vectors[p])))
     if segment.output_lock_reason:
         raise ValidationError([f"{segment.id}: an order is given for an output-locked segment "
                                f"({segment.output_lock_reason})"])
@@ -268,11 +265,6 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
     retained = resolve_masks(segment, output_masks, MODE_OUTPUT).slots
     if sorted(order) != sorted(set().union(*retained.values())):
         raise ValidationError([f"{segment.id}: order does not list each kept channel once"])
-
-    # no per-channel layer lies inside, so the layouts need no vectors
-    position = {slot: i for i, slot in enumerate(order)}
-    layouts = {p: tuple(sorted(retained[p], key=position.__getitem__))
-               for p in segment.producers}
 
     join_rewrite = None
     if segment.join:
@@ -287,15 +279,13 @@ def plan_export_output(graph: ModelGraph, segment: Segment, order: tuple[int, ..
                 cursor[p] += length
         join_rewrite = JoinRewrite(segment.join, dict(segment.join_operands), tuple(runs))
 
-    # consumers read everything that survived, always a full slice. The
-    # rewritten join emits the combined order; pass-throughs forward it.
-    overrides = {segment.join: order} if segment.join else None
-    vectors = propagate_vectors(graph, segment.interior, layouts, overrides=overrides)
+    # consumers read everything that survived, always a full slice
+    rows = _producer_rows(segment, order, retained)
+    old = _old_channels(segment.id, graph, graph, segment.interior, rows, join=join_rewrite)
     return SegmentPlan(
         segment=segment.id, mode=MODE_OUTPUT, strategy=STRATEGY_REORDER,
-        producers=segment.producers, interior=segment.interior,
-        producer_orders=_producer_rows(segment, layouts),
-        consumers=tuple(ConsumerAccess(c, "slice", length=len(vectors[graph.predecessors(c)[0]]))
+        producers=segment.producers, interior=segment.interior, producer_orders=rows,
+        consumers=tuple(ConsumerAccess(c, "slice", length=len(old[graph.predecessors(c)[0]]))
                         for c in segment.consumers),
         zero_columns={}, infill=(), join=join_rewrite,
     )
@@ -329,6 +319,9 @@ class _Rewrite:
         # shares the input's tensors: a rewrite replaces a tensor with a new
         # array, and copies one before writing into it
         self.weights = WeightStore(dict(weights.tensors))
+
+    def layer(self, layer_id: str) -> Layer:
+        return self.layers[layer_id]
 
     def predecessors(self, layer_id: str) -> list[str]:
         return [self.edges[i][0] for i in self.in_edges[layer_id]]
@@ -431,30 +424,31 @@ def _check_indices(plan: SegmentPlan, what: str, entries: Sequence[int],
                                "out of range"])
 
 
-def _old_channels(plan: SegmentPlan, rw: _Rewrite, rows: Mapping[str, tuple[int, ...]]
+def _old_channels(segment: str, model: ModelGraph | _Rewrite, source: ModelGraph,
+                  interior: Iterable[str], rows: Mapping[str, tuple[int, ...]],
+                  infill: Collection[str] = (), join: JoinRewrite | None = None
                   ) -> dict[str, tuple[int, ...]]:
     """For each producer and interior node, the old channel index at each
-    of its new output positions.
+    of its new output positions, walking the layers of ``model``: the model
+    under rewrite when applying a plan, the input graph when planning one.
 
     A producer carries its ``rows``, or the identity over its width where
-    the infill restores it. Walking the interior in topological order, a
+    the ``infill`` restores it. Walking the interior in topological order, a
     pass-through or per-channel layer carries its input's, a concat joins
     its inputs' (offset by their old widths) and an add carries its first
-    operand's, which every other operand must equal. The rebuilt join is a
-    concat of its runs, each an add of its producers' windows. An interior
-    slice or gather carries the identity and refuses a moved input. Old
-    widths are read off the input graph.
+    operand's, which every other operand must equal. The rebuilt ``join``
+    is a concat of its runs, each an add of its producers' windows. An
+    interior slice or gather carries the identity and refuses a moved
+    input. Ranks and old widths are read off the input graph, ``source``.
     """
-    layers, source = rw.layers, rw.source
-    old = {p: tuple(range(source.layer(p).out_channels)) if p in plan.infill else r
+    old = {p: tuple(range(source.layer(p).out_channels)) if p in infill else r
            for p, r in rows.items()}
-    jr = plan.join
-    for u in sorted(plan.interior, key=source.topological_rank):
-        lay = layers[u]
-        preds = rw.predecessors(u)
+    for u in sorted(interior, key=source.topological_rank):
+        lay = model.layer(u)
+        preds = model.predecessors(u)
         stray = [q for q in preds if q not in old]
         if stray:
-            raise ValidationError([f"plan {plan.segment}: {u!r} reads {stray[0]!r}, "
+            raise ValidationError([f"plan {segment}: {u!r} reads {stray[0]!r}, "
                                    "which is not in the segment"])
         if lay.kind in (LayerKind.PASS_THROUGH, LayerKind.PER_CHANNEL):
             old[u] = old[preds[0]]
@@ -471,10 +465,10 @@ def _old_channels(plan: SegmentPlan, rw: _Rewrite, rows: Mapping[str, tuple[int,
         if lay.kind is LayerKind.CONCAT:
             offsets = accumulate([0] + [source.layer(q).out_channels for q in preds])
             ins = [tuple(offset + i for i in v) for v, offset in zip(ins, offsets)]
-        if jr is not None and u == jr.join:
+        if join is not None and u == join.join:
             operand = dict(zip(preds, ins))
-            groups = [[operand[jr.operands[p]][start:start + length]
-                       for p, (start, length) in sorted(run.items())] for run in jr.runs]
+            groups = [[operand[join.operands[p]][start:start + length]
+                       for p, (start, length) in sorted(run.items())] for run in join.runs]
         else:
             groups = [ins] if lay.kind is LayerKind.ADD else [[v] for v in ins]
         if any(v != group[0] for group in groups for v in group):
@@ -515,7 +509,7 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
             _check_indices(plan, f"{p} filter order", rows[p], identity)
             weights[p] = weights[p][list(rows[p]), :]
             layers[p] = Layer(p, lay.kind, lay.in_channels, len(rows[p]), lay.params)
-    old = _old_channels(plan, rw, rows)
+    old = _old_channels(plan.segment, rw, rw.source, plan.interior, rows, plan.infill, plan.join)
 
     # 2. output-mode infill: restore original widths with zero-fill gathers
     for p in sorted(plan.infill):
@@ -733,6 +727,9 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
     if mode == MODE_INPUT and (plan.infill or plan.join is not None):
         raise ModelFormatError(f"{source}: an input-mode plan restores a width or "
                                "rebuilds a join")
+    # a gather copies every column it reads, the zeroed ones too
+    if any(a.mode == "gather" and plan.zero_columns.get(a.consumer) for a in plan.consumers):
+        raise ModelFormatError(f"{source}: a gathering consumer zeroes columns")
     return plan
 
 
@@ -747,4 +744,12 @@ def load_plans(path: str | Path) -> list[SegmentPlan]:
     _expect_version(obj, path, PLAN_FILE_VERSION)
     if not isinstance(obj.get("segments"), list):
         raise ModelFormatError(f"{path}: need a 'segments' list")
-    return [plan_from_dict(rec, str(path)) for rec in obj["segments"]]
+    plans = [plan_from_dict(rec, str(path)) for rec in obj["segments"]]
+    # a second record of a segment would apply as a no-op, yet count again
+    for role, names in (("segment", [plan.segment for plan in plans]),
+                        ("producer", [p for plan in plans for p in set(plan.producers)]),
+                        ("consumer", [c for plan in plans
+                                      for c in {a.consumer for a in plan.consumers}])):
+        if twice := [n for n, k in Counter(names).items() if k > 1]:
+            raise ModelFormatError(f"{path}: two records share {role} {twice[0]!r}")
+    return plans

@@ -99,7 +99,6 @@ def propagate_vectors(
     producer_vectors: Mapping[str, Sequence],
     merge: Callable[[Sequence, Sequence], None] | None = None,
     zero: Callable[[], object] = lambda: ZERO,
-    overrides: Mapping[str, Sequence] | None = None,
 ) -> dict[str, tuple]:
     """Push per-producer channel vectors through a segment's interior.
 
@@ -107,16 +106,11 @@ def propagate_vectors(
     every interior node. ``merge(a, b)`` is called on each positional pair
     of Add operand vectors (the segmenter unifies slots there). ``zero()``
     supplies the vector entry for gather channels sourced from -1.
-    ``overrides`` fixes the output vector of the interior nodes it names (a
-    rewritten join emits its combined order).
     Only the interior is visited, in the graph's topological order.
+    Segmentation alone calls it, once per segment, to build the slot space.
     """
     vectors: dict[str, tuple] = {p: tuple(v) for p, v in producer_vectors.items()}
-    overrides = overrides or {}
     for u in sorted(interior, key=graph.topological_rank):
-        if u in overrides:
-            vectors[u] = tuple(overrides[u])
-            continue
         layer = graph.layer(u)
         ins = [vectors[q] for q in graph.predecessors(u)]
         if layer.kind in (LayerKind.PASS_THROUGH, LayerKind.PER_CHANNEL):

@@ -16,8 +16,8 @@ from helpers import (dense_block, duplicate_read_fixture, fan_fixture, input_res
                      residual_block_fixture, save_weights_v1, stacked_joins_fixture)
 import reslice.cli
 from reslice.cli import main
-from reslice.graph import (graph_to_dict, load_masks, load_model, save_masks, save_model,
-                           weights_from_dict)
+from reslice.graph import (ModelFormatError, graph_to_dict, load_masks, load_model, save_masks,
+                           save_model, weights_from_dict)
 from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model
 from reslice.planner import CopyStats, copy_report, load_plans, plan_to_dict, save_plans
@@ -298,12 +298,14 @@ def test_verify_accepts_an_output_plan_file_with_the_old_kind_and_run_producers(
 
 
 @pytest.mark.parametrize("mode, entry", [("output", "gather"), ("output", "zero_columns"),
-                                         ("input", "infill"), ("input", "join")])
+                                         ("input", "infill"), ("input", "join"),
+                                         ("input", "zeroing_gather")])
 def test_verify_refuses_a_record_foreign_to_the_plan_mode(model_files, capsys, mode, entry):
     # the copy count reads the producers of an output-mode plan and the
     # consumers of an input-mode one, so a record of the other side would
     # copy uncounted: a gather for consumer B in an output-mode plan applies
-    # and passes the equivalence check, yet copy_report would read copied=0
+    # and passes the equivalence check, yet copy_report would read copied=0.
+    # A gather copies all it reads, and the count would miss a zeroed column
     tmp, model, weights = model_files
 
     def tamper(segment):
@@ -315,14 +317,49 @@ def test_verify_refuses_a_record_foreign_to_the_plan_mode(model_files, capsys, m
             segment["zero_columns"] = {"B": [0]}
         elif entry == "infill":
             segment["infill"] = ["A"]
-        else:
+        elif entry == "join":
             segment["join"] = {"join": "j", "operands": {"A": "A", "C": "C"},
                                "runs": [{"windows": {"A": [0, 4], "C": [0, 4]}}]}
+        else:
+            read = next(a for a in segment["consumers"] if a["consumer"] == "B")
+            del read["slice"]
+            read["perm"] = [0, 2]
+            segment["zero_columns"] = {"B": [2]}
     assert _tamper_plan(tmp, model, weights, capsys, tamper, mode=mode) == 4
     err = capsys.readouterr().err
     assert "verification failed" in err
-    assert ("an output-mode plan gathers or zeroes columns" if mode == "output"
+    assert ("plan.json: a gathering consumer zeroes columns" if entry == "zeroing_gather"
+            else "an output-mode plan gathers or zeroes columns" if mode == "output"
             else "an input-mode plan restores a width or rebuilds a join") in err
+
+
+@pytest.mark.parametrize("mode, masks, reads", [("input", {"B": (0, 1), "D": (0, 1)}, 4),
+                                                ("output", {"A": (0, 1)}, 2)],
+                         ids=["input", "output"])
+@pytest.mark.parametrize("rename", [None, "Z"], ids=["duplicate", "renamed"])
+def test_verify_refuses_a_plan_file_that_plans_one_segment_twice(
+        tmp_path, capsys, mode, masks, reads, rename):
+    # the second record would apply as a no-op after the first, yet count
+    # its reads again: 8 or 4 reads where the segment has 4 or 2
+    graph, weights = fan_fixture()
+    model, wfile, mfile = tmp_path / "m.json", tmp_path / "w.json", tmp_path / "masks.json"
+    save_model(graph, weights, model, wfile)
+    save_masks(masks, mfile)
+    common = ["--model", model, "--weights", wfile, "--masks", mfile, "--mode", mode,
+              "--out-prefix", tmp_path / "x"]
+    assert run_cli("export", *common) == 0
+    ppath = tmp_path / "x.plan.json"
+    assert copy_report(load_plans(ppath)).total_reads == reads
+    obj = json.loads(ppath.read_text())
+    rec, = obj["segments"]
+    obj["segments"].append(dict(rec, segment=rename or rec["segment"]))
+    ppath.write_text(json.dumps(obj))
+    with pytest.raises(ModelFormatError, match="two records share "
+                       + ("segment 'A'" if rename is None else "producer 'A'")):
+        load_plans(ppath)
+    capsys.readouterr()
+    assert run_cli("verify", *common) == 4
+    assert "verification failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry, key, role", [
@@ -1115,6 +1152,54 @@ def test_verify_of_an_export_never_loads_the_exported_files(tmp_path, capsys, mo
         assert _export_and_verify(tmp_path, graph, weights, masks, mode,
                                   monkeypatch) == ["m.json"]
     assert capsys.readouterr().out.count("max deviation") == len(cases)
+
+
+@pytest.mark.parametrize("exported, code", [("untouched", 0), ("version 1 weights", 0),
+                                             ("edited weights", 4)])
+def test_verify_replays_the_plan_once(model_files, capsys, monkeypatch, exported, code):
+    # the replay that a byte comparison did not match is the one the
+    # loaded files are compared with
+    tmp, model, weights = model_files
+    verify = _export(tmp, model, weights, "input")
+    wpath = tmp / "input.weights.json"
+    if exported == "version 1 weights":
+        save_weights_v1(load_model(tmp / "input.model.json", wpath)[1], wpath)
+    elif exported == "edited weights":
+        wpath.write_text(_first_payload_char(wpath.read_text()))
+    calls = []
+    real = reslice.cli.apply_plan
+    monkeypatch.setattr(reslice.cli, "apply_plan", lambda *a: calls.append(a) or real(*a))
+    capsys.readouterr()
+    assert run_cli(*verify) == code
+    assert len(calls) == 1
+    if code:
+        assert "exported artifacts do not match the plan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_plan", [False, True], ids=["plan_applies", "plan_fails"])
+@pytest.mark.parametrize("content, code", [(None, 1), ("not json", 4)],
+                         ids=["missing", "malformed"])
+def test_verify_reports_an_unreadable_exported_model_first(
+        model_files, capsys, bad_plan, content, code):
+    # a missing exported file is an I/O error and a malformed one a failed
+    # verification, whether or not the plan applies
+    tmp, model, weights = model_files
+    verify = _export(tmp, model, weights, "input")
+    if bad_plan:
+        ppath = tmp / "input.plan.json"
+        obj = json.loads(ppath.read_text())
+        obj["segments"][0]["producer_orders"]["A"] = [0, 0]
+        ppath.write_text(json.dumps(obj))
+    exported = tmp / "input.model.json"
+    if content is None:
+        exported.unlink()
+    else:
+        exported.write_text(content)
+    capsys.readouterr()
+    assert run_cli(*verify) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " if code == 1 else "verification failed: ")
+    assert "input.model.json" in err
 
 
 def test_verify_loads_the_exported_files_of_an_older_layout(model_files, monkeypatch):

@@ -7,7 +7,9 @@ once, builds the slot space once (joining raw ids into classes only where
 an add join identifies slots), decides once whether output mode can
 rewrite it (tracing its join's operands there and nowhere else) and
 resolves the masks once for ordering and planning, which share one
-derivation of the retained slot sets.
+derivation of the retained slot sets. Slot vectors are propagated only to
+build the slot space: planning and applying a plan share one walk of old
+channel indices, which runs at most once for each.
 Output mode orders no segment it cannot rewrite.
 """
 
@@ -85,7 +87,7 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
 
     counts = {}
     for module, name in ((segments, "_walk"), (segments, "_build_segment"),
-                         (segments, "propagate_vectors"), (planner, "propagate_vectors")):
+                         (segments, "propagate_vectors"), (planner, "_old_channels")):
         _count(monkeypatch, counts, module, name)
     # the module that asks for each output-mode join trace
     callers = []
@@ -113,10 +115,11 @@ def test_export_derives_each_segment_once(monkeypatch, mode, strategy):
     assert len(result.plans) > 40
 
     assert counts["segments._walk"] == counts["segments._build_segment"] == len(found)
-    # one propagation builds each slot space; planning propagates a new
-    # layout at most once per plan
+    # one propagation builds each slot space, and nothing else propagates
+    # slot vectors; the planner and the applier each walk a plan at most once
     assert counts["segments.propagate_vectors"] == len(found)
-    assert counts["planner.propagate_vectors"] <= len(result.plans)
+    assert not hasattr(planner, "propagate_vectors")
+    assert counts["planner._old_channels"] <= 2 * len(result.plans)
     # the join trace runs at most once per segment, during segmentation,
     # in either mode: the planner reads what the segment records
     assert len(callers) <= len(found) and set(callers) == {"reslice.segments"}

@@ -1,4 +1,4 @@
-"""Channel ordering: path emission, band layouts, exact copy-free layouts."""
+"""Channel ordering: path emission, producer rows, exact copy-free layouts."""
 
 from collections import Counter
 
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from reslice import find_segments, ordering
 from reslice.graph import ValidationError
-from reslice.ordering import _c1p_order, band_layouts, find_zero_copy_order, largest_c1p_order
+from reslice.ordering import _c1p_order, find_zero_copy_order, largest_c1p_order
 from reslice.path_search import Path, decompose_paths, order_channels, reorder_graph_from_sets
 from reslice.pipeline import export_model
-from reslice.planner import plan_export
+from reslice.planner import _producer_rows, plan_export
 from reslice.segments import resolve_masks
 
 from helpers import (
@@ -22,6 +22,7 @@ from helpers import (
     MIX,
     OUTPUT,
     PASS,
+    add_join_fixture,
     build_model,
     concat_fixture,
     fan_fixture,
@@ -78,22 +79,30 @@ def test_unknown_path_node_rejected():
         order_channels(rg, [Path(("B", "zz"), 0)])
 
 
-def test_band_layouts_orders_each_band_independently():
+def test_producer_rows_orders_each_band_independently():
     g, _ = concat_fixture(wa=3, wc=2)  # A owns slots 0-2, C owns 3-4
     seg = next(s for s in find_segments(g) if set(s.producers) == {"A", "C"})
-    order = (4, 1, 0, 3)
-    layouts = band_layouts(seg, order)
-    assert layouts["A"] == (1, 0)  # slot 2 dropped, rest by order position
-    assert layouts["C"] == (4, 3)
+    rows = _producer_rows(seg, (4, 1, 0, 3))
+    assert rows["A"] == (1, 0)  # slot 2 dropped, rest by order position
+    assert rows["C"] == (1, 0)  # slots 4, 3: C's filters 1, 0
 
 
-def test_band_layouts_keeps_sentinel_for_dead_band():
+def test_producer_rows_keeps_sentinel_for_dead_band():
     g, _ = concat_fixture(wa=3, wc=2)
     seg = next(s for s in find_segments(g) if set(s.producers) == {"A", "C"})
-    order = (1, 0, 2)
-    layouts = band_layouts(seg, order)
-    assert layouts["A"] == (1, 0, 2)
-    assert layouts["C"] == (3,)  # lowest slot survives as a placeholder
+    rows = _producer_rows(seg, (1, 0, 2))
+    assert rows["A"] == (1, 0, 2)
+    assert rows["C"] == (0,)  # the lowest slot, 3, survives as a placeholder
+
+
+def test_producer_rows_in_output_mode_keep_each_producer_to_its_own_filters():
+    # A and C are summed, so they share one band, but each keeps only the
+    # filters its own output mask retains, in the band's order
+    g, _ = add_join_fixture()
+    seg = next(s for s in find_segments(g) if set(s.producers) == {"A", "C"})
+    own = resolve_masks(seg, {"A": (0, 1, 2), "C": (1, 2, 3)}, "output").slots
+    rows = _producer_rows(seg, (0, 2, 1, 3), own)
+    assert rows == {"A": (0, 2, 1), "C": (2, 1, 3)}
 
 
 def test_zero_copy_search_finds_layout_solver_missed():

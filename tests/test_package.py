@@ -49,10 +49,11 @@ def test_only_the_pipeline_imports_the_path_search():
 
 def test_the_planner_picks_no_order():
     # every strategy's channel order is chosen in reslice.pipeline; the
-    # planner only lays out the order it is given, band by band
+    # planner only lays out the order it is given, and imports nothing
+    # from the ordering module
     names = {n for n in imported_names(PACKAGE / "planner.py")
              if n == "reslice.ordering" or n.startswith("reslice.ordering.")}
-    assert names == {"reslice.ordering.band_layouts"}
+    assert names == set()
 
 
 def test_segmentation_alone_decides_the_output_lock():

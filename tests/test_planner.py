@@ -16,9 +16,9 @@ from reslice.interp import check_equivalence
 from reslice.masks import make_masks, score_channels
 from reslice.pipeline import export_model, plan_model
 from reslice.path_search import build_reorder_graph, decompose_paths, order_channels
-from reslice.planner import (ConsumerAccess, CopyStats, SegmentPlan, _plan_output_baseline,
-                             apply_plan, copy_report, load_plans, plan_export,
-                             plan_export_output, plan_from_dict, plan_to_dict, save_plans)
+from reslice.planner import (ConsumerAccess, CopyStats, SegmentPlan, apply_plan, copy_report,
+                             load_plans, plan_export, plan_export_output, plan_from_dict,
+                             plan_to_dict, save_plans)
 from reslice.segments import find_segments
 
 
@@ -522,7 +522,8 @@ def test_output_baseline_infill():
      "B: mask keeps no channel"),
     (lambda g, s, m: plan_export_output(g, s, (0, 1, 2, 3), m), {"A": ()},
      "A: output mask keeps no channel"),
-    (_plan_output_baseline, {"A": ()}, "A: output mask keeps no channel"),
+    (lambda g, s, m: plan_export_output(g, s, None, m), {"A": ()},
+     "A: output mask keeps no channel"),
 ], ids=["plan_export", "plan_export_output", "plan_output_baseline"])
 def test_every_planner_refuses_an_empty_mask(planner, masks, message):
     # a mask keeps at least one channel; no planner keeps a stand-in filter
@@ -612,16 +613,28 @@ def sample_plans():
 
 
 def test_plan_file_round_trip(tmp_path):
-    plans = sample_plans()
-    path = tmp_path / "plans.json"
-    save_plans(plans, path)
-    loaded = load_plans(path)
-    assert sorted(loaded, key=lambda p: p.segment) == \
-        sorted(plans, key=lambda p: p.segment)
+    # the sample plans come from two models and all plan a segment "A", so
+    # each goes to a file of its own; the plans of one export share a file
+    graph, weights = random_dag(1)
+    files = [[plan] for plan in sample_plans()]
+    for mode in ("input", "output"):
+        masks = make_masks(graph, score_channels(graph, weights, "l2", side=mode), 0.5,
+                           "unconstrained", side=mode)
+        files.append(list(export_model(graph, weights, masks, mode=mode).plans))
+    assert [len(plans) for plans in files] == [1, 1, 1, 3, 2]
+    for i, plans in enumerate(files):
+        path = tmp_path / f"plans{i}.json"
+        save_plans(plans, path)
+        loaded = load_plans(path)
+        assert sorted(loaded, key=lambda p: p.segment) == \
+            sorted(plans, key=lambda p: p.segment)
 
-    again = tmp_path / "again.json"
-    save_plans(loaded, again)
-    assert path.read_bytes() == again.read_bytes()
+        again = tmp_path / f"again{i}.json"
+        save_plans(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+    save_plans(sample_plans(), tmp_path / "mixed.json")
+    with pytest.raises(ModelFormatError, match="two records share segment 'A'"):
+        load_plans(tmp_path / "mixed.json")
 
 
 def test_plan_dict_round_trip():

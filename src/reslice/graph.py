@@ -15,6 +15,7 @@ import binascii
 import heapq
 import json
 import math
+import mmap
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -296,7 +297,8 @@ def validate(graph: ModelGraph, weights: WeightStore | None = None) -> list[str]
             else:
                 if len(layer.params) != layer.out_channels:
                     diags.append(f"{layer.id}: gather index count != out_channels")
-                if any(i < -1 or i >= layer.in_channels for i in layer.params):
+                if layer.params and (min(layer.params) < -1
+                                     or max(layer.params) >= layer.in_channels):
                     diags.append(f"{layer.id}: gather index out of range")
         elif layer.params is not None:
             diags.append(f"{layer.id}: params only allowed on slice/gather layers")
@@ -503,9 +505,29 @@ class _WeightsDecoder(json.JSONDecoder):
         self.scan_once = _objects(_objects(_objects(_scan_floats, _tensor_record)))
 
 
+def _read_text(path: str | Path) -> str:
+    """The file's text, equal to ``Path.read_text(encoding="utf-8")``: strict
+    UTF-8 with universal newlines. It is decoded straight from a read-only
+    map of the file, with no copy of the bytes, and the map is closed before
+    this returns. A file that cannot be mapped (an empty one, a device, a
+    pipe) is read instead. A file that another process truncates while it
+    is mapped can end this process with SIGBUS."""
+    with open(path, "rb") as f:
+        try:
+            view = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            text = f.read().decode("utf-8")
+        else:
+            with view:
+                text = str(view, "utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_json(path: str | Path, decoder: type[json.JSONDecoder] | None = None) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path)
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     try:

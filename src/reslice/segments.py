@@ -19,6 +19,7 @@ output mode, which must also rebuild the segment's one join.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
@@ -376,8 +377,8 @@ def resolve_masks(segment: Segment, masks: ChannelMask, mode: str) -> Retained:
         local = tuple(sorted(set(masks[lid])))
         if not local:
             raise ValidationError([f"{lid}: {what} keeps no channel"])
-        bad = [i for i in local if not (0 <= i < len(vec))]
-        if bad:
-            raise ValidationError([f"{lid}: {what} index {bad[0]} out of [0, {len(vec)})"])
+        if local[0] < 0 or local[-1] >= len(vec):
+            bad = local[0] if local[0] < 0 else local[bisect_left(local, len(vec))]
+            raise ValidationError([f"{lid}: {what} index {bad} out of [0, {len(vec)})"])
         out[lid] = local
     return out

@@ -4,6 +4,8 @@ import base64
 import io
 import json
 import math
+import mmap
+import os
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -158,11 +160,14 @@ def test_slice_and_gather_param_checks():
     )
     assert any("out of bounds" in d for d in validate(bad_slice))
 
-    bad_gather = ModelGraph(
-        base + [Layer("s", LayerKind.GATHER, 4, 2, (0, 9))],
-        [("in", "s"), ("s", "out")],
-    )
-    assert any("out of range" in d for d in validate(bad_gather))
+    for params in ((0, 9), (0, 4), (-2, 0), (9, -5)):
+        g = ModelGraph(base + [Layer("s", LayerKind.GATHER, 4, 2, params)],
+                       [("in", "s"), ("s", "out")])
+        assert validate(g) == ["s: gather index out of range"]
+    # an empty index list is refused by its count alone
+    empty = ModelGraph(base + [Layer("s", LayerKind.GATHER, 4, 2, ())],
+                       [("in", "s"), ("s", "out")])
+    assert validate(empty) == ["s: gather index count != out_channels"]
 
     # -1 is the zero-fill index and is legal
     ok = ModelGraph(
@@ -828,3 +833,120 @@ def test_weights_unknown_version(version):
     with pytest.raises(ModelFormatError) as exc:
         weights_from_dict({"version": version, "tensors": {}})
     assert "want 1 or 2" in str(exc.value)
+
+
+# --------------------------------------------------------------------------
+# the text reader every loader goes through
+# --------------------------------------------------------------------------
+
+TEXT_CASES = {
+    "crlf": b'{"a":\r\n[1.5,\r\n2]}\r\n',
+    "lone_cr": b'{"a":\r[1.5,\r2]}\r',
+    "cr_then_crlf": b'{"a":\r\r\n1}\n\r',
+    "byte_order_mark": b'\xef\xbb\xbf{"a": 1}',
+    "nul": b'{"a": "\x00"}\x00',
+    "non_ascii": '{"é١": " \x85"}'.encode(),
+}
+
+
+@pytest.mark.parametrize("data", TEXT_CASES.values(), ids=TEXT_CASES.keys())
+def test_the_reader_gives_what_read_text_gives(tmp_path, data):
+    path = tmp_path / "f.json"
+    path.write_bytes(data)
+    assert reslice.graph._read_text(path) == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{}", b'{"a": "\xc3"}', b'{"a": 1}' + b" " * 9000 + b"\x80",
+], ids=["bad_start", "truncated_sequence", "late_bad_byte"])
+def test_a_file_that_is_not_utf8_is_refused_with_the_decoder_message(tmp_path, capsys, data):
+    masks = tmp_path / "masks.json"
+    masks.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as want:
+        masks.read_text(encoding="utf-8")
+    with pytest.raises(ModelFormatError) as got:
+        load_masks(masks)
+    assert str(got.value) == f"{masks}: not UTF-8 text ({want.value})"
+    model, wfile, _ = _reader_files(tmp_path)
+    assert cli_main(["export", "--model", str(model), "--weights", str(wfile),
+                     "--masks", str(masks), "--out-prefix", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {got.value}\n"
+
+
+class _RecordingMmap:
+    """Stands in for the mmap module and records, for each map asked for,
+    whether the OS made it."""
+
+    ACCESS_READ = mmap.ACCESS_READ
+
+    def __init__(self):
+        self.made: list[bool] = []
+
+    def mmap(self, *args, **kwargs):
+        try:
+            view = mmap.mmap(*args, **kwargs)
+        except (OSError, ValueError):
+            self.made.append(False)
+            raise
+        self.made.append(True)
+        return view
+
+
+@pytest.mark.parametrize("empty", ["file", "/dev/null"])
+def test_a_file_that_cannot_be_mapped_is_read(tmp_path, monkeypatch, empty):
+    path = tmp_path / "empty.json" if empty == "file" else Path(empty)
+    if empty == "file":
+        path.write_bytes(b"")
+    recording = _RecordingMmap()
+    monkeypatch.setattr(reslice.graph, "mmap", recording)
+    assert reslice.graph._read_text(path) == ""
+    with pytest.raises(ModelFormatError, match=f"{path}: not valid JSON"):
+        load_masks(path)
+    assert recording.made == [False, False]
+    # a file with content is mapped
+    save_masks({"A": [0]}, tmp_path / "masks.json")
+    assert load_masks(tmp_path / "masks.json") == {"A": (0,)}
+    assert recording.made[2:] == [True]
+
+
+def test_a_directory_given_as_a_file_is_exit_1(tmp_path, capsys):
+    model, wfile, masks = _reader_files(tmp_path)
+    for argv in (["--model", str(tmp_path), "--weights", str(wfile), "--masks", str(masks)],
+                 ["--model", str(model), "--weights", str(tmp_path), "--masks", str(masks)],
+                 ["--model", str(model), "--weights", str(wfile), "--masks", str(tmp_path)]):
+        assert cli_main(["export", *argv, "--out-prefix", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def _mapped_files() -> set[str]:
+    """The paths of the files this process maps, as /proc/self/maps lists
+    them."""
+    with open("/proc/self/maps") as maps:
+        return {line.split(None, 5)[5].strip() for line in maps if len(line.split(None, 5)) == 6}
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs Linux's /proc/self/maps")
+def test_no_file_stays_mapped_once_it_is_loaded(tmp_path):
+    graph, weights = fan_fixture(4, ("B", "D"))
+    masks = {"B": (0, 2), "D": (1, 3)}
+    result = export_model(graph, weights, masks)
+    files = [tmp_path / name for name in ("m.json", "w.json", "w1.json", "masks.json", "plan.json")]
+    save_model(result.graph, result.weights, files[0], files[1])
+    save_weights_v1(result.weights, files[2])
+    save_masks(masks, files[3])
+    save_plans(result.plans, files[4])
+    seen = set()
+    real = mmap.mmap
+
+    def spy(fileno, *args, **kwargs):
+        seen.add(Path(os.readlink(f"/proc/self/fd/{fileno}")))
+        return real(fileno, *args, **kwargs)
+
+    with mock.patch.object(mmap, "mmap", spy):
+        load_model(files[0], files[1])
+        load_model(files[0], files[2])
+        load_masks(files[3])
+        load_plans(files[4])
+        mapped = _mapped_files()
+    assert seen == {f.resolve() for f in files}
+    assert not mapped & {str(f.resolve()) for f in files}

@@ -162,23 +162,31 @@ def test_only_expect_version_reads_a_file_version():
 READ_MODES = {"r", "rt", "tr", "rb", "br"}
 
 
+def call_name(node):
+    """The name a call calls: ``f`` in ``f(...)`` and ``x.f(...)``."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def open_modes(node):
+    """The arguments of an ``open`` call that may be its mode: the second
+    of ``open(path, mode)``; in ``x.open(...)`` the first
+    (``Path.open(mode)``) or the second (``io.open(path, mode)``)."""
+    modes = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:2]
+    return modes + [kw.value for kw in node.keywords if kw.arg == "mode"]
+
+
 def writes_a_file(node):
     """A call that can write a file: ``write_text``, ``write_bytes``, or an
-    ``open`` whose mode may be other than a constant read mode. The mode is
-    the second argument of ``open(path, mode)``; in ``x.open(...)`` it may
-    be the first (``Path.open(mode)``) or the second (``io.open(path,
-    mode)``), so such a call reads only if both are constant read modes."""
+    ``open`` whose mode may be other than a constant read mode, so an
+    ``x.open(...)`` reads only if both its first arguments are."""
     if not isinstance(node, ast.Call):
         return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    name = call_name(node)
     if name in ("write_text", "write_bytes"):
         return True
-    if name != "open":
-        return False
-    modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:2]
-    modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
-    return not all(isinstance(m, ast.Constant) and m.value in READ_MODES for m in modes)
+    return name == "open" and not all(isinstance(m, ast.Constant) and m.value in READ_MODES
+                                      for m in open_modes(node))
 
 
 @pytest.mark.parametrize("code, writes", [
@@ -197,6 +205,46 @@ def test_only_the_file_writer_opens_a_file_for_writing():
     # one writer lays out every file; bytes payloads must not grow a second
     writers = set().union(*(owners(p, writes_a_file) for p in PACKAGE.glob("*.py")))
     assert writers == {"graph._dump_json"}
+
+
+# calls that read a file they are given, beside an ``open`` in a read mode
+READ_CALLS = {"read_text", "read_bytes", "mmap", "memmap", "fromfile", "load", "loadtxt"}
+
+
+def reads_a_file(node):
+    """A call that can open or map a file for reading: one of READ_CALLS,
+    or an ``open`` none of whose possible modes is a constant one that
+    only writes (``w``, ``a`` or ``x`` without ``+``)."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = call_name(node)
+    if name in READ_CALLS:
+        return True
+    return name == "open" and not any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str)
+        and set(m.value) <= set("wxabt") for m in open_modes(node))
+
+
+@pytest.mark.parametrize("code, reads", [
+    ("open(p)", True), ("open(p, 'rb')", True), ("Path(p).open()", True),
+    ("io.open(p, 'r')", True), ("p.read_text()", True), ("p.read_bytes()", True),
+    ("mmap.mmap(f.fileno(), 0)", True), ("mmap(f.fileno(), 0)", True),
+    ("np.memmap(p)", True), ("np.fromfile(p)", True), ("np.load(p)", True),
+    ("json.load(f)", True),
+    ("open(p, 'r+')", True), ("open(p, m)", True), ("io.open(p, mode='a+')", True),
+    ("open(p, 'wb')", False), ("Path(p).open('x')", False), ("io.open(p, 'w')", False),
+    ("p.write_text(s)", False), ("json.loads(s)", False),
+    ("orjson.loads(s)", False), ("f.read()", False), ("str(view, 'utf-8')", False),
+])
+def test_the_reader_check_finds_opens_and_maps(code, reads):
+    assert any(reads_a_file(n) for n in ast.walk(ast.parse(code))) == reads
+
+
+def test_only_the_text_reader_opens_a_file_for_reading():
+    # every loader reads its file through graph._read_text, which maps it;
+    # cli._exported compares the exported files' bytes with a replay's
+    readers = set().union(*(owners(p, reads_a_file) for p in PACKAGE.glob("*.py")))
+    assert readers == {"graph._read_text", "cli._exported"}
 
 
 def builds_copy_stats(node):

@@ -270,6 +270,23 @@ def test_resolve_masks_reads_each_mode_on_its_own_side():
         resolve_masks(seg, {}, "sideways")
 
 
+@pytest.mark.parametrize("mask, message", [
+    ((4,), "B: mask index 4 out of [0, 4)"),
+    ((0, 9, 4, 2), "B: mask index 4 out of [0, 4)"),
+    ((3, -1), "B: mask index -1 out of [0, 4)"),
+    ((5, -2, 0, -1), "B: mask index -2 out of [0, 4)"),
+])
+def test_resolve_masks_names_the_smallest_index_out_of_range(mask, message):
+    g, _ = residual_block_fixture()
+    seg = segment_by_producers(find_segments(g), {"A", "C"})
+    with pytest.raises(ValidationError) as exc:
+        resolve_masks(seg, {"B": mask}, "input")
+    assert exc.value.diagnostics == [message]
+    with pytest.raises(ValidationError) as exc:
+        resolve_masks(seg, {"A": mask}, "output")
+    assert exc.value.diagnostics == [message.replace("B: mask", "A: output mask")]
+
+
 def test_a_segment_is_frozen():
     # what segmentation decided cannot be reassigned once band_reads is cached
     g, _ = residual_block_fixture()

@@ -642,6 +642,8 @@ def _weights_file(weights: WeightStore) -> dict:
 
 def _decode_tensor(rec: dict, version: int) -> np.ndarray:
     shape = read_ints(rec["shape"])
+    if any(n < 0 for n in shape):  # numpy would infer a -1
+        raise ValueError(f"negative dimension in shape {list(shape)}")
     if version == 1:
         data = rec["data"]
         # a list is checked, since numpy would read true as 1.0 and "1.5" as

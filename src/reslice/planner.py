@@ -113,7 +113,13 @@ class JoinRewrite:
 @dataclass(frozen=True)
 class SegmentPlan:
     """One segment's rewrite decisions, executed by ``apply_plan``. Masks
-    keep at least one channel each, so no kept filter is ever zeroed."""
+    keep at least one channel each, so no kept filter is ever zeroed.
+
+    A plan holding a record foreign to its mode raises ValidationError
+    wherever it is built: the copy count reads the producers of an
+    output-mode plan and the consumers of an input-mode one, so a record of
+    the other side would copy uncounted, and a gather copies every column
+    it reads, the zeroed ones too."""
 
     segment: str
     mode: str
@@ -125,6 +131,15 @@ class SegmentPlan:
     zero_columns: dict[str, tuple[int, ...]]  # consumer -> original columns zeroed
     infill: tuple[str, ...]  # producers whose width a zero-filling gather restores
     join: JoinRewrite | None
+
+    def __post_init__(self):
+        gathers = [a.consumer for a in self.consumers if a.mode == "gather"]
+        if self.mode == MODE_OUTPUT and (self.zero_columns or gathers):
+            raise ValidationError(["an output-mode plan gathers or zeroes columns"])
+        if self.mode == MODE_INPUT and (self.infill or self.join is not None):
+            raise ValidationError(["an input-mode plan restores a width or rebuilds a join"])
+        if zeroing := [c for c in gathers if self.zero_columns.get(c)]:
+            raise ValidationError([f"{zeroing[0]}: a gathering consumer zeroes columns"])
 
     @cached_property
     def stats(self) -> CopyStats:
@@ -219,10 +234,6 @@ def plan_export(graph: ModelGraph, segment: Segment, order: tuple[int, ...] | No
             if zeroed:
                 zero_columns[c] = tuple(zeroed)
         spots = list(map(position.__getitem__, columns))
-        if None in spots:
-            local = columns[spots.index(None)]
-            raise ValidationError(
-                [f"{c}: retained channel {local} maps to dropped slot {vec[local]}"])
         accesses.append(_access(c, columns, spots,
                                 force_gather=order is None and len(columns) < len(vec)))
 
@@ -567,8 +578,6 @@ def _apply_one(plan: SegmentPlan, rw: _Rewrite) -> None:
             perm = access.columns
         zeroed = plan.zero_columns.get(c, ())
         if zeroed:
-            if access.mode != "slice":  # a gather would copy more than it reads
-                raise ValidationError([f"{c}: a gathering consumer zeroes columns"])
             _check_indices(plan, f"{c} zero columns", zeroed, set(perm))
         if perm != tuple(range(lay.in_channels)):
             weights[c] = weights[c][:, list(perm)]
@@ -705,7 +714,7 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
         if strategy not in MODE_STRATEGIES[mode]:
             raise ModelFormatError(f"unknown strategy {strategy!r} for {mode} mode")
         infill = obj["infill"]  # older files map each producer to its gather parameters
-        plan = SegmentPlan(
+        return SegmentPlan(
             segment=read_str(obj["segment"]),
             mode=mode,
             strategy=strategy,
@@ -717,20 +726,10 @@ def plan_from_dict(obj: dict, source: str = "<memory>") -> SegmentPlan:
             infill=tuple(map(read_str, infill if isinstance(infill, list) else dict(infill))),
             join=join,
         )
+    except ValidationError as exc:  # a record foreign to the plan's mode
+        raise ModelFormatError(f"{source}: {exc}") from exc
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ModelFormatError(f"{source}: bad plan record ({exc})") from exc
-    # the copy count reads one side of the plan per mode, so a record of
-    # the other side would copy uncounted
-    if mode == MODE_OUTPUT and (plan.zero_columns
-                                or any(a.mode == "gather" for a in plan.consumers)):
-        raise ModelFormatError(f"{source}: an output-mode plan gathers or zeroes columns")
-    if mode == MODE_INPUT and (plan.infill or plan.join is not None):
-        raise ModelFormatError(f"{source}: an input-mode plan restores a width or "
-                               "rebuilds a join")
-    # a gather copies every column it reads, the zeroed ones too
-    if any(a.mode == "gather" and plan.zero_columns.get(a.consumer) for a in plan.consumers):
-        raise ModelFormatError(f"{source}: a gathering consumer zeroes columns")
-    return plan
 
 
 def save_plans(plans: Iterable[SegmentPlan], path: str | Path) -> None:

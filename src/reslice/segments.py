@@ -8,13 +8,15 @@ interior nodes expand both ways, a channel mix reached forward is a
 consumer and one reached backward is another producer.
 
 Alongside the walk this module computes the segment's *slot space*: a
-canonical index set for the shared tensor's channels. Add joins identify
-producer channels positionally (channel i of each summed input is the same
-slot); concat gives each input its own block of slots. The per-producer
-and per-consumer slot vectors computed here drive everything downstream
-(retained-slot sets, ordering, planning, weight rewrites), and two lock
-reasons record why a segment must keep its layout: in any mode, and in
-output mode, which must also rebuild the segment's one join.
+canonical index set for the shared tensor's channels, built by one loop
+over the interior in topological order. Add joins identify producer
+channels positionally (channel i of each summed input is the same slot);
+concat gives each input its own block of slots; slices and gathers select
+slots of their input. The per-producer and per-consumer slot vectors
+computed here drive everything downstream (retained-slot sets, ordering,
+planning, weight rewrites), and two lock reasons record why a segment
+must keep its layout: in any mode, and in output mode, which must also
+rebuild the segment's one join.
 """
 
 from __future__ import annotations
@@ -24,16 +26,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from reslice.graph import (INTERIOR_KINDS, MODE_OUTPUT, MODES, ChannelMask, LayerKind, ModelGraph,
                            ValidationError)
-
-# token used in slot vectors for channels that are constant zero
-# (produced by gather layers with -1 source entries in re-imported exports)
-ZERO = -1
 
 
 @dataclass(frozen=True)
@@ -92,47 +90,6 @@ class Segment:
             band_of.update(dict.fromkeys(band.slots, i))
         return {c: tuple(map(itemgetter(0), groupby(map(band_of.__getitem__, vec))))
                 for c, vec in self.consumer_slots.items()}
-
-
-def propagate_vectors(
-    graph: ModelGraph,
-    interior: Iterable[str],
-    producer_vectors: Mapping[str, Sequence],
-    merge: Callable[[Sequence, Sequence], None] | None = None,
-    zero: Callable[[], object] = lambda: ZERO,
-) -> dict[str, tuple]:
-    """Push per-producer channel vectors through a segment's interior.
-
-    Returns the output vector of every node in ``producer_vectors`` plus
-    every interior node. ``merge(a, b)`` is called on each positional pair
-    of Add operand vectors (the segmenter unifies slots there). ``zero()``
-    supplies the vector entry for gather channels sourced from -1.
-    Only the interior is visited, in the graph's topological order.
-    Segmentation alone calls it, once per segment, to build the slot space.
-    """
-    vectors: dict[str, tuple] = {p: tuple(v) for p, v in producer_vectors.items()}
-    for u in sorted(interior, key=graph.topological_rank):
-        layer = graph.layer(u)
-        ins = [vectors[q] for q in graph.predecessors(u)]
-        if layer.kind in (LayerKind.PASS_THROUGH, LayerKind.PER_CHANNEL):
-            vectors[u] = ins[0]
-        elif layer.kind is LayerKind.CONCAT:
-            vectors[u] = tuple(x for v in ins for x in v)
-        elif layer.kind is LayerKind.ADD:
-            first = ins[0]
-            if merge is not None:
-                for other in ins[1:]:
-                    merge(first, other)
-            vectors[u] = first
-        elif layer.kind is LayerKind.SLICE:
-            start, length = layer.params
-            vectors[u] = ins[0][start:start + length]
-        elif layer.kind is LayerKind.GATHER:
-            src = ins[0]
-            vectors[u] = tuple(src[i] if i >= 0 else zero() for i in layer.params)
-        else:  # pragma: no cover - interior set never contains other kinds
-            raise AssertionError(f"unexpected interior kind {layer.kind}")
-    return vectors
 
 
 def _join_roots(count: int, joined: Sequence[tuple[Sequence[int], Sequence[int]]],
@@ -242,26 +199,36 @@ def _build_segment(graph: ModelGraph, producers: set[str], interior: set[str],
     consumer_ids = tuple(sorted(consumers))
     interior_ids = tuple(sorted(interior))
 
-    # raw slot ids: one per producer output channel, in sorted-producer order
-    producer_vectors: dict[str, tuple[int, ...]] = {}
+    # raw slot ids: one per producer output channel, in sorted-producer
+    # order, and one per zero-filled channel (a gather's -1 entry); the
+    # pairs of add operands go to _slot_numbering, which joins their ids
+    vectors: dict[str, tuple[int, ...]] = {}
     counter = 0
     for p in producer_ids:
         width = graph.layer(p).out_channels
-        producer_vectors[p] = tuple(range(counter, counter + width))
+        vectors[p] = tuple(range(counter, counter + width))
         counter += width
     joined: list[tuple[Sequence[int], Sequence[int]]] = []  # add operand pairs
     zero_seen = False
-
-    def fresh_zero():
-        nonlocal counter, zero_seen
-        zero_seen = True
-        counter += 1
-        return counter - 1
-
-    vectors = propagate_vectors(graph, interior, producer_vectors,
-                                merge=lambda a, b: joined.append((a, b)), zero=fresh_zero)
+    for u in sorted(interior, key=graph.topological_rank):
+        layer = graph.layer(u)
+        ins = [vectors[q] for q in graph.predecessors(u)]
+        if layer.kind is LayerKind.CONCAT:
+            vectors[u] = tuple(chain.from_iterable(ins))
+        elif layer.kind is LayerKind.SLICE:
+            start, length = layer.params
+            vectors[u] = ins[0][start:start + length]
+        elif layer.kind is LayerKind.GATHER:
+            zeros = layer.params.count(-1)
+            fresh = iter(range(counter, counter + zeros))
+            vectors[u] = tuple(ins[0][i] if i >= 0 else next(fresh) for i in layer.params)
+            counter += zeros
+            zero_seen |= zeros > 0
+        else:  # add, pass-through, per-channel
+            joined += [(ins[0], other) for other in ins[1:]]
+            vectors[u] = ins[0]
     canon_vec, channel_space = _slot_numbering(counter, joined)
-    producer_slots = {p: canon_vec(producer_vectors[p]) for p in producer_ids}
+    producer_slots = {p: canon_vec(vectors[p]) for p in producer_ids}
     consumer_slots = {c: canon_vec(vectors[graph.predecessors(c)[0]]) for c in consumer_ids}
 
     # a slot space is ill-formed where one vector holds a slot twice

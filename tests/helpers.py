@@ -26,7 +26,7 @@ from reslice import Layer, LayerKind, ModelGraph, WeightStore
 from reslice.graph import INTERIOR_KINDS
 from reslice.path_search import Path, ReorderGraph
 from reslice.planner import apply_plan
-from reslice.segments import Segment, propagate_vectors
+from reslice.segments import Segment
 
 MIX = LayerKind.CHANNEL_MIX
 PASS = LayerKind.PASS_THROUGH
@@ -490,7 +490,10 @@ def oracle_slot_numbering(count: int, joined) -> tuple[int, ...]:
 def zero_copy_exists(graph: ModelGraph, segment: Segment,
                      retained: dict[str, frozenset[int]]) -> bool:
     """Raw permutation oracle: does any per-band arrangement of the kept
-    slots make every consumer's retained block contiguous?"""
+    slots make every consumer's retained block contiguous? Each arrangement
+    is pushed to the consumers by its own recursion over predecessors: in
+    an unlocked segment a concat joins its inputs' vectors and every other
+    interior kind carries its first input's."""
     all_kept = set()
     for slots in retained.values():
         all_kept |= slots
@@ -502,14 +505,19 @@ def zero_copy_exists(graph: ModelGraph, segment: Segment,
         else:
             per_band.append([(min(band.slots),)])
     for arrangement in product(*per_band):
-        layouts = {}
+        vectors = {}
         for band, layout in zip(segment.bands, arrangement):
             for p in band.producers:
-                layouts[p] = layout
-        vectors = propagate_vectors(graph, segment.interior, layouts)
+                vectors[p] = layout
+
+        def vector(u):
+            if u not in vectors:
+                ins = [vector(q) for q in graph.predecessors(u)]
+                vectors[u] = sum(ins, ()) if graph.layer(u).kind is CONCAT else ins[0]
+            return vectors[u]
         ok = True
         for c in segment.consumers:
-            vec = vectors[graph.predecessors(c)[0]]
+            vec = vector(graph.predecessors(c)[0])
             spots = [i for i, s in enumerate(vec) if s in retained[c]]
             if spots and spots[-1] - spots[0] + 1 != len(spots):
                 ok = False

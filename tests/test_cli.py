@@ -328,9 +328,73 @@ def test_verify_refuses_a_record_foreign_to_the_plan_mode(model_files, capsys, m
     assert _tamper_plan(tmp, model, weights, capsys, tamper, mode=mode) == 4
     err = capsys.readouterr().err
     assert "verification failed" in err
-    assert ("plan.json: a gathering consumer zeroes columns" if entry == "zeroing_gather"
+    assert ("plan.json: B: a gathering consumer zeroes columns" if entry == "zeroing_gather"
             else "an output-mode plan gathers or zeroes columns" if mode == "output"
             else "an input-mode plan restores a width or rebuilds a join") in err
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda segment: segment["producers"].append("r"),
+     "plan A: producer 'r' is a pass_through layer"),
+    (lambda segment: segment["interior"].append("B"), "B: unexpected channel_mix interior layer"),
+    (lambda segment: (segment["producers"].append("in"),
+                      segment["producer_orders"].update({"in": [1, 0, 2, 3]})),
+     "in: cannot permute a model input"),
+], ids=["pass_through_producer", "channel_mix_interior", "permuted_input"])
+def test_verify_refuses_a_plan_that_misnames_a_layer_role(model_files, capsys, tamper, message):
+    tmp, model, weights = model_files
+    assert _tamper_plan(tmp, model, weights, capsys, tamper, mode="input") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ") and message in err
+
+
+def test_verify_refuses_a_plan_file_without_a_segments_list(model_files, capsys):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    prefix = tmp / "x"
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 0
+    Path(f"{prefix}.plan.json").write_text('{"version": 1, "segments": {}}')
+    capsys.readouterr()
+    assert run_cli("verify", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", prefix) == 4
+    assert f"{prefix}.plan.json: need a 'segments' list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda m: m.pop("layers"), "need 'layers' and 'edges' lists"),
+    (lambda m: m.update(edges={}), "need 'layers' and 'edges' lists"),
+    (lambda m: m["edges"].append(["in"]), "bad edge record ['in']"),
+    (lambda m: m["edges"].append(["in", "A", "C"]), "bad edge record ['in', 'A', 'C']"),
+    (lambda m: m["edges"].append("in"), "bad edge record 'in'"),
+    (lambda m: m["layers"].append(m["layers"][1]), "duplicate layer id 'A'"),
+], ids=["no_layers", "edges_not_a_list", "short_edge", "long_edge", "edge_not_a_list",
+        "duplicate_id"])
+def test_export_of_a_model_file_off_its_schema_is_exit_1(model_files, capsys, tamper, message):
+    tmp, model, weights = model_files
+    obj = json.loads(Path(model).read_text())
+    assert obj["layers"][1]["id"] == "A"
+    tamper(obj)
+    Path(model).write_text(json.dumps(obj))
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ") and message in err
+    assert not list(tmp.glob("x.*"))
+
+
+@pytest.mark.parametrize("text", ['{"version": 1}', '{"version": 1, "retained": [[0]]}'],
+                         ids=["missing", "a_list"])
+def test_export_of_a_masks_file_without_a_retained_object_is_exit_1(model_files, capsys, text):
+    tmp, model, weights = model_files
+    masks = tmp / "masks.json"
+    masks.write_text(text)
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 1
+    assert capsys.readouterr().err == f"error: {masks}: need a 'retained' object\n"
 
 
 @pytest.mark.parametrize("mode, masks, reads", [("input", {"B": (0, 1), "D": (0, 1)}, 4),
@@ -867,6 +931,26 @@ def test_export_of_non_finite_version_1_weights_is_exit_1(model_files, capsys, v
                    "--masks", masks, "--out-prefix", tmp / "x") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "tensor 'A' holds a non-finite value" in err
+    assert not list(tmp.glob("x.*"))
+
+
+@pytest.mark.parametrize("version, shape", [(1, [4, -1]), (2, [-4, -4])])
+def test_a_negative_dimension_in_a_tensor_shape_is_exit_1(model_files, capsys, version, shape):
+    # numpy would infer one -1, so version 1 loaded A's [4, -1] as 4x4; in
+    # version 2, [-4, -4] matches the 128 payload bytes of a 4x4 matrix
+    tmp, model, weights = model_files
+    if version == 1:
+        save_weights_v1(residual_block_fixture()[1], weights)
+    obj = json.loads(Path(weights).read_text())
+    obj["tensors"]["A"]["shape"] = shape
+    Path(weights).write_text(json.dumps(obj))
+    masks = tmp / "masks.json"
+    save_masks({"B": (0, 2), "D": (1, 2)}, masks)
+    assert run_cli("export", "--model", model, "--weights", weights,
+                   "--masks", masks, "--out-prefix", tmp / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"bad tensor for 'A' (negative dimension in shape {shape})" in err
     assert not list(tmp.glob("x.*"))
 
 

@@ -177,6 +177,43 @@ def test_slice_and_gather_param_checks():
     assert validate(ok) == []
 
 
+def _between(middle, edges, width=2):
+    """The input, the ``middle`` layers and an output of ``width``, wired by ``edges``."""
+    return ModelGraph([Layer("in", INPUT, 2, 2), *middle, Layer("out", OUTPUT, width, width)],
+                      edges)
+
+
+@pytest.mark.parametrize("graph, weights, diagnostic", [
+    (ModelGraph([Layer("in", INPUT, 2, 2), Layer("m", MIX, 2, 0)], [("in", "m")]), None,
+     "m: channel counts must be >= 1"),
+    (_between([Layer("i2", INPUT, 2, 2)], [("in", "i2"), ("i2", "out")]), None,
+     "i2: input layer cannot have predecessors"),
+    (_between([Layer("r", LayerKind.PASS_THROUGH, 2, 2)], [("in", "out")]), None,
+     "r: non-input layer has no predecessor"),
+    (_between([Layer("j", LayerKind.ADD, 2, 2)], [("in", "j"), ("j", "out")]), None,
+     "j: add requires >= 2 predecessors"),
+    (_between([Layer("k", CONCAT, 2, 2)], [("in", "k"), ("k", "out")]), None,
+     "k: concat requires >= 2 predecessors"),
+    (_between([Layer("j", LayerKind.ADD, 3, 3)], [("in", "j"), ("in", "j"), ("j", "out")], 3),
+     None, "j: add in_channels does not match its inputs"),
+    (_between([Layer("r", LayerKind.PASS_THROUGH, 2, 3)], [("in", "r"), ("r", "out")], 3), None,
+     "r: pass_through cannot change channel count"),
+    (_between([Layer("s", LayerKind.SLICE, 2, 1)], [("in", "s"), ("s", "out")], 1), None,
+     "s: slice needs params (start, length)"),
+    (_between([Layer("s", LayerKind.SLICE, 2, 1, (0, 2))], [("in", "s"), ("s", "out")], 1), None,
+     "s: slice length 2 != out_channels"),
+    (_between([Layer("s", LayerKind.GATHER, 2, 1)], [("in", "s"), ("s", "out")], 1), None,
+     "s: gather needs source index params"),
+    (_between([Layer("p", PER, 2, 2)], [("in", "p"), ("p", "out")]), WeightStore(),
+     "p: missing per-channel vector"),
+], ids=["no_channels", "input_with_predecessor", "no_predecessor", "add_of_one",
+        "concat_of_one", "add_in_channels", "width_preserving_kind_widens",
+        "slice_without_params", "slice_length", "gather_without_params",
+        "per_channel_without_vector"])
+def test_each_structural_diagnostic(graph, weights, diagnostic):
+    assert validate(graph, weights) == [diagnostic]
+
+
 def test_params_rejected_on_other_kinds():
     g = ModelGraph(
         [Layer("in", LayerKind.INPUT, 2, 2),
@@ -509,12 +546,13 @@ def _payload(values):
     (lambda r: r.pop("f64le"), "'f64le'"),
     (lambda r: r.pop("shape"), "'shape'"),
     (lambda r: r.update(shape=[2, 2.0]), "expected an integer"),
+    (lambda r: r.update(shape=[-2, -2]), "negative dimension in shape [-2, -2]"),
     (lambda r: r.update(data=[0.0] * 4) or r.pop("f64le"), "'f64le'"),
     (lambda r: r.update(f64le=_payload([0.0, np.nan, 1.0, 2.0])), "non-finite"),
     (lambda r: r.update(f64le=_payload([0.0, 1.0, np.inf, 2.0])), "non-finite"),
     (lambda r: r.update(f64le=_payload([-np.inf, 0.0, 1.0, 2.0])), "non-finite"),
 ], ids=["alphabet", "whitespace", "padding", "short", "long", "no_payload", "no_shape",
-        "float_shape", "version_1_record", "nan", "inf", "-inf"])
+        "float_shape", "negative_shape", "version_1_record", "nan", "inf", "-inf"])
 def test_weights_version_2_malformed(tamper, message):
     with pytest.raises(ModelFormatError) as exc:
         weights_from_dict(_v2_record(tamper), "wfile")
@@ -530,6 +568,14 @@ def test_weights_version_1_malformed(data):
     obj = {"version": 1, "tensors": {"A": {"shape": [2], "data": data}}}
     with pytest.raises(ModelFormatError):
         weights_from_dict(obj)
+
+
+@pytest.mark.parametrize("shape", [[4, -1], [-1, 4], [-4, -1], [-1]])
+def test_weights_version_1_negative_dimension(shape):
+    obj = {"version": 1, "tensors": {"A": {"shape": shape, "data": [0.0] * 16}}}
+    with pytest.raises(ModelFormatError) as exc:
+        weights_from_dict(obj, "wfile")
+    assert str(exc.value) == f"wfile: bad tensor for 'A' (negative dimension in shape {shape})"
 
 
 def _load_v1_tokens(tokens):

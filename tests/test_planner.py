@@ -229,9 +229,9 @@ def test_apply_refuses_zero_columns_on_a_gathering_consumer():
     graph, weights = fan_fixture(4, ("B", "D"))
     plan = planned(graph, {"B": (0, 1), "D": (1, 2)}, "constrained")
     gather = ConsumerAccess("B", "gather", columns=(0, 1, 2))
-    bad = dataclasses.replace(plan, consumers=(gather, access(plan, "D")))
-    with pytest.raises(ValidationError, match="B: a gathering consumer zeroes columns"):
-        apply_plan([bad], graph, weights)
+    with pytest.raises(ValidationError) as exc:
+        dataclasses.replace(plan, consumers=(gather, access(plan, "D")))
+    assert exc.value.diagnostics == ["B: a gathering consumer zeroes columns"]
 
 
 @pytest.mark.parametrize("c_rows", [(1, 0, 2, 3), (0, 1, 2)], ids=["swapped", "shorter"])
@@ -478,6 +478,31 @@ def test_output_reorder_rewrites_residual_join():
     report = check_equivalence(graph, weights, masks, new_graph, new_weights,
                                seed=11, mask_side="output")
     assert report.passed
+
+
+def test_an_output_mode_plan_that_gathers_is_refused_where_it_is_built():
+    # consumer B's slice turned into a gather would apply and pass the
+    # equivalence check, yet copy_report would read copied=0: the copy
+    # count of an output-mode plan reads its producers only
+    graph, _ = residual_block_fixture()
+    [plan], _ = plan_model(graph, {"A": (0, 2, 3), "C": (0, 1, 3)}, mode="output")
+    gather = ConsumerAccess("B", "gather", columns=(0, 1, 2, 3))
+    with pytest.raises(ValidationError) as exc:
+        dataclasses.replace(plan, consumers=(gather, access(plan, "D")))
+    assert exc.value.diagnostics == ["an output-mode plan gathers or zeroes columns"]
+    with pytest.raises(ValidationError) as exc:
+        dataclasses.replace(plan, mode="input", strategy="reorder")
+    assert exc.value.diagnostics == ["an input-mode plan restores a width or rebuilds a join"]
+
+
+@pytest.mark.parametrize("order", [(1, 0, 3, 3, 2), (1, 0, 3), (1, 0, 3, 2, 2), (0, 1, 2, 3, 4)],
+                         ids=["twice", "missing", "twice_in_full", "extra"])
+def test_output_order_must_list_each_kept_channel_once(order):
+    graph, _ = residual_block_fixture()
+    masks = {"A": (0, 2, 3), "C": (0, 1, 3)}
+    with pytest.raises(ValidationError) as exc:
+        plan_export_output(graph, seg(graph, {"A", "C"}), order, masks)
+    assert exc.value.diagnostics == ["A: order does not list each kept channel once"]
 
 
 def test_output_identity_masks_keep_join():

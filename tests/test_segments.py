@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reslice import LayerKind, ValidationError, export_model, find_segments
 import numpy as np
 
-from reslice.segments import _slot_numbering, propagate_vectors, resolve_masks
+from reslice.segments import _slot_numbering, resolve_masks
 
 from helpers import (
     ADD,
@@ -325,13 +325,6 @@ def test_a_layer_can_consume_and_produce_in_one_segment():
     seg = segment_by_producers(find_segments(g), {"A", "B"})
     assert (seg.producers, seg.consumers, seg.interior) == (("A", "B"), ("B",), ("j", "r"))
     assert seg.lock_reason == FEEDS_OUTPUT
-
-
-def test_propagate_vectors_concat_and_add():
-    g, _ = concat_fixture()
-    vecs = propagate_vectors(g, {"k", "r"}, {"A": (10, 11, 12), "C": (20, 21)})
-    assert vecs["k"] == (10, 11, 12, 20, 21)
-    assert vecs["r"] == (10, 11, 12, 20, 21)
 
 
 @settings(deadline=None, max_examples=200)
